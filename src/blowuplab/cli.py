@@ -247,6 +247,7 @@ def _write_field(report, path):
 
 def cmd_solve(args, eps_values=None) -> int:
     cfg = load_config(args.config)
+    cfg.solver_geometry()  # predict-only geometries fail before any output
     out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _write_echo(cfg, out)
@@ -309,6 +310,7 @@ def _read_points_csv(path):
 def cmd_compare(args) -> int:
     from scipy.optimize import linear_sum_assignment
     cfg = load_config(args.config)
+    cfg.solver_geometry()  # compare reads solver outputs
     out = args.out or cfg.output_dir
     echo_path = os.path.join(out, "config_echo.yaml")
     if not os.path.exists(echo_path):

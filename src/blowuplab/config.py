@@ -193,7 +193,14 @@ def load_config(path) -> ExperimentConfig:
         cfg.nonlinearity_obj()
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    cfg.solver_geometry()
+    # a geometry must be solvable or predictable; the verb decides which
+    try:
+        cfg.solver_geometry()
+    except ConfigError as unsolvable:
+        try:
+            cfg.domain()
+        except ValueError as e:
+            raise ConfigError(f"{unsolvable}, and it is no 2D domain: {e}") from None
     return cfg
 
 

@@ -16,6 +16,14 @@ neighboring grid points (parameter continuity is useless near focal
 points, e.g. the disc center, where foot angles rotate arbitrarily
 fast), then each detection is refined by bisection to the equidistance
 locus.
+
+Smooth domains cache 4096 boundary samples. A nearest-boundary query
+seeds Newton from the nearest sample, found with a k-d tree over the
+samples (Bentley 1975). r, r' and r'' come from one pass over the
+harmonics: a blocked cos/sin table times a coefficient matrix. Foot
+bisection, equidistance refinement and Newton tracking run on all
+points or detections at once, not point by point; marching squares
+(Lorensen and Cline 1987) visits only the cells the level set crosses.
 """
 
 from __future__ import annotations
@@ -26,10 +34,13 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from .errors import RangeError
 
 TWO_PI = 2.0 * np.pi
+# entries of one block of the cos/sin table in SmoothPolarDomain: 8 MB
+_TRIG_TABLE_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,6 @@ class PlanarDomain:
 
     def signed_distance(self, points):
         raise NotImplementedError
-
-    def distance(self, points):
-        """d(x, boundary) for interior points (positive part of signed d)."""
-        return self.signed_distance(points)
 
     def orthogonal_feet(self, x) -> FootSet:
         raise NotImplementedError
@@ -131,6 +138,13 @@ class SmoothPolarDomain(PlanarDomain):
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
         if len(self.cos_coeffs) != len(self.sin_coeffs):
             raise ValueError("cos and sin coefficient lists must have equal length")
+        a, b = self.cos_coeffs, self.sin_coeffs
+        self._k = np.arange(1, len(a) + 1, dtype=float)
+        k, k2 = self._k, self._k ** 2
+        # columns r - c0, r', r'' against the rows [cos(k th); sin(k th)]
+        self._harmonics = np.column_stack([np.concatenate([a, b]),
+                                           np.concatenate([k * b, -k * a]),
+                                           np.concatenate([-k2 * a, -k2 * b])])
         th = np.linspace(0.0, TWO_PI, self.N_BOUNDARY, endpoint=False)
         r = self.radius(th)
         if np.any(r <= 0.0):
@@ -145,48 +159,63 @@ class SmoothPolarDomain(PlanarDomain):
         self._th = th
         self._bp = self.point_at(th)          # (N, 2)
         self._tau = self.tangent_at(th)        # (N, 2)
+        self._tree = cKDTree(self._bp)         # nearest-sample seeds
 
     # -- radius and derivatives --------------------------------------------
-    def radius(self, th):
+    def _radius_derivs(self, th):
+        """r, r' and r'' at th (any shape) from one cos/sin pass.
+
+        The trig table [cos(k th), sin(k th)] is built in blocks of theta
+        so that it stays near 8 MB for any number of harmonics and points."""
         th = np.asarray(th, dtype=float)
-        r = np.full_like(th, self.c0)
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            r += a * np.cos(k * th) + b * np.sin(k * th)
-        return r
+        flat = th.reshape(-1)
+        out = np.zeros((3, flat.size))
+        K = len(self._k)
+        if K:
+            step = max(1, _TRIG_TABLE_ELEMS // (2 * K))
+            table = np.empty((min(step, flat.size), 2 * K))
+            for lo in range(0, flat.size, step):
+                kt = np.multiply.outer(flat[lo:lo + step], self._k)
+                m = len(kt)
+                np.cos(kt, out=table[:m, :K])
+                np.sin(kt, out=table[:m, K:])
+                out[:, lo:lo + m] = (table[:m] @ self._harmonics).T
+        out[0] += self.c0
+        return tuple(v.reshape(th.shape) for v in out)
+
+    def radius(self, th):
+        return self._radius_derivs(th)[0]
 
     def radius_d1(self, th):
-        th = np.asarray(th, dtype=float)
-        r = np.zeros_like(th)
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            r += -a * k * np.sin(k * th) + b * k * np.cos(k * th)
-        return r
+        return self._radius_derivs(th)[1]
 
     def radius_d2(self, th):
-        th = np.asarray(th, dtype=float)
-        r = np.zeros_like(th)
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            r += -a * k * k * np.cos(k * th) - b * k * k * np.sin(k * th)
-        return r
+        return self._radius_derivs(th)[2]
 
     # -- boundary geometry ---------------------------------------------------
     def point_at(self, th):
-        r = self.radius(th)
+        r = self._radius_derivs(th)[0]
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
-    def tangent_at(self, th):
-        r, r1 = self.radius(th), self.radius_d1(th)
-        tx = r1 * np.cos(th) - r * np.sin(th)
-        ty = r1 * np.sin(th) + r * np.cos(th)
+    def _point_tangent(self, th):
+        """Boundary point y(th) and unit tangent, each th.shape + (2,)."""
+        r, r1, _ = self._radius_derivs(th)
+        c, s = np.cos(th), np.sin(th)
+        tx = r1 * c - r * s
+        ty = r1 * s + r * c
         n = np.hypot(tx, ty)
-        return np.stack([tx / n, ty / n], axis=-1)
+        return (np.stack([r * c, r * s], axis=-1),
+                np.stack([tx / n, ty / n], axis=-1))
+
+    def tangent_at(self, th):
+        return self._point_tangent(th)[1]
 
     def curvature(self, th):
-        r, r1, r2 = self.radius(th), self.radius_d1(th), self.radius_d2(th)
+        r, r1, r2 = self._radius_derivs(th)
         return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
     def boundary_point(self, param) -> BoundaryPoint:
-        p = self.point_at(np.float64(param))
-        t = self.tangent_at(np.float64(param))
+        p, t = self._point_tangent(np.float64(param))
         return BoundaryPoint(point=tuple(p), tangent=tuple(t),
                              curvature=float(self.curvature(np.float64(param))))
 
@@ -203,30 +232,29 @@ class SmoothPolarDomain(PlanarDomain):
         out = rho < self.radius(th)
         return bool(out[0]) if np.asarray(points).ndim == 1 else out
 
-    def _nearest_on_boundary(self, pts, newton_iters=3):
-        """Chunked nearest boundary parameter + distance for many points."""
+    def _newton_foot(self, pts, th, iters, max_step):
+        """Newton on h(theta) = 0.5 |x - y(theta)|^2 for paired points and
+        start parameters; steps are clipped to +-max_step, and a point
+        where h'' vanishes keeps its parameter."""
+        for _ in range(iters):
+            r, r1, r2 = self._radius_derivs(th)
+            c, s = np.cos(th), np.sin(th)
+            dx, dy = pts[:, 0] - r * c, pts[:, 1] - r * s
+            ypx, ypy = r1 * c - r * s, r1 * s + r * c
+            yppx, yppy = (r2 - r) * c - 2 * r1 * s, (r2 - r) * s + 2 * r1 * c
+            g = -(dx * ypx + dy * ypy)
+            gp = (ypx * ypx + ypy * ypy) - (dx * yppx + dy * yppy)
+            ok = np.abs(gp) > 1e-14
+            step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
+            th = th - np.clip(step, -max_step, max_step)
+        return th
+
+    def _nearest_on_boundary(self, pts):
+        """Nearest boundary parameter + distance for many points: the
+        nearest boundary sample (k-d tree), polished by 3 Newton steps."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = len(pts)
-        th_best = np.empty(n)
-        for lo in range(0, n, 2048):
-            chunk = pts[lo:lo + 2048]
-            d2 = ((chunk[:, None, :] - self._bp[None, :, :]) ** 2).sum(axis=2)
-            th_best[lo:lo + 2048] = self._th[np.argmin(d2, axis=1)]
-        th = th_best
-        # Newton on h(theta) = 0.5 |x - y(theta)|^2
-        for _ in range(newton_iters):
-            y = self.point_at(th)
-            r, r1, r2 = self.radius(th), self.radius_d1(th), self.radius_d2(th)
-            yp = np.stack([r1 * np.cos(th) - r * np.sin(th),
-                           r1 * np.sin(th) + r * np.cos(th)], axis=-1)
-            ypp = np.stack([(r2 - r) * np.cos(th) - 2 * r1 * np.sin(th),
-                            (r2 - r) * np.sin(th) + 2 * r1 * np.cos(th)], axis=-1)
-            diff = pts - y
-            g = -(diff * yp).sum(axis=1)
-            gp = (yp * yp).sum(axis=1) - (diff * ypp).sum(axis=1)
-            denom = np.where(np.abs(gp) > 1e-14, gp, 1.0)
-            step = np.where(np.abs(gp) > 1e-14, g / denom, 0.0)
-            th = th - np.clip(step, -0.01, 0.01)
+        _, seed = self._tree.query(pts)
+        th = self._newton_foot(pts, self._th[seed], 3, 0.01)
         y = self.point_at(th)
         d = np.hypot(*(pts - y).T)
         return th, d, y
@@ -239,13 +267,6 @@ class SmoothPolarDomain(PlanarDomain):
         return float(out[0]) if np.asarray(points).ndim == 1 else out
 
     # -- orthogonal feet -------------------------------------------------------
-    def _foot_residual(self, pts, th):
-        """g = (x - y(theta)) . tau(theta), broadcast over (pts, th) grids."""
-        y = self.point_at(th)
-        tau = self.tangent_at(th)
-        diff = pts[:, None, :] - y[None, :, :]
-        return (diff * tau[None, :, :]).sum(axis=2)
-
     def orthogonal_feet(self, x, inside_samples=64) -> FootSet:
         return self.feet_batch(np.asarray(x, dtype=float)[None, :],
                                inside_samples=inside_samples)[0]
@@ -253,8 +274,9 @@ class SmoothPolarDomain(PlanarDomain):
     def feet_batch(self, pts, inside_samples=64):
         """All orthogonal feet for each point; vectorized bisection refine.
 
-        The dense residual grid catches every sign change of g(theta);
-        each root is polished by bisection, then the foot is kept only if
+        The residual g = (x - y(theta)) . tau(theta) on the cached boundary
+        samples catches every sign change; all roots of a chunk of points
+        are polished together by bisection, then a foot is kept only if
         the full segment to it stays inside the domain. An exactly
         radial case (all residuals ~ 0, disc center) comes back as a
         degenerate circle-of-feet marker.
@@ -263,51 +285,57 @@ class SmoothPolarDomain(PlanarDomain):
         out = []
         scale = max(self.c0, np.abs(self.cos_coeffs).sum()
                     + np.abs(self.sin_coeffs).sum())
+        bx, by = self._bp.T
+        tx, ty = self._tau.T
         for lo in range(0, len(pts), 512):
             chunk = pts[lo:lo + 512]
-            G = self._foot_residual(chunk, self._th)
-            Gw = np.concatenate([G, G[:, :1]], axis=1)  # wrap
-            s_l = np.sign(Gw[:, :-1])
-            s_r = np.sign(Gw[:, 1:])
+            G = (chunk[:, :1] - bx) * tx + (chunk[:, 1:] - by) * ty
+            s_l = np.sign(G)
+            s_r = np.roll(s_l, -1, axis=1)  # the sample grid wraps around
             # an exact zero at a grid node (g(0)=0 on the disc axis) must
             # count as a root: the plain product test skips it
             sign_change = (s_l * s_r < 0) | (s_l == 0)
-            for i, p in enumerate(chunk):
-                if np.max(np.abs(G[i])) < 1e-11 * scale:
+            degenerate = np.abs(G).max(axis=1) < 1e-11 * scale
+            rows, cols = np.nonzero(sign_change & ~degenerate[:, None])
+            P = chunk[rows]
+            th_lo = self._th[cols]
+            th_hi = th_lo + (self._th[1] - self._th[0])
+            g_lo = G[rows, cols]
+            for _ in range(45):
+                mid = 0.5 * (th_lo + th_hi)
+                y, tau = self._point_tangent(mid)
+                gm = ((P - y) * tau).sum(axis=1)
+                take_lo = np.sign(gm) == np.sign(g_lo)
+                th_lo = np.where(take_lo, mid, th_lo)
+                g_lo = np.where(take_lo, gm, g_lo)
+                th_hi = np.where(take_lo, th_hi, mid)
+            th_star = 0.5 * (th_lo + th_hi)
+            y = self.point_at(th_star)
+            keep = self._segments_inside(P, y, inside_samples)
+            dist = np.hypot(*(P - y).T)
+            kap = self.curvature(th_star)
+            feet = [[] for _ in chunk]
+            for i, yi, th_f, d, k in zip(rows[keep].tolist(), y[keep],
+                                         th_star[keep], dist[keep], kap[keep]):
+                feet[i].append(Foot(point=tuple(yi), param=float(th_f % TWO_PI),
+                                    distance=float(d), curvature=float(k)))
+            for p, fs, degen in zip(chunk, feet, degenerate):
+                if degen:
                     rho = float(np.hypot(*p))
                     out.append(FootSet(feet=[], degenerate_circle=True,
                                        radius=float(self.radius(0.0)) - rho))
                     continue
-                cols = np.where(sign_change[i])[0]
-                th_lo = self._th[cols]
-                th_hi = th_lo + (self._th[1] - self._th[0])
-                g_lo = Gw[i, cols]
-                for _ in range(45):
-                    mid = 0.5 * (th_lo + th_hi)
-                    gm = self._foot_residual(p[None, :], mid)[0]
-                    take_lo = np.sign(gm) == np.sign(g_lo)
-                    th_lo = np.where(take_lo, mid, th_lo)
-                    g_lo = np.where(take_lo, gm, g_lo)
-                    th_hi = np.where(take_lo, th_hi, mid)
-                th_star = 0.5 * (th_lo + th_hi)
-                feet = []
-                for th_f in th_star:
-                    y = self.point_at(np.float64(th_f))
-                    if not self._segment_inside(p, y, inside_samples):
-                        continue
-                    feet.append(Foot(point=tuple(y), param=float(th_f % TWO_PI),
-                                     distance=float(np.hypot(*(p - y))),
-                                     curvature=float(self.curvature(np.float64(th_f)))))
-                feet.sort(key=lambda f: f.distance)
-                out.append(FootSet(feet=feet))
+                fs.sort(key=lambda f: f.distance)
+                out.append(FootSet(feet=fs))
         return out
 
-    def _segment_inside(self, x, y, n_samples=64):
+    def _segments_inside(self, x, y, n_samples=64):
+        """Whether each segment x[i] -> y[i] stays inside, on n_samples points."""
         s = np.linspace(0.0, 1.0, n_samples + 1)[:-1]
-        P = x[None, :] + s[:, None] * (y - x)[None, :]
-        th = np.arctan2(P[:, 1], P[:, 0])
-        rho = np.hypot(P[:, 0], P[:, 1])
-        return bool(np.all(rho <= self.radius(th) * (1.0 + 1e-9) + 1e-12))
+        P = x[:, None, :] + s[:, None] * (y - x)[:, None, :]
+        th = np.arctan2(P[..., 1], P[..., 0])
+        rho = np.hypot(P[..., 0], P[..., 1])
+        return np.all(rho <= self.radius(th) * (1.0 + 1e-9) + 1e-12, axis=1)
 
     def nearest_feet_grid(self, pts):
         """Nearest boundary point/parameter per grid point (fast path)."""
@@ -428,12 +456,6 @@ class Skeleton:
 
     def s_values(self):
         return np.array([s.s_value for s in self.samples])
-
-    def branches(self):
-        out = {}
-        for s in self.samples:
-            out.setdefault(s.branch, []).append(s)
-        return out
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -563,7 +585,7 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
 
     ok2 = ok.reshape(X.shape)
     ybg = yb.reshape(X.shape + (2,))
-    detections = []
+    P, Q = [], []
     for axis in (0, 1):
         sl_a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
         sl_b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
@@ -572,22 +594,14 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
                         ybg[sl_a][..., 1] - ybg[sl_b][..., 1])
         hits = both & (jump > max(6.0 * res, 0.05 * dom.diameter) * 0.5)
         ii, jj = np.where(hits)
-        for i, j in zip(ii, jj):
-            if axis == 0:
-                p = np.array([xs[i], ys[j]])
-                q = np.array([xs[i + 1], ys[j]])
-            else:
-                p = np.array([xs[i], ys[j]])
-                q = np.array([xs[i], ys[j + 1]])
-            detections.append((p, q))
+        P.append(np.column_stack([xs[ii], ys[jj]]))
+        Q.append(np.column_stack([xs[ii + (axis == 0)], ys[jj + (axis == 1)]]))
 
+    refined, found = _refine_equidistance(dom, np.concatenate(P), np.concatenate(Q))
+    refined = refined[found]
     tol = equi_rel_tol * dom.diameter
     samples = []
-    for p, q in detections:
-        pt = _refine_equidistance(dom, p, q)
-        if pt is None:
-            continue
-        fs = dom.orthogonal_feet(pt)
+    for pt, fs in zip(refined, dom.feet_batch(refined)):
         if fs.degenerate_circle:
             samples.append(SkeletonSample(point=pt, s_value=fs.radius,
                                           pair_distances=[fs.radius]))
@@ -611,56 +625,44 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
 
 
 def _refine_equidistance(dom: SmoothPolarDomain, p, q, iters=40):
-    """Bisect on the segment [p, q] for the point where the nearest feet
-    approached from either endpoint become equidistant."""
-    th_p, d_p, _ = dom.nearest_feet_grid(p[None, :])
-    th_q, d_q, _ = dom.nearest_feet_grid(q[None, :])
-    th_a, th_b = float(th_p[0]), float(th_q[0])
+    """Bisect each segment [p_i, q_i] for the point where the nearest feet
+    approached from either endpoint become equidistant.
 
-    def delta(x):
-        da = _tracked_distance(dom, x, th_a)
-        db = _tracked_distance(dom, x, th_b)
-        return da - db
+    All segments are bisected together. Returns the points and a mask of
+    the segments that gave one."""
+    th_a = dom.nearest_feet_grid(p)[0]
+    th_b = dom.nearest_feet_grid(q)[0]
 
-    fa = delta(p)
-    fb = delta(q)
-    if not np.isfinite(fa) or not np.isfinite(fb) or fa * fb > 0:
-        # endpoints already agree; midpoint is the best guess
-        mid = 0.5 * (p + q)
-        return mid if dom.contains(mid) else None
+    def delta(x, rows):
+        return (_tracked_distance(dom, x, th_a[rows])
+                - _tracked_distance(dom, x, th_b[rows]))
+
+    fa = delta(p, slice(None))
+    fb = delta(q, slice(None))
+    # where the endpoints already agree the midpoint is the best guess
+    out = 0.5 * (p + q)
+    agree = ~np.isfinite(fa) | ~np.isfinite(fb) | (fa * fb > 0)
+    found = ~agree | dom.contains(out)
     lo, hi = p.copy(), q.copy()
+    act = np.flatnonzero(~agree)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = delta(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            lo, fa = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = delta(mid, act)
+        hit = fm == 0.0
+        out[act[hit]] = mid[hit]
+        side = np.sign(fm) == np.sign(fa[act])
+        lo[act[side]] = mid[side]
+        fa[act[side]] = fm[side]
+        hi[act[~side]] = mid[~side]
+        act = act[~hit]
+    out[act] = 0.5 * (lo[act] + hi[act])
+    return out, found
 
 
 def _tracked_distance(dom: SmoothPolarDomain, x, th0, iters=4):
-    """Distance to the locally tracked foot near parameter th0 (Newton)."""
-    th = th0
-    for _ in range(iters):
-        y = dom.point_at(np.float64(th))
-        r, r1, r2 = (dom.radius(np.float64(th)), dom.radius_d1(np.float64(th)),
-                     dom.radius_d2(np.float64(th)))
-        yp = np.array([r1 * np.cos(th) - r * np.sin(th),
-                       r1 * np.sin(th) + r * np.cos(th)])
-        ypp = np.array([(r2 - r) * np.cos(th) - 2 * r1 * np.sin(th),
-                        (r2 - r) * np.sin(th) + 2 * r1 * np.cos(th)])
-        diff = x - y
-        g = -(diff * yp).sum()
-        gp = (yp * yp).sum() - (diff * ypp).sum()
-        if abs(gp) < 1e-14:
-            break
-        step = g / gp
-        th -= np.clip(step, -0.2, 0.2)
-    y = dom.point_at(np.float64(th))
-    return float(np.hypot(*(x - y)))
+    """Distance from each point to its foot tracked from parameter th0 (Newton)."""
+    th = dom._newton_foot(x, th0, iters, 0.2)
+    return np.hypot(*(x - dom.point_at(th)).T)
 
 
 def _dedup_samples(samples, radius):
@@ -700,44 +702,45 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
 
 def _marching_squares(xs, ys, F):
     """Per-cell crossing segments of F = 0. Returns list of (key_a, pt_a, key_b, pt_b)."""
-    nx, ny = F.shape
     segs = []
 
     def interp(x0, f0, x1, f1):
         t = f0 / (f0 - f1)
         return x0 + t * (x1 - x0)
 
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            f = (F[i, j], F[i + 1, j], F[i + 1, j + 1], F[i, j + 1])
-            if (f[0] > 0) == (f[1] > 0) == (f[2] > 0) == (f[3] > 0):
-                continue
-            crossings = []
-            # edges: bottom (j fixed), right, top, left; key = (edge-grid id)
-            if (f[0] > 0) != (f[1] > 0):
-                x = interp(xs[i], f[0], xs[i + 1], f[1])
-                crossings.append((("h", i, j), (x, ys[j])))
-            if (f[1] > 0) != (f[2] > 0):
-                y = interp(ys[j], f[1], ys[j + 1], f[2])
-                crossings.append((("v", i + 1, j), (xs[i + 1], y)))
-            if (f[3] > 0) != (f[2] > 0):
-                x = interp(xs[i], f[3], xs[i + 1], f[2])
-                crossings.append((("h", i, j + 1), (x, ys[j + 1])))
-            if (f[0] > 0) != (f[3] > 0):
-                y = interp(ys[j], f[0], ys[j + 1], f[3])
-                crossings.append((("v", i, j), (xs[i], y)))
-            if len(crossings) == 2:
-                segs.append((*crossings[0], *crossings[1]))
-            elif len(crossings) == 4:
-                # saddle: split by the cell-center sign
-                fc = 0.25 * sum(f)
-                # order of `crossings` here: bottom, right, top, left
-                if (fc > 0) == (f[0] > 0):
-                    pairs = [(0, 1), (2, 3)]
-                else:
-                    pairs = [(0, 3), (1, 2)]
-                for a, b in pairs:
-                    segs.append((*crossings[a], *crossings[b]))
+    # only cells whose corner signs differ, visited in (i, j) order
+    pos = F > 0
+    cut = ((pos[:-1, :-1] != pos[1:, :-1]) | (pos[1:, :-1] != pos[1:, 1:])
+           | (pos[1:, 1:] != pos[:-1, 1:]))
+    Fl, xs, ys = F.tolist(), xs.tolist(), ys.tolist()
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(cut))):
+        f = (Fl[i][j], Fl[i + 1][j], Fl[i + 1][j + 1], Fl[i][j + 1])
+        crossings = []
+        # edges: bottom (j fixed), right, top, left; key = (edge-grid id)
+        if (f[0] > 0) != (f[1] > 0):
+            x = interp(xs[i], f[0], xs[i + 1], f[1])
+            crossings.append((("h", i, j), (x, ys[j])))
+        if (f[1] > 0) != (f[2] > 0):
+            y = interp(ys[j], f[1], ys[j + 1], f[2])
+            crossings.append((("v", i + 1, j), (xs[i + 1], y)))
+        if (f[3] > 0) != (f[2] > 0):
+            x = interp(xs[i], f[3], xs[i + 1], f[2])
+            crossings.append((("h", i, j + 1), (x, ys[j + 1])))
+        if (f[0] > 0) != (f[3] > 0):
+            y = interp(ys[j], f[0], ys[j + 1], f[3])
+            crossings.append((("v", i, j), (xs[i], y)))
+        if len(crossings) == 2:
+            segs.append((*crossings[0], *crossings[1]))
+        elif len(crossings) == 4:
+            # saddle: split by the cell-center sign
+            fc = 0.25 * sum(f)
+            # order of `crossings` here: bottom, right, top, left
+            if (fc > 0) == (f[0] > 0):
+                pairs = [(0, 1), (2, 3)]
+            else:
+                pairs = [(0, 3), (1, 2)]
+            for a, b in pairs:
+                segs.append((*crossings[a], *crossings[b]))
     return segs
 
 

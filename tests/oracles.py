@@ -188,6 +188,32 @@ def brute_force_distance(dom, points, n_samples=100_000):
     return out
 
 
+def brute_force_nearest_sample(samples, points):
+    """min |x - s| over a finite sample set, by the full distance matrix."""
+    points = np.atleast_2d(points)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 256):
+        chunk = points[lo:lo + 256]
+        d2 = ((chunk[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+        out[lo:lo + 256] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def polar_radius_derivatives(c0, cos_coeffs, sin_coeffs, th):
+    """r, r' and r'' of r = c0 + sum_k a_k cos(k th) + b_k sin(k th), one
+    harmonic at a time; the output shapes follow th."""
+    th = np.asarray(th, dtype=float)
+    r = np.full_like(th, float(c0))
+    r1 = np.zeros_like(th)
+    r2 = np.zeros_like(th)
+    for k, (a, b) in enumerate(zip(cos_coeffs, sin_coeffs), start=1):
+        c, s = np.cos(k * th), np.sin(k * th)
+        r += a * c + b * s
+        r1 += k * (b * c - a * s)
+        r2 -= k * k * (a * c + b * s)
+    return r, r1, r2
+
+
 def hausdorff(A, B):
     """Symmetric Hausdorff distance between two point sets."""
     A = np.atleast_2d(A)

@@ -224,6 +224,51 @@ def test_predict_square_writes_skeleton_and_svg(tmp_path):
     assert lines[2].endswith("1")  # eps=0.2: origin
 
 
+POTATO_CFG = """
+experiment:
+  name: potato-mini
+  nonlinearity: exp
+  order: 4
+  geometry: polar:1,0.3,0,0,0,0,-0.3
+  eps: [0.03, 0.1]
+solver:
+  skeleton_resolution: 0.05
+outputs:
+  directory: {out}
+  formats: [csv]
+"""
+
+
+def test_predict_polar_domain(tmp_path):
+    path = write_cfg(tmp_path, POTATO_CFG)
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in runs:
+        assert main(["--config", path, "--out", str(out), "predict"]) == 0
+    out = runs[0]
+    for name in ("skeleton.csv", "prediction_eps0p03.csv", "prediction_eps0p1.csv"):
+        assert (out / name).exists(), name
+    summary = (out / "predictions_summary.csv").read_text()
+    assert "omega-set" in summary and "skeleton-points" in summary
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert csvs == sorted(p.name for p in runs[1].glob("*.csv"))
+    for name in csvs:
+        assert (out / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+def test_polar_domain_has_no_solver(tmp_path, capsys, verb):
+    path = write_cfg(tmp_path, POTATO_CFG)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), verb]) == 2
+    assert "no solver supports geometry" in capsys.readouterr().err
+
+
+def test_unknown_geometry_rejected_at_load(tmp_path):
+    path = write_cfg(tmp_path, POTATO_CFG.replace("polar:1,0.3,0,0,0,0,-0.3",
+                                                  "polar:1,0.3"))
+    with pytest.raises(ConfigError, match="no solver supports geometry"):
+        load_config(path)
+
+
 def test_square_solve_and_compare_multiplicity(tmp_path):
     path = write_cfg(tmp_path, SQUARE_CFG)
     out = str(tmp_path / "out")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,15 @@ from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 skeleton_arrival_time)
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from oracles import (brute_force_distance, hausdorff, rectangle_skeleton_points,
+from oracles import (brute_force_distance, brute_force_nearest_sample, hausdorff,
+                     polar_radius_derivatives, rectangle_skeleton_points,
                      square_skeleton_points)
 
 DISC = SmoothPolarDomain(1.0)
 POTATO = potato_domain()
 SQUARE = RectangleDomain.centered(1.0, 1.0)
+ELLIPSE = ellipse_domain(0.75, 1.0)   # 64 harmonics
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # -- construction and boundary geometry ----------------------------------------
@@ -63,6 +68,18 @@ def test_rectangle_boundary_point_and_corner():
     corner = R.boundary_point(2.0)  # arc length W = 2 lands on (1, 0)
     assert not corner.smooth
     assert corner.curvature is None
+
+
+@pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
+def test_radius_derivatives_match_harmonic_loop(dom):
+    rng = np.random.default_rng(5)
+    for th in (np.float64(0.37), rng.uniform(-7.0, 7.0, 1000),
+               rng.uniform(0.0, 2 * np.pi, (30, 40))):
+        ref = polar_radius_derivatives(dom.c0, dom.cos_coeffs, dom.sin_coeffs, th)
+        got = (dom.radius(th), dom.radius_d1(th), dom.radius_d2(th))
+        for g, r in zip(got, ref):
+            assert np.shape(g) == np.shape(th)
+            assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
 # -- orthogonal feet -----------------------------------------------------------
@@ -140,6 +157,20 @@ def test_distance_against_brute_force(dom):
     mine = dom.signed_distance(pts)
     brute = brute_force_distance(dom, pts)
     assert np.max(np.abs(mine - brute)) <= 1e-6
+
+
+@pytest.mark.parametrize("dom", [POTATO, ELLIPSE], ids=["potato", "ellipse"])
+def test_tree_seed_is_a_nearest_boundary_sample(dom):
+    rng = np.random.default_rng(9)
+    near = rng.uniform(-1.6, 1.6, (1600, 2))       # inside and just outside
+    ang = rng.uniform(0.0, 2 * np.pi, 400)
+    far = rng.uniform(3.0, 50.0, 400)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = np.concatenate([near, far])
+    assert 0 < np.count_nonzero(dom.contains(pts)) < len(pts)
+    _, seed = dom._tree.query(pts)
+    # ties may pick another sample than argmin, so compare distances
+    d_tree = np.hypot(*(pts - dom._bp[seed]).T)
+    assert np.max(np.abs(d_tree - brute_force_nearest_sample(dom._bp, pts))) <= 1e-12
 
 
 def test_potato_max_distance_point():
@@ -223,6 +254,41 @@ def test_ellipse_origin_two_pairs():
     assert sorted(smp.pair_distances) == pytest.approx([0.75, 1.0], abs=1e-3)
 
 
+def _golden_rows(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("dom,res,name", [
+    (POTATO, 0.05, "skeleton_potato_res0p05.csv"),
+    (ELLIPSE, 0.1, "skeleton_ellipse_res0p1.csv"),
+], ids=["potato", "ellipse"])
+def test_skeleton_matches_golden(dom, res, name):
+    rows = _golden_rows(name)
+    sk = compute_skeleton(dom, res)
+    assert len(sk.samples) == len(rows)
+    ref = np.array([[float(r[0]), float(r[1])] for r in rows])
+    pts = sk.points()
+    # samples are ordered by x, which on the ellipse's x = 0 branch is
+    # rounding noise: match each reference sample to its nearest sample
+    gap = np.hypot(ref[:, None, 0] - pts[:, 0], ref[:, None, 1] - pts[:, 1])
+    match = np.argmin(gap, axis=1)
+    assert sorted(match) == list(range(len(pts)))
+    assert np.max(gap.min(axis=1)) <= 1e-9
+    branch_of = {}
+    for r, i in zip(rows, match):
+        smp = sk.samples[i]
+        assert smp.s_value == pytest.approx(float(r[2]), abs=1e-9)
+        pairs = [float(v) for v in r[4].split(";")]
+        assert len(smp.pair_distances) == len(pairs)
+        assert smp.pair_distances == pytest.approx(pairs, abs=1e-9)
+        branch_of.setdefault(int(r[3]), set()).add(smp.branch)
+    # the same branches, whatever their numbers
+    assert all(len(b) == 1 for b in branch_of.values())
+    assert len(set().union(*branch_of.values())) == len(branch_of)
+
+
 def test_skeleton_requires_positive_resolution():
     with pytest.raises(ValueError):
         compute_skeleton(DISC, 0.0)
@@ -261,6 +327,14 @@ def test_omega_potato_small_loop_near_incenter():
         assert np.max(np.hypot(loop[:, 0] - xc[0], loop[:, 1] - xc[1])) <= 0.15
         d = POTATO.signed_distance(loop)
         assert np.max(np.abs(d - level)) <= 2e-3
+
+
+def test_omega_potato_matches_golden():
+    rows = _golden_rows("omega_potato_level0p7.csv")
+    loops = omega_set(POTATO, 0.7)
+    assert [len(loop) for loop in loops] == np.bincount([int(r[2]) for r in rows]).tolist()
+    ref = np.array([[float(r[0]), float(r[1])] for r in rows])
+    assert np.max(np.abs(np.concatenate(loops) - ref)) <= 1e-9
 
 
 def test_omega_beyond_inradius_raises():
