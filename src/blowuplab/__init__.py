@@ -24,7 +24,6 @@ from .profiles import (OMEGA, CorrectionProfile, LayerProfile, eval_profile4,
 from .reaction import (Nonlinearity, ReactionSolution, blowup_time_T0,
                        register_nonlinearity)
 from .solvers import (BlowupReport, SolverConfig, extract_singularities, solve,
-                      solve_1d, solve_cube3d, solve_radial_disc, solve_rect2d,
                       track_peaks)
 
 __version__ = "0.1.0"

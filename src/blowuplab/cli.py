@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Verbs: profile, predict, solve, sweep, compare. Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 no blow-up detected. CSV files
-are the data contract; SVG plots are a convenience. Identical configs
-(same seed) produce byte-identical CSVs: floats are written with repr
-and every merge is sorted.
+Verbs: profile, predict, solve (also named sweep), compare. Exit codes:
+0 success, 2 config error, 3 numerical failure, 4 no blow-up detected.
+CSV files are the data contract; SVG plots are a convenience. Identical
+configs (same seed) produce byte-identical CSVs: floats are written with
+repr and every merge is sorted.
 """
 
 from __future__ import annotations
@@ -245,13 +245,14 @@ def _write_field(report, path):
                     fh.write(f"{x!r},{y!r},{field[i, j, k]!r}\n")
 
 
-def cmd_solve(args, eps_values=None) -> int:
+def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    cfg.solver_geometry()  # predict-only geometries fail before any output
+    eps_list = sorted(cfg.eps_values)
+    for e in eps_list:  # bad geometry or solver settings fail before any output
+        cfg.solver_config(e)
     out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _write_echo(cfg, out)
-    eps_list = sorted(eps_values if eps_values is not None else cfg.eps_values)
     results = []
     try:
         if args.threads > 1 and len(eps_list) > 1:
@@ -273,10 +274,6 @@ def cmd_solve(args, eps_values=None) -> int:
     for eps, T, mult, reason, _, _ in results:
         print(f"eps={eps:g}: T_eps={T:.6g} multiplicity={mult} [{reason}]")
     return EXIT_OK if all(r[5] for r in results) else EXIT_NO_BLOWUP
-
-
-def cmd_sweep(args) -> int:
-    return cmd_solve(args)
 
 
 def _pad2(coords):
@@ -398,10 +395,8 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         if args.verb == "predict":
             return cmd_predict(args)
-        if args.verb == "solve":
+        if args.verb in ("solve", "sweep"):
             return cmd_solve(args)
-        if args.verb == "sweep":
-            return cmd_sweep(args)
         if args.verb == "compare":
             return cmd_compare(args)
     except ConfigError as e:

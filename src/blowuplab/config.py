@@ -13,7 +13,7 @@ A config has four sections; only `experiment` is required:
       threshold: 10
     outputs:
       directory: runs/square
-      snapshot_stride: 0
+      snapshot_stride: 0           # field every n-th step (0: off); outputs only
       formats: [csv]               # csv (contract), svg (convenience)
     seed: 0
 
@@ -33,11 +33,11 @@ from .reaction import Nonlinearity
 from .solvers import SolverConfig
 
 _SOLVER_KEYS = {
-    "nx": int, "ny": int, "nz": int, "grading": float,
+    "nx": int, "ny": int, "grading": float,
     "dt_init": float, "dt_min": float, "dt_max": float,
     "safety": float, "growth_target": float, "threshold": float,
     "max_steps": int, "t_end": float, "theta": float,
-    "noise_amplitude": float, "snapshot_stride": int,
+    "noise_amplitude": float,
     "check_supersolution": bool, "max_unknowns": int,
     "skeleton_resolution": float,  # consumed by the predict command
 }

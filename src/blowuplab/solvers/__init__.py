@@ -1,28 +1,28 @@
 from .common import (BlowupReport, Snapshot, SolverConfig,
-                     extract_singularities, track_peaks)
-from .cube3d import solve_cube3d
-from .one_dim import solve_1d, strip_grid
-from .radial import solve_radial_disc
-from .rect2d import solve_rect2d
+                     extract_singularities, solve_problem, track_peaks)
+from .cube3d import build_cube
+from .one_dim import build_strip, strip_grid
+from .radial import build_disc, mark_ring
+from .rect2d import build_rect
 
-SOLVERS = {
-    "strip": solve_1d,
-    "radial-disc": solve_radial_disc,
-    "rect": solve_rect2d,
-    "cube": solve_cube3d,
+BUILDERS = {
+    "strip": build_strip,
+    "radial-disc": build_disc,
+    "rect": build_rect,
+    "cube": build_cube,
 }
 
 
 def solve(cfg: SolverConfig) -> BlowupReport:
-    """Dispatch to the geometry's solver."""
+    """Build the geometry's problem and run the shared pipeline on it."""
     try:
-        fn = SOLVERS[cfg.geometry]
+        build = BUILDERS[cfg.geometry]
     except KeyError:
         raise ValueError(f"no solver for geometry {cfg.geometry!r}") from None
-    return fn(cfg)
+    report = solve_problem(cfg, *build(cfg))
+    return mark_ring(report) if cfg.geometry == "radial-disc" else report
 
 __all__ = [
     "BlowupReport", "Snapshot", "SolverConfig", "extract_singularities",
-    "track_peaks", "solve", "solve_1d", "solve_radial_disc", "solve_rect2d",
-    "solve_cube3d", "strip_grid", "SOLVERS",
+    "track_peaks", "solve", "solve_problem", "strip_grid", "BUILDERS",
 ]

@@ -1,4 +1,7 @@
-"""Shared machinery for the PDE solvers.
+"""The solver pipeline shared by every geometry. A geometry module builds
+its problem (a theta-step adapter of its operator, one coordinate array
+per field axis); solve_problem() does the rest: stepping, extraction,
+peak tracking and the BlowupReport.
 
 Time integration is Strang splitting: an exact pointwise reaction flow
 (closed form or dense-output based, see ReactionSolution.flow) around a
@@ -26,7 +29,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from ..errors import ConvergenceError
+from ..errors import ConfigError, ConvergenceError
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
 
 
@@ -34,11 +37,13 @@ from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
 class SolverConfig:
     """Configuration shared by all geometries.
 
-    nx/ny/nz count grid nodes including boundaries. grading > 0 applies
-    tanh clustering toward the strip endpoints (1D only). threshold is
-    the sup-norm blow-up cutoff M; t_end, when set, stops the run at a
-    fixed time instead. eps = 0 disables diffusion entirely (reaction
-    limit, used by the solver self-checks)."""
+    nx/ny count grid nodes including boundaries (the cube uses nx on
+    every axis; ny = 0 means ny = nx on the rectangle). grading > 0
+    applies tanh clustering toward the strip endpoints (1D only).
+    threshold is the sup-norm blow-up cutoff M; t_end, when set, stops
+    the run at a fixed time instead. eps = 0 disables diffusion entirely
+    (reaction limit, used by the solver self-checks). Invalid settings
+    raise ConfigError (a ValueError)."""
 
     order: int
     nonlinearity: Nonlinearity
@@ -46,7 +51,6 @@ class SolverConfig:
     geometry: str = "strip"
     nx: int = 2001
     ny: int = 0
-    nz: int = 0
     half_width_x: float = 1.0
     half_width_y: float = 1.0
     grading: float = 0.0
@@ -68,17 +72,24 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
+            raise ConfigError(f"order must be 2 or 4, got {self.order}")
         if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+            raise ConfigError("eps must be >= 0")
         if self.threshold <= 1.0:
-            raise ValueError("threshold M must exceed 1")
+            raise ConfigError("threshold M must exceed 1")
         if not (0 < self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_init <= dt_max")
+            raise ConfigError("need 0 < dt_init <= dt_max")
         if self.dt_min >= self.dt_init:
-            raise ValueError("dt_min must be below dt_init")
+            raise ConfigError("dt_min must be below dt_init")
         if self.nx < 5:
-            raise ValueError("nx too small")
+            raise ConfigError("nx too small")
+        if self.geometry == "cube" and self.order != 4:
+            raise ConfigError("cube solver covers the fourth-order problem only")
+        unknowns = {"rect": (self.nx - 2) * ((self.ny or self.nx) - 2),
+                    "cube": (self.nx - 2) ** 3}.get(self.geometry, 0)
+        if unknowns > self.max_unknowns:
+            raise ConfigError(f"{self.geometry} grid with {unknowns} unknowns "
+                              f"exceeds max_unknowns={self.max_unknowns}")
 
     def replace(self, **kw):
         return replace(self, **kw)
@@ -216,12 +227,12 @@ def initial_field(cfg: SolverConfig, n_unknowns: int) -> np.ndarray:
     return u
 
 
-def run_stepper(cfg: SolverConfig, B: Optional[sp.spmatrix], adapter,
-                rs: ReactionSolution, u: np.ndarray):
+def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray):
     """March the split scheme until threshold/t_end/stall.
 
-    Returns a dict with the raw run record; geometry-specific wrappers
-    turn it into a BlowupReport."""
+    adapter applies the theta step of the linear operator (None: reaction
+    only). Returns a dict with the raw run record; solve_problem turns it
+    into a BlowupReport."""
     t = 0.0
     dt = cfg.dt_init
     sup = float(u.max()) if len(u) else 0.0
@@ -259,7 +270,7 @@ def run_stepper(cfg: SolverConfig, B: Optional[sp.spmatrix], adapter,
             break
         u_prev, t_prev, sup_prev = u, t, sup
         u1 = rs.flow(u, 0.5 * dtb)
-        if np.all(np.isfinite(u1)) and adapter is not None and cfg.eps > 0:
+        if np.all(np.isfinite(u1)) and adapter is not None:
             u2 = adapter.apply(dtb, u1)
         else:
             u2 = u1
@@ -317,6 +328,38 @@ def run_stepper(cfg: SolverConfig, B: Optional[sp.spmatrix], adapter,
                 stop_reason=stop, u=u_final, steps=steps, snapshots=snapshots,
                 sup_history=sup_hist, dt_history=dt_hist,
                 blowup_detected=detected)
+
+
+def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
+    """Integrate a built problem to blow-up (or t_end) and report it.
+
+    adapter is the theta-step solver of the assembled operator; axes holds
+    one coordinate array per field axis, and the unknowns are the field
+    flattened in C order over them."""
+    shape = tuple(len(a) for a in axes)
+    if cfg.eps == 0:
+        adapter = None
+    rs = ReactionSolution(cfg.nonlinearity)
+    run = run_stepper(cfg, adapter, rs, initial_field(cfg, int(np.prod(shape))))
+    u = run["u"].reshape(shape)
+    for snap in run["snapshots"]:
+        snap.field = snap.field.reshape(shape)
+    sing = extract_singularities(u, axes)
+    traj = []
+    if run["snapshots"]:
+        tracks = track_peaks(run["snapshots"], axes)
+        if tracks:
+            main = max(tracks, key=lambda tr: len(tr["times"]))
+            traj = list(zip(main["times"], main["points"]))
+    diag = dict(steps=run["steps"], sup_history=run["sup_history"],
+                dt_history=run["dt_history"],
+                factorizations=getattr(adapter, "factorizations", 0))
+    return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
+                        sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
+                        singularities=sing, multiplicity=len(sing),
+                        final_field=u, grid=tuple(axes), peak_trajectory=traj,
+                        snapshots=run["snapshots"], diagnostics=diag, config=cfg,
+                        blowup_detected=run["blowup_detected"])
 
 
 # -- singularity extraction -----------------------------------------------------

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..reaction import ReactionSolution
-from .common import (BlowupReport, ConjugateGradientCN, SolverConfig,
-                     extract_singularities, initial_field, run_stepper)
+from .common import ConjugateGradientCN, SolverConfig
 from .rect2d import d2_dirichlet_uniform, d4_clamped_uniform
 
 
@@ -31,30 +29,9 @@ def cube_operator(n, h):
             + 2.0 * (k3(D2, D2, I) + k3(D2, I, D2) + k3(I, D2, D2)))
 
 
-def solve_cube3d(cfg: SolverConfig) -> BlowupReport:
-    if cfg.geometry != "cube":
-        raise ValueError(f"solve_cube3d expects geometry 'cube', got {cfg.geometry!r}")
-    if cfg.order != 4:
-        raise ValueError("cube solver covers the fourth-order problem only")
-    n = cfg.nx
-    if (n - 2) ** 3 > cfg.max_unknowns:
-        raise ValueError(f"grid {n}^3 exceeds max_unknowns={cfg.max_unknowns}")
-    L = cfg.half_width_x
-    h = 2 * L / (n - 1)
-    B = cube_operator(n, h) * cfg.eps ** 4
-    adapter = ConjugateGradientCN(B, cfg.theta) if cfg.eps > 0 else None
-    rs = ReactionSolution(cfg.nonlinearity)
-    u0 = initial_field(cfg, (n - 2) ** 3)
-    run = run_stepper(cfg, B, adapter, rs, u0)
-
+def build_cube(cfg: SolverConfig):
+    """Theta-step adapter and interior grid of [-L, L]^3 (order 4 only)."""
+    n, L = cfg.nx, cfg.half_width_x
+    B = cube_operator(n, 2 * L / (n - 1)) * cfg.eps ** 4
     x = np.linspace(-L, L, n)[1:-1]
-    U = run["u"].reshape(n - 2, n - 2, n - 2)
-    sing = extract_singularities(U, (x, x, x))
-    diag = dict(steps=run["steps"], sup_history=run["sup_history"],
-                dt_history=run["dt_history"])
-    return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
-                        sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
-                        singularities=sing, multiplicity=len(sing),
-                        final_field=U, grid=(x, x, x), peak_trajectory=[],
-                        snapshots=run["snapshots"], diagnostics=diag, config=cfg,
-                        blowup_detected=run["blowup_detected"])
+    return ConjugateGradientCN(B, cfg.theta), (x, x, x)

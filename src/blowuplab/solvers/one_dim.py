@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..reaction import ReactionSolution
 from ..stencils import fd_weights
-from .common import (BandedCN, BlowupReport, SolverConfig, extract_singularities,
-                     initial_field, run_stepper, track_peaks)
+from .common import BandedCN, SolverConfig
 
 
 def strip_grid(n, grading=0.0, half_width=1.0):
@@ -79,39 +77,14 @@ def second_derivative_dirichlet(x):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
-def solve_1d(cfg: SolverConfig) -> BlowupReport:
-    """Integrate the strip problem to blow-up (or t_end); see SolverConfig."""
-    if cfg.geometry != "strip":
-        raise ValueError(f"solve_1d expects geometry 'strip', got {cfg.geometry!r}")
+def build_strip(cfg: SolverConfig):
+    """Theta-step adapter and interior grid of the strip problem."""
     x = strip_grid(cfg.nx, cfg.grading, cfg.half_width_x)
-    xi = x[1:-1]
     if cfg.order == 4:
         B = fourth_derivative_clamped(x) * cfg.eps ** 4
-        bw = 2
     else:
         B = -second_derivative_dirichlet(x) * cfg.eps ** 2
-        bw = 1
     # exact persymmetry: mirrored stencil weights agree only algebraically,
     # and the bias would be amplified by blow-up growth
     B = 0.5 * (B + B[::-1, ::-1].tocsr())
-    adapter = BandedCN(B, bw, cfg.theta, symmetrize=True) if cfg.eps > 0 else None
-    rs = ReactionSolution(cfg.nonlinearity)
-    u0 = initial_field(cfg, cfg.nx - 2)
-    run = run_stepper(cfg, B, adapter, rs, u0)
-
-    sing = extract_singularities(run["u"], (xi,))
-    traj = []
-    if run["snapshots"]:
-        tracks = track_peaks(run["snapshots"], (xi,))
-        if tracks:
-            main = max(tracks, key=lambda tr: len(tr["times"]))
-            traj = list(zip(main["times"], main["points"]))
-    diag = dict(steps=run["steps"], sup_history=run["sup_history"],
-                dt_history=run["dt_history"])
-    return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
-                        sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
-                        singularities=sing, multiplicity=len(sing),
-                        final_field=run["u"], grid=(xi,),
-                        peak_trajectory=traj, snapshots=run["snapshots"],
-                        diagnostics=diag, config=cfg,
-                        blowup_detected=run["blowup_detected"])
+    return BandedCN(B, cfg.order // 2, cfg.theta, symmetrize=True), (x[1:-1],)

@@ -15,10 +15,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..reaction import ReactionSolution
 from ..stencils import fd_weights
-from .common import (BandedCN, BlowupReport, SolverConfig, extract_singularities,
-                     initial_field, run_stepper, track_peaks)
+from .common import BandedCN, BlowupReport, SolverConfig, _parabola_vertex
 
 
 def radial_grid(nr):
@@ -93,44 +91,30 @@ def radial_laplacian_dirichlet(nr):
     return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nr))
 
 
-def solve_radial_disc(cfg: SolverConfig) -> BlowupReport:
-    if cfg.geometry != "radial-disc":
-        raise ValueError(
-            f"solve_radial_disc expects geometry 'radial-disc', got {cfg.geometry!r}")
+def build_disc(cfg: SolverConfig):
+    """Theta-step adapter and staggered radial grid (nr = nx) of the disc."""
     nr = cfg.nx
-    r = radial_grid(nr)
     if cfg.order == 4:
         B = radial_biharmonic(nr) * cfg.eps ** 4
     else:
         B = -radial_laplacian_dirichlet(nr) * cfg.eps ** 2
-    adapter = BandedCN(B, 2 if cfg.order == 4 else 1, cfg.theta) if cfg.eps > 0 else None
-    rs = ReactionSolution(cfg.nonlinearity)
-    u0 = initial_field(cfg, nr)
-    run = run_stepper(cfg, B, adapter, rs, u0)
+    return BandedCN(B, cfg.order // 2, cfg.theta), (radial_grid(nr),)
 
-    sing = extract_singularities(run["u"], (r,))
-    # argmax radius; sub-cell values below the axis spacing count as r = 0
-    i_max = int(np.argmax(run["u"]))
-    if 0 < i_max < nr - 1:
-        from .common import _parabola_vertex
-        ring = _parabola_vertex(r[i_max - 1:i_max + 2], run["u"][i_max - 1:i_max + 2])
+
+def mark_ring(report: BlowupReport) -> BlowupReport:
+    """Set the ring radius, the refined argmax radius of the final field.
+
+    A ring closer to the axis than 1.5 cells is the origin: the report
+    then holds the single singularity r = 0."""
+    (r,), u = report.grid, report.final_field
+    i_max = int(np.argmax(u))
+    if 0 < i_max < len(r) - 1:
+        ring = _parabola_vertex(r[i_max - 1:i_max + 2], u[i_max - 1:i_max + 2])
     else:
         ring = float(r[i_max])
-    if ring < 1.5 / nr:
+    if ring < 1.5 / len(r):
         ring = 0.0
-        sing = [((0.0,), float(run["u"].max()))]
-    traj = []
-    if run["snapshots"]:
-        tracks = track_peaks(run["snapshots"], (r,))
-        if tracks:
-            main = max(tracks, key=lambda tr: len(tr["times"]))
-            traj = list(zip(main["times"], main["points"]))
-    diag = dict(steps=run["steps"], sup_history=run["sup_history"],
-                dt_history=run["dt_history"])
-    return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
-                        sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
-                        singularities=sing, multiplicity=len(sing),
-                        final_field=run["u"], grid=(r,), peak_trajectory=traj,
-                        snapshots=run["snapshots"], diagnostics=diag,
-                        config=cfg, ring_radius=ring,
-                        blowup_detected=run["blowup_detected"])
+        report.singularities = [((0.0,), float(u.max()))]
+        report.multiplicity = 1
+    report.ring_radius = ring
+    return report

@@ -13,10 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..reaction import ReactionSolution
-from .common import (BlowupReport, SolverConfig, SparseLUCN,
-                     extract_singularities, initial_field, run_stepper,
-                     track_peaks)
+from .common import SolverConfig, SparseLUCN
 
 
 def d4_clamped_uniform(n, h):
@@ -47,41 +44,11 @@ def rect_operator(nx, ny, hx, hy, order):
              + sp.kron(Ix, d2_dirichlet_uniform(ny, hy)))
 
 
-def solve_rect2d(cfg: SolverConfig) -> BlowupReport:
-    if cfg.geometry != "rect":
-        raise ValueError(f"solve_rect2d expects geometry 'rect', got {cfg.geometry!r}")
-    nx = cfg.nx
-    ny = cfg.ny or cfg.nx
-    if (nx - 2) * (ny - 2) > cfg.max_unknowns:
-        raise ValueError(f"grid {nx}x{ny} exceeds max_unknowns={cfg.max_unknowns}")
+def build_rect(cfg: SolverConfig):
+    """Theta-step adapter and interior grid of [-a, a] x [-b, b]."""
+    nx, ny = cfg.nx, cfg.ny or cfg.nx
     ax, ay = cfg.half_width_x, cfg.half_width_y
-    hx = 2 * ax / (nx - 1)
-    hy = 2 * ay / (ny - 1)
-    B = rect_operator(nx, ny, hx, hy, cfg.order) * cfg.eps ** cfg.order
-    adapter = SparseLUCN(B, cfg.theta) if cfg.eps > 0 else None
-    rs = ReactionSolution(cfg.nonlinearity)
-    u0 = initial_field(cfg, (nx - 2) * (ny - 2))
-    run = run_stepper(cfg, B, adapter, rs, u0)
-
-    x = np.linspace(-ax, ax, nx)[1:-1]
-    y = np.linspace(-ay, ay, ny)[1:-1]
-    U = run["u"].reshape(nx - 2, ny - 2)
-    sing = extract_singularities(U, (x, y))
-    traj = []
-    if run["snapshots"]:
-        shaped = [s for s in run["snapshots"]]
-        for s in shaped:
-            s.field = s.field.reshape(nx - 2, ny - 2)
-        tracks = track_peaks(shaped, (x, y))
-        if tracks:
-            main = max(tracks, key=lambda tr: len(tr["times"]))
-            traj = list(zip(main["times"], main["points"]))
-    diag = dict(steps=run["steps"], sup_history=run["sup_history"],
-                dt_history=run["dt_history"],
-                factorizations=getattr(adapter, "factorizations", 0))
-    return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
-                        sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
-                        singularities=sing, multiplicity=len(sing),
-                        final_field=U, grid=(x, y), peak_trajectory=traj,
-                        snapshots=run["snapshots"], diagnostics=diag, config=cfg,
-                        blowup_detected=run["blowup_detected"])
+    B = rect_operator(nx, ny, 2 * ax / (nx - 1), 2 * ay / (ny - 1),
+                      cfg.order) * cfg.eps ** cfg.order
+    return SparseLUCN(B, cfg.theta), (np.linspace(-ax, ax, nx)[1:-1],
+                                      np.linspace(-ay, ay, ny)[1:-1])

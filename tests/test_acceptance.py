@@ -40,8 +40,7 @@ from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
 from blowuplab.predictor import predict_second_2d, uniform_1d
 from blowuplab.profiles import OMEGA, solve_profile4, v2
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from blowuplab.solvers import SolverConfig, solve_1d, solve_cube3d, \
-    solve_radial_disc, solve_rect2d
+from blowuplab.solvers import SolverConfig, solve
 from oracles import (hausdorff, linearised_layer_peak, rectangle_skeleton_points,
                      shooting_profile4, square_skeleton_points,
                      strip_second_order_bdf)
@@ -61,7 +60,7 @@ def run_c1():
     t0 = time.perf_counter()
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="strip",
                        nx=2001, grading=2.0, threshold=1e3)
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     return rep, time.perf_counter() - t0
 
 
@@ -70,7 +69,7 @@ def run_second_order_amplitude():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=2001, grading=2.0, t_end=0.4, threshold=1e3,
                        snapshot_times=ERR_TIMES + (0.4,))
-    return solve_1d(cfg)
+    return solve(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +77,7 @@ def run_fourth_order_amplitude():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="strip",
                        nx=2001, grading=2.0, t_end=0.5, threshold=1e3,
                        snapshot_times=ERR_TIMES + (0.5,))
-    return solve_1d(cfg)
+    return solve(cfg)
 
 
 def test_criterion_1_blowup_time(run_c1):
@@ -97,7 +96,7 @@ def test_criterion_2_multiplicity_transition():
     for eps in (0.2, 1.0 / 7.0):
         cfg = SolverConfig(order=4, nonlinearity=EXP, eps=eps, geometry="strip",
                            nx=2001, grading=2.0, threshold=10.0)
-        outcomes[eps] = solve_1d(cfg)
+        outcomes[eps] = solve(cfg)
     wall = time.perf_counter() - t0
     one = outcomes[0.2]
     two = outcomes[1.0 / 7.0]
@@ -184,7 +183,7 @@ def test_criterion_5_square_multiplicity():
     for eps in (0.1, 0.2):
         cfg = SolverConfig(order=4, nonlinearity=EXP, eps=eps, geometry="rect",
                            nx=201, ny=201, threshold=10.0)
-        got[eps] = solve_rect2d(cfg)
+        got[eps] = solve(cfg)
     wall = time.perf_counter() - t0
     four = got[0.1].singularity_points()
     one = got[0.2].singularity_points()
@@ -210,7 +209,7 @@ def test_criterion_6_rectangle_sequence():
         cfg = SolverConfig(order=4, nonlinearity=EXP, eps=eps, geometry="rect",
                            nx=201, ny=101, half_width_x=1.0, half_width_y=0.5,
                            threshold=10.0)
-        mult[eps] = solve_rect2d(cfg).multiplicity
+        mult[eps] = solve(cfg).multiplicity
     wall = time.perf_counter() - t0
     ok = mult == {0.05: 4, 0.1: 2, 0.2: 1} and wall < 600.0
     report(6, ok, f"rectangle multiplicities {mult} (want 4/2/1; "
@@ -227,7 +226,7 @@ def disc_sweep(profile4):
     for eps in (0.05, 0.075, 0.1):
         cfg = SolverConfig(order=4, nonlinearity=POW2, eps=eps,
                            geometry="radial-disc", nx=1000, threshold=1e3)
-        out[eps] = solve_radial_disc(cfg)
+        out[eps] = solve(cfg)
     return out
 
 
@@ -348,7 +347,7 @@ def test_criterion_11_ordering_invariants(run_c1):
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=1001, grading=2.0, threshold=100.0,
                        snapshot_stride=50)
-    rep2 = solve_1d(cfg)  # the supersolution bound is asserted per step
+    rep2 = solve(cfg)  # the supersolution bound is asserted per step
     rs = ReactionSolution(POW2)
     super_ok = all(s.sup <= rs.state(s.t) * (1 + 1e-9) + 1e-12
                    for s in rep2.snapshots if s.t < rs.T0 * 0.999)
@@ -372,7 +371,7 @@ def test_criterion_12_cube_multiplicities():
     for eps in (0.14, 0.2):
         cfg = SolverConfig(order=4, nonlinearity=POW2, eps=eps, geometry="cube",
                            nx=41, threshold=5e2)
-        got[eps] = solve_cube3d(cfg)
+        got[eps] = solve(cfg)
     wall = time.perf_counter() - t0
     eight = got[0.14].singularity_points()
     one = got[0.2].singularity_points()

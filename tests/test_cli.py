@@ -65,6 +65,15 @@ def test_unknown_key_rejected(tmp_path):
     path = write_cfg(tmp_path, bad)
     with pytest.raises(ConfigError, match="graddding"):
         load_config(path)
+    # nz and a solver-side snapshot_stride were once accepted and ignored
+    # or overridden; they are unknown keys now
+    for key in ("nz: 7", "snapshot_stride: 3"):
+        path = write_cfg(tmp_path, STRIP_CFG.replace("  grading: 2.0", "  " + key))
+        name = key.split(":")[0]
+        with pytest.raises(ConfigError,
+                           match=rf"unknown key solver\.{name} \(line 10\)"):
+            load_config(path)
+        assert main(["--config", path, "solve"]) == 2
 
 
 def test_unknown_key_reports_line(tmp_path):
@@ -111,6 +120,24 @@ def test_rect_geometry_solver_config(tmp_path):
     assert scfg.geometry == "rect"
     assert scfg.nx == scfg.ny == 61
     assert scfg.half_width_x == scfg.half_width_y == 1.0
+
+
+@pytest.mark.parametrize("geometry, order, solver", [
+    ("square:1", 4, "nx: 4001"),    # exceeds max_unknowns
+    ("strip", 4, "nx: 3"),
+    ("strip", 4, "dt_init: 1.0"),   # above dt_max
+    ("cube:1", 2, "nx: 9"),         # the cube is fourth order only
+])
+def test_bad_solver_input_exits_2_without_output(tmp_path, capsys, geometry,
+                                                 order, solver):
+    text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
+            .replace("order: 4", f"order: {order}")
+            .replace("nx: 401", solver))
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "solve"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # -- verbs --------------------------------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import (SolverConfig, extract_singularities, solve,
-                               solve_1d, solve_cube3d, solve_radial_disc,
-                               solve_rect2d, track_peaks)
+                               track_peaks)
 from blowuplab.solvers.common import BandedCN
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
@@ -149,7 +148,7 @@ def test_radial_biharmonic_cubic_wall_exactness():
 def test_reaction_limit_zero_eps():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.0, geometry="strip",
                        nx=101, threshold=50.0, snapshot_times=(0.3, 0.7))
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     rs = ReactionSolution(EXP)
     for snap in rep.snapshots:
         assert np.max(np.abs(snap.field - rs.state(snap.t))) <= 1e-6
@@ -158,7 +157,7 @@ def test_reaction_limit_zero_eps():
 def test_supersolution_bound_second_order():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=801, grading=2.0, threshold=50.0, snapshot_stride=40)
-    rep = solve_1d(cfg)  # the in-loop assertion would raise on violation
+    rep = solve(cfg)  # the in-loop assertion would raise on violation
     rs = ReactionSolution(POW2)
     for snap in rep.snapshots:
         if snap.t < rs.T0 * 0.999:
@@ -168,7 +167,7 @@ def test_supersolution_bound_second_order():
 def test_blowup_time_ordering_second_order():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=801, grading=2.0, threshold=100.0)
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     assert rep.blowup_detected
     assert rep.T_eps >= 1.0 - 1e-3
     assert rep.multiplicity == 1
@@ -178,7 +177,7 @@ def test_blowup_time_ordering_second_order():
 def test_fourth_order_exhibits_early_blowup():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="strip",
                        nx=1001, grading=2.0, threshold=100.0)
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     assert rep.T_eps < 1.0
 
 
@@ -187,7 +186,7 @@ def test_grid_convergence_T_eps():
     for nx in (1001, 2001):
         cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="strip",
                            nx=nx, grading=2.0, threshold=1e3)
-        reps.append(solve_1d(cfg))
+        reps.append(solve(cfg))
     T1, T2 = reps[0].T_eps, reps[1].T_eps
     assert abs(T2 - T1) / T2 <= 0.005
 
@@ -215,7 +214,7 @@ def test_per_step_symmetry_injection():
 def test_snapshot_symmetry_accumulated():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=1 / 7, geometry="strip",
                        nx=1201, grading=2.0, threshold=10.0, snapshot_stride=50)
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     for snap in rep.snapshots:
         scale = max(np.max(np.abs(snap.field)), 1e-300)
         assert np.max(np.abs(snap.field - snap.field[::-1])) <= 1e-6 * scale
@@ -229,7 +228,7 @@ def test_peak_trajectory_moves_inward(profile4):
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="strip",
                        nx=1201, grading=2.0, threshold=1e3,
                        snapshot_times=tuple(np.linspace(0.05, 0.85, 9)))
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     ts = np.array([t for t, _ in rep.peak_trajectory])
     xs = np.abs([loc[0] for _, loc in rep.peak_trajectory])
     assert len(ts) >= 8
@@ -248,7 +247,7 @@ def test_peak_at_origin_second_order():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=801, grading=2.0, threshold=50.0,
                        snapshot_times=tuple(np.linspace(0.2, 0.9, 5)))
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     x = rep.grid[0]
     mid = np.argmin(np.abs(x))
     assert x[mid] == 0.0
@@ -259,7 +258,7 @@ def test_peak_at_origin_second_order():
 def test_no_blowup_detected_within_budget():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=5.0, geometry="strip",
                        nx=101, threshold=1e3, max_steps=1500)
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     assert not rep.blowup_detected
     assert rep.stop_reason == "no-blowup-detected"
     assert np.isnan(rep.T_eps)
@@ -269,7 +268,7 @@ def test_t_end_stop():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=401, grading=2.0, t_end=0.25, threshold=1e3,
                        snapshot_times=(0.25,))
-    rep = solve_1d(cfg)
+    rep = solve(cfg)
     assert rep.stop_reason == "t-end"
     assert rep.t_stop == pytest.approx(0.25, abs=1e-12)
     assert rep.snapshots[0].t == 0.25
@@ -278,11 +277,11 @@ def test_t_end_stop():
 def test_noise_seed_determinism():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.2, geometry="strip",
                        nx=301, threshold=5.0, noise_amplitude=1e-3, seed=9)
-    a = solve_1d(cfg)
-    b = solve_1d(cfg)
+    a = solve(cfg)
+    b = solve(cfg)
     assert np.array_equal(a.final_field, b.final_field)
     assert a.T_eps == b.T_eps
-    c = solve_1d(cfg.replace(seed=10))
+    c = solve(cfg.replace(seed=10))
     assert not np.array_equal(a.final_field, c.final_field)
 
 
@@ -295,14 +294,12 @@ def test_solver_dispatch():
     assert rep.blowup_detected
     with pytest.raises(ValueError):
         solve(cfg.replace(geometry="torus"))
-    with pytest.raises(ValueError):
-        solve_rect2d(cfg)
 
 
 def test_radial_disc_large_eps_origin():
     cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.35,
                        geometry="radial-disc", nx=400, threshold=1e3)
-    rep = solve_radial_disc(cfg)
+    rep = solve(cfg)
     assert rep.blowup_detected
     assert rep.ring_radius == 0.0
     assert rep.multiplicity == 1
@@ -311,7 +308,7 @@ def test_radial_disc_large_eps_origin():
 def test_radial_disc_ring():
     cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.1,
                        geometry="radial-disc", nx=500, threshold=100.0)
-    rep = solve_radial_disc(cfg)
+    rep = solve(cfg)
     assert 0.3 <= rep.ring_radius <= 0.8
     assert rep.T_eps == pytest.approx(0.9817, abs=0.002)  # independently
     # cross-checked against an off-the-shelf stiff integrator on the same
@@ -321,7 +318,7 @@ def test_radial_disc_ring():
 def test_radial_disc_second_order():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1,
                        geometry="radial-disc", nx=400, threshold=100.0)
-    rep = solve_radial_disc(cfg)
+    rep = solve(cfg)
     assert rep.T_eps >= 1.0 - 1e-3
     assert rep.ring_radius == 0.0
 
@@ -330,7 +327,7 @@ def test_rect2d_small_square_multiplicities():
     for eps, want in ((0.1, 4), (0.2, 1)):
         cfg = SolverConfig(order=4, nonlinearity=EXP, eps=eps, geometry="rect",
                            nx=81, ny=81, threshold=10.0)
-        rep = solve_rect2d(cfg)
+        rep = solve(cfg)
         assert rep.multiplicity == want, (eps, rep.singularities)
         if want == 4:
             pts = rep.singularity_points()
@@ -338,20 +335,22 @@ def test_rect2d_small_square_multiplicities():
 
 
 def test_rect2d_memory_guard():
-    cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="rect",
-                       nx=4001, ny=4001, threshold=10.0)
     with pytest.raises(ValueError, match="max_unknowns"):
-        solve_rect2d(cfg)
+        solve(SolverConfig(order=4, nonlinearity=EXP, eps=0.1, geometry="rect",
+                           nx=4001, ny=4001, threshold=10.0))
 
 
 def test_cube3d_smoke():
     cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
-                       nx=17, threshold=5.0)
-    rep = solve_cube3d(cfg)
+                       nx=17, threshold=5.0, snapshot_stride=100)
+    rep = solve(cfg)
     assert rep.blowup_detected
     assert rep.multiplicity >= 1
     U = rep.final_field
     assert np.max(np.abs(U - U[::-1, :, :])) <= 1e-6 * np.max(np.abs(U))
+    assert rep.snapshots
+    assert all(s.field.shape == U.shape for s in rep.snapshots)
+    assert rep.peak_trajectory
 
 
 def test_config_validation():
