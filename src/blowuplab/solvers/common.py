@@ -14,20 +14,25 @@ blow through the reaction singularity inside a step come back +inf and
 stop the run with the pre-step tail estimate.
 
 Step sizes adapt by proportional control on the per-step growth of the
-sup norm (2% target near blow-up). Direct sparse factorizations are
-cached on power-of-two step-size buckets; banded 1D operators are cheap
-enough to rebuild every step.
+sup norm (2% target near blow-up). Rectangle and cube steps are solved
+by fast diagonalization (FastDiagCN, with FastDiagRectCN and
+FastDiagCubeCN at order 4), set up once per power-of-two step-size
+bucket; banded 1D operators are cheap enough to rebuild every step.
+SparseLUCN (direct sparse LU) and ConjugateGradientCN (plain CG), the
+box steps these replaced, stay as the reference paths that the tests
+compare them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_factor, cho_solve, solve_banded
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from ..errors import ConfigError, ConvergenceError
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
@@ -201,13 +206,168 @@ class ConjugateGradientCN:
         return float(2.0 ** np.floor(np.log2(dt)))
 
     def apply(self, dt, u):
-        from scipy.sparse.linalg import cg
         A1 = sp.identity(self.n, format="csr") + self.theta * dt * self.B
         rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
         x, info = cg(A1, rhs, x0=u, rtol=self.rtol, atol=0.0, maxiter=2000)
         if info != 0:
             raise ConvergenceError(f"CG did not converge (info={info})")
         return x
+
+
+class FastDiagCN:
+    """theta-scheme for box operators by fast diagonalization.
+
+    On a uniform box grid with spacing h_k per axis the Dirichlet
+    Laplacian L is diagonal in the orthonormal DST-I basis of each axis
+    (Lynch, Rice and Thomas 1964). This class solves the order-2 step,
+    B = -s L, exactly by per-axis sine matrices (dense products beat
+    FFT-based DSTs at these grid sizes). The clamped order-4 operator is
+    B = s (L^2 + R): d4_clamped_uniform is D2^2 plus 2/h^4 on its first
+    and last diagonal entries, so R is 2/h_k^4 on the nodes next to the
+    walls of axis k. FastDiagRectCN and FastDiagCubeCN square the
+    eigenvalues, so that the sine solve is P = I + theta dt s L^2, and add
+    R back. Setups are cached on power-of-two dt buckets."""
+
+    CACHE_SIZE = 6
+
+    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
+        self.B = B.tocsr()
+        self.theta = theta
+        self.shape = tuple(shape)
+        self.spacing = tuple(spacing)
+        self.scale = scale
+        self.n = B.shape[0]
+        self.cache = {}
+        self.factorizations = 0
+        self.sines = [_dst1_matrix(m) for m in self.shape]
+        # eigenvalues of -L: per-axis 4/h^2 sin^2(pi k / (2(m+1))), summed
+        self.eig = reduce(np.add.outer, [
+            (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1))) ** 2
+            for m, h in zip(self.shape, self.spacing)])
+
+    def quantize(self, dt):
+        return float(2.0 ** np.floor(np.log2(dt)))
+
+    def _transform(self, U):
+        """Orthonormal DST-I along every axis (its own inverse)."""
+        for S in self.sines:
+            U = np.tensordot(U, S, axes=(0, 0))
+        return U
+
+    def _setup(self, dt):
+        """Eigenvalues of the sine-basis solve's inverse for this dt."""
+        return 1.0 / (1.0 + self.theta * dt * self.scale * self.eig)
+
+    def _solve(self, g, rhs):
+        return self._transform(g * self._transform(rhs.reshape(self.shape))).ravel()
+
+    def apply(self, dt, u):
+        if dt not in self.cache:
+            if len(self.cache) >= self.CACHE_SIZE:
+                self.cache.pop(next(iter(self.cache)))
+            self.cache[dt] = self._setup(dt)
+            self.factorizations += 1
+        rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
+        return self._solve(self.cache[dt], rhs)
+
+
+class FastDiagRectCN(FastDiagCN):
+    """Order-4 rectangle steps: the P solve plus a Woodbury correction.
+
+    R is added back exactly by a capacitance solve over the 2(mx+my)
+    nodes of the lines next to the walls (Buzbee, Dorr, George and Golub
+    1971). Memory: every cached dt bucket holds a dense Cholesky factor
+    of that size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior nodes;
+    at the max_unknowns limit of about 1412^2 the six buckets would need
+    about 1.5 GB, a size this solver has not been run at."""
+
+    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
+        super().__init__(B, theta, shape, spacing, scale)
+        self.eig = self.eig ** 2                       # of L^2
+        self.ends = [S[[0, -1]] for S in self.sines]   # sine vectors at the walls
+
+    def _setup(self, dt):
+        """P^-1 eigenvalues, the Cholesky factor of
+        I + D^1/2 W^T P^-1 W D^1/2, and D^1/2.
+
+        W holds one column per node of the lines i = 0, mx-1 (rows part,
+        (a, j) order) and j = 0, my-1 (columns part, (b, i) order); the
+        corners sit on both. P^-1 = S diag(g) S blockwise from the sine
+        vectors at the ring nodes, Ex and Ey."""
+        g = super()._setup(dt)
+        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+        mx, my = self.shape
+        KR = np.empty((2, my, 2, my))
+        KC = np.empty((2, mx, 2, mx))
+        KX = np.empty((2, my, 2, mx))
+        for a in range(2):
+            gx = g.T @ (Sx * Ex[a]).T                    # (q, i)
+            for b in range(2):
+                KR[a, :, b] = (Sy * ((Ex[a] * Ex[b]) @ g)) @ Sy
+                KC[a, :, b] = (Sx * (g @ (Ey[a] * Ey[b]))) @ Sx
+                KX[a, :, b] = (Sy * Ey[b]) @ gx
+        KX = KX.reshape(2 * my, 2 * mx)
+        K = np.block([[KR.reshape(2 * my, 2 * my), KX],
+                      [KX.T, KC.reshape(2 * mx, 2 * mx)]])
+        hx, hy = self.spacing
+        c = self.theta * dt * self.scale
+        d = np.sqrt(c * np.concatenate([np.full(2 * my, 2.0 / hx ** 4),
+                                        np.full(2 * mx, 2.0 / hy ** 4)]))
+        C = d[:, None] * K * d[None, :]
+        C[np.diag_indices_from(C)] += 1.0
+        return g, cho_factor(C), d
+
+    def _solve(self, setup, rhs):
+        g, cho, d = setup
+        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+        mx, my = self.shape
+        G = g * self._transform(rhs.reshape(self.shape))
+        # W^T P^-1 rhs: the ring lines of S G S, from thin products
+        y = np.concatenate([(Ex @ G @ Sy).ravel(), (Sx @ (G @ Ey.T)).T.ravel()])
+        z = d * cho_solve(cho, d * y, check_finite=False)
+        zr, zc = z[:2 * my].reshape(2, my), z[2 * my:].reshape(2, mx)
+        # S (W z) S, subtracted in the sine basis
+        H = Ex.T @ (zr @ Sy) + (Sx @ zc.T) @ Ey
+        return self._transform(G - g * H).ravel()
+
+
+class FastDiagCubeCN(FastDiagCN):
+    """Order-4 cube steps: conjugate gradients preconditioned by P.
+
+    The ring of the cube is too large for a dense capacitance matrix, so
+    P preconditions CG on the full step matrix, started from P^-1 b. RTOL
+    is ten times tighter than ConjugateGradientCN's: both stop just under
+    their bound, and plain CG overshoots further on the nearly diagonal
+    early steps."""
+
+    RTOL = 1e-12
+
+    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
+        super().__init__(B, theta, shape, spacing, scale)
+        self.eig = self.eig ** 2                       # of L^2
+
+    def _setup(self, dt):
+        g = super()._setup(dt)
+        A1 = (sp.identity(self.n, format="csr") + self.theta * dt * self.B).tocsr()
+        M = LinearOperator((self.n, self.n), dtype=float,
+                           matvec=lambda r: FastDiagCN._solve(self, g, r))
+        return A1, M
+
+    def _solve(self, setup, rhs):
+        A1, M = setup
+        x, info = cg(A1, rhs, x0=M @ rhs, M=M, rtol=self.RTOL, atol=0.0,
+                     maxiter=2000)
+        if info != 0:
+            raise ConvergenceError(f"PCG did not converge (info={info})")
+        return x
+
+
+def _dst1_matrix(m):
+    """Orthonormal, symmetric DST-I matrix of size m. The phase j*k is
+    reduced mod 2(m+1) first, so sin sees arguments in [0, 2 pi)."""
+    k = np.arange(1, m + 1)
+    phase = np.outer(k, k) % (2 * (m + 1))
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * phase / (m + 1))
 
 
 def _to_banded(A: sp.spmatrix, bw: int):
@@ -245,6 +405,9 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
     u_prev, t_prev, sup_prev = u.copy(), 0.0, sup
     check_super = cfg.check_supersolution and cfg.order == 2
     t_table_end = rs.T0 * (1.0 - TABLE_DELTA)
+    # the supersolution is the reaction flow from max(u(0), 0), which
+    # sits t0 along the flow from zero
+    t0 = rs.invert(sup) if check_super and sup > 0.0 else 0.0
 
     while True:
         if cfg.t_end is not None and t >= cfg.t_end - 1e-15:
@@ -286,11 +449,12 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
         new_sup = float(u.max())
         growth = (new_sup - sup) / max(sup, 0.05)
         sup = new_sup
-        if check_super and t < t_table_end:
-            bound = rs.state(t)
+        if check_super and t + t0 < t_table_end:
+            bound = rs.state(t + t0)
             if sup > bound * (1.0 + 1e-9) + 1e-12:
                 raise ConvergenceError(
-                    f"supersolution bound violated: sup={sup!r} > u0({t!r})={bound!r}")
+                    f"supersolution bound violated: sup={sup!r} > "
+                    f"u0({t + t0!r})={bound!r}")
         sup_hist.append((t, sup))
         dt_hist.append(dtb)
         if exact_hit and snap_q and abs(target - snap_q[0]) < 1e-14:
@@ -388,11 +552,17 @@ def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
         return []
     vals = field[tuple(idxs.T)]
     order = np.argsort(-vals)
+    # greedy suppression, largest first; on integer offsets
+    # |ij - other| < separation is exactly |ij - other|^2 < separation^2
+    kept_ij = np.empty_like(idxs)
+    n_kept = 0
     kept = []
     for k in order:
         ij = idxs[k]
-        if any(np.linalg.norm(ij - other) < separation for other, _ in kept):
+        if n_kept and np.min(((kept_ij[:n_kept] - ij) ** 2).sum(axis=1)) < separation ** 2:
             continue
+        kept_ij[n_kept] = ij
+        n_kept += 1
         kept.append((ij, vals[k]))
     out = []
     for ij, val in kept:
@@ -435,24 +605,26 @@ def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4,
     scale = max(float(c[-1] - c[0]) for c in coords)
     if max_jump is None:
         max_jump = 0.25 * scale
+    last = np.empty((0, len(coords)))     # last point of every track
     for snap in snapshots:
         peaks = extract_singularities(snap.field, coords,
                                       threshold_fraction=threshold_fraction,
                                       separation=separation)
-        used = set()
+        # tracks started in this snapshot are not in `last` yet, so, as
+        # used tracks, they take no other peak of the same snapshot
+        free = np.ones(len(last), dtype=bool)
+        born = []
         for loc, val in peaks:
-            best, best_d = None, max_jump
-            for k, tr in enumerate(tracks):
-                if k in used:
-                    continue
-                d = np.linalg.norm(np.array(tr["points"][-1]) - np.array(loc))
-                if d < best_d:
-                    best, best_d = k, d
-            if best is None:
-                tracks.append(dict(times=[snap.t], points=[loc]))
-                used.add(len(tracks) - 1)
-            else:
+            d = np.where(free, np.sqrt(((last - loc) ** 2).sum(axis=1)), np.inf)
+            best = int(np.argmin(d)) if len(d) else -1
+            if best >= 0 and d[best] < max_jump:
                 tracks[best]["times"].append(snap.t)
                 tracks[best]["points"].append(loc)
-                used.add(best)
+                last[best] = loc
+                free[best] = False
+            else:
+                tracks.append(dict(times=[snap.t], points=[loc]))
+                born.append(loc)
+        if born:
+            last = np.vstack([last, born])
     return tracks

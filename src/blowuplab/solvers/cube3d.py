@@ -3,8 +3,9 @@
 Multiplicity observation only: the 3D clamped biharmonic is the sum of
 the three one-dimensional fourth-derivative operators plus the doubled
 mixed second-derivative pairs. The Crank-Nicolson matrix is symmetric
-positive definite, so steps are solved by conjugate gradients instead of
-a direct factorization (3D fill-in would be prohibitive).
+positive definite, and 3D fill-in rules out a direct factorization, so
+FastDiagCubeCN solves steps by conjugate gradients preconditioned with
+the exact sine-basis solve of its L^2 part.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .common import ConjugateGradientCN, SolverConfig
+from .common import FastDiagCubeCN, SolverConfig
 from .rect2d import d2_dirichlet_uniform, d4_clamped_uniform
 
 
@@ -32,6 +33,7 @@ def cube_operator(n, h):
 def build_cube(cfg: SolverConfig):
     """Theta-step adapter and interior grid of [-L, L]^3 (order 4 only)."""
     n, L = cfg.nx, cfg.half_width_x
-    B = cube_operator(n, 2 * L / (n - 1)) * cfg.eps ** 4
+    h, scale = 2 * L / (n - 1), cfg.eps ** 4
+    B = cube_operator(n, h) * scale
     x = np.linspace(-L, L, n)[1:-1]
-    return ConjugateGradientCN(B, cfg.theta), (x, x, x)
+    return FastDiagCubeCN(B, cfg.theta, (n - 2,) * 3, (h,) * 3, scale), (x, x, x)

@@ -6,6 +6,11 @@ fourth-derivative terms carry the even ghost reflection that encodes
 u_n = 0, while the mixed term only ever touches boundary values (all
 zero), reproducing the 13-point stencil. The Dirichlet Laplacian is the
 usual 5-point kron sum. Uniform grids only; memory is guarded.
+
+Steps are solved by fast diagonalization: FastDiagCN at order 2;
+FastDiagRectCN at order 4, where the biharmonic is L^2 plus a diagonal
+on the lines next to the walls, so a sine-basis solve plus a Woodbury
+correction on those lines is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .common import SolverConfig, SparseLUCN
+from .common import FastDiagCN, FastDiagRectCN, SolverConfig
 
 
 def d4_clamped_uniform(n, h):
@@ -48,7 +53,10 @@ def build_rect(cfg: SolverConfig):
     """Theta-step adapter and interior grid of [-a, a] x [-b, b]."""
     nx, ny = cfg.nx, cfg.ny or cfg.nx
     ax, ay = cfg.half_width_x, cfg.half_width_y
-    B = rect_operator(nx, ny, 2 * ax / (nx - 1), 2 * ay / (ny - 1),
-                      cfg.order) * cfg.eps ** cfg.order
-    return SparseLUCN(B, cfg.theta), (np.linspace(-ax, ax, nx)[1:-1],
-                                      np.linspace(-ay, ay, ny)[1:-1])
+    h = (2 * ax / (nx - 1), 2 * ay / (ny - 1))
+    scale = cfg.eps ** cfg.order
+    B = rect_operator(nx, ny, *h, cfg.order) * scale
+    step = FastDiagRectCN if cfg.order == 4 else FastDiagCN
+    adapter = step(B, cfg.theta, (nx - 2, ny - 2), h, scale)
+    return adapter, (np.linspace(-ax, ax, nx)[1:-1],
+                     np.linspace(-ay, ay, ny)[1:-1])

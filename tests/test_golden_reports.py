@@ -7,6 +7,11 @@ reasons must match exactly; every float to 1e-12 relative. Coordinates
 are relative to the unit scale of the domains, since the coordinate of a
 centred peak is rounding noise (1e-16) rather than a number to match.
 
+The rectangle and cube cases were recorded with the sparse LU and plain
+CG theta-steps. Those stay as the reference slow paths: the golden check
+runs these cases through them, and test_fast_solver_matches_reference
+compares `solve()`, which uses FastDiagCN, with that reference run.
+
 Re-record (only when a change of the numbers is intended):
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -20,7 +25,8 @@ import sys
 import pytest
 
 from blowuplab.reaction import Nonlinearity
-from blowuplab.solvers import SolverConfig, solve
+from blowuplab.solvers import BUILDERS, SolverConfig, solve, solve_problem
+from blowuplab.solvers.common import ConjugateGradientCN, SparseLUCN
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "solver_reports_golden.json")
@@ -57,10 +63,24 @@ CASES = {
 }
 
 
-def run_case(name):
+# the theta-step each golden rectangle and cube case was recorded with
+REFERENCE = {"rect2": SparseLUCN, "rect4_anisotropic_snapshots": SparseLUCN,
+             "cube": ConjugateGradientCN}
+
+
+def case_config(name):
     kw = dict(CASES[name])
     kw["nonlinearity"] = Nonlinearity.from_spec(kw["nonlinearity"])
-    return solve(SolverConfig(**kw))
+    return SolverConfig(**kw)
+
+
+def run_case(name):
+    """The case through the path its golden report was recorded with."""
+    cfg = case_config(name)
+    if name not in REFERENCE:
+        return solve(cfg)
+    adapter, axes = BUILDERS[cfg.geometry](cfg)
+    return solve_problem(cfg, REFERENCE[name](adapter.B, cfg.theta), axes)
 
 
 def record(rep):
@@ -112,6 +132,27 @@ def test_solve_reproduces_golden_report(name):
                 assert a is None or math.isnan(a), key
             else:
                 assert abs(a - b) <= RTOL * max(abs(b), floor), (key, a, b)
+
+
+FAST_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_fast_solver_matches_reference(name):
+    """solve() on FastDiagCN against the sparse LU / CG reference run.
+
+    The peak trajectory is left out: on the symmetric rect4 case, which
+    of several equally long tracks is the main one is decided by rounding."""
+    got = record(solve(case_config(name)))
+    want = record(run_case(name))
+    for key in ("stop_reason", "multiplicity", "steps", "dt_history"):
+        assert got[key] == want[key], key
+    for key in ("T_eps", "sup_stop", "sup_history", "singularities"):
+        g, w = _flat(got[key]), _flat(want[key])
+        assert len(g) == len(w), key
+        floor = 1.0 if key in COORDINATE_KEYS else 0.0
+        for a, b in zip(g, w):
+            assert abs(a - b) <= FAST_RTOL * max(abs(b), floor), (key, a, b)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import (SolverConfig, extract_singularities, solve,
-                               track_peaks)
-from blowuplab.solvers.common import BandedCN
+                               solve_problem, track_peaks)
+from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
+                                     FastDiagCN, FastDiagRectCN, SparseLUCN)
+from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
 from blowuplab.solvers.radial import radial_biharmonic, radial_grid
+from blowuplab.solvers.rect2d import rect_operator
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -152,6 +156,18 @@ def test_reaction_limit_zero_eps():
     rs = ReactionSolution(EXP)
     for snap in rep.snapshots:
         assert np.max(np.abs(snap.field - rs.state(snap.t))) <= 1e-6
+
+
+def test_supersolution_bound_with_noisy_initial_data():
+    # the bound starts from the flow of max u(0): noise must not trip it
+    cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
+                       nx=201, noise_amplitude=1e-4)
+    rep = solve(cfg)
+    unchecked = solve(cfg.replace(check_supersolution=False))
+    assert rep.stop_reason == "threshold"
+    assert np.array_equal(rep.final_field, unchecked.final_field)
+    assert rep.T_eps == unchecked.T_eps
+    assert rep.diagnostics == unchecked.diagnostics
 
 
 def test_supersolution_bound_second_order():
@@ -351,6 +367,95 @@ def test_cube3d_smoke():
     assert rep.snapshots
     assert all(s.field.shape == U.shape for s in rep.snapshots)
     assert rep.peak_trajectory
+
+
+# -- fast diagonalization against the sparse reference paths ----------------------
+
+def _laplacian_squared_plus_ring(shape, spacing):
+    """L^2 + R, dense, from 1D 3-point Laplacians: R is 2/h^4 of each axis
+    on the nodes next to that axis's walls."""
+    eyes = [np.eye(m) for m in shape]
+    L = np.zeros((int(np.prod(shape)),) * 2)
+    R = np.zeros(L.shape[0])
+    for ax, (m, h) in enumerate(zip(shape, spacing)):
+        d2 = (np.diag(np.full(m - 1, 1.0), -1) + np.diag(np.full(m, -2.0))
+              + np.diag(np.full(m - 1, 1.0), 1)) / h ** 2
+        ring = np.zeros(m)
+        ring[[0, -1]] = 2.0 / h ** 4
+        d2_full, ring_full = np.ones((1, 1)), np.ones(1)
+        for k in range(len(shape)):
+            d2_full = np.kron(d2_full, d2 if k == ax else eyes[k])
+            ring_full = np.kron(ring_full, ring if k == ax else np.ones(shape[k]))
+        L += d2_full
+        R += ring_full
+    return L @ L + np.diag(R)
+
+
+def test_box_operators_are_laplacian_squared_plus_ring():
+    eps4 = 0.1 ** 4
+    B = (rect_operator(11, 8, 0.2, 0.1, 4) * eps4).toarray()
+    want = eps4 * _laplacian_squared_plus_ring((9, 6), (0.2, 0.1))
+    assert np.max(np.abs(B - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(B, B.T)
+    C = (cube_operator(8, 2.0 / 7) * eps4).toarray()
+    want = eps4 * _laplacian_squared_plus_ring((6, 6, 6), (2.0 / 7,) * 3)
+    assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(C, C.T)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt", [2.0 ** -20, 2.0 ** -14, 2.0 ** -8])
+def test_fast_diag_rect_step_matches_sparse_lu(order, dt):
+    nx, ny, hx, hy, eps = 41, 21, 0.05, 0.035, 0.1
+    scale = eps ** order
+    B = rect_operator(nx, ny, hx, hy, order) * scale
+    step = FastDiagRectCN if order == 4 else FastDiagCN
+    fast = step(B, 0.5, (nx - 2, ny - 2), (hx, hy), scale)
+    ref = SparseLUCN(B, 0.5)
+    rng = np.random.default_rng(order)
+    x = np.linspace(-1, 1, nx - 2)[:, None]
+    y = np.linspace(-1, 1, ny - 2)[None, :]
+    for u in (np.exp(-4 * (x ** 2 + y ** 2)).ravel(),
+              rng.standard_normal(B.shape[0])):
+        got, want = fast.apply(dt, u), ref.apply(dt, u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert fast.factorizations == 1
+
+
+def test_fast_diag_cube_step_error_within_plain_cg():
+    """On every step input of a cube run, against a direct splu solve:
+    the preconditioned CG meets the plain CG's residual rule (rtol 1e-11),
+    and its worst error over the run is no larger than the plain CG's."""
+    from scipy.sparse.linalg import splu
+    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
+                       nx=11, threshold=5.0)
+    recording, axes = build_cube(cfg)
+    apply = recording.apply
+    steps = []
+
+    def record(dt, u):
+        steps.append((dt, u.copy()))
+        return apply(dt, u)
+
+    recording.apply = record
+    solve_problem(cfg, recording, axes)
+    fast, _ = build_cube(cfg)
+    ref = ConjugateGradientCN(fast.B, cfg.theta)
+    lus, worst_fast, worst_cg = {}, 0.0, 0.0
+    for dt, u in steps:
+        if dt not in lus:
+            A = (sp.identity(fast.n) + cfg.theta * dt * fast.B).tocsc()
+            lus[dt] = A, splu(A)
+        A, lu = lus[dt]
+        b = u - (1.0 - cfg.theta) * dt * (fast.B @ u)
+        exact = lu.solve(b)
+        x = fast.apply(dt, u)
+        assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
+        scale = np.linalg.norm(exact)
+        worst_fast = max(worst_fast, np.linalg.norm(x - exact) / scale)
+        worst_cg = max(worst_cg, np.linalg.norm(ref.apply(dt, u) - exact) / scale)
+    assert len(steps) > 100
+    assert worst_fast <= worst_cg
 
 
 def test_config_validation():
