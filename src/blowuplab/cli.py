@@ -10,6 +10,7 @@ repr and every merge is sorted.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +60,7 @@ def cmd_profile(args) -> int:
               encoding="utf-8") as fh:
         fh.write("eta,vbar1\n")
         for e, v in zip(corr.eta, corr.values):
-            fh.write(f"{e!r},{v!r}\n")
+            fh.write(f"{float(e)!r},{float(v)!r}\n")
     with open(os.path.join(args.out, f"{name}_summary.txt"), "w",
               encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")
@@ -72,18 +73,20 @@ def _skeleton_resolution(cfg: ExperimentConfig) -> float:
 
 
 def _measured_T(out, rs):
-    """Measured blow-up times from a prior solve in the same out dir."""
+    """Measured blow-up times from a prior solve in the same out dir,
+    read from the `eps` and `T_eps` columns of sweep_summary.csv."""
     path = os.path.join(out, "sweep_summary.csv")
     if not os.path.exists(path):
         return {}
     T_of = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            eps_s, T_s, *_ = line.split(",")
-            T = float(T_s)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if not {"eps", "T_eps"} <= set(reader.fieldnames or ()):
+            raise ConfigError(f"{path} has no eps and T_eps columns")
+        for row in reader:
+            T = float(row["T_eps"])
             if np.isfinite(T) and 0.0 < T < rs.T0:
-                T_of[float(eps_s)] = T
+                T_of[float(row["eps"])] = T
     return T_of
 
 
@@ -99,15 +102,14 @@ def cmd_predict(args) -> int:
     dom = cfg.domain()
     skel = compute_skeleton(dom, _skeleton_resolution(cfg))
     skel.to_csv(os.path.join(out, "skeleton.csv"))
-    prof = get_profile4()
     rows = []
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
+    if cfg.order == 2:
+        pred = predict_second_2d(dom, skeleton=skel)  # eps-free
     for eps in sorted(cfg.eps_values):
         tag = _eps_tag(eps)
         T_eps = T_of.get(eps, T_fallback)
-        if cfg.order == 2:
-            pred = predict_second_2d(dom, skeleton=skel)
-        else:
+        if cfg.order != 2:
             pred = predict_fourth_2d(dom, skel, rs, eps, T_eps)
             pred.metadata["T_eps_source"] = ("measured" if eps in T_of
                                              else "reaction-fallback")

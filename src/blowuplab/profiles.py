@@ -176,53 +176,48 @@ class CorrectionProfile:
         return float(out) if scalar else out
 
 
-def _mixed_operator(eta, width, coeff_v, coeff_v1, coeff_rhs, fourth=True):
-    """Assemble the mixed-system matrix for -w'' + c1(eta) v' + c0(eta) v = rhs,
-    v'' = w, with rows scaled by h^2 to keep conditioning ~ h^-2."""
+def _triplets(*blocks):
+    """COO (rows, cols, vals) from blocks of broadcastable arrays.
+
+    Entries enter block by block and, within a block, in row-major order,
+    so duplicate (row, col) pairs are always summed in the same order."""
+    parts = [np.broadcast_arrays(*b) for b in blocks]
+    return tuple(np.concatenate([np.ravel(p[k]) for p in parts]) for k in range(3))
+
+
+def _mixed_operator(eta, width, c0, rhs_values):
+    """Assemble the mixed-system matrix for -w'' + (eta/4) v' + c0 v = rhs,
+    v'' = w, with rows scaled by h^2 to keep conditioning ~ h^-2; rhs_values
+    holds the right side on the grid."""
     n = len(eta) - 1
     N = n + 1
     h = eta[1] - eta[0]
     h2 = h * h
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # v-block boundary rows: v(0)=0 (row 0), v'(0)=0 (row 1),
-    # v'(eta_max)=0 (row n-1), v(eta_max)=bc_right (row n)
-    add(0, 0, 1.0)
-    js = np.arange(0, width)
-    w = fd_weights(eta[js], eta[0], 1)[:, 1] * h
-    for j, wj in zip(js, w):
-        add(1, j, wj)
-    js = np.arange(n - width + 1, n + 1)
-    w = fd_weights(eta[js], eta[n], 1)[:, 1] * h
-    for j, wj in zip(js, w):
-        add(n - 1, j, wj)
-    add(n, n, 1.0)
-
-    # v-block interior: v'' - w = 0
-    for i in range(2, n - 1):
-        js = stencil_window(i, N, width)
-        c = fd_weights(eta[js], eta[i], 2)
-        for j, wj in zip(js, c[:, 2] * h2):
-            add(i, j, wj)
-        add(i, N + i, -h2)
-
-    # w-block: the fourth-order equation at every node (one-sided at ends)
-    for i in range(0, n + 1):
-        js = stencil_window(i, N, width)
-        c = fd_weights(eta[js], eta[i], 2)
-        for j, wj in zip(js, c[:, 2] * h2):
-            add(N + i, N + j, -wj)
-        for j, wj in zip(js, c[:, 1] * h2):
-            add(N + i, j, coeff_v1(eta[i]) * wj)
-        add(N + i, i, coeff_v(eta[i]) * h2)
+    # one stencil per node; the end stencils are also the one-sided windows
+    # of the v'(0) and v'(eta_max) rows
+    i = np.arange(N)
+    J = stencil_window(i, N, width)
+    C = fd_weights(eta[J], eta, 2)
+    D1, D2 = C[:, :, 1] * h2, C[:, :, 2] * h2
+    i = i[:, None]
+    mid = slice(2, n - 1)
+    rows, cols, vals = _triplets(
+        # v-block boundary rows: v(0)=0 (row 0), v'(0)=0 (row 1),
+        # v'(eta_max)=0 (row n-1), v(eta_max)=bc_right (row n)
+        (0, 0, 1.0),
+        (1, J[0], C[0, :, 1] * h),
+        (n - 1, J[n], C[n, :, 1] * h),
+        (n, n, 1.0),
+        # v-block interior: v'' - w = 0
+        (i[mid], np.hstack([J[mid], N + i[mid]]),
+         np.hstack([D2[mid], np.full((n - 3, 1), -h2)])),
+        # w-block: the fourth-order equation at every node (one-sided at ends)
+        (N + i, np.hstack([N + J, J, i]),
+         np.hstack([-D2, 0.25 * eta[i] * D1, np.full((N, 1), c0 * h2)])),
+    )
     A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N)).tocsc()
     rhs = np.zeros(2 * N)
-    rhs[N:] = coeff_rhs(eta) * h2
+    rhs[N:] = rhs_values * h2
     return A, rhs
 
 
@@ -266,10 +261,7 @@ def solve_profile4(eta_max=36.0, h=1.0 / 200.0, width=7,
     """
     n = int(round(eta_max / h))
     eta = np.linspace(0.0, eta_max, n + 1)
-    A, rhs = _mixed_operator(eta, width,
-                             coeff_v=lambda e: -1.0,
-                             coeff_v1=lambda e: 0.25 * e,
-                             coeff_rhs=lambda e: -np.ones_like(e))
+    A, rhs = _mixed_operator(eta, width, -1.0, -np.ones_like(eta))
     rhs[n] = 1.0  # v(eta_max) = 1
     sol = spsolve(A, rhs)
     resid = np.abs(A @ sol - rhs).max()
@@ -312,19 +304,17 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None,
         n = int(round(eta_max / h))
         eta = np.linspace(0.0, eta_max, n + 1)
         h2 = h * h
-        rows, cols, vals = [], [], []
+        i = np.arange(1, n)
+        J = stencil_window(i, n + 1, width)
+        C = fd_weights(eta[J], eta[i], 2)
+        i = i[:, None]
+        rows, cols, vals = _triplets(
+            (0, 0, 1.0), (n, n, 1.0),
+            (i, np.hstack([J, i]),
+             np.hstack([(C[:, :, 2] + 0.5 * eta[i] * C[:, :, 1]) * h2,
+                        np.full((n - 1, 1), -1.5 * h2)])))
         rhs = np.zeros(n + 1)
-        rows.append(0); cols.append(0); vals.append(1.0)
-        rows.append(n); cols.append(n); vals.append(1.0)
-        for i in range(1, n):
-            js = stencil_window(i, n + 1, width)
-            c = fd_weights(eta[js], eta[i], 2)
-            for j, w2, w1 in zip(js, c[:, 2], c[:, 1]):
-                rows.append(i)
-                cols.append(j)
-                vals.append((w2 + 0.5 * eta[i] * w1) * h2)
-            rows.append(i); cols.append(i); vals.append(-1.5 * h2)
-            rhs[i] = v2_prime(eta[i]) * h2
+        rhs[1:n] = v2_prime(eta[1:n]) * h2
         A = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
         sol = spsolve(A, rhs)
         resid = np.abs(A @ sol - rhs).max()
@@ -344,10 +334,7 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None,
         # v0''' as one derivative of the solved v'' table; differentiating
         # the value table three times amplifies its boundary-row error
         v0_3 = _table_derivative(profile4.eta, profile4.d2_values, eta, width)
-        A, rhs = _mixed_operator(eta, width,
-                                 coeff_v=lambda e: -1.25,
-                                 coeff_v1=lambda e: 0.25 * e,
-                                 coeff_rhs=lambda e: -2.0 * v0_3)
+        A, rhs = _mixed_operator(eta, width, -1.25, -2.0 * v0_3)
         rhs[n] = 0.0  # vbar -> 0 in the far field
         sol = spsolve(A, rhs)
         resid = np.abs(A @ sol - rhs).max()
@@ -364,12 +351,11 @@ def _table_derivative(tab_eta, tab_values, eta, width=7):
     if len(eta) != len(tab_eta) or not np.allclose(eta, tab_eta):
         tab_values = CubicSpline(tab_eta, tab_values)(eta)
     n = len(eta)
-    out = np.empty(n)
-    for i in range(n):
-        js = stencil_window(i, n, width)
-        w = fd_weights(eta[js], eta[i], 1)[:, 1]
-        out[i] = w @ tab_values[js]
-    return out
+    J = stencil_window(np.arange(n), n, width)
+    w = fd_weights(eta[J], eta, 1)[:, None, :, 1]
+    # one BLAS dot per row, as for a single stencil: a row sum in another
+    # order would change the last bits of the table
+    return np.matmul(w, tab_values[J][:, :, None]).ravel()
 
 
 @lru_cache(maxsize=4)

@@ -304,3 +304,58 @@ def test_square_solve_and_compare_multiplicity(tmp_path):
     assert main(["--config", path, "--out", out, "compare"]) == 0
     rows = (tmp_path / "out" / "comparison.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[-1] == "1"  # multiplicity agreement at eps=0.2
+
+
+def test_measured_T_read_by_header(tmp_path):
+    from blowuplab.cli import _measured_T
+    from blowuplab.reaction import Nonlinearity, ReactionSolution
+    rs = ReactionSolution(Nonlinearity.exponential())
+    (tmp_path / "sweep_summary.csv").write_text(
+        "stop_reason,sup_stop,T_eps,multiplicity,eps\n"
+        "threshold,8.0,0.75,1,0.2\n"
+        "threshold,8.0,0.5,2,0.1\n"
+        "t-end,1.0,inf,0,0.05\n")
+    assert _measured_T(str(tmp_path), rs) == {0.2: 0.75, 0.1: 0.5}
+
+
+def test_predict_uses_reordered_summary_and_rejects_headless(tmp_path, capsys):
+    path = write_cfg(tmp_path, STRIP_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    summary = out / "sweep_summary.csv"
+    summary.write_text("multiplicity,T_eps,eps\n1,0.75,0.2\n")
+    assert main(["--config", path, "--out", str(out), "predict"]) == 0
+    pred = (out / "prediction_eps0p2.csv").read_text()
+    assert "T_eps_source='measured'" in pred
+    summary.write_text("0.2,0.75,1,threshold,8.0\n")
+    assert main(["--config", path, "--out", str(out), "predict"]) == 2
+    assert "no eps and T_eps columns" in capsys.readouterr().err
+
+
+def test_order2_predict_solves_once_for_all_eps(tmp_path, monkeypatch):
+    import blowuplab.cli as cli
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return predict_second_2d(*args, **kwargs)
+
+    predict_second_2d = cli.predict_second_2d
+    monkeypatch.setattr(cli, "predict_second_2d", counting)
+    cfg = POTATO_CFG.replace("order: 4", "order: 2")
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "predict"]) == 0
+    assert len(calls) == 1
+    first = (out / "prediction_eps0p03.csv").read_bytes()
+    assert first == (out / "prediction_eps0p1.csv").read_bytes()
+    assert b"distance-argmax" in first
+
+
+def test_profile_correction_csv_has_plain_numbers(tmp_path):
+    out = str(tmp_path / "prof")
+    assert main(["--out", out, "profile", "--order", "2"]) == 0
+    lines = (tmp_path / "prof" / "profile2_correction.csv").read_text().splitlines()
+    assert lines[0] == "eta,vbar1"
+    eta, vbar = (float(t) for t in lines[1].split(","))
+    assert (eta, vbar) == (0.0, 0.0)

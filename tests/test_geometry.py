@@ -2,12 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from blowuplab.errors import RangeError
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, ellipse_domain,
                                 max_distance_point, omega_set, potato_domain,
                                 skeleton_arrival_time)
+from blowuplab.predictor import predict_second_2d
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from oracles import (brute_force_distance, brute_force_nearest_sample, hausdorff,
@@ -177,6 +179,59 @@ def test_potato_max_distance_point():
     xc, d = max_distance_point(POTATO)
     assert np.hypot(xc[0] - 0.3070, xc[1] + 0.0345) <= 2e-3
     assert d > 0.7
+
+
+# argmax and distance of the 36-start Nelder-Mead search that seeded
+# polishing replaced, with the default grid seeds and with the 8 deepest
+# samples of compute_skeleton(dom, res) that predict_second_2d passes
+POTATO_ARGMAX_BEFORE = [((0.30697702122089043, -0.03451137219215192), 0.7327863172198025),
+                        ((0.30697702122283954, -0.03451137219344608), 0.7327863172192088)]
+RECT_DMAX_BEFORE = [0.5, 0.5]
+ELLIPSE_DMAX_BEFORE = [0.7500000000000001, 0.7499999999999547]
+
+
+def _argmax_runs(dom, res):
+    """(argmax, distance) with default seeds, then with skeleton seeds."""
+    pred = predict_second_2d(dom, skeleton=compute_skeleton(dom, res))
+    return [max_distance_point(dom), (pred.points[0], pred.metadata["distance"])]
+
+
+def test_potato_argmax_unchanged_by_seeding():
+    for (xc, d), (x_before, d_before) in zip(_argmax_runs(POTATO, 0.05),
+                                             POTATO_ARGMAX_BEFORE):
+        assert np.max(np.abs(xc - np.array(x_before))) <= 1e-10  # xatol
+        assert abs(d - d_before) <= 1e-12                        # fatol
+
+
+def test_plateau_and_ridge_argmax_in_argmax_set():
+    rect = RectangleDomain.centered(1.0, 0.5)
+    for (xc, d), d_before in zip(_argmax_runs(rect, 0.05), RECT_DMAX_BEFORE):
+        assert abs(d - d_before) <= 1e-12
+        # the maximizers of the 2 x 1 rectangle: the segment |x| <= 0.5, y = 0
+        assert abs(xc[1]) <= 1e-10 and abs(xc[0]) <= 0.5 + 1e-10
+        assert rect.signed_distance(xc) >= 0.5 - 1e-12
+    for (xc, d), d_before in zip(_argmax_runs(ELLIPSE, 0.1), ELLIPSE_DMAX_BEFORE):
+        assert abs(d - d_before) <= 1e-12
+        # the unique maximizer is the centre, at depth 0.75; along the
+        # ridge x = 0 the distance falls only like y^2
+        assert abs(xc[0]) <= 1e-9 and abs(xc[1]) <= 1e-5
+        assert ELLIPSE.signed_distance(xc) >= 0.75 - 1e-12
+
+
+def test_max_distance_point_polishes_three_deepest_seeds(monkeypatch):
+    import blowuplab.geometry as geometry
+    starts = []
+
+    def recording(fun, x0, **kw):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, **kw)
+
+    seeds = np.array([[0.0, 0.0], [0.9, 0.0], [0.3, 0.0], [0.5, 0.2], [0.1, 0.1]])
+    monkeypatch.setattr(geometry, "minimize", recording)
+    xc, d = max_distance_point(DISC, seeds=seeds)
+    # the three deepest, in the order given
+    assert np.array_equal(np.array(starts), seeds[[0, 2, 4]])
+    assert np.hypot(*xc) <= 1e-9 and abs(d - 1.0) <= 1e-12
 
 
 # -- skeleton -------------------------------------------------------------------

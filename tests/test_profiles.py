@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from oracles import (d1_5pt, d2_5pt, d3_7pt, d4_7pt, shooting_profile4)
 # halving of the default solve
 ETA0_GOLDEN = 3.738433
 VPEAK_GOLDEN = 1.0605100
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_omega_constant():
@@ -152,10 +155,14 @@ class TestProfile4:
         eta = np.linspace(0, 50, 97)
         assert np.allclose(back(eta), profile4(eta), atol=1e-12)
 
+    def test_golden_file_bytes(self, profile4, tmp_path):
+        # the table the batched assembly gives is the recorded one, bit for bit
+        profile4.to_csv(tmp_path / "p.csv")
+        with open(os.path.join(DATA, "profile4_golden.csv"), "rb") as fh:
+            assert (tmp_path / "p.csv").read_bytes() == fh.read()
+
     def test_golden_file_regression(self, profile4):
-        import os
-        golden = LayerProfile.from_csv(
-            os.path.join(os.path.dirname(__file__), "data", "profile4_golden.csv"))
+        golden = LayerProfile.from_csv(os.path.join(DATA, "profile4_golden.csv"))
         assert profile4.eta0 == pytest.approx(golden.eta0, abs=1e-6)
         assert profile4.v_peak == pytest.approx(golden.v_peak, abs=1e-6)
         assert profile4.amplitude == pytest.approx(golden.amplitude, rel=1e-4)
@@ -208,3 +215,13 @@ class TestCorrections:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             solve_curvature_correction(3)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_golden_tables_bytes(self, order):
+        # recorded with the per-stencil assembly that the batched one replaced
+        corr = solve_curvature_correction(order)
+        text = "eta,vbar1\n" + "".join(f"{float(e)!r},{float(v)!r}\n"
+                                       for e, v in zip(corr.eta, corr.values))
+        with open(os.path.join(DATA, f"correction{order}_golden.csv"),
+                  newline="", encoding="utf-8") as fh:
+            assert text == fh.read()
