@@ -4,7 +4,10 @@ Verbs: profile, predict, solve (also named sweep), compare. Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 no blow-up detected.
 CSV files are the data contract; SVG plots are a convenience. Identical
 configs (same seed) produce byte-identical CSVs: floats are written with
-repr and every merge is sorted.
+repr and every merge is sorted. Every output file is written through
+atomic_open, so a failed run leaves earlier files whole. A numerical
+failure of one eps, in a --threads worker too, exits 3 and names that
+eps.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig, dump_config, load_config
 from .errors import BlowupLabError, ConfigError, ConvergenceError, DivergenceError
+from .fileio import atomic_open
 from .geometry import compute_skeleton, omega_set, skeleton_arrival_time
 from .predictor import predict_fourth_2d, predict_second_2d, predict_1d_fourth
 from .profiles import (get_correction, get_profile4, second_order_profile)
@@ -56,13 +60,11 @@ def cmd_profile(args) -> int:
         name = "profile2"
     prof.to_csv(os.path.join(args.out, f"{name}.csv"))
     corr = get_correction(args.order)
-    with open(os.path.join(args.out, f"{name}_correction.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, f"{name}_correction.csv")) as fh:
         fh.write("eta,vbar1\n")
         for e, v in zip(corr.eta, corr.values):
             fh.write(f"{float(e)!r},{float(v)!r}\n")
-    with open(os.path.join(args.out, f"{name}_summary.txt"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, f"{name}_summary.txt")) as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"wrote {name}.csv, {name}_correction.csv, {name}_summary.txt in {args.out}")
     return EXIT_OK
@@ -126,8 +128,7 @@ def cmd_predict(args) -> int:
             svg_scatter(os.path.join(out, f"prediction_eps{tag}.svg"),
                         [dict(points=pred.points, label="predicted")],
                         title=f"prediction eps={eps:g}")
-    with open(os.path.join(out, "predictions_summary.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
         fh.write("eps,regime,multiplicity\n")
         for eps, regime, mult in rows:
             fh.write(f"{eps!r},{regime},{mult}\n")
@@ -151,8 +152,7 @@ def _predict_strip(cfg, rs, out, T_of=None) -> int:
                                          else "reaction-fallback")
         pred.to_csv(os.path.join(out, f"prediction_eps{_eps_tag(eps)}.csv"))
         rows.append((eps, pred.regime, pred.multiplicity))
-    with open(os.path.join(out, "predictions_summary.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
         fh.write("eps,regime,multiplicity\n")
         for eps, regime, mult in rows:
             fh.write(f"{eps!r},{regime},{mult}\n")
@@ -160,7 +160,7 @@ def _predict_strip(cfg, rs, out, T_of=None) -> int:
 
 
 def _write_loops(path, loops):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("x,y,loop\n")
         for k, loop in enumerate(loops):
             for p in loop:
@@ -168,7 +168,7 @@ def _write_loops(path, loops):
 
 
 def _write_echo(cfg, out):
-    with open(os.path.join(out, "config_echo.yaml"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "config_echo.yaml")) as fh:
         fh.write(dump_config(cfg))
 
 
@@ -177,7 +177,10 @@ def _solve_one(config_path, eps, out, seed):
     if seed is not None:
         cfg.seed = seed
     scfg = cfg.solver_config(eps)
-    report = run_solver(scfg)
+    try:
+        report = run_solver(scfg)
+    except (ConvergenceError, DivergenceError) as e:
+        raise type(e)(f"eps={eps:g}: {e}") from e
     _write_report(report, cfg, eps, out)
     detected = report.blowup_detected or report.stop_reason == "t-end"
     return (eps, report.T_eps, report.multiplicity, report.stop_reason,
@@ -186,26 +189,22 @@ def _solve_one(config_path, eps, out, seed):
 
 def _write_report(report, cfg, eps, out):
     tag = _eps_tag(eps)
-    with open(os.path.join(out, f"singularities_eps{tag}.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, f"singularities_eps{tag}.csv")) as fh:
         dim = len(report.grid)
         fh.write(",".join(["x", "y", "z"][:dim]) + ",value\n")
         for coords, val in report.singularities:
             fh.write(",".join(repr(float(c)) for c in coords) + f",{val!r}\n")
-    with open(os.path.join(out, f"trajectory_eps{tag}.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, f"trajectory_eps{tag}.csv")) as fh:
         dim = len(report.grid)
         fh.write("t," + ",".join(["x", "y", "z"][:dim]) + "\n")
         for t, loc in report.peak_trajectory:
             fh.write(f"{t!r}," + ",".join(repr(float(c)) for c in loc) + "\n")
-    with open(os.path.join(out, f"diagnostics_eps{tag}.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, f"diagnostics_eps{tag}.csv")) as fh:
         fh.write("t,sup,dt\n")
         dts = [""] + [repr(float(d)) for d in report.diagnostics["dt_history"]]
         for (t, s), d in zip(report.diagnostics["sup_history"], dts):
             fh.write(f"{t!r},{s!r},{d}\n")
-    with open(os.path.join(out, f"report_eps{tag}.txt"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, f"report_eps{tag}.txt")) as fh:
         fh.write(f"T_eps={report.T_eps!r}\n"
                  f"t_stop={report.t_stop!r}\n"
                  f"sup_stop={report.sup_stop!r}\n"
@@ -229,7 +228,7 @@ def _write_report(report, cfg, eps, out):
 def _write_field(report, path):
     grid = report.grid
     field = report.final_field
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         if len(grid) == 1:
             fh.write("x,u\n")
             for x, u in zip(grid[0], field):
@@ -269,7 +268,7 @@ def cmd_solve(args) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     results.sort(key=lambda r: r[0])
-    with open(os.path.join(out, "sweep_summary.csv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "sweep_summary.csv")) as fh:
         fh.write("eps,T_eps,multiplicity,stop_reason,sup_stop\n")
         for eps, T, mult, reason, sup, _ in results:
             fh.write(f"{eps!r},{T!r},{mult},{reason},{sup!r}\n")
@@ -344,7 +343,7 @@ def cmd_compare(args) -> int:
         else:
             rows.append((eps, *([np.nan] * 5), len(pred), len(comp),
                          int(len(pred) == len(comp))))
-    with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "comparison.csv")) as fh:
         fh.write("eps,pred_x,pred_y,comp_x,comp_y,distance,"
                  "pred_multiplicity,comp_multiplicity,multiplicity_agree\n")
         for r in rows:

@@ -37,6 +37,7 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .errors import RangeError
+from .fileio import atomic_open
 
 TWO_PI = 2.0 * np.pi
 # entries of one block of the cos/sin table in SmoothPolarDomain: 8 MB
@@ -458,7 +459,7 @@ class Skeleton:
         return np.array([s.s_value for s in self.samples])
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("x,y,s,branch\n")
             for s in self.samples:
                 fh.write(f"{float(s.point[0])!r},{float(s.point[1])!r},"

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import RangeError
+from .fileio import atomic_open
 from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
                        max_distance_point, omega_set, skeleton_arrival_time)
 from .profiles import get_correction, get_profile4, v2
@@ -46,7 +47,7 @@ class Prediction:
         return len(self.points)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(f"# regime={self.regime}\n")
             for k in sorted(self.metadata):
                 fh.write(f"# {k}={self.metadata[k]!r}\n")

@@ -28,6 +28,7 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import erfcx
 
 from .errors import ConvergenceError
+from .fileio import atomic_open
 from .stencils import fd_weights, stencil_window
 
 # decay rate of the fourth-order far field, from the WKB exponents
@@ -129,7 +130,7 @@ class LayerProfile:
         return float(out) if scalar else out
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(self.header_line() + "\n")
             fh.write("eta,v\n")
             for e, v in zip(self.eta, self.values):

@@ -17,10 +17,15 @@ Step sizes adapt by proportional control on the per-step growth of the
 sup norm (2% target near blow-up). Rectangle and cube steps are solved
 by fast diagonalization (FastDiagCN, with FastDiagRectCN and
 FastDiagCubeCN at order 4), set up once per power-of-two step-size
-bucket; banded 1D operators are cheap enough to rebuild every step.
-SparseLUCN (direct sparse LU) and ConjugateGradientCN (plain CG), the
-box steps these replaced, stay as the reference paths that the tests
-compare them against.
+bucket. Strip and disc steps (BandedCN) take every dt the controller
+chooses: the band of their operator is stored once and each new dt
+costs one banded factorization. SparseLUCN (direct sparse LU) and
+ConjugateGradientCN (plain CG), the box steps these replaced, stay as
+the reference paths that the tests compare them against.
+
+Every adapter counts its solves (one per step) and its factorizations
+or setups; FastDiagCubeCN also counts its PCG iterations. solve_problem
+copies these counts into BlowupReport.diagnostics.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_banded
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.sparse.linalg import cg, splu
 
 from ..errors import ConfigError, ConvergenceError
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
@@ -131,7 +137,17 @@ class BlowupReport:
 
 
 class BandedCN:
-    """theta-scheme solve for banded operators, rebuilt per step (1D cost).
+    """theta-scheme solve for banded operators (1D), dt by dt.
+
+    The band of B is stored once. A new dt forms the band of I + theta dt B
+    as (theta dt) times it plus 1 on the main diagonal, and factors it
+    once for the step and its mirror solve: dgttrf/dgttrs at bandwidth 1
+    and dgbtrf/dgbtrs above, the factor and solve halves of gtsv and
+    gbsv, the LAPACK routines behind scipy's solve_banded, so every step
+    is that of solve_banded on the assembled matrix, bit for bit. The explicit half
+    (I - (1 - theta) dt B) u refills a fixed CSR structure, that of the
+    sparse sum I - B, so each row sums in the order of that sum. The
+    order matters: the strip's persymmetrized B has unsorted indices.
 
     The banded LU sweep is directional; on reflection-symmetric operators
     symmetrize=True averages the solve with its mirror image, which keeps
@@ -145,23 +161,58 @@ class BandedCN:
         self.theta = theta
         self.symmetrize = symmetrize
         self.n = B.shape[0]
+        self.Bab = _to_banded(self.B, bandwidth)
+        # entries of -1 keep every entry of the sum nonzero, so the
+        # structure is that of I - c B for any c
+        pattern = self.B.copy()
+        pattern.data = np.full(len(pattern.data), -1.0)
+        self._A2 = (sp.identity(self.n, format="csr") - pattern).tocsr()
+        rows = np.repeat(np.arange(self.n), np.diff(self._A2.indptr))
+        cols = self._A2.indices
+        self._A2_I = (rows == cols).astype(float)
+        self._A2_B = self.Bab[bandwidth + rows - cols, cols]
         self._key = None
+        self.factorizations = 0
+        self.solves = 0
 
     def quantize(self, dt):
         return dt
 
+    def _factor(self, dt):
+        """LU factors of the band of I + theta dt B."""
+        bw = self.bw
+        ab = (self.theta * dt) * self.Bab
+        ab[bw] += 1.0
+        if bw == 1:
+            *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        else:
+            a2 = np.zeros((3 * bw + 1, self.n))
+            a2[bw:] = ab
+            *lu, info = dgbtrf(a2, bw, bw, overwrite_ab=True)
+        if info:
+            raise LinAlgError("singular matrix")
+        self.factorizations += 1
+        return lu
+
+    def _solve(self, b):
+        if self.bw == 1:
+            x, _ = dgttrs(*self._lu, b)
+        else:
+            lu, piv = self._lu
+            x, _ = dgbtrs(lu, self.bw, self.bw, b, piv)
+        return x
+
     def apply(self, dt, u):
         if self._key != dt:
-            A1 = (sp.identity(self.n, format="csr") + self.theta * dt * self.B)
-            self._ab = _to_banded(A1, self.bw)
-            self._A2 = (sp.identity(self.n, format="csr")
-                        - (1.0 - self.theta) * dt * self.B).tocsr()
+            self._A2.data = self._A2_I - ((1.0 - self.theta) * dt) * self._A2_B
+            self._lu = self._factor(dt)
             self._key = dt
+        self.solves += 1
         b = self._A2 @ u
-        x = solve_banded((self.bw, self.bw), self._ab, b)
+        x = self._solve(b)
         if not self.symmetrize:
             return x
-        y = solve_banded((self.bw, self.bw), self._ab, b[::-1])
+        y = self._solve(b[::-1])
         return 0.5 * (x + y[::-1])
 
 
@@ -176,6 +227,7 @@ class SparseLUCN:
         self.cache = {}
         self.cache_size = cache_size
         self.factorizations = 0
+        self.solves = 0
 
     def quantize(self, dt):
         return float(2.0 ** np.floor(np.log2(dt)))
@@ -189,6 +241,7 @@ class SparseLUCN:
                 self.cache.pop(next(iter(self.cache)))
             self.cache[key] = (lu, A2)
             self.factorizations += 1
+        self.solves += 1
         lu, A2 = self.cache[key]
         return lu.solve(A2 @ u)
 
@@ -201,11 +254,13 @@ class ConjugateGradientCN:
         self.theta = theta
         self.rtol = rtol
         self.n = B.shape[0]
+        self.solves = 0
 
     def quantize(self, dt):
         return float(2.0 ** np.floor(np.log2(dt)))
 
     def apply(self, dt, u):
+        self.solves += 1
         A1 = sp.identity(self.n, format="csr") + self.theta * dt * self.B
         rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
         x, info = cg(A1, rhs, x0=u, rtol=self.rtol, atol=0.0, maxiter=2000)
@@ -239,6 +294,7 @@ class FastDiagCN:
         self.n = B.shape[0]
         self.cache = {}
         self.factorizations = 0
+        self.solves = 0
         self.sines = [_dst1_matrix(m) for m in self.shape]
         # eigenvalues of -L: per-axis 4/h^2 sin^2(pi k / (2(m+1))), summed
         self.eig = reduce(np.add.outer, [
@@ -249,9 +305,11 @@ class FastDiagCN:
         return float(2.0 ** np.floor(np.log2(dt)))
 
     def _transform(self, U):
-        """Orthonormal DST-I along every axis (its own inverse)."""
+        """Orthonormal DST-I along every axis (its own inverse). Each pass
+        contracts the leading axis and moves it last; matmul takes the
+        transposed view as it is, where tensordot would copy it."""
         for S in self.sines:
-            U = np.tensordot(U, S, axes=(0, 0))
+            U = (U.reshape(len(S), -1).T @ S).reshape(*U.shape[1:], len(S))
         return U
 
     def _setup(self, dt):
@@ -267,6 +325,7 @@ class FastDiagCN:
                 self.cache.pop(next(iter(self.cache)))
             self.cache[dt] = self._setup(dt)
             self.factorizations += 1
+        self.solves += 1
         rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
         return self._solve(self.cache[dt], rhs)
 
@@ -335,31 +394,64 @@ class FastDiagCubeCN(FastDiagCN):
     """Order-4 cube steps: conjugate gradients preconditioned by P.
 
     The ring of the cube is too large for a dense capacitance matrix, so
-    P preconditions CG on the full step matrix, started from P^-1 b. RTOL
-    is ten times tighter than ConjugateGradientCN's: both stop just under
-    their bound, and plain CG overshoots further on the nearly diagonal
-    early steps."""
+    P preconditions CG on the step matrix A1 = P + c R, c = theta dt s,
+    where R is the diagonal wall term. A dt bucket's setup is (g, cR):
+    the sine-basis eigenvalues g of P^-1 and the vector c R. The loop
+    carries P p along with the search direction p: from p <- z + beta p
+    and z = P^-1 r follows P p <- r + beta P p, so A1 p = P p + cR p costs
+    O(n), and each iteration makes one sine solve and no sparse product.
+    It starts from x0 = P^-1 b, so r0 = -cR x0. It stops by scipy's cg
+    rule with atol 0: |r| < RTOL |b|, tested before each iteration, at
+    most MAXITER iterations. RTOL is ten times tighter than
+    ConjugateGradientCN's: both stop just under their bound, and plain CG
+    overshoots further on the nearly diagonal early steps. cg_iterations
+    counts the iterations of all solves."""
 
     RTOL = 1e-12
+    MAXITER = 2000
 
     def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
         super().__init__(B, theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
+        # R: 2/h^4 of each axis on the nodes next to that axis's walls
+        walls = []
+        for m, h in zip(self.shape, self.spacing):
+            w = np.zeros(m)
+            w[[0, -1]] = 2.0 / h ** 4
+            walls.append(w)
+        self.ring = reduce(np.add.outer, walls).ravel()
+        self.cg_iterations = 0
 
     def _setup(self, dt):
-        g = super()._setup(dt)
-        A1 = (sp.identity(self.n, format="csr") + self.theta * dt * self.B).tocsr()
-        M = LinearOperator((self.n, self.n), dtype=float,
-                           matvec=lambda r: FastDiagCN._solve(self, g, r))
-        return A1, M
+        return super()._setup(dt), (self.theta * dt * self.scale) * self.ring
 
-    def _solve(self, setup, rhs):
-        A1, M = setup
-        x, info = cg(A1, rhs, x0=M @ rhs, M=M, rtol=self.RTOL, atol=0.0,
-                     maxiter=2000)
-        if info != 0:
-            raise ConvergenceError(f"PCG did not converge (info={info})")
-        return x
+    def _solve(self, setup, b):
+        g, cR = setup
+        x = super()._solve(g, b)
+        r = -cR * x
+        atol = self.RTOL * np.linalg.norm(b)
+        if atol == 0.0:                                # b = 0
+            return x
+        for it in range(self.MAXITER):
+            if np.linalg.norm(r) < atol:
+                self.cg_iterations += it
+                return x
+            z = super()._solve(g, r)
+            rho = r @ z
+            if it:
+                beta = rho / rho_prev
+                p *= beta
+                p += z
+                Pp *= beta
+                Pp += r
+            else:
+                p, Pp = z, r.copy()
+            q = Pp + cR * p
+            alpha = rho / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        raise ConvergenceError(f"PCG did not converge in {self.MAXITER} iterations")
 
 
 def _dst1_matrix(m):
@@ -517,7 +609,9 @@ def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
             traj = list(zip(main["times"], main["points"]))
     diag = dict(steps=run["steps"], sup_history=run["sup_history"],
                 dt_history=run["dt_history"],
-                factorizations=getattr(adapter, "factorizations", 0))
+                factorizations=getattr(adapter, "factorizations", 0),
+                solves=getattr(adapter, "solves", 0),
+                cg_iterations=getattr(adapter, "cg_iterations", 0))
     return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
                         sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
                         singularities=sing, multiplicity=len(sing),

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fileio import atomic_open
+
 
 def svg_scatter(path, series, size=480, margin=40, title=""):
     """series: list of dicts with keys points ((n,2) array), color, marker
@@ -51,7 +53,7 @@ def svg_scatter(path, series, size=480, margin=40, title=""):
                        f'{s["label"]}</text>')
             legend_y += 14
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(out))
 
 
@@ -78,5 +80,5 @@ def svg_polylines(path, polylines, size=480, margin=40, title="", color="#1f6fb2
         out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" '
                    f'stroke-width="1.2"/>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(out))

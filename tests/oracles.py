@@ -5,12 +5,15 @@ textbook uniform-grid stencils are hard-coded, the profile oracle shoots
 from far-field data with an off-the-shelf initial-value integrator, and
 distance oracles use brute-force boundary sampling. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
-systems on uniform grids integrated by scipy's BDF.
+systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
+the banded theta-step as it was first written, assembled anew for every
+dt from sparse sums and solved by solve_banded.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 SQRT3 = np.sqrt(3.0)
@@ -158,6 +161,39 @@ def linearised_layer_peak(gprime, eps, T):
     assert 0 < i < m - 1, "layer peak on the edge of the oracle grid"
     a, b, c = z[i - 1:i + 2]
     return float(eps * h * (i + 1 + 0.5 * (a - c) / (a - 2.0 * b + c)))
+
+
+# -- reference banded theta-step ---------------------------------------------------
+
+class RebuiltBandedCN:
+    """theta-step (I + theta dt B) x = (I - (1 - theta) dt B) u with both
+    matrices rebuilt as sparse sums for every new dt, the implicit one
+    converted to band storage and solved by solve_banded (once more on
+    the mirrored right side when symmetrize is set)."""
+
+    def __init__(self, B, bandwidth, theta, symmetrize=False):
+        self.B = B.tocsr()
+        self.bw = bandwidth
+        self.theta = theta
+        self.symmetrize = symmetrize
+        self.n = B.shape[0]
+        self._key = None
+
+    def apply(self, dt, u):
+        if self._key != dt:
+            A1 = sp.identity(self.n, format="csr") + self.theta * dt * self.B
+            A1 = A1.tocoo()
+            self._ab = np.zeros((2 * self.bw + 1, self.n))
+            self._ab[self.bw + A1.row - A1.col, A1.col] = A1.data
+            self._A2 = (sp.identity(self.n, format="csr")
+                        - (1.0 - self.theta) * dt * self.B).tocsr()
+            self._key = dt
+        b = self._A2 @ u
+        x = solve_banded((self.bw, self.bw), self._ab, b)
+        if not self.symmetrize:
+            return x
+        y = solve_banded((self.bw, self.bw), self._ab, b[::-1])
+        return 0.5 * (x + y[::-1])
 
 
 # -- geometry oracles -------------------------------------------------------------

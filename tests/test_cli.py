@@ -1,9 +1,14 @@
 
+import functools
+import multiprocessing
+import os
+
 import pytest
 
 from blowuplab.cli import main
 from blowuplab.config import dump_config, load_config
-from blowuplab.errors import ConfigError
+from blowuplab.errors import ConfigError, ConvergenceError
+from blowuplab.fileio import atomic_open
 
 STRIP_CFG = """
 experiment:
@@ -359,3 +364,71 @@ def test_profile_correction_csv_has_plain_numbers(tmp_path):
     assert lines[0] == "eta,vbar1"
     eta, vbar = (float(t) for t in lines[1].split(","))
     assert (eta, vbar) == (0.0, 0.0)
+
+
+# -- numerical failures and atomic outputs ------------------------------------
+
+def _fail_at_eps(monkeypatch, eps):
+    import blowuplab.cli as cli
+    solve = cli.run_solver
+
+    def failing(scfg):
+        if scfg.eps == eps:
+            raise ConvergenceError("PCG did not converge in 2000 iterations")
+        return solve(scfg)
+
+    monkeypatch.setattr(cli, "run_solver", failing)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_numerical_failure_exits_3_and_names_eps(tmp_path, monkeypatch, capsys,
+                                                 threads):
+    import blowuplab.cli as cli
+    _fail_at_eps(monkeypatch, 0.25)
+    # forked workers inherit the failing solver
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    path = write_cfg(tmp_path, STRIP_CFG.replace("eps: [0.2]", "eps: [0.2, 0.25]"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--threads", str(threads),
+                 "solve"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: eps=0.25: PCG did not converge" in err
+    assert not (out / "sweep_summary.csv").exists()
+
+
+def test_atomic_open_keeps_previous_file_on_error(tmp_path):
+    path = tmp_path / "sweep_summary.csv"
+    path.write_text("eps,T_eps\n0.1,0.9\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("eps,T_eps\n0.1,")
+            raise RuntimeError("interrupted mid-write")
+    assert path.read_text() == "eps,T_eps\n0.1,0.9\n"
+    assert os.listdir(tmp_path) == ["sweep_summary.csv"]
+    with atomic_open(path) as fh:
+        fh.write("eps,T_eps\n0.2,0.8\n")
+    assert path.read_text() == "eps,T_eps\n0.2,0.8\n"
+    assert os.listdir(tmp_path) == ["sweep_summary.csv"]
+
+
+def test_every_cli_output_is_written_atomically(tmp_path, monkeypatch):
+    """Each file solve, predict, compare and profile leave behind was moved
+    into place by atomic_open's os.replace."""
+    replaced = set()
+    real_replace = os.replace
+
+    def recording(src, dst):
+        replaced.add(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    path = write_cfg(tmp_path, SQUARE_CFG)
+    out = tmp_path / "out"
+    for verb in ("solve", "predict", "compare"):
+        assert main(["--config", path, "--out", str(out), verb]) == 0
+    assert main(["--out", str(out), "profile", "--order", "2"]) == 0
+    written = set(os.listdir(out))
+    assert {"comparison.csv", "field_eps0p2.csv", "config_echo.yaml",
+            "prediction_eps0p2.csv", "singularities_eps0p2.svg"} <= written
+    assert written == replaced

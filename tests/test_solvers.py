@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from blowuplab.solvers import (SolverConfig, extract_singularities, solve,
-                               solve_problem, track_peaks)
+from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
+                               solve, solve_problem, track_peaks)
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
                                      FastDiagCN, FastDiagRectCN, SparseLUCN)
 from blowuplab.solvers.cube3d import build_cube, cube_operator
@@ -12,6 +12,7 @@ from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
 from blowuplab.solvers.radial import radial_biharmonic, radial_grid
 from blowuplab.solvers.rect2d import rect_operator
+from oracles import RebuiltBandedCN
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -456,6 +457,67 @@ def test_fast_diag_cube_step_error_within_plain_cg():
         worst_cg = max(worst_cg, np.linalg.norm(ref.apply(dt, u) - exact) / scale)
     assert len(steps) > 100
     assert worst_fast <= worst_cg
+
+
+@pytest.mark.parametrize("geometry,order", [("strip", 2), ("strip", 4),
+                                            ("radial-disc", 2), ("radial-disc", 4)])
+def test_banded_step_matches_rebuilt_reference(geometry, order):
+    """BandedCN against the per-dt sparse rebuild and solve_banded, bit for
+    bit, over random dt sequences that repeat and revisit step sizes.
+    build_strip persymmetrizes B (unsorted CSR indices) and sets
+    symmetrize=True; build_disc does neither."""
+    cfg = SolverConfig(order=order, nonlinearity=EXP, eps=0.1, geometry=geometry,
+                       nx=301, grading=2.0 if geometry == "strip" else 0.0)
+    fast, _ = BUILDERS[geometry](cfg)
+    assert fast.symmetrize == (geometry == "strip")
+    ref = RebuiltBandedCN(fast.B, fast.bw, cfg.theta, fast.symmetrize)
+    rng = np.random.default_rng(order)
+    dts = rng.choice(10.0 ** rng.uniform(-7.0, -2.0, 6), size=60)
+    u = rng.uniform(0.0, 1.0, fast.n)
+    for dt in dts:
+        got = fast.apply(dt, u)
+        assert np.array_equal(got, ref.apply(dt, u)), dt
+        u = got / np.max(np.abs(got))
+    assert fast.solves == len(dts)
+    assert fast.factorizations == 1 + np.count_nonzero(dts[1:] != dts[:-1])
+
+
+def test_cube_cg_iterations_match_scipy_cg():
+    """On the golden cube run, the PCG iteration count in the report equals
+    scipy's cg with the same preconditioner, start and stopping rule,
+    summed over the recorded steps."""
+    from scipy.sparse.linalg import LinearOperator, cg
+    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
+                       nx=11, threshold=5.0)
+    recording, axes = build_cube(cfg)
+    apply = recording.apply
+    steps = []
+
+    def record(dt, u):
+        steps.append((dt, u.copy()))
+        return apply(dt, u)
+
+    recording.apply = record
+    rep = solve_problem(cfg, recording, axes)
+    assert rep.diagnostics["solves"] == rep.diagnostics["steps"] == len(steps)
+    assert rep.diagnostics["cg_iterations"] == recording.cg_iterations > 0
+    fast, _ = build_cube(cfg)
+    want = 0
+
+    def count(xk):
+        nonlocal want
+        want += 1
+
+    for dt, u in steps:
+        g, _ = fast._setup(dt)
+        M = LinearOperator((fast.n, fast.n), dtype=float,
+                           matvec=lambda r: FastDiagCN._solve(fast, g, r))
+        A1 = sp.identity(fast.n, format="csr") + cfg.theta * dt * fast.B
+        b = u - (1.0 - cfg.theta) * dt * (fast.B @ u)
+        _, info = cg(A1, b, x0=M @ b, M=M, rtol=fast.RTOL, atol=0.0,
+                     maxiter=fast.MAXITER, callback=count)
+        assert info == 0
+    assert rep.diagnostics["cg_iterations"] == want
 
 
 def test_config_validation():
