@@ -115,9 +115,11 @@ def cmd_predict(args) -> int:
             pred = predict_fourth_2d(dom, skel, rs, eps, T_eps)
             pred.metadata["T_eps_source"] = ("measured" if eps in T_of
                                              else "reaction-fallback")
-            level = pred.metadata["level"]
+            level = min(pred.metadata["level"], 0.999 * _max_depth(dom, skel))
             try:
-                loops = omega_set(dom, min(level, 0.999 * _max_depth(dom, skel)))
+                loops = (pred.omega_loops if pred.regime == "omega-set"
+                         and level == pred.metadata["level"]
+                         else omega_set(dom, level))
                 _write_loops(os.path.join(out, f"omega_eps{tag}.csv"), loops)
             except BlowupLabError:
                 pass

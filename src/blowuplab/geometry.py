@@ -23,7 +23,9 @@ samples (Bentley 1975). r, r' and r'' come from one pass over the
 harmonics: a blocked cos/sin table times a coefficient matrix. Foot
 bisection, equidistance refinement and Newton tracking run on all
 points or detections at once, not point by point; marching squares
-(Lorensen and Cline 1987) visits only the cells the level set crosses.
+(Lorensen and Cline 1987) visits only the cells the level set crosses,
+and the distance on its grid is exact only in a narrow band around the
+level set.
 """
 
 from __future__ import annotations
@@ -682,8 +684,21 @@ def _dedup_samples(samples, radius):
 def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     """Level set {x : d(x, boundary) = level} as closed polylines.
 
-    Marching squares with linear interpolation on a signed-distance grid;
-    raises RangeError if the level exceeds the inradius (empty set)."""
+    Marching squares with linear interpolation on F = d - level over a
+    grid of spacing res; raises RangeError if the level exceeds the
+    inradius (empty set).
+
+    F is exact only in a narrow band around the curve (Adalsteinsson and
+    Sethian 1995). The signed distance is 1-Lipschitz, so it is first
+    evaluated on every 8th node per axis (and the last), and a node whose
+    nearest such node lies R away with value F_c is evaluated itself only
+    if |F_c| <= R + 1.5 res. Every other node keeps F_c: its true F lies
+    within R of F_c, so the two have the same sign. A corner of a cell
+    the curve cuts is within sqrt(2) res of a corner of the other sign,
+    so |F| <= sqrt(2) res < 1.5 res there and it is evaluated exactly.
+    The signs, the cut cells, the values marching squares interpolates
+    and thus the loops are those of the fully evaluated grid.
+    """
     if level <= 0:
         raise ValueError("level must be positive")
     if resolution is None:
@@ -692,9 +707,24 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     pad = 2 * resolution
     xs = np.arange(bx0 - pad, bx1 + pad + resolution, resolution)
     ys = np.arange(by0 - pad, by1 + pad + resolution, resolution)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = dom.signed_distance(np.column_stack([X.ravel(), Y.ravel()]))
-    F = F.reshape(X.shape) - level
+
+    def coarse(n):
+        """Every 8th of n node indices and the last, and for each node the
+        position of the nearest of them."""
+        c = np.unique(np.r_[np.arange(0, n, 8), n - 1])
+        return c, np.abs(np.arange(n)[:, None] - c).argmin(axis=1)
+
+    cx, kx = coarse(len(xs))
+    cy, ky = coarse(len(ys))
+    Fc = dom.signed_distance(np.column_stack(
+        [np.repeat(xs[cx], len(cy)), np.tile(ys[cy], len(cx))]))
+    # each node's F_c and its distance R to that coarse node
+    F = (Fc.reshape(len(cx), len(cy)) - level)[kx[:, None], ky]
+    R = np.hypot((xs - xs[cx[kx]])[:, None], ys - ys[cy[ky]])
+    # coarse nodes in the band are evaluated again: BLAS may round the
+    # harmonic sums of a small batch differently from those of a large one
+    i, j = np.nonzero(np.abs(F) <= R + 1.5 * resolution)
+    F[i, j] = dom.signed_distance(np.column_stack([xs[i], ys[j]])) - level
     if F.max() <= 0:
         raise RangeError(f"no points at distance {level}; exceeds inradius")
     segments = _marching_squares(xs, ys, F)
@@ -835,9 +865,8 @@ def max_distance_point(dom: PlanarDomain, seeds=None):
     deepest = np.sort(np.argsort(-dom.signed_distance(seeds), kind="stable")[:3])
 
     def neg_d(z):
-        if not dom.contains(z):
-            return 1.0
-        return -float(dom.signed_distance(z))
+        sd = float(dom.signed_distance(z))
+        return -sd if sd > 0 else 1.0
 
     best = None
     for s in seeds[deepest]:

@@ -7,7 +7,9 @@ distance oracles use brute-force boundary sampling. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
 systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
 the banded theta-step as it was first written, assembled anew for every
-dt from sparse sums and solved by solve_banded.
+dt from sparse sums and solved by solve_banded. dense_omega_loops is
+omega_set as it was first written, with the signed distance evaluated
+at every grid node.
 """
 
 import numpy as np
@@ -197,6 +199,30 @@ class RebuiltBandedCN:
 
 
 # -- geometry oracles -------------------------------------------------------------
+
+def omega_grid(dom, resolution=None):
+    """The node coordinates xs, ys of omega_set's grid."""
+    if resolution is None:
+        resolution = dom.diameter / 400.0
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    pad = 2 * resolution
+    return (np.arange(bx0 - pad, bx1 + pad + resolution, resolution),
+            np.arange(by0 - pad, by1 + pad + resolution, resolution))
+
+
+def dense_omega_loops(dom, level, resolution=None):
+    """omega_set's loops from one signed_distance call on its full grid.
+    Raises RangeError past the inradius."""
+    from blowuplab.errors import RangeError
+    from blowuplab.geometry import _chain_segments, _marching_squares
+    xs, ys = omega_grid(dom, resolution)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    F = dom.signed_distance(np.column_stack([X.ravel(), Y.ravel()]))
+    F = F.reshape(X.shape) - level
+    if F.max() <= 0:
+        raise RangeError(f"no points at distance {level}")
+    return _chain_segments(_marching_squares(xs, ys, F))
+
 
 def brute_force_distance(dom, points, n_samples=100_000):
     """min |x - y| over a dense boundary sampling."""

@@ -9,6 +9,7 @@ from blowuplab.cli import main
 from blowuplab.config import dump_config, load_config
 from blowuplab.errors import ConfigError, ConvergenceError
 from blowuplab.fileio import atomic_open
+from blowuplab.geometry import omega_set
 
 STRIP_CFG = """
 experiment:
@@ -285,6 +286,28 @@ def test_predict_polar_domain(tmp_path):
     assert csvs == sorted(p.name for p in runs[1].glob("*.csv"))
     for name in csvs:
         assert (out / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_predict_makes_one_omega_set_per_eps(tmp_path, monkeypatch):
+    import blowuplab.cli as cli
+    import blowuplab.predictor as predictor
+    levels = []
+
+    def counting(dom, level, resolution=None):
+        levels.append(level)
+        return omega_set(dom, level, resolution)
+
+    monkeypatch.setattr(cli, "omega_set", counting)
+    monkeypatch.setattr(predictor, "omega_set", counting)
+    path = write_cfg(tmp_path, POTATO_CFG.replace("eps: [0.03, 0.1]", "eps: 0.03"))
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "predict"]) == 0
+    assert "omega-set" in (tmp_path / "out" / "predictions_summary.csv").read_text()
+    # the predictor's level curve is the one written to omega_eps0p03.csv
+    assert len(levels) == 1
+    cli._write_loops(str(tmp_path / "ref.csv"),
+                     omega_set(load_config(path).domain(), levels[0]))
+    assert (tmp_path / "out" / "omega_eps0p03.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["solve", "compare"])

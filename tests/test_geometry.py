@@ -1,7 +1,10 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from blowuplab.errors import RangeError
@@ -12,14 +15,16 @@ from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
 from blowuplab.predictor import predict_second_2d
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from oracles import (brute_force_distance, brute_force_nearest_sample, hausdorff,
-                     polar_radius_derivatives, rectangle_skeleton_points,
-                     square_skeleton_points)
+from oracles import (brute_force_distance, brute_force_nearest_sample,
+                     dense_omega_loops, hausdorff, omega_grid,
+                     polar_radius_derivatives,
+                     rectangle_skeleton_points, square_skeleton_points)
 
 DISC = SmoothPolarDomain(1.0)
 POTATO = potato_domain()
 SQUARE = RectangleDomain.centered(1.0, 1.0)
 ELLIPSE = ellipse_domain(0.75, 1.0)   # 64 harmonics
+RECT = RectangleDomain.centered(1.0, 0.5)
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -159,6 +164,67 @@ def test_distance_against_brute_force(dom):
     mine = dom.signed_distance(pts)
     brute = brute_force_distance(dom, pts)
     assert np.max(np.abs(mine - brute)) <= 1e-6
+
+
+@st.composite
+def polar_domains(draw):
+    """r = 1 + sum over k <= 4 of a_k cos(k t) + b_k sin(k t), with
+    sum |a_k| + |b_k| <= 0.6, kept only if it passes the roughness check."""
+    n = draw(st.integers(0, 4))
+    coef = st.floats(-0.15, 0.15)
+    cos_c = draw(st.lists(coef, min_size=n, max_size=n))
+    sin_c = draw(st.lists(coef, min_size=n, max_size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return SmoothPolarDomain(1.0, cos_c, sin_c)
+        except UserWarning:
+            assume(False)
+
+
+@st.composite
+def rectangles(draw):
+    x0, y0 = draw(st.floats(-2.0, 1.0)), draw(st.floats(-2.0, 1.0))
+    return RectangleDomain(x0, x0 + draw(st.floats(0.05, 3.0)),
+                           y0, y0 + draw(st.floats(0.05, 3.0)))
+
+
+@st.composite
+def point_pairs(draw, dom):
+    """A random point and a second one at any distance from 1e-9 to 1
+    (including pairs near the skeleton), or a pair straddling the boundary
+    at a random boundary point: along the normal on a polar domain, in a
+    random direction on a rectangle, whose corners have no normal."""
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    ang = draw(st.floats(0.0, 2 * np.pi))
+    gap = 10.0 ** draw(st.floats(-9.0, 0.0))
+    step = gap * np.array([np.cos(ang), np.sin(ang)])
+    if draw(st.booleans()):
+        a = np.array([draw(st.floats(bx0 - 0.5, bx1 + 0.5)),
+                      draw(st.floats(by0 - 0.5, by1 + 0.5))])
+        return a, a + step
+    if isinstance(dom, SmoothPolarDomain):
+        bp = dom.boundary_point(draw(st.floats(0.0, 2 * np.pi)))
+        y, (tx, ty) = np.array(bp.point), bp.tangent
+        normal = np.array([ty, -tx])
+    else:
+        W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
+        y = np.array(dom.boundary_point(draw(st.floats(0.0, 2 * (W + H)))).point)
+        normal = np.array([np.cos(ang), np.sin(ang)])
+    s = draw(st.floats(0.0, 1.0))
+    return y + s * gap * normal, y - (1.0 - s) * gap * normal
+
+
+@pytest.mark.parametrize("domains", [polar_domains, rectangles],
+                         ids=["polar", "rectangle"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_signed_distance_is_1_lipschitz(domains, data):
+    dom = data.draw(domains())
+    for _ in range(4):
+        a, b = data.draw(point_pairs(dom))
+        da, db = dom.signed_distance(np.array([a, b]))
+        assert abs(da - db) <= np.hypot(*(a - b)) + 1e-9
 
 
 @pytest.mark.parametrize("dom", [POTATO, ELLIPSE], ids=["potato", "ellipse"])
@@ -395,6 +461,49 @@ def test_omega_potato_matches_golden():
 def test_omega_beyond_inradius_raises():
     with pytest.raises(RangeError):
         omega_set(DISC, 1.5, resolution=0.02)
+    for dom, level in ((POTATO, 0.8), (RECT, 0.51), (SQUARE, 1.01)):
+        with pytest.raises(RangeError):
+            omega_set(dom, level)
+
+
+# (domain, level, resolution); level None is 0.995 of the potato's depth
+BAND_CASES = {
+    "potato-0.05": (POTATO, 0.05, None),
+    "potato-0.216": (POTATO, 0.216, None),
+    "potato-0.7": (POTATO, 0.7, None),
+    "potato-incenter": (POTATO, None, 0.005),
+    "ellipse-0.3": (ELLIPSE, 0.3, None),
+    "disc-0.4": (DISC, 0.4, None),
+    "square-0.25": (SQUARE, 0.25, None),
+    "rect-0.2": (RECT, 0.2, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_omega_band_equals_dense_grid(case):
+    dom, level, res = BAND_CASES[case]
+    if level is None:
+        level = 0.995 * max_distance_point(dom)[1]
+    dense = dense_omega_loops(dom, level, res)
+    band = omega_set(dom, level, res)
+    assert len(band) == len(dense)
+    for a, b in zip(band, dense):
+        assert np.array_equal(a, b)
+
+
+def test_omega_band_evaluates_few_nodes(monkeypatch):
+    xs, ys = omega_grid(POTATO)
+    evaluated = []
+
+    def counting(points):
+        evaluated.append(len(np.atleast_2d(points)))
+        return SmoothPolarDomain.signed_distance(POTATO, points)
+
+    monkeypatch.setattr(POTATO, "signed_distance", counting)
+    for level in (0.05, 0.216, 0.7):
+        evaluated.clear()
+        omega_set(POTATO, level)
+        assert sum(evaluated) < 0.15 * len(xs) * len(ys), level
 
 
 # -- skeleton arrival time --------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.errors import DivergenceError, EvaluationDomainError, RangeError
 from blowuplab.reaction import (Nonlinearity, ReactionSolution, blowup_time_T0,
@@ -187,3 +189,64 @@ def test_flow_tabulated_matches_closed():
                            form="tabulated")
     u = np.linspace(0.0, 5.0, 50)
     assert np.allclose(tab.flow(u, 0.03), closed.flow(u, 0.03), atol=1e-7)
+
+
+# -- flow properties ------------------------------------------------------------
+# The flow is a shift in the tail coordinate T(u) = tail_time(u), the time
+# left to blow-up: T(flow(u, dt)) = T(u) - dt. A rounding error delta in T
+# becomes f(w) * delta in u = w, since dT/du = -1/f(u).
+
+EPS = np.finfo(float).eps
+U_MAX = {"exp": 30.0, "pow": 1e3}
+fractions = st.floats(0.0, 0.999)
+
+
+def _flow(rs, u, dt):
+    return float(rs.flow(np.array([u]), dt)[0])
+
+
+@pytest.mark.parametrize("nl", [EXP, POW2], ids=["exp", "pow2"])
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0), alpha=fractions, beta=fractions)
+def test_flow_semigroup(nl, u, alpha, beta):
+    rs = ReactionSolution(nl)
+    u = u * U_MAX[nl.kind]
+    a = alpha * rs.tail_time(u)
+    b = beta * (rs.tail_time(u) - a)
+    v = _flow(rs, u, a)
+    w = _flow(rs, u, a + b)
+    assert np.isfinite(v) and np.isfinite(w)
+    # first-order propagation: T(u), a and b enter T(w) with one rounding
+    # each, v enters through T(v) and through the rounding of v itself
+    # (|v| / f(v) in T), and each result is rounded once more (|w|); 8
+    # roundings per term allow for exp, log and pow that are faithful
+    # (within one ulp) rather than correctly rounded
+    tol = 8 * EPS * (nl.f(w) * (rs.tail_time(u) + a + b + rs.tail_time(v)
+                                + abs(v) / nl.f(v)) + abs(w))
+    assert abs(_flow(rs, v, b) - w) <= tol
+
+
+@pytest.mark.parametrize("nl", [EXP, POW2], ids=["exp", "pow2"])
+@settings(max_examples=300, deadline=None)
+@given(u1=st.floats(0.0, 1.0), u2=st.floats(0.0, 1.0), dt=st.floats(0.0, 2.0))
+def test_flow_monotone_in_u(nl, u1, u2, dt):
+    rs = ReactionSolution(nl)
+    u1, u2 = sorted((u1 * U_MAX[nl.kind], u2 * U_MAX[nl.kind]))
+    dt = dt * rs.tail_time(u1)
+    # every step of the closed-form map is a monotone floating-point
+    # operation, so the order holds exactly, +inf included
+    lo, hi = rs.flow(np.array([u1, u2]), dt)
+    assert lo <= hi
+
+
+@pytest.mark.parametrize("nl", [EXP, POW2], ids=["exp", "pow2"])
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(0.0, 1.0), where=st.sampled_from(["below", "at", "above", "any"]),
+       factor=st.floats(0.0, 2.0))
+def test_flow_infinite_exactly_past_tail(nl, u, where, factor):
+    rs = ReactionSolution(nl)
+    u = u * U_MAX[nl.kind]
+    tail = rs.tail_time(u)
+    dt = {"below": np.nextafter(tail, 0.0), "at": tail,
+          "above": np.nextafter(tail, np.inf), "any": factor * tail}[where]
+    assert np.isinf(_flow(rs, u, dt)) == (dt >= tail)
