@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
 from scipy.spatial import cKDTree
 
 from .errors import RangeError
@@ -73,11 +73,6 @@ class FootSet:
 
     def distances(self):
         return np.array([f.distance for f in self.feet])
-
-    def min_distance(self):
-        if self.degenerate_circle:
-            return self.radius
-        return float(self.distances().min())
 
 
 class PlanarDomain:
@@ -169,7 +164,11 @@ class SmoothPolarDomain(PlanarDomain):
         """r, r' and r'' at th (any shape) from one cos/sin pass.
 
         The trig table [cos(k th), sin(k th)] is built in blocks of theta
-        so that it stays near 8 MB for any number of harmonics and points."""
+        so that it stays near 8 MB for any number of harmonics and points.
+        The harmonic sums go through einsum, not a BLAS product: BLAS picks
+        its kernel by matrix size, so a point's last bit would depend on
+        the batch it arrives in. With einsum every value is independent of
+        its batch, and batched callers reproduce single-point calls."""
         th = np.asarray(th, dtype=float)
         flat = th.reshape(-1)
         out = np.zeros((3, flat.size))
@@ -182,7 +181,8 @@ class SmoothPolarDomain(PlanarDomain):
                 m = len(kt)
                 np.cos(kt, out=table[:m, :K])
                 np.sin(kt, out=table[:m, K:])
-                out[:, lo:lo + m] = (table[:m] @ self._harmonics).T
+                out[:, lo:lo + m] = np.einsum("pk,kj->jp", table[:m], self._harmonics,
+                                              optimize=False)
         out[0] += self.c0
         return tuple(v.reshape(th.shape) for v in out)
 
@@ -637,8 +637,10 @@ def _refine_equidistance(dom: SmoothPolarDomain, p, q, iters=40):
     th_b = dom.nearest_feet_grid(q)[0]
 
     def delta(x, rows):
-        return (_tracked_distance(dom, x, th_a[rows])
-                - _tracked_distance(dom, x, th_b[rows]))
+        # both tracks in one call: values do not depend on the batch
+        d = _tracked_distance(dom, np.concatenate([x, x]),
+                              np.concatenate([th_a[rows], th_b[rows]]))
+        return d[:len(x)] - d[len(x):]
 
     fa = delta(p, slice(None))
     fb = delta(q, slice(None))
@@ -696,8 +698,10 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     within R of F_c, so the two have the same sign. A corner of a cell
     the curve cuts is within sqrt(2) res of a corner of the other sign,
     so |F| <= sqrt(2) res < 1.5 res there and it is evaluated exactly.
-    The signs, the cut cells, the values marching squares interpolates
-    and thus the loops are those of the fully evaluated grid.
+    An 8th node (R = 0) is not evaluated twice: its distance does not
+    depend on the batch it came in. The signs, the cut cells, the values
+    marching squares interpolates and thus the loops are those of the
+    fully evaluated grid.
     """
     if level <= 0:
         raise ValueError("level must be positive")
@@ -721,9 +725,8 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     # each node's F_c and its distance R to that coarse node
     F = (Fc.reshape(len(cx), len(cy)) - level)[kx[:, None], ky]
     R = np.hypot((xs - xs[cx[kx]])[:, None], ys - ys[cy[ky]])
-    # coarse nodes in the band are evaluated again: BLAS may round the
-    # harmonic sums of a small batch differently from those of a large one
-    i, j = np.nonzero(np.abs(F) <= R + 1.5 * resolution)
+    # coarse nodes (R == 0) already hold their exact F
+    i, j = np.nonzero((np.abs(F) <= R + 1.5 * resolution) & (R > 0))
     F[i, j] = dom.signed_distance(np.column_stack([xs[i], ys[j]])) - level
     if F.max() <= 0:
         raise RangeError(f"no points at distance {level}; exceeds inradius")
@@ -847,13 +850,91 @@ def potato_domain() -> SmoothPolarDomain:
     return SmoothPolarDomain(1.0, [0.3, 0.0, 0.0], [0.0, 0.0, -0.3])
 
 
+def minimize(fun, x0s, xatol, fatol, maxiter):
+    """Nelder-Mead (Nelder and Mead 1965) from each row of x0s, all seeds
+    advanced in lock step; returns the best seed's OptimizeResult.
+
+    fun maps (k, n) points to (k,) values. Each seed follows scipy's
+    Nelder-Mead exactly: reflection, expansion, contraction and shrink
+    coefficients 1, 2, 1/2 and 1/2, the 5 % (0.00025 at zero) start
+    simplex, a stable sort of the vertices, the xatol/fatol test before
+    each iteration, and maxiter counted per seed. One iteration makes one
+    fun call on the reflected, expanded and both contracted points of
+    every seed still running, and keeps only the values that the scalar
+    method's branch asks for; seeds that shrink make a second call. If fun
+    gives each point the same value whatever batch it arrives in, every
+    seed's iterates are scipy's bit for bit.
+
+    The result is the first seed with the strictly lowest fun, as a scalar
+    loop over the seeds with `<` gives. nfev is the number of points
+    evaluated over all seeds, the ones evaluated and not kept included.
+    The name stays `minimize`, the scipy function this replaces, since
+    outside tools count the polish's evaluations through it."""
+    sim0 = np.asarray(x0s, dtype=float)
+    S, n = sim0.shape
+    # vertex 0 is the seed, vertex k + 1 moves coordinate k
+    sim = np.repeat(sim0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    v = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(v != 0, (1 + 0.05) * v, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(S, n + 1)
+    nfev = S * (n + 1)
+
+    def sort(rows):
+        ind = np.argsort(fsim[rows], axis=1, kind="stable")
+        sim[rows] = np.take_along_axis(sim[rows], ind[..., None], axis=1)
+        fsim[rows] = np.take_along_axis(fsim[rows], ind, axis=1)
+
+    sort(slice(None))
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    act = np.arange(S)
+    for _ in range(maxiter - 1):
+        s, f = sim[act], fsim[act]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
+        act, s, f = act[~done], s[~done], f[~done]
+        if not len(act):
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        # reflected, expanded, outside and inside contracted points
+        trial = np.stack([(1 + rho) * xbar - rho * worst,
+                          (1 + rho * chi) * xbar - rho * chi * worst,
+                          (1 + psi * rho) * xbar - psi * rho * worst,
+                          (1 - psi) * xbar + psi * worst])
+        ftrial = fun(trial.reshape(-1, n)).reshape(4, -1)
+        nfev += 4 * len(act)
+        fxr, fxe, fxc, fxcc = ftrial
+        # scipy's branches: the trial point that replaces the worst vertex,
+        # or -1 for a shrink
+        pick = np.select([fxr < f[:, 0], fxr < f[:, -2], fxr < f[:, -1]],
+                         [np.where(fxe < fxr, 1, 0), 0, np.where(fxc <= fxr, 2, -1)],
+                         np.where(fxcc < f[:, -1], 3, -1))
+        keep = np.flatnonzero(pick >= 0)
+        sim[act[keep], -1] = trial[pick[keep], keep]
+        fsim[act[keep], -1] = ftrial[pick[keep], keep]
+        shrink = act[pick < 0]
+        if len(shrink):
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = best + sigma * (sim[shrink, 1:] - best)
+            fsim[shrink, 1:] = fun(sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev += len(shrink) * n
+        sort(act)
+    i = int(np.argmin(fsim[:, 0]))
+    return OptimizeResult(x=sim[i, 0], fun=fsim[i, 0], nfev=nfev)
+
+
 def max_distance_point(dom: PlanarDomain, seeds=None):
     """argmax of d(x, boundary) by Nelder-Mead from the best seeds.
 
     Seeds default to the interior nodes of a coarse 6x6 grid; for
     skeleton-aware calls pass the deepest skeleton samples (the maximizer
     lies on the skeleton). One vectorized signed_distance ranks the seeds,
-    and only the three deepest are polished."""
+    and only the three deepest are polished, in lock step by `minimize`:
+    one batched signed_distance per simplex step. Each point's distance
+    is independent of the batch it arrives in (see
+    SmoothPolarDomain._radius_derivs), so the result is that of three
+    scalar scipy Nelder-Mead runs, bit for bit."""
     if seeds is None:
         (bx0, bx1), (by0, by1) = dom.bounding_box
         u, v = np.meshgrid(np.linspace(0.15, 0.85, 6), np.linspace(0.15, 0.85, 6),
@@ -865,13 +946,8 @@ def max_distance_point(dom: PlanarDomain, seeds=None):
     deepest = np.sort(np.argsort(-dom.signed_distance(seeds), kind="stable")[:3])
 
     def neg_d(z):
-        sd = float(dom.signed_distance(z))
-        return -sd if sd > 0 else 1.0
+        sd = dom.signed_distance(z)
+        return np.where(sd > 0, -sd, 1.0)
 
-    best = None
-    for s in seeds[deepest]:
-        r = minimize(neg_d, s, method="Nelder-Mead",
-                     options=dict(xatol=1e-10, fatol=1e-12, maxiter=400))
-        if best is None or r.fun < best.fun:
-            best = r
+    best = minimize(neg_d, seeds[deepest], xatol=1e-10, fatol=1e-12, maxiter=400)
     return best.x, -best.fun

@@ -630,17 +630,11 @@ def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
     `separation` grid cells keep only the larger. Locations are refined
     per axis by the vertex of the parabola through the three neighboring
     nodes (valid on non-uniform grids too)."""
-    from scipy.ndimage import maximum_filter
-
     field = np.asarray(field)
     if field.ndim == 1:
         coords = (coords,) if isinstance(coords, np.ndarray) else tuple(coords)
     vmax = float(np.max(field))
-    footprint = np.ones((3,) * field.ndim, dtype=bool)
-    footprint[(1,) * field.ndim] = False
-    neigh_max = maximum_filter(field, footprint=footprint, mode="constant",
-                               cval=-np.inf)
-    mask = (field > neigh_max) & (field >= threshold_fraction * vmax)
+    mask = _strict_local_maxima(field) & (field >= threshold_fraction * vmax)
     idxs = np.argwhere(mask)
     if len(idxs) == 0:
         return []
@@ -672,6 +666,19 @@ def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
         out.append((tuple(loc), float(val)))
     out.sort(key=lambda p: p[0])
     return out
+
+
+def _strict_local_maxima(field):
+    """Mask of the nodes greater than each of their 3^d - 1 neighbours,
+    with nodes outside the grid counting as -inf. Comparisons are exact,
+    so this is the mask that a maximum filter over the neighbours gives."""
+    pad = np.pad(field, 1, constant_values=-np.inf)
+    mask = np.ones(field.shape, dtype=bool)
+    centre = (1,) * field.ndim
+    for off in np.ndindex(*(3,) * field.ndim):
+        if off != centre:
+            mask &= field > pad[tuple(slice(o, o + n) for o, n in zip(off, field.shape))]
+    return mask
 
 
 def _parabola_vertex(x3, f3):

@@ -56,29 +56,3 @@ def svg_scatter(path, series, size=480, margin=40, title=""):
     with atomic_open(path) as fh:
         fh.write("\n".join(out))
 
-
-def svg_polylines(path, polylines, size=480, margin=40, title="", color="#1f6fb2"):
-    pts = np.vstack(polylines) if polylines else np.zeros((1, 2))
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
-    lo = lo - 0.08 * span
-    hi = hi + 0.08 * span
-    span = hi - lo
-
-    def to_px(p):
-        x = margin + (p[0] - lo[0]) / span[0] * (size - 2 * margin)
-        y = size - margin - (p[1] - lo[1]) / span[1] * (size - 2 * margin)
-        return f"{x:.2f},{y:.2f}"
-
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-           f'viewBox="0 0 {size} {size}">',
-           f'<rect width="{size}" height="{size}" fill="white"/>',
-           f'<text x="{size / 2}" y="20" text-anchor="middle" '
-           f'font-family="sans-serif" font-size="13">{title}</text>']
-    for line in polylines:
-        path_d = " ".join(to_px(p) for p in line)
-        out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.2"/>')
-    out.append("</svg>")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(out))

@@ -1,3 +1,4 @@
+import collections
 import os
 import warnings
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize as scipy_minimize
 
+from blowuplab import geometry
 from blowuplab.errors import RangeError
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, ellipse_domain,
@@ -227,6 +229,33 @@ def test_signed_distance_is_1_lipschitz(domains, data):
         assert abs(da - db) <= np.hypot(*(a - b)) + 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_signed_distance_independent_of_batch(data):
+    """A point's signed distance alone equals its value inside a random
+    batch, bit for bit."""
+    dom = data.draw(st.sampled_from([POTATO, ELLIPSE]) | polar_domains())
+    n = data.draw(st.integers(1, 400))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    pts = np.random.default_rng(seed).uniform((bx0 - 0.3, by0 - 0.3),
+                                              (bx1 + 0.3, by1 + 0.3), (n, 2))
+    batch = dom.signed_distance(pts)
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)):
+        assert dom.signed_distance(pts[i]) == batch[i]
+
+
+def test_signed_distance_independent_of_batch_across_table_blocks():
+    # 64 harmonics: the trig table holds 8192 points per block, so this
+    # batch ends 108 points into a second block
+    assert len(ELLIPSE.cos_coeffs) == 64
+    pts = np.random.default_rng(5).uniform(-1.1, 1.1, (8300, 2))
+    batch = ELLIPSE.signed_distance(pts)
+    for i in (0, 1, 8190, 8191, 8192, 8193, 8299):
+        assert ELLIPSE.signed_distance(pts[i]) == batch[i]
+    assert np.array_equal(ELLIPSE.signed_distance(pts[8000:8300]), batch[8000:])
+
+
 @pytest.mark.parametrize("dom", [POTATO, ELLIPSE], ids=["potato", "ellipse"])
 def test_tree_seed_is_a_nearest_boundary_sample(dom):
     rng = np.random.default_rng(9)
@@ -285,19 +314,54 @@ def test_plateau_and_ridge_argmax_in_argmax_set():
 
 
 def test_max_distance_point_polishes_three_deepest_seeds(monkeypatch):
-    import blowuplab.geometry as geometry
     starts = []
+    lock_step = geometry.minimize
 
-    def recording(fun, x0, **kw):
-        starts.append(np.array(x0))
-        return minimize(fun, x0, **kw)
+    def recording(fun, x0s, **kw):
+        starts.append(np.array(x0s))
+        return lock_step(fun, x0s, **kw)
 
     seeds = np.array([[0.0, 0.0], [0.9, 0.0], [0.3, 0.0], [0.5, 0.2], [0.1, 0.1]])
     monkeypatch.setattr(geometry, "minimize", recording)
     xc, d = max_distance_point(DISC, seeds=seeds)
-    # the three deepest, in the order given
-    assert np.array_equal(np.array(starts), seeds[[0, 2, 4]])
+    # the three deepest, in the order given, polished together
+    assert len(starts) == 1 and np.array_equal(starts[0], seeds[[0, 2, 4]])
     assert np.hypot(*xc) <= 1e-9 and abs(d - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dom", [POTATO, ELLIPSE, DISC, RECT],
+                         ids=["potato", "ellipse", "disc", "rect"])
+def test_lockstep_minimize_equals_scalar_nelder_mead(dom):
+    """Three seeds in lock step give scipy's per-seed Nelder-Mead bit for
+    bit; every point scipy evaluates is among the batched evaluations,
+    and nfev counts the points the objective received."""
+    rng = np.random.default_rng(4)
+    seeds = np.concatenate([[[0.05, -0.1]], rng.uniform(-0.5, 0.5, (2, 2))])
+    batched, scalar = collections.Counter(), collections.Counter()
+
+    def neg_d(z):
+        sd = dom.signed_distance(z)
+        return np.where(sd > 0, -sd, 1.0)
+
+    def counting(z):
+        f = neg_d(z)
+        batched.update(zip(map(tuple, z.tolist()), f.tolist()))
+        return f
+
+    def one_point(z):
+        f = float(neg_d(z))
+        scalar[(tuple(z.tolist()), f)] += 1
+        return f
+
+    opts = dict(xatol=1e-10, fatol=1e-12, maxiter=400)
+    got = geometry.minimize(counting, seeds, **opts)
+    runs = [scipy_minimize(one_point, s, method="Nelder-Mead", options=opts)
+            for s in seeds]
+    want = min(runs, key=lambda r: r.fun)      # the first of equal minima
+    assert np.array_equal(got.x, want.x) and got.fun == want.fun
+    assert got.nfev == sum(batched.values())
+    assert scalar - batched == collections.Counter()
+    assert sum(scalar.values()) == sum(r.nfev for r in runs)
 
 
 # -- skeleton -------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.ndimage import maximum_filter
 
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
                                solve, solve_problem, track_peaks)
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
-                                     FastDiagCN, FastDiagRectCN, SparseLUCN)
+                                     FastDiagCN, FastDiagRectCN, SparseLUCN,
+                                     _strict_local_maxima)
 from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
@@ -58,6 +63,18 @@ def test_extract_square_fourfold_matches_brute_force():
     assert len(brute) == 4
     got = sorted((round(c[0], 2), round(c[1], 2)) for c, _ in out)
     assert got == sorted((round(a, 2), round(b, 2)) for a, b in brute)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7),
+              elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, -1.0, np.inf])))
+def test_strict_local_maxima_matches_maximum_filter(field):
+    # few distinct values: plateaus and ties between neighbours are common
+    footprint = np.ones((3,) * field.ndim, dtype=bool)
+    footprint[(1,) * field.ndim] = False
+    neigh_max = maximum_filter(field, footprint=footprint, mode="constant",
+                               cval=-np.inf)
+    assert np.array_equal(_strict_local_maxima(field), field > neigh_max)
 
 
 def test_extract_threshold_and_separation():
