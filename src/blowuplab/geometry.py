@@ -30,12 +30,12 @@ level set.
 
 from __future__ import annotations
 
+import types
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import OptimizeResult
 from scipy.spatial import cKDTree
 
 from .errors import RangeError
@@ -852,7 +852,8 @@ def potato_domain() -> SmoothPolarDomain:
 
 def minimize(fun, x0s, xatol, fatol, maxiter):
     """Nelder-Mead (Nelder and Mead 1965) from each row of x0s, all seeds
-    advanced in lock step; returns the best seed's OptimizeResult.
+    advanced in lock step; returns the best seed as a namespace with
+    x, fun and nfev, the fields of scipy's OptimizeResult that are read.
 
     fun maps (k, n) points to (k,) values. Each seed follows scipy's
     Nelder-Mead exactly: reflection, expansion, contraction and shrink
@@ -921,7 +922,7 @@ def minimize(fun, x0s, xatol, fatol, maxiter):
             nfev += len(shrink) * n
         sort(act)
     i = int(np.argmin(fsim[:, 0]))
-    return OptimizeResult(x=sim[i, 0], fun=fsim[i, 0], nfev=nfev)
+    return types.SimpleNamespace(x=sim[i, 0], fun=fsim[i, 0], nfev=nfev)
 
 
 def max_distance_point(dom: PlanarDomain, seeds=None):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RangeError
 from .fileio import atomic_open
@@ -130,21 +129,32 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     if include_curvature:
         vb = correction if correction is not None else get_correction(order)
     footsets = dom.feet_batch(pts)
-    out = np.empty(len(pts))
+    # the feet in a (point, slot) table; the degenerate circle puts its
+    # common distance in slot 0
+    deg = np.array([fs.degenerate_circle for fs in footsets], dtype=bool)
+    nfeet = np.array([len(fs.feet) or fs.degenerate_circle for fs in footsets], dtype=int)
+    has = np.arange(nfeet.max(initial=0)) < nfeet[:, None]
+    dist, kap = np.zeros(has.shape), np.zeros(has.shape)
     for i, fs in enumerate(footsets):
         if fs.degenerate_circle:
-            kap = float(dom.curvature(np.float64(0.0)))
-            term = v(fs.radius / phi) - 1.0
-            if vb is not None:
-                term += phi * kap * vb(fs.radius / phi)
-            out[i] = 1.0 + 2.0 * term
-            continue
-        s = 1.0
-        for f in fs.feet:
-            s += v(f.distance / phi) - 1.0
-            if vb is not None:
-                s += phi * f.curvature * vb(f.distance / phi)
-        out[i] = s
+            dist[i, 0] = fs.radius
+        else:
+            dist[i, :nfeet[i]] = [f.distance for f in fs.feet]
+            kap[i, :nfeet[i]] = [f.curvature for f in fs.feet]
+    if deg.any():
+        kap[deg, 0] = float(dom.curvature(np.float64(0.0)))
+    eta = dist[has] / phi
+    layer, curv = np.zeros(has.shape), np.zeros(has.shape)
+    layer[has] = v(eta) - 1.0
+    if vb is not None:
+        curv[has] = phi * kap[has] * vb(eta)
+    # each slot's terms in foot order, as a scalar loop over a point's feet
+    # adds them (adding curv = +0.0 changes no bit)
+    out = np.ones(len(pts))
+    for k in range(has.shape[1]):
+        m = has[:, k] & ~deg
+        out[m] = (out[m] + layer[m, k]) + curv[m, k]
+    out[deg] = 1.0 + 2.0 * (layer[deg, 0] + curv[deg, 0])
     out = u0 * out
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
@@ -284,6 +294,7 @@ def critical_eps(rs: ReactionSolution, s_target: float, eta0: float = None,
     T_eps_of defaults to the regularized reaction blow-up time
     T0 * (1 - delta), the leading-order stand-in when no measured
     blow-up time is available."""
+    from scipy.optimize import brentq
     if eta0 is None:
         eta0 = get_profile4().eta0
     if s_target == 0.0:

@@ -18,12 +18,13 @@ like h^-2 and converges cleanly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import spsolve
 from scipy.special import erfcx
 
@@ -39,6 +40,56 @@ OMEGA = 3.0 * 2.0 ** (-11.0 / 3.0)
 V2_ETA_SWITCH = 26.0
 
 _SQRT_PI = np.sqrt(np.pi)
+
+
+class _Spline:
+    """Not-a-knot cubic interpolating spline (de Boor, A Practical Guide
+    to Splines), computed with the arithmetic of scipy's CubicSpline, so
+    its coefficients `c` and its values are scipy's bit for bit. Needs at
+    least 4 strictly increasing nodes.
+
+    Called as spline(x, nu) it gives the nu-th derivative, extrapolating
+    the end pieces; NaN gives NaN, and a scalar gives a 0-d array."""
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        n = len(x)
+        if n < 4:
+            raise ValueError(f"a not-a-knot spline needs 4 or more nodes, got {n}")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # node slopes s: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+        # = b[i]; the end rows make the third derivative continuous at
+        # x[1] and x[-2]
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        dl = np.append(dx[1:], d1)
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        du = np.insert(dx[:-1], 0, d0)
+        b = np.concatenate((
+            [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]))
+        s = dgtsv(dl, diag, du, b)[3]
+        # Hermite form of each piece, highest power first
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, x, nu=0):
+        x = np.asarray(x, dtype=float)
+        q = x.ravel()
+        i = np.clip(np.searchsorted(self.x, q, "right") - 1, 0, len(self.x) - 2)
+        s = q - self.x[i]
+        c = self.c[:, i]
+        # scipy's power sum: the term of power kp, times kp!/(kp - nu)!,
+        # added from the lowest power up
+        out, z = np.zeros(len(q)), 1.0
+        for kp in range(nu, 4):
+            out = out + c[3 - kp] * z * float(math.perm(kp, nu))
+            if kp < 3:
+                z = z * s
+        out[np.isnan(q)] = np.nan
+        return out.reshape(x.shape)
 
 
 def v2(eta):
@@ -98,7 +149,7 @@ class LayerProfile:
     d2_values: np.ndarray = None  # v'' table from the mixed solve, when available
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.eta, self.values)
+        self._spline = _Spline(self.eta, self.values)
 
     def __call__(self, eta):
         return self.evaluate(eta)
@@ -167,7 +218,7 @@ class CorrectionProfile:
     eta_max: float
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.eta, self.values)
+        self._spline = _Spline(self.eta, self.values)
 
     def __call__(self, eta):
         scalar = np.isscalar(eta)
@@ -350,7 +401,7 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None,
 def _table_derivative(tab_eta, tab_values, eta, width=7):
     """First derivative of a table, evaluated on `eta` (same grid expected)."""
     if len(eta) != len(tab_eta) or not np.allclose(eta, tab_eta):
-        tab_values = CubicSpline(tab_eta, tab_values)(eta)
+        tab_values = _Spline(tab_eta, tab_values)(eta)
     n = len(eta)
     J = stencil_window(np.arange(n), n, width)
     w = fd_weights(eta[J], eta, 1)[:, None, :, 1]

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DivergenceError, EvaluationDomainError, RangeError
 
@@ -117,6 +115,7 @@ def blowup_time_T0(nl: Nonlinearity) -> float:
         return 1.0
     if nl.kind == "pow":
         return 1.0 / (nl.p - 1.0)
+    from scipy.integrate import quad
     # substitution u = tan(s) maps [0, inf) to [0, pi/2)
     def integrand(s):
         u = np.tan(s)
@@ -171,6 +170,7 @@ class ReactionSolution:
 
     # -- tabulated path ----------------------------------------------------
     def _build_table(self):
+        from scipy.integrate import solve_ivp
         t_end = self.T0 * (1.0 - TABLE_DELTA)
 
         def rhs(t, y):
@@ -194,6 +194,7 @@ class ReactionSolution:
         return self._dense(np.atleast_1d(t))[0].reshape(t.shape)
 
     def _invert_table(self, u):
+        from scipy.optimize import brentq
         u = np.asarray(u, dtype=float)
         if np.any(u > self._u_end):
             raise RangeError(f"u beyond tabulated range (max {self._u_end:g})")
@@ -228,6 +229,7 @@ class ReactionSolution:
         """Remaining reaction time integral_u^inf du'/f(u')."""
         if self.form == "closed":
             return float(self._tail_closed(float(u)))
+        from scipy.integrate import quad
 
         def integrand(s):
             x = u + np.tan(s)

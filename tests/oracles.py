@@ -9,7 +9,8 @@ systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
 the banded theta-step as it was first written, assembled anew for every
 dt from sparse sums and solved by solve_banded. dense_omega_loops is
 omega_set as it was first written, with the signed distance evaluated
-at every grid node.
+at every grid node. scalar_uniform_2d is predictor.uniform_2d as it was
+first written, with one profile call per foot.
 """
 
 import numpy as np
@@ -306,3 +307,30 @@ def rectangle_skeleton_points(a=1.0, b=0.5, n=2000):
         for sy in (-1, 1):
             pts.append(np.column_stack([sx * (a - td), sy * (b - td)]))
     return np.vstack(pts)
+
+
+def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
+    """predictor.uniform_2d as a loop over points and their feet, with
+    scalar profile calls."""
+    from blowuplab.profiles import get_correction, get_profile4, v2
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    u0 = rs.state(t)
+    phi = rs.gauge(t, eps, order)
+    v = v2 if order == 2 else get_profile4().evaluate
+    vb = get_correction(order) if include_curvature else None
+    out = np.empty(len(pts))
+    for i, fs in enumerate(dom.feet_batch(pts)):
+        if fs.degenerate_circle:
+            kap = float(dom.curvature(np.float64(0.0)))
+            term = v(fs.radius / phi) - 1.0
+            if vb is not None:
+                term += phi * kap * vb(fs.radius / phi)
+            out[i] = 1.0 + 2.0 * term
+            continue
+        s = 1.0
+        for f in fs.feet:
+            s += v(f.distance / phi) - 1.0
+            if vb is not None:
+                s += phi * f.curvature * vb(f.distance / phi)
+        out[i] = s
+    return u0 * out

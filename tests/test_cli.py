@@ -3,9 +3,11 @@ import functools
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from blowuplab.cli import main
+from blowuplab.cli import _assign, main
 from blowuplab.config import dump_config, load_config
 from blowuplab.errors import ConfigError, ConvergenceError
 from blowuplab.fileio import atomic_open
@@ -455,3 +457,27 @@ def test_every_cli_output_is_written_atomically(tmp_path, monkeypatch):
     assert {"comparison.csv", "field_eps0p2.csv", "config_echo.yaml",
             "prediction_eps0p2.csv", "singularities_eps0p2.svg"} <= written
     assert written == replaced
+
+
+# -- the assignment port -----------------------------------------------------------
+
+@pytest.mark.parametrize("nr", range(1, 9))
+def test_assign_equals_linear_sum_assignment(nr):
+    """_assign gives scipy's rows and columns on every shape up to 8x8,
+    wide and tall; half the matrices have integer costs with ties."""
+    rng = np.random.default_rng(nr)
+    for nc in range(1, 9):
+        for k in range(20):
+            D = rng.integers(0, 4, (nr, nc)).astype(float) if k % 2 else rng.random((nr, nc))
+            got, ref = _assign(D), linear_sum_assignment(D)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), D
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_assign_rejects_invalid_entries(bad):
+    D = np.ones((3, 2))
+    D[1, 0] = bad
+    with pytest.raises(ValueError):
+        linear_sum_assignment(D)
+    with pytest.raises(ValueError):
+        _assign(D)

@@ -116,22 +116,6 @@ def test_square_diagonal_point_nearest_feet():
         [(0.5, 1.0), (1.0, 0.5)]
 
 
-def test_foot_orthogonality_residual():
-    rng = np.random.default_rng(7)
-    for dom in (DISC, POTATO):
-        tol = 1e-9 * dom.diameter
-        n = 0
-        while n < 30:
-            p = rng.uniform(-1.3, 1.3, size=2)
-            if not dom.contains(p) or dom.signed_distance(p) < 0.05:
-                continue
-            n += 1
-            for f in dom.orthogonal_feet(p).feet:
-                tau = dom.tangent_at(np.float64(f.param))
-                resid = abs(np.dot(p - np.asarray(f.point), tau))
-                assert resid <= tol
-
-
 def test_feet_segments_stay_inside():
     rng = np.random.default_rng(11)
     n = 0
@@ -182,6 +166,24 @@ def polar_domains(draw):
             return SmoothPolarDomain(1.0, cos_c, sin_c)
         except UserWarning:
             assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_foot_orthogonality_residual(data):
+    """At every orthogonal foot of a point at depth >= 0.05, the boundary
+    tangent is perpendicular to the segment from the point, on the disc,
+    the potato and random polar domains."""
+    dom = data.draw(st.sampled_from([DISC, POTATO]) | polar_domains())
+    tol = 1e-9 * dom.diameter
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    for _ in range(6):
+        p = np.array([data.draw(st.floats(bx0, bx1)), data.draw(st.floats(by0, by1))])
+        if not dom.contains(p) or dom.signed_distance(p) < 0.05:
+            continue
+        for f in dom.orthogonal_feet(p).feet:
+            tau = dom.tangent_at(np.float64(f.param))
+            assert abs(np.dot(p - np.asarray(f.point), tau)) <= tol
 
 
 @st.composite

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.errors import RangeError
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
-                                compute_skeleton, potato_domain)
+                                compute_skeleton, ellipse_domain, potato_domain)
 from blowuplab.predictor import (critical_eps, outer_1d_second, outer_2d_second,
                                  predict_1d_fourth, predict_fourth_2d,
                                  predict_second_2d, uniform_1d, uniform_2d)
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
+from oracles import scalar_uniform_2d
 
 EXP = ReactionSolution(Nonlinearity.exponential())
 POW2 = ReactionSolution(Nonlinearity.power(2))
@@ -120,6 +123,32 @@ def test_uniform_2d_degenerate_center_continuous(profile4):
     v_near = uniform_2d(DISC, EXP, 4, eps, np.array([[1e-6, 0.0]]), t,
                         profile=profile4)[0]
     assert v_center == pytest.approx(v_near, rel=1e-6)
+
+
+UNIFORM_DOMAINS = {"potato": potato_domain(), "ellipse": ellipse_domain(0.75, 1.0),
+                   "rect": RECT, "disc": DISC}
+
+
+@pytest.mark.parametrize("curvature", [True, False])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", sorted(UNIFORM_DOMAINS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
+    """The (point, foot slot) table of uniform_2d adds each point's terms
+    as a scalar loop over its feet does, bit for bit. The origin leads
+    every batch: on the disc it is the degenerate circle of feet."""
+    dom = UNIFORM_DOMAINS[name]
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    xy = st.tuples(st.floats(bx0, bx1), st.floats(by0, by1))
+    pts = np.array([(0.0, 0.0)] + data.draw(st.lists(xy, max_size=30)))
+    pts = pts[dom.contains(pts)]
+    eps = data.draw(st.floats(0.03, 0.2))
+    t = data.draw(st.floats(0.05, 0.9))
+    assert dom.feet_batch(pts[:1])[0].degenerate_circle == (name == "disc")
+    got = uniform_2d(dom, EXP, order, eps, pts, t, include_curvature=curvature)
+    assert np.array_equal(got, scalar_uniform_2d(dom, EXP, order, eps, pts, t,
+                                                 include_curvature=curvature))
 
 
 def test_outer_2d_argmax_is_distance_argmax():

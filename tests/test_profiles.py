@@ -2,9 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from blowuplab.errors import ConvergenceError
-from blowuplab.profiles import (OMEGA, LayerProfile, eval_profile4,
+from blowuplab.profiles import (OMEGA, LayerProfile, _Spline, eval_profile4,
                                 second_order_profile, solve_curvature_correction,
                                 solve_profile4, v2, v2_prime, v2_tail)
 from oracles import (d1_5pt, d2_5pt, d3_7pt, d4_7pt, shooting_profile4)
@@ -225,3 +226,35 @@ class TestCorrections:
         with open(os.path.join(DATA, f"correction{order}_golden.csv"),
                   newline="", encoding="utf-8") as fh:
             assert text == fh.read()
+
+
+# -- the spline port ---------------------------------------------------------------
+
+@pytest.mark.parametrize("table", ["profile4", "correction4", 4, 5, 17, 300])
+def test_spline_equals_scipy_cubic_spline(table, request):
+    """_Spline is scipy's not-a-knot CubicSpline bit for bit: coefficients,
+    and values and derivatives at the nodes, inside, beyond both ends and
+    at NaN. An integer table is that many random nodes."""
+    rng = np.random.default_rng(12)
+    if isinstance(table, str):
+        tab = request.getfixturevalue(table)
+        x, y = tab.eta, tab.values
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, table)) - 0.5 * table
+        y = rng.normal(size=table)
+    mine, ref = _Spline(x, y), CubicSpline(x, y)
+    assert np.array_equal(mine.c, ref.c)
+    span = x[-1] - x[0]
+    q = np.concatenate([x, rng.uniform(x[0] - 0.2 * span, x[-1] + 0.2 * span, 400),
+                        [np.nan, x[0] - span, x[-1] + span, -0.0]])
+    for nu in range(4):
+        assert np.array_equal(mine(q, nu), ref(q, nu), equal_nan=True), nu
+        for xs in (x[1], 0.5 * (x[0] + x[1]), np.nan):
+            got = mine(xs, nu)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert np.array_equal(got, ref(xs, nu), equal_nan=True)
+
+
+def test_spline_needs_four_nodes():
+    with pytest.raises(ValueError):
+        _Spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
