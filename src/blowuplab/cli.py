@@ -229,24 +229,23 @@ def _write_report(report, cfg, eps, out):
 
 
 def _write_field(report, path):
-    grid = report.grid
+    """One CSV line per node, written one grid row at a time from plain
+    floats; the cube stores its max-z slice."""
+    grid = [g.tolist() for g in report.grid]
     field = report.final_field
     with atomic_open(path) as fh:
         if len(grid) == 1:
             fh.write("x,u\n")
-            for x, u in zip(grid[0], field):
+            for x, u in zip(grid[0], field.tolist()):
                 fh.write(f"{x!r},{u!r}\n")
-        elif len(grid) == 2:
-            fh.write("x,y,u\n")
-            for i, x in enumerate(grid[0]):
-                for j, y in enumerate(grid[1]):
-                    fh.write(f"{x!r},{y!r},{field[i, j]!r}\n")
-        else:  # 3D: too large to dump fully; store the max-z slice
+            return
+        if len(grid) == 3:  # too large to dump fully
             k = int(np.argmax(field.max(axis=(0, 1))))
-            fh.write(f"# z-slice k={k} z={grid[2][k]!r}\nx,y,u\n")
-            for i, x in enumerate(grid[0]):
-                for j, y in enumerate(grid[1]):
-                    fh.write(f"{x!r},{y!r},{field[i, j, k]!r}\n")
+            fh.write(f"# z-slice k={k} z={grid[2][k]!r}\n")
+            field = field[:, :, k]
+        fh.write("x,y,u\n")
+        for x, row in zip(grid[0], field.tolist()):
+            fh.write("".join(f"{x!r},{y!r},{u!r}\n" for y, u in zip(grid[1], row)))
 
 
 def cmd_solve(args) -> int:

@@ -189,7 +189,7 @@ def predict_second_2d(dom: PlanarDomain, skeleton: Skeleton = None) -> Predictio
         seeds = [skeleton.samples[i].point for i in order]
     xc, d = max_distance_point(dom, seeds=seeds)
     return Prediction("distance-argmax", np.array([xc]),
-                      dict(order=2, distance=d))
+                      dict(order=2, distance=float(d)))
 
 
 def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,

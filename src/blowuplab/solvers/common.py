@@ -17,7 +17,11 @@ Step sizes adapt by proportional control on the per-step growth of the
 sup norm (2% target near blow-up). Rectangle and cube steps are solved
 by fast diagonalization (FastDiagCN, with FastDiagRectCN and
 FastDiagCubeCN at order 4), set up once per power-of-two step-size
-bucket. Strip and disc steps (BandedCN) take every dt the controller
+bucket. They are taken in the sine basis: the explicit half
+u - (1 - theta) dt B u comes from the forward transform of u that the
+solve needs anyway, plus, at order 4, a thin product of the lines or
+faces next to the walls, so no box step makes a sparse product. Strip
+and disc steps (BandedCN) take every dt the controller
 chooses: the band of their operator is stored once and each new dt
 costs one banded factorization. SparseLUCN (direct sparse LU) and
 ConjugateGradientCN (plain CG), the box steps these replaced, stay as
@@ -36,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.sparse.linalg import cg, splu
 
@@ -273,15 +278,24 @@ class FastDiagCN:
     """theta-scheme for box operators by fast diagonalization.
 
     On a uniform box grid with spacing h_k per axis the Dirichlet
-    Laplacian L is diagonal in the orthonormal DST-I basis of each axis
-    (Lynch, Rice and Thomas 1964). This class solves the order-2 step,
-    B = -s L, exactly by per-axis sine matrices (dense products beat
-    FFT-based DSTs at these grid sizes). The clamped order-4 operator is
-    B = s (L^2 + R): d4_clamped_uniform is D2^2 plus 2/h^4 on its first
-    and last diagonal entries, so R is 2/h_k^4 on the nodes next to the
-    walls of axis k. FastDiagRectCN and FastDiagCubeCN square the
-    eigenvalues, so that the sine solve is P = I + theta dt s L^2, and add
-    R back. Setups are cached on power-of-two dt buckets."""
+    Laplacian L is diagonal in the orthonormal DST-I basis T of each axis
+    (Lynch, Rice and Thomas 1964). This class takes the order-2 step,
+    B = -s L, s = eps^2, entirely in that basis (dense per-axis sine
+    matrices beat FFT-based DSTs at these grid sizes): with u^ = T u and
+    c = (1 - theta) dt s, the explicit half is b^ = u^ - c eig u^, the
+    solve multiplies by g = 1 / (1 + theta dt s eig), and the step is
+    T(g b^), two transforms and no sparse product. eig holds the
+    eigenvalues of -L.
+
+    The clamped order-4 operator is B = s (L^2 + R), s = eps^4:
+    d4_clamped_uniform is D2^2 plus 2/h^4 on its first and last diagonal
+    entries, so R is 2/h_k^4 on the nodes next to the walls of axis k.
+    FastDiagRectCN and FastDiagCubeCN square eig, so that the sine solve
+    is P = I + theta dt s L^2, and add R back. Their explicit half is
+    b^ = u^ - c (eig u^ + T(R u)), where T(R u) is a thin product of the
+    wall-adjacent lines or faces of u (_ring_hat). B is kept as the
+    reference operator of the tests; no step reads it. Setups are cached
+    on power-of-two dt buckets."""
 
     CACHE_SIZE = 6
 
@@ -317,7 +331,26 @@ class FastDiagCN:
         return 1.0 / (1.0 + self.theta * dt * self.scale * self.eig)
 
     def _solve(self, g, rhs):
+        """P^-1 rhs for a physical right side: T(g T rhs), flattened."""
         return self._transform(g * self._transform(rhs.reshape(self.shape))).ravel()
+
+    def _ring_hat(self, U):
+        """T(R u) on the field U; R = 0 at order 2."""
+        return 0.0
+
+    def _explicit_hat(self, dt, u):
+        """b^ = T(u - (1 - theta) dt B u), from the forward transform of u."""
+        U = u.reshape(self.shape)
+        Uh = self._transform(U)
+        bh = self.eig * Uh
+        bh += self._ring_hat(U)
+        bh *= -(1.0 - self.theta) * dt * self.scale
+        bh += Uh
+        return bh
+
+    def _step(self, g, bh):
+        """The step from the sine-basis right side b^."""
+        return self._transform(g * bh).ravel()
 
     def apply(self, dt, u):
         if dt not in self.cache:
@@ -326,8 +359,7 @@ class FastDiagCN:
             self.cache[dt] = self._setup(dt)
             self.factorizations += 1
         self.solves += 1
-        rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
-        return self._solve(self.cache[dt], rhs)
+        return self._step(self.cache[dt], self._explicit_hat(dt, u))
 
 
 class FastDiagRectCN(FastDiagCN):
@@ -335,15 +367,20 @@ class FastDiagRectCN(FastDiagCN):
 
     R is added back exactly by a capacitance solve over the 2(mx+my)
     nodes of the lines next to the walls (Buzbee, Dorr, George and Golub
-    1971). Memory: every cached dt bucket holds a dense Cholesky factor
-    of that size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior nodes;
-    at the max_unknowns limit of about 1412^2 the six buckets would need
-    about 1.5 GB, a size this solver has not been run at."""
+    1971), from G = g b^ in the sine basis; the capacitance matrix is
+    solved by two BLAS triangular solves on its Cholesky factor. With
+    Ex, Ey the sine vectors at the walls, T(R u) is
+    (2/hx^4) Ex^T (U[[0, -1]] Sy) + (2/hy^4) (Sx U[:, [0, -1]]) Ey.
+    Memory: every cached dt bucket holds a dense Cholesky factor of that
+    size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior nodes; at the
+    max_unknowns limit of about 1412^2 the six buckets would need about
+    1.5 GB, a size this solver has not been run at."""
 
     def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
         super().__init__(B, theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         self.ends = [S[[0, -1]] for S in self.sines]   # sine vectors at the walls
+        self.walls = [2.0 / h ** 4 for h in self.spacing]
 
     def _setup(self, dt):
         """P^-1 eigenvalues, the Cholesky factor of
@@ -368,22 +405,28 @@ class FastDiagRectCN(FastDiagCN):
         KX = KX.reshape(2 * my, 2 * mx)
         K = np.block([[KR.reshape(2 * my, 2 * my), KX],
                       [KX.T, KC.reshape(2 * mx, 2 * mx)]])
-        hx, hy = self.spacing
+        wx, wy = self.walls
         c = self.theta * dt * self.scale
-        d = np.sqrt(c * np.concatenate([np.full(2 * my, 2.0 / hx ** 4),
-                                        np.full(2 * mx, 2.0 / hy ** 4)]))
+        d = np.sqrt(c * np.concatenate([np.full(2 * my, wx),
+                                        np.full(2 * mx, wy)]))
         C = d[:, None] * K * d[None, :]
         C[np.diag_indices_from(C)] += 1.0
         return g, cho_factor(C), d
 
-    def _solve(self, setup, rhs):
-        g, cho, d = setup
+    def _ring_hat(self, U):
+        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+        wx, wy = self.walls
+        return wx * (Ex.T @ (U[[0, -1]] @ Sy)) + wy * ((Sx @ U[:, [0, -1]]) @ Ey)
+
+    def _step(self, setup, bh):
+        g, (cu, _), d = setup                          # cu: upper factor
         (Sx, Sy), (Ex, Ey) = self.sines, self.ends
         mx, my = self.shape
-        G = g * self._transform(rhs.reshape(self.shape))
-        # W^T P^-1 rhs: the ring lines of S G S, from thin products
+        G = g * bh
+        # W^T P^-1 b: the ring lines of S G S, from thin products
         y = np.concatenate([(Ex @ G @ Sy).ravel(), (Sx @ (G @ Ey.T)).T.ravel()])
-        z = d * cho_solve(cho, d * y, check_finite=False)
+        # C^-1 = U^-1 U^-T
+        z = d * dtrsv(cu, dtrsv(cu, d * y, trans=1), trans=0)
         zr, zc = z[:2 * my].reshape(2, my), z[2 * my:].reshape(2, mx)
         # S (W z) S, subtracted in the sine basis
         H = Ex.T @ (zr @ Sy) + (Sx @ zc.T) @ Ey
@@ -395,17 +438,22 @@ class FastDiagCubeCN(FastDiagCN):
 
     The ring of the cube is too large for a dense capacitance matrix, so
     P preconditions CG on the step matrix A1 = P + c R, c = theta dt s,
-    where R is the diagonal wall term. A dt bucket's setup is (g, cR):
-    the sine-basis eigenvalues g of P^-1 and the vector c R. The loop
-    carries P p along with the search direction p: from p <- z + beta p
-    and z = P^-1 r follows P p <- r + beta P p, so A1 p = P p + cR p costs
+    where R is the diagonal wall term. The cube has the same m nodes on
+    every axis; T(R u) transforms the six wall-adjacent faces of u as
+    S F S in one batched product and expands each axis pair with the
+    sine vectors at the walls. A dt bucket's setup is (g, cR): the
+    sine-basis eigenvalues g of P^-1 and the vector c R. The loop carries
+    P p along with the search direction p: from p <- z + beta p and
+    z = P^-1 r follows P p <- r + beta P p, so A1 p = P p + cR p costs
     O(n), and each iteration makes one sine solve and no sparse product.
-    It starts from x0 = P^-1 b, so r0 = -cR x0. It stops by scipy's cg
-    rule with atol 0: |r| < RTOL |b|, tested before each iteration, at
-    most MAXITER iterations. RTOL is ten times tighter than
-    ConjugateGradientCN's: both stop just under their bound, and plain CG
-    overshoots further on the nearly diagonal early steps. cg_iterations
-    counts the iterations of all solves."""
+    It starts from x0 = T(g b^), the P solve of the sine-basis right
+    side, so r0 = -cR x0. It stops by scipy's cg rule with atol 0:
+    |r| < RTOL |b|, with |b| = |b^| as T is orthonormal, tested before
+    each iteration, at most MAXITER iterations. RTOL is ten times tighter
+    than ConjugateGradientCN's: both stop just under their bound, and
+    plain CG overshoots further on the nearly diagonal early steps.
+    cg_iterations counts the iterations of all solves. A step makes
+    2 + 2 iterations sine transforms."""
 
     RTOL = 1e-12
     MAXITER = 2000
@@ -414,29 +462,45 @@ class FastDiagCubeCN(FastDiagCN):
         super().__init__(B, theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         # R: 2/h^4 of each axis on the nodes next to that axis's walls
-        walls = []
-        for m, h in zip(self.shape, self.spacing):
-            w = np.zeros(m)
-            w[[0, -1]] = 2.0 / h ** 4
-            walls.append(w)
-        self.ring = reduce(np.add.outer, walls).ravel()
+        self.walls = [2.0 / h ** 4 for h in self.spacing]
+        rings = []
+        for m, w in zip(self.shape, self.walls):
+            r = np.zeros(m)
+            r[[0, -1]] = w
+            rings.append(r)
+        self.ring = reduce(np.add.outer, rings).ravel()
+        self.ends = self.sines[0][[0, -1]]             # sine vectors at the walls
         self.cg_iterations = 0
 
     def _setup(self, dt):
         return super()._setup(dt), (self.theta * dt * self.scale) * self.ring
 
-    def _solve(self, setup, b):
+    def _ring_hat(self, U):
+        S, E = self.sines[0], self.ends
+        m = len(S)
+        F = np.stack([U[0], U[-1], U[:, 0], U[:, -1], U[:, :, 0], U[:, :, -1]])
+        F = (S @ F) @ S                                # (6, m, m): S F S per face
+        wx, wy, wz = self.walls
+        # each face pair goes back along its own axis through E^T:
+        # out[i, j, l] = wx E[a, i] F[a, j, l] + wy E[a, j] F[2+a, i, l]
+        #              + wz E[a, l] F[4+a, i, j], summed over a
+        out = (E.T @ (wx * F[0:2]).reshape(2, m * m)).reshape(m, m, m)
+        out += np.matmul(E.T, (wy * F[2:4]).transpose(1, 0, 2))
+        out += ((wz * F[4:6]).reshape(2, m * m).T @ E).reshape(m, m, m)
+        return out
+
+    def _step(self, setup, bh):
         g, cR = setup
-        x = super()._solve(g, b)
+        x = super()._step(g, bh)
         r = -cR * x
-        atol = self.RTOL * np.linalg.norm(b)
+        atol = self.RTOL * np.linalg.norm(bh)
         if atol == 0.0:                                # b = 0
             return x
         for it in range(self.MAXITER):
             if np.linalg.norm(r) < atol:
                 self.cg_iterations += it
                 return x
-            z = super()._solve(g, r)
+            z = self._solve(g, r)
             rho = r @ z
             if it:
                 beta = rho / rho_prev
@@ -640,30 +704,30 @@ def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
         return []
     vals = field[tuple(idxs.T)]
     order = np.argsort(-vals)
-    # greedy suppression, largest first; on integer offsets
+    idxs, vals = idxs[order], vals[order]
+    # greedy suppression, largest first: the first live candidate is kept
+    # and kills the live ones closer than `separation`; on integer offsets
     # |ij - other| < separation is exactly |ij - other|^2 < separation^2
-    kept_ij = np.empty_like(idxs)
-    n_kept = 0
+    live = np.ones(len(idxs), dtype=bool)
     kept = []
-    for k in order:
-        ij = idxs[k]
-        if n_kept and np.min(((kept_ij[:n_kept] - ij) ** 2).sum(axis=1)) < separation ** 2:
-            continue
-        kept_ij[n_kept] = ij
-        n_kept += 1
-        kept.append((ij, vals[k]))
-    out = []
-    for ij, val in kept:
-        loc = []
-        for ax, i in enumerate(ij):
-            x = coords[ax]
-            if 0 < i < len(x) - 1:
-                sl = tuple([*ij[:ax], slice(i - 1, i + 2), *ij[ax + 1:]])
-                f3 = field[sl]
-                loc.append(_parabola_vertex(x[i - 1:i + 2], f3))
-            else:
-                loc.append(float(x[i]))
-        out.append((tuple(loc), float(val)))
+    for k in range(len(idxs)):
+        if live[k]:
+            kept.append(k)
+            live &= ((idxs - idxs[k]) ** 2).sum(axis=1) >= separation ** 2
+    ij, vals = idxs[kept], vals[kept]
+    locs = np.empty(ij.shape)
+    for ax, x in enumerate(coords):
+        i = ij[:, ax]
+        inner = (0 < i) & (i < len(x) - 1)
+        locs[:, ax] = x[i]
+        rows = ij[inner].T.copy()
+        x3, f3 = [], []
+        for d in (-1, 0, 1):
+            rows[ax] = i[inner] + d
+            x3.append(x[rows[ax]])
+            f3.append(field[tuple(rows)])
+        locs[inner, ax] = _parabola_vertices(x3, f3)
+    out = [(tuple(loc), val) for loc, val in zip(locs.tolist(), vals.tolist())]
     out.sort(key=lambda p: p[0])
     return out
 
@@ -681,19 +745,19 @@ def _strict_local_maxima(field):
     return mask
 
 
-def _parabola_vertex(x3, f3):
-    """Vertex abscissa of the parabola through three points; node if flat."""
-    x0, x1, x2 = (float(v) for v in x3)
-    f0, f1, f2 = (float(v) for v in f3)
-    denom = ((x0 - x1) * (x0 - x2) * (x1 - x2))
-    if denom == 0.0:
-        return x1
-    a = (x2 * (f1 - f0) + x1 * (f0 - f2) + x0 * (f2 - f1)) / denom
-    b = (x2 * x2 * (f0 - f1) + x1 * x1 * (f2 - f0) + x0 * x0 * (f1 - f2)) / denom
-    if a == 0.0:
-        return x1
-    xv = -b / (2.0 * a)
-    return float(np.clip(xv, min(x0, x2), max(x0, x2)))
+def _parabola_vertices(x3, f3):
+    """Vertex abscissae of the parabolas through three points each (x3,
+    f3: three arrays of shape (n,), the left, middle and right nodes); the
+    middle node where a parabola is flat. Every vertex takes the operations of a scalar evaluation in the
+    same order, so it equals that evaluation bit for bit."""
+    x0, x1, x2 = x3
+    f0, f1, f2 = f3
+    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+    with np.errstate(all="ignore"):
+        a = (x2 * (f1 - f0) + x1 * (f0 - f2) + x0 * (f2 - f1)) / denom
+        b = (x2 * x2 * (f0 - f1) + x1 * x1 * (f2 - f0) + x0 * x0 * (f1 - f2)) / denom
+        xv = np.clip(-b / (2.0 * a), np.minimum(x0, x2), np.maximum(x0, x2))
+    return np.where((denom == 0.0) | (a == 0.0), x1, xv)
 
 
 def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4,

@@ -5,7 +5,9 @@ the three one-dimensional fourth-derivative operators plus the doubled
 mixed second-derivative pairs. The Crank-Nicolson matrix is symmetric
 positive definite, and 3D fill-in rules out a direct factorization, so
 FastDiagCubeCN solves steps by conjugate gradients preconditioned with
-the exact sine-basis solve of its L^2 part.
+the exact sine-basis solve of its L^2 part. The right side is formed in
+the sine basis from the transform of u and of its six wall-adjacent
+faces; the assembled operator is kept only as the tests' reference.
 """
 
 from __future__ import annotations

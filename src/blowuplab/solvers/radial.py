@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..stencils import fd_weights
-from .common import BandedCN, BlowupReport, SolverConfig, _parabola_vertex
+from .common import BandedCN, BlowupReport, SolverConfig, _parabola_vertices
 
 
 def radial_grid(nr):
@@ -109,7 +109,8 @@ def mark_ring(report: BlowupReport) -> BlowupReport:
     (r,), u = report.grid, report.final_field
     i_max = int(np.argmax(u))
     if 0 < i_max < len(r) - 1:
-        ring = _parabola_vertex(r[i_max - 1:i_max + 2], u[i_max - 1:i_max + 2])
+        nodes = slice(i_max - 1, i_max + 2)
+        ring = float(_parabola_vertices(r[nodes, None], u[nodes, None])[0])
     else:
         ring = float(r[i_max])
     if ring < 1.5 / len(r):

@@ -7,10 +7,13 @@ u_n = 0, while the mixed term only ever touches boundary values (all
 zero), reproducing the 13-point stencil. The Dirichlet Laplacian is the
 usual 5-point kron sum. Uniform grids only; memory is guarded.
 
-Steps are solved by fast diagonalization: FastDiagCN at order 2;
-FastDiagRectCN at order 4, where the biharmonic is L^2 plus a diagonal
-on the lines next to the walls, so a sine-basis solve plus a Woodbury
-correction on those lines is exact.
+Steps are taken by fast diagonalization, right side included, in the
+sine basis of each axis: FastDiagCN at order 2, where a step is two
+transforms; FastDiagRectCN at order 4, where the biharmonic is L^2 plus
+a diagonal R on the lines next to the walls. There the right side needs
+T(R u), a thin product of those lines, and a sine-basis solve plus a
+Woodbury correction on those lines is exact. The assembled operator is
+kept only as the tests' reference.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ the banded theta-step as it was first written, assembled anew for every
 dt from sparse sums and solved by solve_banded. dense_omega_loops is
 omega_set as it was first written, with the signed distance evaluated
 at every grid node. scalar_uniform_2d is predictor.uniform_2d as it was
-first written, with one profile call per foot.
+first written, with one profile call per foot. scalar_extract_singularities
+is the singularity extraction as it was first written, with a Python
+suppression loop and a scalar parabola vertex per peak and axis.
 """
 
 import numpy as np
@@ -334,3 +336,53 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
                 s += phi * f.curvature * vb(f.distance / phi)
         out[i] = s
     return u0 * out
+
+
+def scalar_extract_singularities(field, coords, threshold_fraction=0.5, separation=4):
+    """solvers.extract_singularities as it was first written: greedy
+    suppression over every candidate in value order, and one scalar
+    parabola vertex per kept peak and axis."""
+    from blowuplab.solvers.common import _strict_local_maxima
+    field = np.asarray(field)
+    if field.ndim == 1:
+        coords = (coords,) if isinstance(coords, np.ndarray) else tuple(coords)
+    vmax = float(np.max(field))
+    mask = _strict_local_maxima(field) & (field >= threshold_fraction * vmax)
+    idxs = np.argwhere(mask)
+    if len(idxs) == 0:
+        return []
+    vals = field[tuple(idxs.T)]
+    kept = []
+    for k in np.argsort(-vals):
+        ij = idxs[k]
+        if any(((q - ij) ** 2).sum() < separation ** 2 for q, _ in kept):
+            continue
+        kept.append((ij, vals[k]))
+    out = []
+    for ij, val in kept:
+        loc = []
+        for ax, i in enumerate(ij):
+            x = coords[ax]
+            if 0 < i < len(x) - 1:
+                sl = tuple([*ij[:ax], slice(i - 1, i + 2), *ij[ax + 1:]])
+                loc.append(scalar_parabola_vertex(x[i - 1:i + 2], field[sl]))
+            else:
+                loc.append(float(x[i]))
+        out.append((tuple(loc), float(val)))
+    out.sort(key=lambda p: p[0])
+    return out
+
+
+def scalar_parabola_vertex(x3, f3):
+    """Vertex abscissa of the parabola through three points; node if flat."""
+    x0, x1, x2 = (float(v) for v in x3)
+    f0, f1, f2 = (float(v) for v in f3)
+    denom = ((x0 - x1) * (x0 - x2) * (x1 - x2))
+    if denom == 0.0:
+        return x1
+    a = (x2 * (f1 - f0) + x1 * (f0 - f2) + x0 * (f2 - f1)) / denom
+    b = (x2 * x2 * (f0 - f1) + x1 * x1 * (f2 - f0) + x0 * x0 * (f1 - f2)) / denom
+    if a == 0.0:
+        return x1
+    xv = -b / (2.0 * a)
+    return float(np.clip(xv, min(x0, x2), max(x0, x2)))

@@ -391,6 +391,42 @@ def test_profile_correction_csv_has_plain_numbers(tmp_path):
     assert (eta, vbar) == (0.0, 0.0)
 
 
+
+@pytest.mark.parametrize("geometry, solver", [
+    ("strip", "nx: 401"), ("radial-disc", "nx: 200"), ("rect:1,0.5", "nx: 31"),
+    ("cube:1", "nx: 11")])
+def test_solve_csvs_hold_plain_numbers(tmp_path, geometry, solver):
+    text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
+            .replace("nx: 401", solver).replace("  grading: 2.0\n", ""))
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "solve"]) == 0
+    _assert_plain_csvs(out)
+    lines = (out / "field_eps0p2.csv").read_text().splitlines()
+    if geometry.startswith("cube"):
+        assert -1.0 < float(lines.pop(0).split("z=")[1]) < 1.0
+    assert lines[0] in ("x,u", "x,y,u")
+    cells = [c for ln in lines[1:] for c in ln.split(",")]
+    assert len(cells) == (len(lines) - 1) * len(lines[0].split(","))
+    assert all(np.isfinite(float(c)) for c in cells)
+
+
+def test_order2_prediction_csv_holds_plain_numbers(tmp_path):
+    path = write_cfg(tmp_path, POTATO_CFG.replace("order: 4", "order: 2"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "predict"]) == 0
+    _assert_plain_csvs(out)
+    head = (out / "prediction_eps0p1.csv").read_text().splitlines()
+    assert float(next(ln for ln in head if ln.startswith("# distance="))[11:]) > 0.0
+
+
+def _assert_plain_csvs(out):
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for p in csvs:
+        assert "np." not in p.read_text(), p.name
+
+
 # -- numerical failures and atomic outputs ------------------------------------
 
 def _fail_at_eps(monkeypatch, eps):

@@ -10,14 +10,14 @@ from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
                                solve, solve_problem, track_peaks)
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
-                                     FastDiagCN, FastDiagRectCN, SparseLUCN,
-                                     _strict_local_maxima)
+                                     FastDiagCN, FastDiagCubeCN, FastDiagRectCN,
+                                     SparseLUCN, _strict_local_maxima)
 from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
 from blowuplab.solvers.radial import radial_biharmonic, radial_grid
 from blowuplab.solvers.rect2d import rect_operator
-from oracles import RebuiltBandedCN
+from oracles import RebuiltBandedCN, scalar_extract_singularities
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -75,6 +75,42 @@ def test_strict_local_maxima_matches_maximum_filter(field):
     neigh_max = maximum_filter(field, footprint=footprint, mode="constant",
                                cval=-np.inf)
     assert np.array_equal(_strict_local_maxima(field), field > neigh_max)
+
+
+
+@pytest.mark.parametrize("geometry", ["strip", "rect", "cube"])
+def test_extract_equals_scalar_on_recorded_snapshots(geometry):
+    """The vectorised extraction against the scalar oracle, with ==, on
+    every snapshot of a noisy run: early snapshots keep many peaks."""
+    cfg = dict(strip=dict(nx=401, eps=0.1, threshold=1e3),
+               rect=dict(nx=41, ny=21, half_width_y=0.5, eps=0.1, threshold=10.0),
+               cube=dict(nx=13, eps=0.25, threshold=5.0, nonlinearity=POW2))[geometry]
+    rep = solve(SolverConfig(**dict(dict(order=4, nonlinearity=EXP, geometry=geometry,
+                                         noise_amplitude=1e-3, seed=3,
+                                         snapshot_stride=3), **cfg)))
+    fields = [s.field for s in rep.snapshots] + [rep.final_field]
+    assert len(fields) > 5
+    peaks = 0
+    for f in fields:
+        for frac in (0.5, 0.6):
+            got = extract_singularities(f, rep.grid, threshold_fraction=frac)
+            assert got == scalar_extract_singularities(f, rep.grid, threshold_fraction=frac)
+            peaks = max(peaks, len(got))
+    assert peaks > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+              elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, -1.0])),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5, 0.9]),
+       st.integers(1, 5))
+def test_extract_equals_scalar_with_ties_and_plateaus(field, seed, frac, separation):
+    # few distinct values: plateaus, tied peaks and flat parabolas are
+    # common; the grids are non-uniform
+    rng = np.random.default_rng(seed)
+    coords = [np.cumsum(rng.uniform(0.1, 1.0, n)) for n in field.shape]
+    got = extract_singularities(field, coords, frac, separation)
+    assert got == scalar_extract_singularities(field, coords, frac, separation)
 
 
 def test_extract_threshold_and_separation():
@@ -551,6 +587,52 @@ def test_cube_cg_iterations_match_scipy_cg():
                      maxiter=fast.MAXITER, callback=count)
         assert info == 0
     assert rep.diagnostics["cg_iterations"] == want
+
+
+
+def _dense_ring_hat(fast, U):
+    """T(R u) with R u formed at full size: 2/h^4 of each axis times u on
+    the nodes next to that axis's walls."""
+    RU = np.zeros_like(U)
+    for ax, h in enumerate(fast.spacing):
+        for wall in (0, -1):
+            sl = [slice(None)] * U.ndim
+            sl[ax] = wall
+            RU[tuple(sl)] += 2.0 / h ** 4 * U[tuple(sl)]
+    return fast._transform(RU)
+
+
+def test_thin_ring_transform_matches_dense():
+    rng = np.random.default_rng(5)
+    eps4 = 0.1 ** 4
+    rect = FastDiagRectCN(rect_operator(23, 14, 0.09, 0.15, 4) * eps4, 0.5,
+                          (21, 12), (0.09, 0.15), eps4)
+    cube = FastDiagCubeCN(cube_operator(12, 2.0 / 11) * eps4, 0.5, (10,) * 3,
+                          (2.0 / 11,) * 3, eps4)
+    for fast in (rect, cube):
+        for _ in range(3):
+            U = rng.standard_normal(fast.shape)
+            want = _dense_ring_hat(fast, U)
+            got = fast._ring_hat(U)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class _NoProduct:
+    def __matmul__(self, other):
+        raise AssertionError("the step made a sparse product")
+
+
+@pytest.mark.parametrize("geometry,order", [("rect", 2), ("rect", 4), ("cube", 4)])
+def test_fast_diag_apply_makes_no_sparse_product(geometry, order):
+    cfg = SolverConfig(order=order, nonlinearity=POW2, eps=0.1, geometry=geometry,
+                       nx=17, ny=11)
+    fast, _ = BUILDERS[geometry](cfg)
+    ref, _ = BUILDERS[geometry](cfg)
+    fast.B = _NoProduct()
+    u = np.random.default_rng(order).uniform(0.0, 1.0, fast.n)
+    for dt in (2.0 ** -12, 2.0 ** -6, 2.0 ** -12):
+        assert np.array_equal(fast.apply(dt, u), ref.apply(dt, u))
+    assert fast.solves == 3
 
 
 def test_config_validation():
