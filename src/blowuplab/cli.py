@@ -107,6 +107,7 @@ def cmd_predict(args) -> int:
     skel.to_csv(os.path.join(out, "skeleton.csv"))
     rows = []
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
+    max_depth = float(np.max(skel.s_values()))
     if cfg.order == 2:
         pred = predict_second_2d(dom, skeleton=skel)  # eps-free
     for eps in sorted(cfg.eps_values):
@@ -116,7 +117,7 @@ def cmd_predict(args) -> int:
             pred = predict_fourth_2d(dom, skel, rs, eps, T_eps)
             pred.metadata["T_eps_source"] = ("measured" if eps in T_of
                                              else "reaction-fallback")
-            level = min(pred.metadata["level"], 0.999 * _max_depth(dom, skel))
+            level = min(pred.metadata["level"], 0.999 * max_depth)
             try:
                 loops = (pred.omega_loops if pred.regime == "omega-set"
                          and level == pred.metadata["level"]
@@ -131,23 +132,15 @@ def cmd_predict(args) -> int:
             svg_scatter(os.path.join(out, f"prediction_eps{tag}.svg"),
                         [dict(points=pred.points, label="predicted")],
                         title=f"prediction eps={eps:g}")
-    with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
-        fh.write("eps,regime,multiplicity\n")
-        for eps, regime, mult in rows:
-            fh.write(f"{eps!r},{regime},{mult}\n")
+    _write_predictions_summary(out, rows)
     T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
     print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
           f"T_S(eps={min(cfg.eps_values):g})={T_S:g}")
     return EXIT_OK
 
 
-def _max_depth(dom, skel) -> float:
-    return float(max(s.s_value for s in skel.samples))
-
-
-def _predict_strip(cfg, rs, out, T_of=None) -> int:
+def _predict_strip(cfg, rs, out, T_of) -> int:
     rows = []
-    T_of = T_of or {}
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
     for eps in sorted(cfg.eps_values):
         pred = predict_1d_fourth(rs, eps, T_of.get(eps, T_fallback))
@@ -155,11 +148,16 @@ def _predict_strip(cfg, rs, out, T_of=None) -> int:
                                          else "reaction-fallback")
         pred.to_csv(os.path.join(out, f"prediction_eps{_eps_tag(eps)}.csv"))
         rows.append((eps, pred.regime, pred.multiplicity))
+    _write_predictions_summary(out, rows)
+    return EXIT_OK
+
+
+def _write_predictions_summary(out, rows):
+    """predictions_summary.csv: one (eps, regime, multiplicity) row per eps."""
     with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
         fh.write("eps,regime,multiplicity\n")
         for eps, regime, mult in rows:
             fh.write(f"{eps!r},{regime},{mult}\n")
-    return EXIT_OK
 
 
 def _write_loops(path, loops):

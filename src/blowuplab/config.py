@@ -23,12 +23,14 @@ be located, the line in the source file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import yaml
 
 from .errors import ConfigError
-from .geometry import PlanarDomain
+from .geometry import PlanarDomain, RectangleDomain
 from .reaction import Nonlinearity
 from .solvers import SolverConfig
 
@@ -70,7 +72,28 @@ class ExperimentConfig:
             if g == "radial-disc":
                 return PlanarDomain.from_spec("disc")
             raise ConfigError(f"geometry {self.geometry!r} has no 2D domain")
+        if g.startswith(("square:", "rect:")):
+            return RectangleDomain.centered(*self.half_widths)
         return PlanarDomain.from_spec(g)
+
+    @cached_property
+    def half_widths(self) -> tuple:
+        """Box half-widths, parsed once: (L, L) of square:L, (a, b) of
+        rect:a,b, (L,) of cube:L or plain cube (L = 1), () of the other
+        geometries. ConfigError unless each is finite and positive."""
+        g = "cube:1" if self.geometry == "cube" else self.geometry
+        kind, _, args = g.partition(":")
+        arity = {"square": 1, "rect": 2, "cube": 1}.get(kind)
+        if arity is None:
+            return ()
+        try:
+            vals = [float(s) for s in args.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != arity or not all(0 < v < math.inf for v in vals):
+            raise ConfigError(f"geometry {self.geometry!r} needs {arity} finite "
+                              "positive half-width(s)")
+        return tuple(vals * 2 if kind == "square" else vals)
 
     def solver_geometry(self) -> str:
         g = self.geometry
@@ -78,9 +101,9 @@ class ExperimentConfig:
             return "strip"
         if g in ("disc", "radial-disc"):
             return "radial-disc"
-        if g.startswith(("square", "rect")):
+        if g.startswith(("square:", "rect:")):
             return "rect"
-        if g.startswith("cube"):
+        if g == "cube" or g.startswith("cube:"):
             return "cube"
         raise ConfigError(f"no solver supports geometry {self.geometry!r}")
 
@@ -90,11 +113,10 @@ class ExperimentConfig:
                   eps=eps, geometry=geo, seed=self.seed,
                   snapshot_stride=self.snapshot_stride)
         if geo == "rect":
-            a, b = _rect_half_widths(self.geometry)
+            a, b = self.half_widths
             kw.update(half_width_x=a, half_width_y=b, nx=201, ny=None)
         elif geo == "cube":
-            L = float(self.geometry.split(":", 1)[1]) if ":" in self.geometry else 1.0
-            kw.update(half_width_x=L, nx=41)
+            kw.update(half_width_x=self.half_widths[0], nx=41)
         elif geo == "radial-disc":
             kw.update(nx=1000)
         overrides = dict(self.solver_overrides)
@@ -105,16 +127,6 @@ class ExperimentConfig:
             kw["ny"] = max(5, int(round((kw["nx"] - 1) * b / a)) + 1)
         kw = {k: v for k, v in kw.items() if v is not None}
         return SolverConfig(**kw)
-
-
-def _rect_half_widths(geometry: str):
-    if geometry.startswith("square:"):
-        L = float(geometry.split(":", 1)[1])
-        return L, L
-    if geometry.startswith("rect:"):
-        a, b = (float(s) for s in geometry.split(":", 1)[1].split(","))
-        return a, b
-    raise ConfigError(f"not a rectangle geometry: {geometry!r}")
 
 
 def _reject_unknown(section: dict, allowed: dict, where: str, raw: str):
@@ -193,6 +205,7 @@ def load_config(path) -> ExperimentConfig:
         cfg.nonlinearity_obj()
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    _ = cfg.half_widths  # parsed once here, read again by solver_config
     # a geometry must be solvable or predictable; the verb decides which
     try:
         cfg.solver_geometry()

@@ -20,8 +20,9 @@ locus.
 Smooth domains cache 4096 boundary samples. A nearest-boundary query
 seeds Newton from the nearest sample, found with a k-d tree over the
 samples (Bentley 1975). r, r' and r'' come from one pass over the
-harmonics: a blocked cos/sin table times a coefficient matrix. Foot
-bisection, equidistance refinement and Newton tracking run on all
+harmonics: a blocked cos/sin table times a coefficient matrix. The
+feet of many points come back as one table of padded arrays (Feet).
+Their bisection, equidistance refinement and Newton tracking run on all
 points or detections at once, not point by point; marching squares
 (Lorensen and Cline 1987) visits only the cells the level set crosses,
 and the distance on its grid is exact only in a narrow band around the
@@ -33,7 +34,6 @@ from __future__ import annotations
 import types
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,32 +47,42 @@ _TRIG_TABLE_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    point: tuple
-    tangent: Optional[tuple]
-    curvature: Optional[float]
-    smooth: bool = True
+class Feet:
+    """Orthogonal feet of n points as one table: row i holds the feet of
+    point i, nearest first, in k = max(count) slots.
+
+    point (n, k, 2), param, distance and curvature (n, k); slots past a
+    row's count hold nan, and inf as their distance. A degenerate circle
+    of feet (the disc centre, where every boundary point is a foot) has
+    count 0 and its common distance in circle; circle is nan elsewhere."""
+
+    point: np.ndarray
+    param: np.ndarray
+    distance: np.ndarray
+    curvature: np.ndarray
+    count: np.ndarray
+    circle: np.ndarray
 
 
-@dataclass(frozen=True)
-class Foot:
-    """Orthogonal foot: boundary point, its parameter, distance, curvature."""
+def _feet_table(row, point, param, distance, curvature, circle) -> Feet:
+    """Feet from flat per-foot arrays, row[j] the point of foot j, with the
+    rows in ascending order. The sort on distance within a row is stable,
+    so equidistant feet keep the order they came in."""
+    n = len(circle)
+    order = np.lexsort((distance, row))
+    row = row[order]
+    count = np.bincount(row, minlength=n)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    shape = (n, count.max(initial=0))
 
-    point: tuple
-    param: float
-    distance: float
-    curvature: float
-    edge: Optional[int] = None  # rectangle edge index, None for smooth domains
+    def table(values, fill):
+        out = np.full(shape + values.shape[1:], fill)
+        out[row, slot] = values[order]
+        return out
 
-
-@dataclass
-class FootSet:
-    feet: list
-    degenerate_circle: bool = False
-    radius: float = np.nan
-
-    def distances(self):
-        return np.array([f.distance for f in self.feet])
+    return Feet(point=table(point, np.nan), param=table(param, np.nan),
+                distance=table(distance, np.inf),
+                curvature=table(curvature, np.nan), count=count, circle=circle)
 
 
 class PlanarDomain:
@@ -84,12 +94,6 @@ class PlanarDomain:
     def signed_distance(self, points):
         raise NotImplementedError
 
-    def orthogonal_feet(self, x) -> FootSet:
-        raise NotImplementedError
-
-    def boundary_point(self, param) -> BoundaryPoint:
-        raise NotImplementedError
-
     @property
     def diameter(self):
         (x0, x1), (y0, y1) = self.bounding_box
@@ -97,16 +101,11 @@ class PlanarDomain:
 
     @staticmethod
     def from_spec(spec: str) -> "PlanarDomain":
-        """Parse config tokens: disc | square:<L> | rect:<a>,<b> | polar:<coeffs>."""
+        """Parse the smooth-domain config tokens: disc | polar:<coeffs>.
+        Box tokens are parsed by the config (ExperimentConfig.half_widths)."""
         spec = spec.strip()
         if spec == "disc":
             return SmoothPolarDomain(1.0)
-        if spec.startswith("square:"):
-            L = float(spec.split(":", 1)[1])
-            return RectangleDomain.centered(L, L)
-        if spec.startswith("rect:"):
-            a, b = (float(s) for s in spec.split(":", 1)[1].split(","))
-            return RectangleDomain.centered(a, b)
         if spec.startswith("polar:"):
             vals = [float(s) for s in spec.split(":", 1)[1].split(",")]
             c0, rest = vals[0], vals[1:]
@@ -217,11 +216,6 @@ class SmoothPolarDomain(PlanarDomain):
         r, r1, r2 = self._radius_derivs(th)
         return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
-    def boundary_point(self, param) -> BoundaryPoint:
-        p, t = self._point_tangent(np.float64(param))
-        return BoundaryPoint(point=tuple(p), tangent=tuple(t),
-                             curvature=float(self.curvature(np.float64(param))))
-
     @property
     def bounding_box(self):
         x, y = self._bp[:, 0], self._bp[:, 1]
@@ -270,27 +264,25 @@ class SmoothPolarDomain(PlanarDomain):
         return float(out[0]) if np.asarray(points).ndim == 1 else out
 
     # -- orthogonal feet -------------------------------------------------------
-    def orthogonal_feet(self, x, inside_samples=64) -> FootSet:
-        return self.feet_batch(np.asarray(x, dtype=float)[None, :],
-                               inside_samples=inside_samples)[0]
-
-    def feet_batch(self, pts, inside_samples=64):
-        """All orthogonal feet for each point; vectorized bisection refine.
+    def feet_batch(self, pts) -> Feet:
+        """All orthogonal feet of each point; vectorized bisection refine.
 
         The residual g = (x - y(theta)) . tau(theta) on the cached boundary
         samples catches every sign change; all roots of a chunk of points
         are polished together by bisection, then a foot is kept only if
         the full segment to it stays inside the domain. An exactly
         radial case (all residuals ~ 0, disc center) comes back as a
-        degenerate circle-of-feet marker.
+        degenerate circle of feet.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = []
         scale = max(self.c0, np.abs(self.cos_coeffs).sum()
                     + np.abs(self.sin_coeffs).sum())
         bx, by = self._bp.T
         tx, ty = self._tau.T
-        for lo in range(0, len(pts), 512):
+        degenerate = np.zeros(len(pts), dtype=bool)
+        parts = []
+        # one chunk at least, so that no points give an empty table
+        for lo in range(0, max(len(pts), 1), 512):
             chunk = pts[lo:lo + 512]
             G = (chunk[:, :1] - bx) * tx + (chunk[:, 1:] - by) * ty
             s_l = np.sign(G)
@@ -298,8 +290,8 @@ class SmoothPolarDomain(PlanarDomain):
             # an exact zero at a grid node (g(0)=0 on the disc axis) must
             # count as a root: the plain product test skips it
             sign_change = (s_l * s_r < 0) | (s_l == 0)
-            degenerate = np.abs(G).max(axis=1) < 1e-11 * scale
-            rows, cols = np.nonzero(sign_change & ~degenerate[:, None])
+            degen = degenerate[lo:lo + 512] = np.abs(G).max(axis=1) < 1e-11 * scale
+            rows, cols = np.nonzero(sign_change & ~degen[:, None])
             P = chunk[rows]
             th_lo = self._th[cols]
             th_hi = th_lo + (self._th[1] - self._th[0])
@@ -314,23 +306,12 @@ class SmoothPolarDomain(PlanarDomain):
                 th_hi = np.where(take_lo, th_hi, mid)
             th_star = 0.5 * (th_lo + th_hi)
             y = self.point_at(th_star)
-            keep = self._segments_inside(P, y, inside_samples)
-            dist = np.hypot(*(P - y).T)
-            kap = self.curvature(th_star)
-            feet = [[] for _ in chunk]
-            for i, yi, th_f, d, k in zip(rows[keep].tolist(), y[keep],
-                                         th_star[keep], dist[keep], kap[keep]):
-                feet[i].append(Foot(point=tuple(yi), param=float(th_f % TWO_PI),
-                                    distance=float(d), curvature=float(k)))
-            for p, fs, degen in zip(chunk, feet, degenerate):
-                if degen:
-                    rho = float(np.hypot(*p))
-                    out.append(FootSet(feet=[], degenerate_circle=True,
-                                       radius=float(self.radius(0.0)) - rho))
-                    continue
-                fs.sort(key=lambda f: f.distance)
-                out.append(FootSet(feet=fs))
-        return out
+            keep = self._segments_inside(P, y)
+            parts.append((rows[keep] + lo, y[keep], th_star[keep] % TWO_PI,
+                          np.hypot(*(P - y).T)[keep], self.curvature(th_star)[keep]))
+        row, y, th, dist, kap = (np.concatenate(c) for c in zip(*parts))
+        circle = np.where(degenerate, float(self.radius(0.0)) - np.hypot(*pts.T), np.nan)
+        return _feet_table(row, y, th, dist, kap, circle)
 
     def _segments_inside(self, x, y, n_samples=64):
         """Whether each segment x[i] -> y[i] stays inside, on n_samples points."""
@@ -342,8 +323,7 @@ class SmoothPolarDomain(PlanarDomain):
 
     def nearest_feet_grid(self, pts):
         """Nearest boundary point/parameter per grid point (fast path)."""
-        th, d, y = self._nearest_on_boundary(pts)
-        return th, d, y
+        return self._nearest_on_boundary(pts)
 
 
 class RectangleDomain(PlanarDomain):
@@ -373,11 +353,6 @@ class RectangleDomain(PlanarDomain):
     def bounding_box(self):
         return (self.x0, self.x1), (self.y0, self.y1)
 
-    @property
-    def corners(self):
-        return [(self.x0, self.y0), (self.x1, self.y0),
-                (self.x1, self.y1), (self.x0, self.y1)]
-
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = ((pts[:, 0] > self.x0) & (pts[:, 0] < self.x1)
@@ -396,44 +371,22 @@ class RectangleDomain(PlanarDomain):
         out = np.where((dx >= 0) & (dy >= 0), inside, -outside)
         return float(out[0]) if np.asarray(points).ndim == 1 else out
 
-    def boundary_point(self, param, corner_tol=1e-12) -> BoundaryPoint:
-        W, H = self.x1 - self.x0, self.y1 - self.y0
-        s = float(param) % (2 * (W + H))
-        marks = [0.0, W, W + H, 2 * W + H, 2 * (W + H)]
-        for m in marks:
-            if abs(s - m) <= corner_tol:
-                idx = marks.index(m) % 4
-                return BoundaryPoint(point=self.corners[idx], tangent=None,
-                                     curvature=None, smooth=False)
-        if s < W:
-            return BoundaryPoint((self.x0 + s, self.y0), (1.0, 0.0), 0.0)
-        if s < W + H:
-            return BoundaryPoint((self.x1, self.y0 + (s - W)), (0.0, 1.0), 0.0)
-        if s < 2 * W + H:
-            return BoundaryPoint((self.x1 - (s - W - H), self.y1), (-1.0, 0.0), 0.0)
-        return BoundaryPoint((self.x0, self.y1 - (s - 2 * W - H)), (0.0, -1.0), 0.0)
-
-    def orthogonal_feet(self, x) -> FootSet:
-        return self.feet_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def feet_batch(self, pts, inside_samples=None):
+    def feet_batch(self, pts) -> Feet:
+        """The four edge feet of each point, the perpendicular projections
+        onto the edges' lines, nearest first."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         W, H = self.x1 - self.x0, self.y1 - self.y0
-        out = []
-        for px, py in pts:
-            feet = [
-                Foot(point=(px, self.y0), param=px - self.x0,
-                     distance=py - self.y0, curvature=0.0, edge=0),
-                Foot(point=(self.x1, py), param=W + (py - self.y0),
-                     distance=self.x1 - px, curvature=0.0, edge=1),
-                Foot(point=(px, self.y1), param=2 * W + H - (px - self.x0),
-                     distance=self.y1 - py, curvature=0.0, edge=2),
-                Foot(point=(self.x0, py), param=2 * (W + H) - (py - self.y0),
-                     distance=px - self.x0, curvature=0.0, edge=3),
-            ]
-            feet.sort(key=lambda f: f.distance)
-            out.append(FootSet(feet=feet))
-        return out
+        px, py = pts[:, :1], pts[:, 1:]
+        one = np.ones_like(px)
+        # edges 0..3 in the columns
+        point = np.stack([np.hstack([px, self.x1 * one, px, self.x0 * one]),
+                          np.hstack([self.y0 * one, py, self.y1 * one, py])], axis=-1)
+        param = np.hstack([px - self.x0, W + (py - self.y0),
+                           2 * W + H - (px - self.x0), 2 * (W + H) - (py - self.y0)])
+        dist = np.hstack([py - self.y0, self.x1 - px, self.y1 - py, px - self.x0])
+        return _feet_table(np.repeat(np.arange(len(pts)), 4), point.reshape(-1, 2),
+                           param.ravel(), dist.ravel(), np.zeros(dist.size),
+                           np.full(len(pts), np.nan))
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -468,18 +421,30 @@ class Skeleton:
                          f"{float(s.s_value)!r},{s.branch}\n")
 
 
-def _equidistant_classes(distances, tol):
-    """Group sorted distances into classes with internal gaps <= tol."""
-    if len(distances) == 0:
-        return []
-    d = np.sort(np.asarray(distances, dtype=float))
-    groups = [[d[0]]]
-    for x in d[1:]:
-        if x - groups[-1][-1] <= tol:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    return groups
+def _equidistant_firsts(distance, tol):
+    """Mask of the first distance of each class of two or more equidistant
+    feet in rows sorted ascending: a class is a run whose consecutive
+    gaps are <= tol. inf padding joins no class."""
+    with np.errstate(invalid="ignore"):            # inf - inf: nan, no link
+        link = np.diff(distance, axis=1) <= tol
+    pad = np.zeros((len(distance), 1), dtype=bool)
+    # a run starts where no link comes in and goes on where one goes out
+    return ~np.hstack([pad, link]) & np.hstack([link, pad])
+
+
+def _skeleton_samples(dom, pts, tol):
+    """A SkeletonSample at each point with a class of two or more
+    equidistant feet, or a degenerate circle of feet; s is the smallest
+    class distance."""
+    feet = dom.feet_batch(pts)
+    first = _equidistant_firsts(feet.distance, tol)
+    samples = []
+    for p, circle, dist, m in zip(pts, feet.circle.tolist(), feet.distance, first):
+        quals = dist[m].tolist() if np.isnan(circle) else [circle]
+        if quals:
+            samples.append(SkeletonSample(point=p, s_value=quals[0],
+                                          pair_distances=quals))
+    return samples
 
 
 def _label_branches(samples, link_radius):
@@ -538,32 +503,19 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
     corners where s -> 0 (so the skeleton touches the boundary and the
     arrival time is zero)."""
     a, b, cx, cy = dom.a, dom.b, dom.cx, dom.cy
-    tol = 1e-9 * dom.diameter
-    samples = []
-
-    def add(x, y):
-        fs = dom.orthogonal_feet((x, y))
-        classes = _equidistant_classes(fs.distances(), tol)
-        quals = [g[0] for g in classes if len(g) >= 2]
-        if not quals:
-            return
-        samples.append(SkeletonSample(point=np.array([x, y]),
-                                      s_value=float(min(quals)),
-                                      pair_distances=[float(q) for q in quals]))
-
     nH = max(int(np.ceil(2 * a / res)), 2)
-    for x in np.linspace(cx - a, cx + a, nH + 1)[1:-1]:
-        add(x, cy)
     nV = max(int(np.ceil(2 * b / res)), 2)
-    for y in np.linspace(cy - b, cy + b, nV + 1)[1:-1]:
-        add(cx, y)
     c = min(a, b)
     nD = max(int(np.ceil(c * np.sqrt(2.0) / res)), 2)
     ts = np.linspace(0.0, c, nD + 1)[1:]
+    xs = np.linspace(cx - a, cx + a, nH + 1)[1:-1]
+    ys = np.linspace(cy - b, cy + b, nV + 1)[1:-1]
+    pts = [np.column_stack([xs, np.full_like(xs, cy)]),
+           np.column_stack([np.full_like(ys, cx), ys])]
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
-            for t in ts:
-                add(cx + sx * (a - t), cy + sy * (b - t))
+            pts.append(np.column_stack([cx + sx * (a - ts), cy + sy * (b - ts)]))
+    samples = _skeleton_samples(dom, np.concatenate(pts), 1e-9 * dom.diameter)
     samples = _dedup_samples(samples, 1e-9 * dom.diameter)
     _label_branches(samples, 1.8 * res)
     return Skeleton(samples=samples, resolution=res, s_min=0.0,
@@ -582,9 +534,8 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
     sd[inside] = dom.signed_distance(pts[inside])
     # only points a little off the boundary participate
     ok = inside & (sd > 0.3 * res)
-    th = np.full(len(pts), np.nan)
     yb = np.full((len(pts), 2), np.nan)
-    th[ok], _, yb[ok] = dom.nearest_feet_grid(pts[ok])
+    yb[ok] = dom.nearest_feet_grid(pts[ok])[2]
 
     ok2 = ok.reshape(X.shape)
     ybg = yb.reshape(X.shape + (2,))
@@ -601,20 +552,7 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
         Q.append(np.column_stack([xs[ii + (axis == 0)], ys[jj + (axis == 1)]]))
 
     refined, found = _refine_equidistance(dom, np.concatenate(P), np.concatenate(Q))
-    refined = refined[found]
-    tol = equi_rel_tol * dom.diameter
-    samples = []
-    for pt, fs in zip(refined, dom.feet_batch(refined)):
-        if fs.degenerate_circle:
-            samples.append(SkeletonSample(point=pt, s_value=fs.radius,
-                                          pair_distances=[fs.radius]))
-            continue
-        classes = _equidistant_classes(fs.distances(), tol)
-        quals = [g[0] for g in classes if len(g) >= 2]
-        if not quals:
-            continue
-        samples.append(SkeletonSample(point=pt, s_value=float(min(quals)),
-                                      pair_distances=[float(g) for g in quals]))
+    samples = _skeleton_samples(dom, refined[found], equi_rel_tol * dom.diameter)
     # dedup near-coincident samples
     samples = _dedup_samples(samples, 0.25 * res)
     if not samples:

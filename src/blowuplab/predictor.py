@@ -128,33 +128,26 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     vb = None
     if include_curvature:
         vb = correction if correction is not None else get_correction(order)
-    footsets = dom.feet_batch(pts)
-    # the feet in a (point, slot) table; the degenerate circle puts its
-    # common distance in slot 0
-    deg = np.array([fs.degenerate_circle for fs in footsets], dtype=bool)
-    nfeet = np.array([len(fs.feet) or fs.degenerate_circle for fs in footsets], dtype=int)
-    has = np.arange(nfeet.max(initial=0)) < nfeet[:, None]
-    dist, kap = np.zeros(has.shape), np.zeros(has.shape)
-    for i, fs in enumerate(footsets):
-        if fs.degenerate_circle:
-            dist[i, 0] = fs.radius
-        else:
-            dist[i, :nfeet[i]] = [f.distance for f in fs.feet]
-            kap[i, :nfeet[i]] = [f.curvature for f in fs.feet]
-    if deg.any():
-        kap[deg, 0] = float(dom.curvature(np.float64(0.0)))
-    eta = dist[has] / phi
+    feet = dom.feet_batch(pts)
+    has = np.arange(feet.distance.shape[1]) < feet.count[:, None]
+    eta = feet.distance[has] / phi
     layer, curv = np.zeros(has.shape), np.zeros(has.shape)
     layer[has] = v(eta) - 1.0
     if vb is not None:
-        curv[has] = phi * kap[has] * vb(eta)
+        curv[has] = phi * feet.curvature[has] * vb(eta)
     # each slot's terms in foot order, as a scalar loop over a point's feet
     # adds them (adding curv = +0.0 changes no bit)
     out = np.ones(len(pts))
     for k in range(has.shape[1]):
-        m = has[:, k] & ~deg
+        m = has[:, k]
         out[m] = (out[m] + layer[m, k]) + curv[m, k]
-    out[deg] = 1.0 + 2.0 * (layer[deg, 0] + curv[deg, 0])
+    deg = ~np.isnan(feet.circle)
+    if deg.any():
+        eta = feet.circle[deg] / phi
+        term = v(eta) - 1.0
+        if vb is not None:
+            term = term + phi * float(dom.curvature(np.float64(0.0))) * vb(eta)
+        out[deg] = 1.0 + 2.0 * term
     out = u0 * out
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
@@ -166,13 +159,10 @@ def outer_2d_second(dom: PlanarDomain, rs: ReactionSolution, eps: float,
     u0 = rs.state(t)
     phi = rs.gauge(t, eps, 2)
     c = 8.0 * phi ** 3 / np.sqrt(np.pi)
-    footsets = dom.feet_batch(pts)
+    feet = dom.feet_batch(pts)
     out = np.empty(len(pts))
-    for i, fs in enumerate(footsets):
-        if fs.degenerate_circle:
-            d = np.array([fs.radius, fs.radius])
-        else:
-            d = fs.distances()
+    for i, (dist, n, circle) in enumerate(zip(feet.distance, feet.count, feet.circle)):
+        d = dist[:n] if np.isnan(circle) else np.array([circle, circle])
         if np.any(d <= 5.0 * phi):
             raise RangeError("outer expansion invalid within 5 layer widths "
                              "of the boundary")

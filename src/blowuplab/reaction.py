@@ -166,7 +166,9 @@ class ReactionSolution:
         if self.nl.kind == "exp":
             return np.exp(-u)
         q = self.nl.p - 1.0
-        return (1.0 + u) ** (-q) / q
+        # np.power, as in flow: a Python float's ** (libm pow) can differ
+        # in the last bit, and flow would then blow up short of the tail
+        return np.power(1.0 + u, -q) / q
 
     # -- tabulated path ----------------------------------------------------
     def _build_table(self):

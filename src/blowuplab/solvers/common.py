@@ -20,10 +20,11 @@ FastDiagCubeCN at order 4), set up once per power-of-two step-size
 bucket. They are taken in the sine basis: the explicit half
 u - (1 - theta) dt B u comes from the forward transform of u that the
 solve needs anyway, plus, at order 4, a thin product of the lines or
-faces next to the walls, so no box step makes a sparse product. Strip
-and disc steps (BandedCN) take every dt the controller
-chooses: the band of their operator is stored once and each new dt
-costs one banded factorization. SparseLUCN (direct sparse LU) and
+faces next to the walls, so no box step makes a sparse product, and
+the box builders assemble no sparse operator. Strip and disc steps
+(BandedCN) take every dt the controller chooses: the band of their
+operator is stored once and each new dt costs one banded
+factorization. SparseLUCN (direct sparse LU) and
 ConjugateGradientCN (plain CG), the box steps these replaced, stay as
 the reference paths that the tests compare them against.
 
@@ -293,19 +294,17 @@ class FastDiagCN:
     FastDiagRectCN and FastDiagCubeCN square eig, so that the sine solve
     is P = I + theta dt s L^2, and add R back. Their explicit half is
     b^ = u^ - c (eig u^ + T(R u)), where T(R u) is a thin product of the
-    wall-adjacent lines or faces of u (_ring_hat). B is kept as the
-    reference operator of the tests; no step reads it. Setups are cached
-    on power-of-two dt buckets."""
+    wall-adjacent lines or faces of u (_ring_hat). No adapter holds B:
+    rect_operator and cube_operator assemble it for the tests. Setups are
+    cached on power-of-two dt buckets."""
 
     CACHE_SIZE = 6
 
-    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
-        self.B = B.tocsr()
+    def __init__(self, theta: float, shape, spacing, scale):
         self.theta = theta
         self.shape = tuple(shape)
         self.spacing = tuple(spacing)
         self.scale = scale
-        self.n = B.shape[0]
         self.cache = {}
         self.factorizations = 0
         self.solves = 0
@@ -376,8 +375,8 @@ class FastDiagRectCN(FastDiagCN):
     max_unknowns limit of about 1412^2 the six buckets would need about
     1.5 GB, a size this solver has not been run at."""
 
-    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
-        super().__init__(B, theta, shape, spacing, scale)
+    def __init__(self, theta: float, shape, spacing, scale):
+        super().__init__(theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         self.ends = [S[[0, -1]] for S in self.sines]   # sine vectors at the walls
         self.walls = [2.0 / h ** 4 for h in self.spacing]
@@ -399,8 +398,9 @@ class FastDiagRectCN(FastDiagCN):
         for a in range(2):
             gx = g.T @ (Sx * Ex[a]).T                    # (q, i)
             for b in range(2):
-                KR[a, :, b] = (Sy * ((Ex[a] * Ex[b]) @ g)) @ Sy
-                KC[a, :, b] = (Sx * (g @ (Ey[a] * Ey[b]))) @ Sx
+                if a <= b:  # Ex[a] * Ex[b] is symmetric in a and b, bit for bit
+                    KR[a, :, b] = KR[b, :, a] = (Sy * ((Ex[a] * Ex[b]) @ g)) @ Sy
+                    KC[a, :, b] = KC[b, :, a] = (Sx * (g @ (Ey[a] * Ey[b]))) @ Sx
                 KX[a, :, b] = (Sy * Ey[b]) @ gx
         KX = KX.reshape(2 * my, 2 * mx)
         K = np.block([[KR.reshape(2 * my, 2 * my), KX],
@@ -458,8 +458,8 @@ class FastDiagCubeCN(FastDiagCN):
     RTOL = 1e-12
     MAXITER = 2000
 
-    def __init__(self, B: sp.spmatrix, theta: float, shape, spacing, scale):
-        super().__init__(B, theta, shape, spacing, scale)
+    def __init__(self, theta: float, shape, spacing, scale):
+        super().__init__(theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         # R: 2/h^4 of each axis on the nodes next to that axis's walls
         self.walls = [2.0 / h ** 4 for h in self.spacing]

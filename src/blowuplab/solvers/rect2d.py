@@ -12,8 +12,8 @@ sine basis of each axis: FastDiagCN at order 2, where a step is two
 transforms; FastDiagRectCN at order 4, where the biharmonic is L^2 plus
 a diagonal R on the lines next to the walls. There the right side needs
 T(R u), a thin product of those lines, and a sine-basis solve plus a
-Woodbury correction on those lines is exact. The assembled operator is
-kept only as the tests' reference.
+Woodbury correction on those lines is exact. build_rect does not
+assemble the operator; rect_operator is the tests' reference.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def build_rect(cfg: SolverConfig):
     nx, ny = cfg.nx, cfg.ny or cfg.nx
     ax, ay = cfg.half_width_x, cfg.half_width_y
     h = (2 * ax / (nx - 1), 2 * ay / (ny - 1))
-    scale = cfg.eps ** cfg.order
-    B = rect_operator(nx, ny, *h, cfg.order) * scale
     step = FastDiagRectCN if cfg.order == 4 else FastDiagCN
-    adapter = step(B, cfg.theta, (nx - 2, ny - 2), h, scale)
+    adapter = step(cfg.theta, (nx - 2, ny - 2), h, cfg.eps ** cfg.order)
     return adapter, (np.linspace(-ax, ax, nx)[1:-1],
                      np.linspace(-ay, ay, ny)[1:-1])

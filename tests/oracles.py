@@ -13,6 +13,10 @@ at every grid node. scalar_uniform_2d is predictor.uniform_2d as it was
 first written, with one profile call per foot. scalar_extract_singularities
 is the singularity extraction as it was first written, with a Python
 suppression loop and a scalar parabola vertex per peak and axis.
+equidistant_classes is the skeleton's grouping of a point's foot
+distances as it was first written, one Python loop per point.
+box_operator assembles the sparse operator that a box adapter steps
+with, as the box builders once did on every eps.
 """
 
 import numpy as np
@@ -312,30 +316,60 @@ def rectangle_skeleton_points(a=1.0, b=0.5, n=2000):
 
 
 def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
-    """predictor.uniform_2d as a loop over points and their feet, with
-    scalar profile calls."""
+    """predictor.uniform_2d as a loop over points and the feet in their
+    table rows, with scalar profile calls."""
     from blowuplab.profiles import get_correction, get_profile4, v2
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     u0 = rs.state(t)
     phi = rs.gauge(t, eps, order)
     v = v2 if order == 2 else get_profile4().evaluate
     vb = get_correction(order) if include_curvature else None
+    feet = dom.feet_batch(pts)
     out = np.empty(len(pts))
-    for i, fs in enumerate(dom.feet_batch(pts)):
-        if fs.degenerate_circle:
+    for i in range(len(pts)):
+        r = feet.circle[i]
+        if not np.isnan(r):
             kap = float(dom.curvature(np.float64(0.0)))
-            term = v(fs.radius / phi) - 1.0
+            term = v(r / phi) - 1.0
             if vb is not None:
-                term += phi * kap * vb(fs.radius / phi)
+                term += phi * kap * vb(r / phi)
             out[i] = 1.0 + 2.0 * term
             continue
         s = 1.0
-        for f in fs.feet:
-            s += v(f.distance / phi) - 1.0
+        for k in range(feet.count[i]):
+            d = feet.distance[i, k]
+            s += v(d / phi) - 1.0
             if vb is not None:
-                s += phi * f.curvature * vb(f.distance / phi)
+                s += phi * feet.curvature[i, k] * vb(d / phi)
         out[i] = s
     return u0 * out
+
+
+def equidistant_classes(distances, tol):
+    """Group sorted distances into classes with internal gaps <= tol."""
+    if len(distances) == 0:
+        return []
+    d = np.sort(np.asarray(distances, dtype=float))
+    groups = [[d[0]]]
+    for x in d[1:]:
+        if x - groups[-1][-1] <= tol:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    return groups
+
+
+def box_operator(fast):
+    """The sparse operator B of a box adapter (FastDiagCN or a subclass),
+    assembled from the adapter's grid by rect_operator or cube_operator."""
+    from blowuplab.solvers.common import FastDiagCN
+    from blowuplab.solvers.cube3d import cube_operator
+    from blowuplab.solvers.rect2d import rect_operator
+    (m, *rest), h = fast.shape, fast.spacing
+    if len(rest) == 2:
+        return cube_operator(m + 2, h[0]) * fast.scale
+    order = 2 if type(fast) is FastDiagCN else 4
+    return rect_operator(m + 2, rest[0] + 2, *h, order) * fast.scale
 
 
 def scalar_extract_singularities(field, coords, threshold_fraction=0.5, separation=4):

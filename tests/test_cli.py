@@ -148,6 +148,19 @@ def test_bad_solver_input_exits_2_without_output(tmp_path, capsys, geometry,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("verb", ["solve", "predict"])
+@pytest.mark.parametrize("geometry", ["rect:1", "rect:1,x", "square:", "cube:abc",
+                                      "rect:0,1", "square:-1"])
+def test_malformed_geometry_exits_2_without_output(tmp_path, capsys, verb, geometry):
+    path = write_cfg(tmp_path, SQUARE_CFG.replace("square:1", f"'{geometry}'"))
+    with pytest.raises(ConfigError, match="half-width"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), verb]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verbs --------------------------------------------------------------------------
 
 def test_profile_cmd_deterministic(tmp_path):

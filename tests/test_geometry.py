@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
@@ -18,8 +18,8 @@ from blowuplab.predictor import predict_second_2d
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from oracles import (brute_force_distance, brute_force_nearest_sample,
-                     dense_omega_loops, hausdorff, omega_grid,
-                     polar_radius_derivatives,
+                     dense_omega_loops, equidistant_classes, hausdorff,
+                     omega_grid, polar_radius_derivatives,
                      rectangle_skeleton_points, square_skeleton_points)
 
 DISC = SmoothPolarDomain(1.0)
@@ -55,8 +55,7 @@ def test_potato_boundary_point_theta0():
     assert POTATO.radius_d2(np.float64(0.0)) == pytest.approx(-0.3, rel=1e-14)
     r, r1, r2 = 1.3, -0.9, -0.3
     kappa = (r * r + 2 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
-    bp = POTATO.boundary_point(0.0)
-    assert bp.curvature == pytest.approx(kappa, rel=1e-12)
+    assert POTATO.curvature(np.float64(0.0)) == pytest.approx(kappa, rel=1e-12)
 
 
 def test_potato_curvature_matches_finite_differences():
@@ -67,16 +66,6 @@ def test_potato_curvature_matches_finite_differences():
              + POTATO.radius(th - h)) / h ** 2
     assert np.max(np.abs(POTATO.radius_d1(th) - r1_fd)) <= 1e-6
     assert np.max(np.abs(POTATO.radius_d2(th) - r2_fd)) <= 1e-4
-
-
-def test_rectangle_boundary_point_and_corner():
-    R = RectangleDomain(-1, 1, 0, 1)
-    bp = R.boundary_point(0.5)
-    assert bp.smooth and bp.curvature == 0.0
-    assert bp.point == (-0.5, 0.0)
-    corner = R.boundary_point(2.0)  # arc length W = 2 lands on (1, 0)
-    assert not corner.smooth
-    assert corner.curvature is None
 
 
 @pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
@@ -94,40 +83,115 @@ def test_radius_derivatives_match_harmonic_loop(dom):
 # -- orthogonal feet -----------------------------------------------------------
 
 def test_disc_center_degenerate_circle_of_feet():
-    fs = DISC.orthogonal_feet((0.0, 0.0))
-    assert fs.degenerate_circle
-    assert fs.radius == pytest.approx(1.0, abs=1e-12)
+    feet = DISC.feet_batch([(0.0, 0.0), (0.3, 0.0)])
+    assert feet.count.tolist() == [0, 2]
+    assert feet.circle[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.isnan(feet.circle[1])
+    assert feet.distance[0].tolist() == [np.inf, np.inf]
+    assert feet.distance[1] == pytest.approx([0.7, 1.3], abs=1e-12)
 
 
 def test_rectangle_feet_example():
     R = RectangleDomain(-1, 1, 0, 1)
-    fs = R.orthogonal_feet((0.0, 0.3))
-    got = sorted((tuple(np.round(f.point, 12)), round(f.distance, 12))
-                 for f in fs.feet)
-    assert got == [((-1.0, 0.3), 1.0), ((0.0, 0.0), 0.3),
-                   ((0.0, 1.0), 0.7), ((1.0, 0.3), 1.0)]
+    feet = R.feet_batch([(0.0, 0.3)])
+    got = [(tuple(np.round(p, 12)), round(d, 12))
+           for p, d in zip(feet.point[0], feet.distance[0].tolist())]
+    # nearest first; the equidistant right and left feet in edge order
+    assert got == [((0.0, 0.0), 0.3), ((0.0, 1.0), 0.7),
+                   ((1.0, 0.3), 1.0), ((-1.0, 0.3), 1.0)]
+    assert feet.count.tolist() == [4] and np.isnan(feet.circle[0])
 
 
 def test_square_diagonal_point_nearest_feet():
-    fs = SQUARE.orthogonal_feet((0.5, 0.5))
-    near = [f for f in fs.feet if f.distance == pytest.approx(0.5, abs=1e-12)]
-    assert len(near) == 2
-    assert sorted(tuple(np.round(f.point, 12)) for f in near) == \
-        [(0.5, 1.0), (1.0, 0.5)]
+    feet = SQUARE.feet_batch([(0.5, 0.5)])
+    assert feet.distance[0, :2].tolist() == [0.5, 0.5]
+    assert feet.distance[0, 2] > 0.5
+    # right edge (1) before top edge (2)
+    assert feet.point[0, :2].tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+
+def rectangle_edge_feet(dom, p):
+    """The four edge feet of p in closed form, edges 0..3 (bottom, right,
+    top, left), as (point, param, distance) triples."""
+    W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
+    x, y = p
+    return [((x, dom.y0), x - dom.x0, y - dom.y0),
+            ((dom.x1, y), W + (y - dom.y0), dom.x1 - x),
+            ((x, dom.y1), 2 * W + H - (x - dom.x0), dom.y1 - y),
+            ((dom.x0, y), 2 * (W + H) - (y - dom.y0), x - dom.x0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rectangle_feet_match_closed_form(data):
+    """Each table row holds the four edge feet, nearest first, and
+    equidistant feet in edge order (Python's stable sort); the points on
+    a square's diagonal tie two pairs of edges."""
+    dom = data.draw(rectangles())
+    frac = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    pts = [(dom.x0 + data.draw(frac) * (dom.x1 - dom.x0),
+            dom.y0 + data.draw(frac) * (dom.y1 - dom.y0)) for _ in range(5)]
+    side = data.draw(st.floats(0.05, 3.0))
+    square = RectangleDomain(-side, side, -side, side)
+    diag = [(t, s * t) for t in np.linspace(-side, side, 7)[1:-1] for s in (1, -1)]
+    for box, xy in ((dom, pts), (square, diag)):
+        feet = box.feet_batch(xy)
+        assert feet.count.tolist() == [4] * len(xy)
+        assert np.isnan(feet.circle).all()
+        assert not feet.curvature.any()
+        for i, p in enumerate(xy):
+            want = sorted(rectangle_edge_feet(box, p), key=lambda f: f[2])
+            assert feet.point[i].tolist() == [list(f[0]) for f in want]
+            assert feet.param[i].tolist() == [f[1] for f in want]
+            assert feet.distance[i].tolist() == [f[2] for f in want]
 
 
 def test_feet_segments_stay_inside():
     rng = np.random.default_rng(11)
-    n = 0
-    while n < 20:
+    pts = []
+    while len(pts) < 20:
         p = rng.uniform(-1.3, 1.3, size=2)
-        if not POTATO.contains(p) or POTATO.signed_distance(p) < 0.05:
-            continue
-        n += 1
-        for f in POTATO.orthogonal_feet(p).feet:
+        if POTATO.contains(p) and POTATO.signed_distance(p) >= 0.05:
+            pts.append(p)
+    feet = POTATO.feet_batch(pts)
+    for p, ys, n in zip(pts, feet.point, feet.count):
+        for y in ys[:n]:
             s = np.linspace(0, 1, 64)[:, None]
-            seg = p[None, :] + s * (np.asarray(f.point) - p)[None, :]
+            seg = p[None, :] + s * (y - p)[None, :]
             assert np.all(POTATO.signed_distance(seg) >= -1e-7)
+
+
+TOL = 0.125  # dyadic: gaps of exactly TOL arise in the rows below
+
+
+@st.composite
+def ascending_rows(draw):
+    """Rows of ascending distances padded with inf to one width: dyadic
+    starts and gaps of 0, TOL and 2 TOL, or any float gap up to 3 TOL."""
+    gap = st.sampled_from([0.0, TOL, 2 * TOL]) | st.floats(0.0, 3 * TOL)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 16)) / 8
+        rows.append(list(np.cumsum([start] + draw(st.lists(gap, max_size=6)))))
+    if draw(st.booleans()):
+        rows.append([])                     # a point with no feet
+    width = max(len(r) for r in rows)
+    return np.array([r + [np.inf] * (width - len(r)) for r in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=ascending_rows())
+@example(table=np.array([[0.0, TOL, 0.5, 0.5, np.inf],
+                         [0.25, 0.25 + TOL, 0.25 + 2 * TOL, 1.0, 1.0 + 2 * TOL],
+                         [np.inf] * 5]))
+def test_equidistant_firsts_match_classes(table):
+    """The vectorised classification picks, in each row, the first
+    distance of every class of two or more that the per-point grouping
+    finds."""
+    first = geometry._equidistant_firsts(table, TOL)
+    for row, m in zip(table, first):
+        classes = equidistant_classes(row[np.isfinite(row)], TOL)
+        assert row[m].tolist() == [g[0] for g in classes if len(g) >= 2]
 
 
 # -- distance ------------------------------------------------------------------
@@ -181,9 +245,11 @@ def test_foot_orthogonality_residual(data):
         p = np.array([data.draw(st.floats(bx0, bx1)), data.draw(st.floats(by0, by1))])
         if not dom.contains(p) or dom.signed_distance(p) < 0.05:
             continue
-        for f in dom.orthogonal_feet(p).feet:
-            tau = dom.tangent_at(np.float64(f.param))
-            assert abs(np.dot(p - np.asarray(f.point), tau)) <= tol
+        feet = dom.feet_batch(p[None])
+        n = feet.count[0]
+        for y, th in zip(feet.point[0, :n], feet.param[0, :n]):
+            tau = dom.tangent_at(np.float64(th))
+            assert abs(np.dot(p - y, tau)) <= tol
 
 
 @st.composite
@@ -191,6 +257,18 @@ def rectangles(draw):
     x0, y0 = draw(st.floats(-2.0, 1.0)), draw(st.floats(-2.0, 1.0))
     return RectangleDomain(x0, x0 + draw(st.floats(0.05, 3.0)),
                            y0, y0 + draw(st.floats(0.05, 3.0)))
+
+
+def rectangle_edge_point(dom, s):
+    """The boundary point at arc length s counterclockwise from (x0, y0)."""
+    W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
+    if s < W:
+        return np.array([dom.x0 + s, dom.y0])
+    if s < W + H:
+        return np.array([dom.x1, dom.y0 + (s - W)])
+    if s < 2 * W + H:
+        return np.array([dom.x1 - (s - W - H), dom.y1])
+    return np.array([dom.x0, dom.y1 - (s - 2 * W - H)])
 
 
 @st.composite
@@ -208,12 +286,12 @@ def point_pairs(draw, dom):
                       draw(st.floats(by0 - 0.5, by1 + 0.5))])
         return a, a + step
     if isinstance(dom, SmoothPolarDomain):
-        bp = dom.boundary_point(draw(st.floats(0.0, 2 * np.pi)))
-        y, (tx, ty) = np.array(bp.point), bp.tangent
+        th = np.float64(draw(st.floats(0.0, 2 * np.pi)))
+        y, (tx, ty) = dom.point_at(th), dom.tangent_at(th)
         normal = np.array([ty, -tx])
     else:
         W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
-        y = np.array(dom.boundary_point(draw(st.floats(0.0, 2 * (W + H)))).point)
+        y = rectangle_edge_point(dom, draw(st.floats(0.0, 2 * (W + H))))
         normal = np.array([np.cos(ang), np.sin(ang)])
     s = draw(st.floats(0.0, 1.0))
     return y + s * gap * normal, y - (1.0 - s) * gap * normal

@@ -27,6 +27,7 @@ import pytest
 from blowuplab.reaction import Nonlinearity
 from blowuplab.solvers import BUILDERS, SolverConfig, solve, solve_problem
 from blowuplab.solvers.common import ConjugateGradientCN, SparseLUCN
+from oracles import box_operator
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "solver_reports_golden.json")
@@ -80,7 +81,7 @@ def run_case(name):
     if name not in REFERENCE:
         return solve(cfg)
     adapter, axes = BUILDERS[cfg.geometry](cfg)
-    return solve_problem(cfg, REFERENCE[name](adapter.B, cfg.theta), axes)
+    return solve_problem(cfg, REFERENCE[name](box_operator(adapter), cfg.theta), axes)
 
 
 def record(rep):

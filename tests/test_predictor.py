@@ -145,7 +145,7 @@ def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     pts = pts[dom.contains(pts)]
     eps = data.draw(st.floats(0.03, 0.2))
     t = data.draw(st.floats(0.05, 0.9))
-    assert dom.feet_batch(pts[:1])[0].degenerate_circle == (name == "disc")
+    assert (not np.isnan(dom.feet_batch(pts[:1]).circle[0])) == (name == "disc")
     got = uniform_2d(dom, EXP, order, eps, pts, t, include_curvature=curvature)
     assert np.array_equal(got, scalar_uniform_2d(dom, EXP, order, eps, pts, t,
                                                  include_curvature=curvature))
