@@ -286,22 +286,14 @@ def _pad2(coords):
 
 
 def _read_points_csv(path):
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            vals = line.split(",")
-            row = dict(zip(header, vals))
-            if "selected" in row and row["selected"] != "1":
-                continue
-            coords = [float(row[c]) for c in ("x", "y", "z") if c in row]
-            pts.append(coords)
+    """Coordinate rows (columns x, y, z as present) of a points CSV,
+    skipping `#` lines and, when there is a `selected` column, the rows
+    not selected."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = csv.DictReader(line for line in fh
+                              if line.strip() and not line.lstrip().startswith("#"))
+        pts = [[float(row[c]) for c in ("x", "y", "z") if c in row]
+               for row in rows if row.get("selected") in (None, "1")]
     return np.array(pts) if pts else np.zeros((0, 2))
 
 

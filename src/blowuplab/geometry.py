@@ -448,42 +448,33 @@ def _skeleton_samples(dom, pts, tol):
 
 
 def _label_branches(samples, link_radius):
-    """Connected-component labels over samples, deterministic ordering."""
+    """Connected-component labels over samples linked at distance <=
+    link_radius, numbered in the (x, y) order of each component's first
+    sample."""
     if not samples:
         return
     pts = np.array([s.point for s in samples])
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    parent = list(range(len(samples)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # neighbor search on a hash grid to stay near-linear
-    cell = {}
-    inv = link_radius
-    keys = np.floor(pts / inv).astype(int)
-    for i, k in enumerate(map(tuple, keys)):
-        cell.setdefault(k, []).append(i)
-    for i, k in enumerate(map(tuple, keys)):
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in cell.get((k[0] + dx, k[1] + dy), ()):
-                    if j > i and np.hypot(*(pts[i] - pts[j])) <= link_radius:
-                        ri, rj = find(i), find(j)
-                        if ri != rj:
-                            parent[max(ri, rj)] = min(ri, rj)
-    label_of = {}
-    next_label = 0
-    for i in order:
-        r = find(i)
-        if r not in label_of:
-            label_of[r] = next_label
-            next_label += 1
-    for i, s in enumerate(samples):
-        s.branch = label_of[find(i)]
+    i, j, d = _near_pairs(pts, link_radius)
+    link = d <= link_radius
+    i, j = i[link], j[link]
+    # hook the larger root of each link onto the smaller, then jump
+    # pointers until every sample points at its root
+    root = np.arange(len(pts))
+    while True:
+        ri, rj = root[i], root[j]
+        if np.array_equal(ri, rj):
+            break
+        lo = np.minimum(ri, rj)
+        np.minimum.at(root, ri, lo)
+        np.minimum.at(root, rj, lo)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    first = root[np.lexsort((pts[:, 1], pts[:, 0]))]
+    label = np.empty(len(pts), dtype=int)
+    starts = np.sort(np.unique(first, return_index=True)[1])
+    label[first[starts]] = np.arange(len(starts))
+    for s, b in zip(samples, label[root].tolist()):
+        s.branch = b
 
 
 def compute_skeleton(dom: PlanarDomain, resolution: float) -> Skeleton:
@@ -522,8 +513,7 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
                     touches_boundary=True, domain=dom)
 
 
-def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
-                     equi_rel_tol=1e-6) -> Skeleton:
+def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
     (bx0, bx1), (by0, by1) = dom.bounding_box
     xs = np.arange(bx0, bx1 + res, res)
     ys = np.arange(by0, by1 + res, res)
@@ -552,7 +542,7 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
         Q.append(np.column_stack([xs[ii + (axis == 0)], ys[jj + (axis == 1)]]))
 
     refined, found = _refine_equidistance(dom, np.concatenate(P), np.concatenate(Q))
-    samples = _skeleton_samples(dom, refined[found], equi_rel_tol * dom.diameter)
+    samples = _skeleton_samples(dom, refined[found], 1e-6 * dom.diameter)
     # dedup near-coincident samples
     samples = _dedup_samples(samples, 0.25 * res)
     if not samples:
@@ -565,9 +555,9 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float,
                     touches_boundary=touches, domain=dom)
 
 
-def _refine_equidistance(dom: SmoothPolarDomain, p, q, iters=40):
-    """Bisect each segment [p_i, q_i] for the point where the nearest feet
-    approached from either endpoint become equidistant.
+def _refine_equidistance(dom: SmoothPolarDomain, p, q):
+    """Bisect each segment [p_i, q_i] (40 halvings) for the point where
+    the nearest feet approached from either endpoint become equidistant.
 
     All segments are bisected together. Returns the points and a mask of
     the segments that gave one."""
@@ -588,7 +578,7 @@ def _refine_equidistance(dom: SmoothPolarDomain, p, q, iters=40):
     found = ~agree | dom.contains(out)
     lo, hi = p.copy(), q.copy()
     act = np.flatnonzero(~agree)
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo[act] + hi[act])
         fm = delta(mid, act)
         hit = fm == 0.0
@@ -602,21 +592,41 @@ def _refine_equidistance(dom: SmoothPolarDomain, p, q, iters=40):
     return out, found
 
 
-def _tracked_distance(dom: SmoothPolarDomain, x, th0, iters=4):
-    """Distance from each point to its foot tracked from parameter th0 (Newton)."""
-    th = dom._newton_foot(x, th0, iters, 0.2)
+def _tracked_distance(dom: SmoothPolarDomain, x, th0):
+    """Distance from each point to its foot tracked from parameter th0
+    (four Newton steps)."""
+    th = dom._newton_foot(x, th0, 4, 0.2)
     return np.hypot(*(x - dom.point_at(th)).T)
 
 
 def _dedup_samples(samples, radius):
-    kept = []
-    pts = []
-    for s in sorted(samples, key=lambda s: (s.point[0], s.point[1])):
-        if pts and np.min(np.hypot(*(np.array(pts) - s.point).T)) < radius:
-            continue
-        kept.append(s)
-        pts.append(s.point)
-    return kept
+    """Samples in (x, y) order, each dropped when closer than radius to
+    an earlier kept one."""
+    if not samples:
+        return []
+    pts = np.array([s.point for s in samples])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    i, j, d = _near_pairs(pts[order], radius)
+    # one greedy pass over the close pairs in (x, y) order of their first
+    # sample, which is final when its pairs come up: a live one is kept
+    # and kills the other
+    close = np.flatnonzero(d < radius)
+    close = close[np.argsort(i[close], kind="stable")]
+    live = np.ones(len(pts), dtype=bool)
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        if live[a]:
+            live[b] = False
+    return [samples[k] for k in order[live].tolist()]
+
+
+def _near_pairs(pts, radius):
+    """Index pairs i < j of the points at most radius apart, with their
+    distances np.hypot(dx, dy). The k-d tree search is padded by a
+    relative 1e-9, so a few pairs just beyond radius come along: callers
+    apply their own exact test to the distances."""
+    i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9),
+                                    output_type="ndarray").T
+    return i, j, np.hypot(*(pts[i] - pts[j]).T)
 
 
 # -- level sets ------------------------------------------------------------------

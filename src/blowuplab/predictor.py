@@ -268,11 +268,10 @@ def _curvature_candidates(dom, loops):
         kap = dom.curvature(th)
         if np.max(kap) - np.min(kap) < 1e-9:
             continue  # radially symmetric: no discrete selection
-        n = len(loop)
-        for i in range(n):
-            if kap[i] >= kap[(i - 1) % n] and kap[i] >= kap[(i + 1) % n] \
-                    and (kap[i] > kap[(i - 1) % n] or kap[i] > kap[(i + 1) % n]):
-                cands.append(dict(point=loop[i], curvature=float(kap[i])))
+        prev, nxt = np.roll(kap, 1), np.roll(kap, -1)
+        peak = (kap >= prev) & (kap >= nxt) & ((kap > prev) | (kap > nxt))
+        cands += [dict(point=loop[i], curvature=float(kap[i]))
+                  for i in np.flatnonzero(peak)]
     cands.sort(key=lambda c: -c["curvature"])
     return cands
 

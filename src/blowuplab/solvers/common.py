@@ -225,13 +225,14 @@ class BandedCN:
 class SparseLUCN:
     """theta-scheme with LU factors cached on power-of-two dt buckets."""
 
-    def __init__(self, B: sp.spmatrix, theta: float, cache_size=6):
+    CACHE_SIZE = 6
+
+    def __init__(self, B: sp.spmatrix, theta: float):
         self.B = B.tocsc()
         self.theta = theta
         self.n = B.shape[0]
         self.I = sp.identity(self.n, format="csc")
         self.cache = {}
-        self.cache_size = cache_size
         self.factorizations = 0
         self.solves = 0
 
@@ -243,7 +244,7 @@ class SparseLUCN:
         if key not in self.cache:
             lu = splu((self.I + self.theta * dt * self.B).tocsc())
             A2 = (self.I - (1.0 - self.theta) * dt * self.B).tocsr()
-            if len(self.cache) >= self.cache_size:
+            if len(self.cache) >= self.CACHE_SIZE:
                 self.cache.pop(next(iter(self.cache)))
             self.cache[key] = (lu, A2)
             self.factorizations += 1
@@ -255,10 +256,11 @@ class SparseLUCN:
 class ConjugateGradientCN:
     """Matrix-free-ish theta-scheme via CG; for the SPD 3D operator."""
 
-    def __init__(self, B: sp.spmatrix, theta: float, rtol=1e-11):
+    RTOL = 1e-11
+
+    def __init__(self, B: sp.spmatrix, theta: float):
         self.B = B.tocsr()
         self.theta = theta
-        self.rtol = rtol
         self.n = B.shape[0]
         self.solves = 0
 
@@ -269,7 +271,7 @@ class ConjugateGradientCN:
         self.solves += 1
         A1 = sp.identity(self.n, format="csr") + self.theta * dt * self.B
         rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
-        x, info = cg(A1, rhs, x0=u, rtol=self.rtol, atol=0.0, maxiter=2000)
+        x, info = cg(A1, rhs, x0=u, rtol=self.RTOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise ConvergenceError(f"CG did not converge (info={info})")
         return x
@@ -760,16 +762,14 @@ def _parabola_vertices(x3, f3):
     return np.where((denom == 0.0) | (a == 0.0), x1, xv)
 
 
-def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4,
-                max_jump=None):
+def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
     """Link per-snapshot refined peak locations into tracks over time.
 
     Returns a list of tracks, each dict(times=[...], points=[...]).
-    Linking is nearest-association; unmatched peaks start new tracks."""
+    Linking is nearest-association within a quarter of the largest grid
+    extent; unmatched peaks start new tracks."""
     tracks = []
-    scale = max(float(c[-1] - c[0]) for c in coords)
-    if max_jump is None:
-        max_jump = 0.25 * scale
+    max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
     last = np.empty((0, len(coords)))     # last point of every track
     for snap in snapshots:
         peaks = extract_singularities(snap.field, coords,

@@ -64,17 +64,12 @@ def fourth_derivative_clamped(x):
 
 
 def second_derivative_dirichlet(x):
-    n = len(x)
-    rows, cols, vals = [], [], []
-    for i in range(1, n - 1):
-        w = fd_weights(x[i - 1:i + 2], x[i], 2)[:, 2]
-        for k, j in enumerate(range(i - 1, i + 2)):
-            if 1 <= j <= n - 2:
-                rows.append(i - 1)
-                cols.append(j - 1)
-                vals.append(w[k])
-    m = n - 2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    m = len(x) - 2
+    j = np.arange(1, m + 1)[:, None] + np.arange(-1, 2)
+    w = fd_weights(x[j], x[1:-1], 2)[:, :, 2]
+    keep = (1 <= j) & (j <= m)  # boundary values are zero and drop out
+    rows = np.broadcast_to(np.arange(m)[:, None], j.shape)
+    return sp.csr_matrix((w[keep], (rows[keep], j[keep] - 1)), shape=(m, m))
 
 
 def build_strip(cfg: SolverConfig):

@@ -3,11 +3,17 @@
 u_t = -eps^4 [u_rrrr + (2/r) u_rrr - (1/r^2) u_rr + (1/r^3) u_r] + f(u)
 
 on the staggered grid r_j = (j + 1/2) h, h = 1/nr, which keeps every
-1/r^k evaluation away from the axis. Symmetry at r = 0 enters by even
-mirror ghosts (u_r = u_rrr = 0); the clamped wall conditions
-u(1) = u_r(1) = 0 eliminate two outer ghosts through the cubic
-interpolant pinned at the wall. A standard radial Laplacian variant
-(Dirichlet wall) covers the second-order problem.
+1/r^k evaluation away from the axis. Ghost indices j of a stencil fold
+onto interior unknowns:
+
+- axis (j < 0): symmetry at r = 0 (u_r = u_rrr = 0) by the even mirror
+  u[-1] = u[0], u[-2] = u[1];
+- wall (j >= nr): the clamped conditions u(1) = u_r(1) = 0 pin the cubic
+  through the last two nodes, which gives
+  u[nr] = 2 u[nr-1] - u[nr-2]/9 and u[nr+1] = 27 u[nr-1] - 2 u[nr-2].
+
+A standard radial Laplacian variant covers the second-order problem; its
+Dirichlet wall u(1) = 0 is the odd reflection u[nr] = -u[nr-1].
 """
 
 from __future__ import annotations
@@ -24,45 +30,26 @@ def radial_grid(nr):
     return (np.arange(nr) + 0.5) * h
 
 
-def _fold(add, nr, i, j, w):
-    """Fold ghost indices onto interior unknowns.
-
-    Axis (j < 0): even mirror, -1 -> 0, -2 -> 1. Wall (j >= nr): cubic
-    through the last two nodes pinned by u(1) = u'(1) = 0 gives
-    u[nr] = 2 u[nr-1] - u[nr-2]/9 and u[nr+1] = 27 u[nr-1] - 2 u[nr-2]."""
-    if j == -1:
-        add(i, 0, w)
-    elif j == -2:
-        add(i, 1, w)
-    elif j == nr:
-        add(i, nr - 1, 2.0 * w)
-        add(i, nr - 2, -w / 9.0)
-    elif j == nr + 1:
-        add(i, nr - 1, 27.0 * w)
-        add(i, nr - 2, -2.0 * w)
-    else:
-        add(i, j, w)
-
-
 def radial_biharmonic(nr):
     h = 1.0 / nr
     r = radial_grid(nr)
     offs = np.arange(-2, 3)
     w = fd_weights(offs * h, 0.0, 4)  # columns: derivative orders 0..4
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i in range(nr):
-        ri = r[i]
-        coef = (w[:, 4] + (2.0 / ri) * w[:, 3]
-                - (1.0 / ri ** 2) * w[:, 2] + (1.0 / ri ** 3) * w[:, 1])
-        for off, c in zip(offs, coef):
-            _fold(add, nr, i, i + off, c)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nr))
+    # the scalar power (libm pow) rounds some nodes unlike the array r ** 3
+    r3 = np.array([ri ** 3 for ri in r])
+    coef = (w[:, 4] + (2.0 / r)[:, None] * w[:, 3]
+            - (1.0 / r ** 2)[:, None] * w[:, 2] + (1.0 / r3)[:, None] * w[:, 1])
+    # entry slots (row, offset, ghost part): a wall ghost adds a second
+    # entry at nr - 2; the order of the triplets fixes duplicate sums
+    j = np.arange(nr)[:, None] + offs
+    wall = j >= nr
+    cols = np.stack([np.where(j < 0, -1 - j, np.minimum(j, nr - 1)),
+                     np.full_like(j, nr - 2)], axis=2)
+    vals = np.stack([np.where(j == nr, 2.0 * coef, np.where(wall, 27.0 * coef, coef)),
+                     np.where(j == nr, -coef / 9.0, -2.0 * coef)], axis=2)
+    keep = np.stack([np.ones_like(wall), wall], axis=2)
+    rows = np.broadcast_to(np.arange(nr)[:, None, None], keep.shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nr, nr))
 
 
 def radial_laplacian_dirichlet(nr):
@@ -71,24 +58,13 @@ def radial_laplacian_dirichlet(nr):
     r = radial_grid(nr)
     offs = np.arange(-1, 2)
     w = fd_weights(offs * h, 0.0, 2)
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i in range(nr):
-        coef = w[:, 2] + (1.0 / r[i]) * w[:, 1]
-        for off, c in zip(offs, coef):
-            j = i + off
-            if j == -1:
-                add(i, 0, c)
-            elif j == nr:
-                add(i, nr - 1, -c)  # u(1) = 0 via odd reflection
-            else:
-                add(i, j, c)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nr))
+    coef = w[:, 2] + (1.0 / r)[:, None] * w[:, 1]
+    j = np.arange(nr)[:, None] + offs
+    cols = np.where(j < 0, 0, np.minimum(j, nr - 1))
+    vals = np.where(j == nr, -coef, coef)  # u(1) = 0 via odd reflection
+    rows = np.broadcast_to(np.arange(nr)[:, None], j.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(nr, nr))
 
 
 def build_disc(cfg: SolverConfig):

@@ -16,7 +16,15 @@ suppression loop and a scalar parabola vertex per peak and axis.
 equidistant_classes is the skeleton's grouping of a point's foot
 distances as it was first written, one Python loop per point.
 box_operator assembles the sparse operator that a box adapter steps
-with, as the box builders once did on every eps.
+with, as the box builders once did on every eps. scalar_dedup_samples and
+scalar_label_branches are the skeleton's sample deduplication (one kept
+array rebuilt per candidate) and branch labelling (hash grid and
+union-find) as they were first written. scalar_radial_biharmonic,
+scalar_radial_laplacian_dirichlet and scalar_second_derivative_dirichlet
+are the disc and strip operators as they were first written, one row and
+one triplet at a time. scalar_curvature_candidates is the predictor's
+curvature-maximum search on omega loops with one Python comparison per
+loop point.
 """
 
 import numpy as np
@@ -170,6 +178,94 @@ def linearised_layer_peak(gprime, eps, T):
     assert 0 < i < m - 1, "layer peak on the edge of the oracle grid"
     a, b, c = z[i - 1:i + 2]
     return float(eps * h * (i + 1 + 0.5 * (a - c) / (a - 2.0 * b + c)))
+
+
+# -- reference operators, one triplet at a time -------------------------------------
+
+def _fold(add, nr, i, j, w):
+    """Fold ghost indices onto interior unknowns.
+
+    Axis (j < 0): even mirror, -1 -> 0, -2 -> 1. Wall (j >= nr): cubic
+    through the last two nodes pinned by u(1) = u'(1) = 0 gives
+    u[nr] = 2 u[nr-1] - u[nr-2]/9 and u[nr+1] = 27 u[nr-1] - 2 u[nr-2]."""
+    if j == -1:
+        add(i, 0, w)
+    elif j == -2:
+        add(i, 1, w)
+    elif j == nr:
+        add(i, nr - 1, 2.0 * w)
+        add(i, nr - 2, -w / 9.0)
+    elif j == nr + 1:
+        add(i, nr - 1, 27.0 * w)
+        add(i, nr - 2, -2.0 * w)
+    else:
+        add(i, j, w)
+
+
+def scalar_radial_biharmonic(nr):
+    from blowuplab.solvers.radial import radial_grid
+    from blowuplab.stencils import fd_weights
+    h = 1.0 / nr
+    r = radial_grid(nr)
+    offs = np.arange(-2, 3)
+    w = fd_weights(offs * h, 0.0, 4)  # columns: derivative orders 0..4
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    for i in range(nr):
+        ri = r[i]
+        coef = (w[:, 4] + (2.0 / ri) * w[:, 3]
+                - (1.0 / ri ** 2) * w[:, 2] + (1.0 / ri ** 3) * w[:, 1])
+        for off, c in zip(offs, coef):
+            _fold(add, nr, i, i + off, c)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nr))
+
+
+def scalar_radial_laplacian_dirichlet(nr):
+    """u_rr + (1/r) u_r with even axis mirror and Dirichlet wall (odd ghost)."""
+    from blowuplab.solvers.radial import radial_grid
+    from blowuplab.stencils import fd_weights
+    h = 1.0 / nr
+    r = radial_grid(nr)
+    offs = np.arange(-1, 2)
+    w = fd_weights(offs * h, 0.0, 2)
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    for i in range(nr):
+        coef = w[:, 2] + (1.0 / r[i]) * w[:, 1]
+        for off, c in zip(offs, coef):
+            j = i + off
+            if j == -1:
+                add(i, 0, c)
+            elif j == nr:
+                add(i, nr - 1, -c)  # u(1) = 0 via odd reflection
+            else:
+                add(i, j, c)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nr))
+
+
+def scalar_second_derivative_dirichlet(x):
+    from blowuplab.stencils import fd_weights
+    n = len(x)
+    rows, cols, vals = [], [], []
+    for i in range(1, n - 1):
+        w = fd_weights(x[i - 1:i + 2], x[i], 2)[:, 2]
+        for k, j in enumerate(range(i - 1, i + 2)):
+            if 1 <= j <= n - 2:
+                rows.append(i - 1)
+                cols.append(j - 1)
+                vals.append(w[k])
+    m = n - 2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
 # -- reference banded theta-step ---------------------------------------------------
@@ -343,6 +439,77 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
                 s += phi * feet.curvature[i, k] * vb(d / phi)
         out[i] = s
     return u0 * out
+
+
+def scalar_dedup_samples(samples, radius):
+    kept = []
+    pts = []
+    for s in sorted(samples, key=lambda s: (s.point[0], s.point[1])):
+        if pts and np.min(np.hypot(*(np.array(pts) - s.point).T)) < radius:
+            continue
+        kept.append(s)
+        pts.append(s.point)
+    return kept
+
+
+def scalar_label_branches(samples, link_radius):
+    """Connected-component labels over samples, deterministic ordering."""
+    if not samples:
+        return
+    pts = np.array([s.point for s in samples])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    parent = list(range(len(samples)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # neighbor search on a hash grid to stay near-linear
+    cell = {}
+    inv = link_radius
+    keys = np.floor(pts / inv).astype(int)
+    for i, k in enumerate(map(tuple, keys)):
+        cell.setdefault(k, []).append(i)
+    for i, k in enumerate(map(tuple, keys)):
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in cell.get((k[0] + dx, k[1] + dy), ()):
+                    if j > i and np.hypot(*(pts[i] - pts[j])) <= link_radius:
+                        ri, rj = find(i), find(j)
+                        if ri != rj:
+                            parent[max(ri, rj)] = min(ri, rj)
+    label_of = {}
+    next_label = 0
+    for i in order:
+        r = find(i)
+        if r not in label_of:
+            label_of[r] = next_label
+            next_label += 1
+    for i, s in enumerate(samples):
+        s.branch = label_of[find(i)]
+
+
+def scalar_curvature_candidates(dom, loops):
+    """predictor._curvature_candidates as it was first written, one
+    comparison of each loop point with its two cyclic neighbours."""
+    from blowuplab.geometry import RectangleDomain
+    if isinstance(dom, RectangleDomain):
+        return []
+    cands = []
+    for loop in loops:
+        th, _, _ = dom.nearest_feet_grid(loop)
+        kap = dom.curvature(th)
+        if np.max(kap) - np.min(kap) < 1e-9:
+            continue
+        n = len(loop)
+        for i in range(n):
+            if kap[i] >= kap[(i - 1) % n] and kap[i] >= kap[(i + 1) % n] \
+                    and (kap[i] > kap[(i - 1) % n] or kap[i] > kap[(i + 1) % n]):
+                cands.append(dict(point=loop[i], curvature=float(kap[i])))
+    cands.sort(key=lambda c: -c["curvature"])
+    return cands
 
 
 def equidistant_classes(distances, tol):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blowuplab.cli import _assign, main
+from blowuplab.cli import _assign, _read_points_csv, main
 from blowuplab.config import dump_config, load_config
 from blowuplab.errors import ConfigError, ConvergenceError
 from blowuplab.fileio import atomic_open
@@ -530,3 +530,15 @@ def test_assign_rejects_invalid_entries(bad):
         linear_sum_assignment(D)
     with pytest.raises(ValueError):
         _assign(D)
+
+
+def test_read_points_csv_skips_comments_and_unselected(tmp_path):
+    pred = tmp_path / "prediction.csv"
+    pred.write_text("# regime=skeleton-points\n# span=(0.5, 1.5)\n\n"
+                    "x,y,selected\n0.25,-0.5,1\n1.0,2.0,0\n-0.75,0.125,1\n")
+    assert _read_points_csv(pred).tolist() == [[0.25, -0.5], [-0.75, 0.125]]
+    sing = tmp_path / "singularities.csv"
+    sing.write_text("x,value\n0.5,3.0\n")
+    assert _read_points_csv(sing).tolist() == [[0.5]]
+    sing.write_text("x,y,value\n")
+    assert _read_points_csv(sing).shape == (0, 2)

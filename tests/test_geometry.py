@@ -20,7 +20,8 @@ from blowuplab.reaction import Nonlinearity, ReactionSolution
 from oracles import (brute_force_distance, brute_force_nearest_sample,
                      dense_omega_loops, equidistant_classes, hausdorff,
                      omega_grid, polar_radius_derivatives,
-                     rectangle_skeleton_points, square_skeleton_points)
+                     rectangle_skeleton_points, scalar_dedup_samples,
+                     scalar_label_branches, square_skeleton_points)
 
 DISC = SmoothPolarDomain(1.0)
 POTATO = potato_domain()
@@ -552,6 +553,51 @@ def test_skeleton_matches_golden(dom, res, name):
     # the same branches, whatever their numbers
     assert all(len(b) == 1 for b in branch_of.values())
     assert len(set().union(*branch_of.values())) == len(branch_of)
+
+
+@st.composite
+def sample_clouds(draw):
+    """Skeleton samples on a grid of spacing h = 1/8, where distances h
+    and 5h (a 3-4-5 offset) are exact, mixed with free points and exact
+    duplicates; the radius is h, 5h or free."""
+    h = 0.125
+    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
+        lambda ij: (ij[0] * h, ij[1] * h))
+    free = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    pts = draw(st.lists(st.one_of(grid, free), min_size=1, max_size=60))
+    dups = draw(st.lists(st.integers(0, len(pts) - 1), max_size=10))
+    pts += [pts[k] for k in dups]
+    radius = draw(st.sampled_from([h, 5 * h]) | st.floats(0.01, 0.5))
+    samples = [geometry.SkeletonSample(point=np.array(p), s_value=float(k),
+                                       pair_distances=[float(k)])
+               for k, p in enumerate(pts)]
+    return samples, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_clouds())
+def test_dedup_and_branch_labels_match_scalar_references(cloud):
+    """The array passes keep the samples and number the branches of the
+    per-sample loops they replace: strict < for dedup, <= for links."""
+    samples, radius = cloud
+    assert ([id(s) for s in geometry._dedup_samples(samples, radius)]
+            == [id(s) for s in scalar_dedup_samples(samples, radius)])
+    geometry._label_branches(samples, radius)
+    labels = [s.branch for s in samples]
+    scalar_label_branches(samples, radius)
+    assert labels == [s.branch for s in samples]
+
+
+def test_dedup_and_links_at_exactly_the_radius():
+    pts = [(0.0, 0.0), (0.375, 0.5), (0.375, 0.5), (1.0, 0.5), (2.0, 0.0)]
+    samples = [geometry.SkeletonSample(point=np.array(p), s_value=0.0,
+                                       pair_distances=[0.0]) for p in pts]
+    # neighbours exactly 0.625 apart (one along a 3-4-5 offset) are kept
+    # by dedup and linked into one branch; the duplicate is dropped
+    kept = geometry._dedup_samples(samples, 0.625)
+    assert [id(s) for s in kept] == [id(samples[k]) for k in (0, 1, 3, 4)]
+    geometry._label_branches(samples, 0.625)
+    assert [s.branch for s in samples] == [0, 0, 0, 0, 1]
 
 
 def test_skeleton_requires_positive_resolution():

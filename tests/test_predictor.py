@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from blowuplab.errors import RangeError
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
-                                compute_skeleton, ellipse_domain, potato_domain)
+                                compute_skeleton, ellipse_domain, omega_set,
+                                potato_domain)
 from blowuplab.predictor import (critical_eps, outer_1d_second, outer_2d_second,
                                  predict_1d_fourth, predict_fourth_2d,
                                  predict_second_2d, uniform_1d, uniform_2d)
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
-from oracles import scalar_uniform_2d
+from blowuplab.predictor import _curvature_candidates
+from oracles import scalar_curvature_candidates, scalar_uniform_2d
 
 EXP = ReactionSolution(Nonlinearity.exponential())
 POW2 = ReactionSolution(Nonlinearity.power(2))
@@ -258,3 +260,18 @@ def test_critical_eps_rectangle_thresholds(profile4):
 def test_critical_eps_monotone_in_target(profile4):
     es = [critical_eps(EXP, s, eta0=profile4.eta0) for s in (0.2, 0.5, 1.0)]
     assert es[0] < es[1] < es[2]
+
+
+@pytest.mark.parametrize("dom", [potato_domain(), ellipse_domain(0.75, 1.0), DISC],
+                         ids=["potato", "ellipse", "disc"])
+@pytest.mark.parametrize("level", [0.1, 0.4])
+def test_curvature_candidates_match_scalar_reference(dom, level):
+    """Same candidates in the same order as the per-point loop; the
+    symmetric ellipse has tied maxima, the disc none."""
+    loops = omega_set(dom, level)
+    got = _curvature_candidates(dom, loops)
+    ref = scalar_curvature_candidates(dom, loops)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a["point"], b["point"])
+        assert a["curvature"] == b["curvature"]

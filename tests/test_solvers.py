@@ -15,9 +15,12 @@ from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
 from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
-from blowuplab.solvers.radial import radial_biharmonic, radial_grid
+from blowuplab.solvers.radial import (radial_biharmonic, radial_grid,
+                                      radial_laplacian_dirichlet)
 from blowuplab.solvers.rect2d import rect_operator
-from oracles import RebuiltBandedCN, box_operator, scalar_extract_singularities
+from oracles import (RebuiltBandedCN, box_operator, scalar_extract_singularities,
+                     scalar_radial_biharmonic, scalar_radial_laplacian_dirichlet,
+                     scalar_second_derivative_dirichlet)
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -188,6 +191,27 @@ def test_d2_dirichlet_exact_for_quadratic():
     B = second_derivative_dirichlet(x)
     u = 1 - x[1:-1] ** 2
     assert np.max(np.abs(B @ u + 2.0)) <= 1e-8
+
+
+def _assert_same_operator(A, B):
+    """Entry for entry and in nnz: the triplets summed the same way."""
+    assert A.shape == B.shape and A.nnz == B.nnz
+    assert np.array_equal(A.toarray(), B.toarray())
+
+
+@pytest.mark.parametrize("nr", [4, 5, 7, 100, 1000])
+def test_radial_operators_match_scalar_references(nr):
+    _assert_same_operator(radial_biharmonic(nr), scalar_radial_biharmonic(nr))
+    _assert_same_operator(radial_laplacian_dirichlet(nr),
+                          scalar_radial_laplacian_dirichlet(nr))
+
+
+@pytest.mark.parametrize("grading", [0.0, 1.2])
+@pytest.mark.parametrize("n", [5, 7, 301])
+def test_d2_dirichlet_matches_scalar_reference(n, grading):
+    x = strip_grid(n, grading)
+    _assert_same_operator(second_derivative_dirichlet(x),
+                          scalar_second_derivative_dirichlet(x))
 
 
 def test_radial_biharmonic_manufactured():
