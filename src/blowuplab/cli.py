@@ -21,11 +21,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ExperimentConfig, dump_config, load_config
+from .config import dump_config, load_config
 from .errors import BlowupLabError, ConfigError, ConvergenceError, DivergenceError
 from .fileio import atomic_open
 from .geometry import compute_skeleton, omega_set, skeleton_arrival_time
-from .predictor import predict_fourth_2d, predict_second_2d, predict_1d_fourth
+from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
+                        predict_1d_fourth)
 from .profiles import (get_correction, get_profile4, second_order_profile)
 from .reaction import ReactionSolution, TABLE_DELTA
 from .solvers import solve as run_solver
@@ -71,10 +72,6 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _skeleton_resolution(cfg: ExperimentConfig) -> float:
-    return float(cfg.solver_overrides.get("skeleton_resolution", 0.01))
-
-
 def _measured_T(out, rs):
     """Measured blow-up times from a prior solve in the same out dir,
     read from the `eps` and `T_eps` columns of sweep_summary.csv."""
@@ -93,30 +90,44 @@ def _measured_T(out, rs):
     return T_of
 
 
-def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
+def _svg(cfg, path, title, *series):
+    """Scatter plot of point series, when the config asks for SVG."""
+    if "svg" in cfg.formats:
+        from .svgplot import svg_scatter
+        svg_scatter(path, list(series), title=title)
+
+
+def cmd_predict(cfg, out) -> int:
+    """Predicted singularity sets, one per eps. The strip is predicted in
+    1D; any other geometry needs a 2D domain, so the cube fails before
+    any output. Second order predicts the point furthest from the
+    boundary, the same for every eps."""
+    strip = cfg.geometry == "strip"
+    dom = None if strip else cfg.domain()
     os.makedirs(out, exist_ok=True)
     _write_echo(cfg, out)
     rs = ReactionSolution(cfg.nonlinearity_obj())
     T_of = _measured_T(out, rs)
-    if cfg.geometry == "strip":
-        return _predict_strip(cfg, rs, out, T_of)
-    dom = cfg.domain()
-    skel = compute_skeleton(dom, _skeleton_resolution(cfg))
-    skel.to_csv(os.path.join(out, "skeleton.csv"))
-    rows = []
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
-    max_depth = float(np.max(skel.s_values()))
+    if not strip:
+        res = cfg.solver_overrides.get("skeleton_resolution")
+        skel = compute_skeleton(dom, 0.01 if res is None else float(res))
+        skel.to_csv(os.path.join(out, "skeleton.csv"))
+        max_depth = float(np.max(skel.s_values()))
     if cfg.order == 2:
-        pred = predict_second_2d(dom, skeleton=skel)  # eps-free
+        pred = (Prediction("distance-argmax", np.zeros((1, 1)),
+                           dict(order=2, distance=1.0)) if strip
+                else predict_second_2d(dom, skeleton=skel))
+    rows = []
     for eps in sorted(cfg.eps_values):
         tag = _eps_tag(eps)
         T_eps = T_of.get(eps, T_fallback)
-        if cfg.order != 2:
-            pred = predict_fourth_2d(dom, skel, rs, eps, T_eps)
+        if cfg.order == 4:
+            pred = (predict_1d_fourth(rs, eps, T_eps) if strip
+                    else predict_fourth_2d(dom, skel, rs, eps, T_eps))
             pred.metadata["T_eps_source"] = ("measured" if eps in T_of
                                              else "reaction-fallback")
+        if cfg.order == 4 and not strip:
             level = min(pred.metadata["level"], 0.999 * max_depth)
             try:
                 loops = (pred.omega_loops if pred.regime == "omega-set"
@@ -126,38 +137,17 @@ def cmd_predict(args) -> int:
             except BlowupLabError:
                 pass
         pred.to_csv(os.path.join(out, f"prediction_eps{tag}.csv"))
-        rows.append((eps, pred.regime, pred.multiplicity))
-        if "svg" in cfg.formats and pred.points.size:
-            from .svgplot import svg_scatter
-            svg_scatter(os.path.join(out, f"prediction_eps{tag}.svg"),
-                        [dict(points=pred.points, label="predicted")],
-                        title=f"prediction eps={eps:g}")
-    _write_predictions_summary(out, rows)
-    T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
-    print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
-          f"T_S(eps={min(cfg.eps_values):g})={T_S:g}")
-    return EXIT_OK
-
-
-def _predict_strip(cfg, rs, out, T_of) -> int:
-    rows = []
-    T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
-    for eps in sorted(cfg.eps_values):
-        pred = predict_1d_fourth(rs, eps, T_of.get(eps, T_fallback))
-        pred.metadata["T_eps_source"] = ("measured" if eps in T_of
-                                         else "reaction-fallback")
-        pred.to_csv(os.path.join(out, f"prediction_eps{_eps_tag(eps)}.csv"))
-        rows.append((eps, pred.regime, pred.multiplicity))
-    _write_predictions_summary(out, rows)
-    return EXIT_OK
-
-
-def _write_predictions_summary(out, rows):
-    """predictions_summary.csv: one (eps, regime, multiplicity) row per eps."""
+        rows.append(f"{eps!r},{pred.regime},{pred.multiplicity}\n")
+        if not strip and pred.points.size:
+            _svg(cfg, os.path.join(out, f"prediction_eps{tag}.svg"),
+                 f"prediction eps={eps:g}", dict(points=pred.points, label="predicted"))
     with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
-        fh.write("eps,regime,multiplicity\n")
-        for eps, regime, mult in rows:
-            fh.write(f"{eps!r},{regime},{mult}\n")
+        fh.write("eps,regime,multiplicity\n" + "".join(rows))
+    if not strip:
+        T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
+        print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
+              f"T_S(eps={min(cfg.eps_values):g})={T_S:g}")
+    return EXIT_OK
 
 
 def _write_loops(path, loops):
@@ -173,13 +163,9 @@ def _write_echo(cfg, out):
         fh.write(dump_config(cfg))
 
 
-def _solve_one(config_path, eps, out, seed):
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    scfg = cfg.solver_config(eps)
+def _solve_one(cfg, eps, out):
     try:
-        report = run_solver(scfg)
+        report = run_solver(cfg.solver_config(eps))
     except (ConvergenceError, DivergenceError) as e:
         raise type(e)(f"eps={eps:g}: {e}") from e
     _write_report(report, cfg, eps, out)
@@ -216,14 +202,10 @@ def _write_report(report, cfg, eps, out):
         fh.write(dump_config(cfg))
     if "csv" in cfg.formats:
         _write_field(report, os.path.join(out, f"field_eps{tag}.csv"))
-    if "svg" in cfg.formats and len(report.grid) == 2:
-        from .svgplot import svg_scatter
-        pts = report.singularity_points()
-        if pts.size:
-            svg_scatter(os.path.join(out, f"singularities_eps{tag}.svg"),
-                        [dict(points=pts, marker="x", color="#c23",
-                              label="computed")],
-                        title=f"singularities eps={eps:g}")
+    if len(report.grid) == 2 and len(report.singularities):
+        _svg(cfg, os.path.join(out, f"singularities_eps{tag}.svg"),
+             f"singularities eps={eps:g}", dict(points=report.singularity_points(),
+                                                marker="x", color="#c23", label="computed"))
 
 
 def _write_field(report, path):
@@ -246,28 +228,22 @@ def _write_field(report, path):
             fh.write("".join(f"{x!r},{y!r},{u!r}\n" for y, u in zip(grid[1], row)))
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+def cmd_solve(cfg, out, threads) -> int:
     eps_list = sorted(cfg.eps_values)
     for e in eps_list:  # bad geometry or solver settings fail before any output
         cfg.solver_config(e)
-    out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _write_echo(cfg, out)
-    results = []
     try:
-        if args.threads > 1 and len(eps_list) > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                futures = [pool.submit(_solve_one, args.config, e, out, args.seed)
-                           for e in eps_list]
+        if threads > 1 and len(eps_list) > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(_solve_one, cfg, e, out) for e in eps_list]
                 results = [f.result() for f in futures]
         else:
-            for e in eps_list:
-                results.append(_solve_one(args.config, e, out, args.seed))
+            results = [_solve_one(cfg, e, out) for e in eps_list]
     except (ConvergenceError, DivergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    results.sort(key=lambda r: r[0])
     with atomic_open(os.path.join(out, "sweep_summary.csv")) as fh:
         fh.write("eps,T_eps,multiplicity,stop_reason,sup_stop\n")
         for eps, T, mult, reason, sup, _ in results:
@@ -275,14 +251,6 @@ def cmd_solve(args) -> int:
     for eps, T, mult, reason, _, _ in results:
         print(f"eps={eps:g}: T_eps={T:.6g} multiplicity={mult} [{reason}]")
     return EXIT_OK if all(r[5] for r in results) else EXIT_NO_BLOWUP
-
-
-def _pad2(coords):
-    """Pad 1D points with a zero second coordinate for the fixed CSV layout."""
-    vals = list(float(c) for c in coords)
-    while len(vals) < 2:
-        vals.append(0.0)
-    return vals[:2]
 
 
 def _read_points_csv(path):
@@ -359,10 +327,8 @@ def _assign(D):
     return np.arange(nr), cols
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
+def cmd_compare(cfg, out) -> int:
     cfg.solver_geometry()  # compare reads solver outputs
-    out = args.out or cfg.output_dir
     echo_path = os.path.join(out, "config_echo.yaml")
     if not os.path.exists(echo_path):
         print("no prior outputs to compare against (missing config_echo.yaml)",
@@ -373,47 +339,40 @@ def cmd_compare(args) -> int:
             print("config mismatch: outputs in --out were produced by a "
                   "different configuration", file=sys.stderr)
             return EXIT_CONFIG
-    rows = []
+    sets = []
     for eps in sorted(cfg.eps_values):
-        tag = _eps_tag(eps)
-        ppath = os.path.join(out, f"prediction_eps{tag}.csv")
-        spath = os.path.join(out, f"singularities_eps{tag}.csv")
-        if not (os.path.exists(ppath) and os.path.exists(spath)):
+        paths = [os.path.join(out, f"{kind}_eps{_eps_tag(eps)}.csv")
+                 for kind in ("prediction", "singularities")]
+        if not all(map(os.path.exists, paths)):
             print(f"missing prediction/solve outputs for eps={eps:g}",
                   file=sys.stderr)
             return EXIT_CONFIG
-        pred = _read_points_csv(ppath)
-        comp = _read_points_csv(spath)
+        sets.append((eps, *map(_read_points_csv, paths)))
+    rows = []
+    for eps, pred, comp in sets:
+        counts = (len(pred), len(comp), int(len(pred) == len(comp)))
         if len(pred) and len(comp):
             d = min(pred.shape[1], comp.shape[1])
             D = np.linalg.norm(pred[:, None, :d] - comp[None, :, :d], axis=2)
             ri, ci = _assign(D)
-            for a, b in zip(ri, ci):
-                pp = _pad2(pred[a][:d])
-                cc = _pad2(comp[b][:d])
-                rows.append((eps, *pp, *cc, D[a, b],
-                             len(pred), len(comp), int(len(pred) == len(comp))))
+            # x and y of each matched pair, a 1D point with y = 0
+            xy = np.zeros((len(ri), 4))
+            k = min(d, 2)
+            xy[:, :k], xy[:, 2:2 + k] = pred[ri, :k], comp[ci, :k]
+            rows += [(eps, *p, D[a, b], *counts) for p, a, b in zip(xy, ri, ci)]
         else:
-            rows.append((eps, *([np.nan] * 5), len(pred), len(comp),
-                         int(len(pred) == len(comp))))
+            rows.append((eps, *([np.nan] * 5), *counts))
+        if pred.shape[1] >= 2 and comp.shape[1] >= 2:
+            _svg(cfg, os.path.join(out, f"comparison_eps{_eps_tag(eps)}.svg"),
+                 f"predicted vs computed, eps={eps:g}",
+                 dict(points=pred[:, :2], label="asymptotic"),
+                 dict(points=comp[:, :2], marker="x", color="#c23", label="numerical"))
     with atomic_open(os.path.join(out, "comparison.csv")) as fh:
         fh.write("eps,pred_x,pred_y,comp_x,comp_y,distance,"
                  "pred_multiplicity,comp_multiplicity,multiplicity_agree\n")
         for r in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in r) + "\n")
-    if "svg" in cfg.formats:
-        from .svgplot import svg_scatter
-        for eps in sorted(cfg.eps_values):
-            tag = _eps_tag(eps)
-            pred = _read_points_csv(os.path.join(out, f"prediction_eps{tag}.csv"))
-            comp = _read_points_csv(os.path.join(out, f"singularities_eps{tag}.csv"))
-            if pred.shape[1] >= 2 and comp.shape[1] >= 2:
-                svg_scatter(os.path.join(out, f"comparison_eps{tag}.svg"),
-                            [dict(points=pred[:, :2], label="asymptotic"),
-                             dict(points=comp[:, :2], marker="x", color="#c23",
-                                  label="numerical")],
-                            title=f"predicted vs computed, eps={eps:g}")
     agree = all(r[-1] == 1 for r in rows)
     print(f"comparison.csv written ({len(rows)} matched rows); "
           f"multiplicity agreement: {agree}")
@@ -439,27 +398,28 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.out is None and args.verb == "profile":
-        args.out = "out"
     try:
         if args.verb == "profile":
+            args.out = args.out or "out"
             return cmd_profile(args)
         if args.config is None:
             print("--config is required for this verb", file=sys.stderr)
             return EXIT_CONFIG
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        out = args.out or cfg.output_dir
         if args.verb == "predict":
-            return cmd_predict(args)
-        if args.verb in ("solve", "sweep"):
-            return cmd_solve(args)
+            return cmd_predict(cfg, out)
         if args.verb == "compare":
-            return cmd_compare(args)
+            return cmd_compare(cfg, out)
+        return cmd_solve(cfg, out, args.threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, DivergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ A config has four sections; only `experiment` is required:
       formats: [csv]               # csv (contract), svg (convenience)
     seed: 0
 
-Unknown keys are rejected with the offending key path and, when it can
-be located, the line in the source file.
+Unknown keys and values of the wrong type are rejected with the
+offending key path and, when it can be located, the line in the source
+file. Values are kept as written: `threshold: 8` stays the int 8.
 """
 
 from __future__ import annotations
@@ -30,22 +31,36 @@ from functools import cached_property
 import yaml
 
 from .errors import ConfigError
-from .geometry import PlanarDomain, RectangleDomain
+from .geometry import PlanarDomain, RectangleDomain, SmoothPolarDomain
 from .reaction import Nonlinearity
 from .solvers import SolverConfig
 
-_SOLVER_KEYS = {
-    "nx": int, "ny": int, "grading": float,
-    "dt_init": float, "dt_min": float, "dt_max": float,
-    "safety": float, "growth_target": float, "threshold": float,
-    "max_steps": int, "t_end": float, "theta": float,
-    "noise_amplitude": float,
-    "check_supersolution": bool, "max_unknowns": int,
-    "skeleton_resolution": float,  # consumed by the predict command
+# Section -> key -> type; seed is a top-level scalar. An int passes for a
+# float, a bool only for a bool; null keeps a solver key's default.
+_SCHEMA = {
+    "experiment": {"name": str, "nonlinearity": str, "order": int,
+                   "geometry": str, "eps": object},  # eps: checked by load_config
+    "solver": {
+        "nx": int, "ny": int, "grading": float,
+        "dt_init": float, "dt_min": float, "dt_max": float,
+        "safety": float, "growth_target": float, "threshold": float,
+        "max_steps": int, "t_end": float, "theta": float,
+        "noise_amplitude": float,
+        "check_supersolution": bool, "max_unknowns": int,
+        "skeleton_resolution": float,  # consumed by the predict command
+    },
+    "outputs": {"directory": str, "snapshot_stride": int, "formats": list},
+    "seed": int,
 }
-_OUTPUT_KEYS = {"directory": str, "snapshot_stride": int, "formats": list}
-_EXPERIMENT_KEYS = {"name": str, "nonlinearity": str, "order": int,
-                    "geometry": str, "eps": object}
+
+# Geometry token kind -> (half-widths, solver geometry). Kinds ending in a
+# colon take arguments: box half-widths, or the radius coefficients of
+# polar:, which no solver covers. Plain cube is cube:1.
+_GEOMETRIES = {
+    "strip": (0, "strip"), "disc": (0, "radial-disc"),
+    "radial-disc": (0, "radial-disc"), "square:": (1, "rect"),
+    "rect:": (2, "rect"), "cube:": (1, "cube"), "polar:": (0, None),
+}
 
 
 @dataclass
@@ -60,52 +75,55 @@ class ExperimentConfig:
     snapshot_stride: int = 0
     formats: tuple = ("csv",)
     seed: int = 0
-    source_path: str = ""
 
     def nonlinearity_obj(self) -> Nonlinearity:
         return Nonlinearity.from_spec(self.nonlinearity)
 
+    def _token(self) -> tuple:
+        """(_GEOMETRIES key, the comma-separated numbers after the colon)
+        of the geometry token; the numbers are [] when one is none."""
+        g = "cube:1" if self.geometry == "cube" else self.geometry
+        head, colon, args = g.partition(":")
+        if head + colon not in _GEOMETRIES:
+            raise ConfigError(f"unknown geometry {self.geometry!r}")
+        try:
+            return head + colon, [float(s) for s in args.split(",")]
+        except ValueError:
+            return head + colon, []
+
     def domain(self) -> PlanarDomain:
         """2D geometric domain for prediction commands."""
-        g = self.geometry
-        if g.startswith(("strip", "cube", "radial-disc")):
-            if g == "radial-disc":
-                return PlanarDomain.from_spec("disc")
-            raise ConfigError(f"geometry {self.geometry!r} has no 2D domain")
-        if g.startswith(("square:", "rect:")):
+        kind, vals = self._token()
+        if kind == "polar:":
+            if len(vals) % 2 == 0:
+                raise ConfigError("polar: takes c0 and (cos, sin) coefficient pairs")
+            return SmoothPolarDomain(vals[0], vals[1::2], vals[2::2])
+        solver = _GEOMETRIES[kind][1]
+        if solver == "rect":
             return RectangleDomain.centered(*self.half_widths)
-        return PlanarDomain.from_spec(g)
+        if solver == "radial-disc":
+            return SmoothPolarDomain(1.0)
+        raise ConfigError(f"geometry {self.geometry!r} has no 2D domain")
 
     @cached_property
     def half_widths(self) -> tuple:
         """Box half-widths, parsed once: (L, L) of square:L, (a, b) of
         rect:a,b, (L,) of cube:L or plain cube (L = 1), () of the other
         geometries. ConfigError unless each is finite and positive."""
-        g = "cube:1" if self.geometry == "cube" else self.geometry
-        kind, _, args = g.partition(":")
-        arity = {"square": 1, "rect": 2, "cube": 1}.get(kind)
-        if arity is None:
+        kind, vals = self._token()
+        count = _GEOMETRIES[kind][0]
+        if not count:
             return ()
-        try:
-            vals = [float(s) for s in args.split(",")]
-        except ValueError:
-            vals = []
-        if len(vals) != arity or not all(0 < v < math.inf for v in vals):
-            raise ConfigError(f"geometry {self.geometry!r} needs {arity} finite "
+        if len(vals) != count or not all(0 < v < math.inf for v in vals):
+            raise ConfigError(f"geometry {self.geometry!r} needs {count} finite "
                               "positive half-width(s)")
-        return tuple(vals * 2 if kind == "square" else vals)
+        return tuple(vals * 2 if kind == "square:" else vals)
 
     def solver_geometry(self) -> str:
-        g = self.geometry
-        if g == "strip":
-            return "strip"
-        if g in ("disc", "radial-disc"):
-            return "radial-disc"
-        if g.startswith(("square:", "rect:")):
-            return "rect"
-        if g == "cube" or g.startswith("cube:"):
-            return "cube"
-        raise ConfigError(f"no solver supports geometry {self.geometry!r}")
+        solver = _GEOMETRIES[self._token()[0]][1]
+        if solver is None:
+            raise ConfigError(f"no solver supports geometry {self.geometry!r}")
+        return solver
 
     def solver_config(self, eps: float) -> SolverConfig:
         geo = self.solver_geometry()
@@ -129,19 +147,39 @@ class ExperimentConfig:
         return SolverConfig(**kw)
 
 
-def _reject_unknown(section: dict, allowed: dict, where: str, raw: str):
-    for key in section:
-        if key not in allowed:
-            line = _find_line(raw, key)
-            loc = f" (line {line})" if line else ""
-            raise ConfigError(f"unknown key {where}.{key}{loc}")
+def _at(raw: str, path: str) -> str:
+    """' (line n)' of the line of raw that sets the dotted key path, each
+    key searched from the line of its section on; '' if none does."""
+    lines, n = raw.splitlines(), 0
+    for key in path.split("."):
+        n = next((i for i in range(n, len(lines))
+                  if lines[i].strip().startswith(f"{key}:")), None)
+        if n is None:
+            return ""
+    return f" (line {n + 1})"
 
 
-def _find_line(raw: str, key: str):
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if line.strip().startswith(f"{key}:"):
-            return i
-    return None
+def _is(value, typ) -> bool:
+    """isinstance, but an int passes for a float and a bool only for a bool."""
+    if isinstance(value, bool):
+        return typ in (bool, object)
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def _check(section: dict, schema: dict, where: str, raw: str):
+    """Reject the keys of section that schema lacks and the values of the
+    wrong type; a nested schema is a section, which may be null."""
+    for key, value in section.items():
+        path, typ = f"{where}{key}", schema.get(key)
+        if typ is None:
+            raise ConfigError(f"unknown key {path}{_at(raw, path)}")
+        if isinstance(typ, dict):
+            if not isinstance(value, (dict, type(None))):
+                raise ConfigError(f"{path} must be a mapping{_at(raw, path)}")
+            _check(value or {}, typ, f"{path}.", raw)
+        elif not (_is(value, typ) or value is None and where == "solver."):
+            raise ConfigError(f"{path} must be {typ.__name__}, got {value!r}"
+                              f"{_at(raw, path)}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -153,35 +191,24 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    for key in doc:
-        if key not in ("experiment", "solver", "outputs", "seed"):
-            line = _find_line(raw, key)
-            raise ConfigError(
-                f"unknown section {key!r}" + (f" (line {line})" if line else ""))
+    _check(doc, _SCHEMA, "", raw)
     exp = doc.get("experiment")
-    if not isinstance(exp, dict):
+    if exp is None:
         raise ConfigError("missing required section 'experiment'")
-    _reject_unknown(exp, _EXPERIMENT_KEYS, "experiment", raw)
     for req in ("nonlinearity", "order", "geometry", "eps"):
         if req not in exp:
             raise ConfigError(f"experiment.{req} is required")
-    eps = exp["eps"]
-    if isinstance(eps, (int, float)):
-        eps_values = [float(eps)]
-    elif isinstance(eps, list) and eps:
-        eps_values = [float(e) for e in eps]
-    else:
-        raise ConfigError("experiment.eps must be a number or non-empty list")
+    eps_values = exp["eps"] if isinstance(exp["eps"], list) else [exp["eps"]]
+    if not eps_values or not all(_is(e, float) for e in eps_values):
+        raise ConfigError("experiment.eps must be a number or a non-empty list "
+                          f"of numbers, got {exp['eps']!r}{_at(raw, 'experiment.eps')}")
+    eps_values = [float(e) for e in eps_values]
     if any(e < 0 for e in eps_values):
         raise ConfigError("experiment.eps values must be >= 0")
-    order = exp["order"]
-    if order not in (2, 4):
-        raise ConfigError(f"experiment.order must be 2 or 4, got {order!r}")
+    if exp["order"] not in (2, 4):
+        raise ConfigError(f"experiment.order must be 2 or 4, got {exp['order']!r}")
 
-    solver = doc.get("solver", {}) or {}
-    _reject_unknown(solver, _SOLVER_KEYS, "solver", raw)
-    outputs = doc.get("outputs", {}) or {}
-    _reject_unknown(outputs, _OUTPUT_KEYS, "outputs", raw)
+    outputs = doc.get("outputs") or {}
     formats = tuple(outputs.get("formats", ["csv"]))
     for f in formats:
         if f not in ("csv", "svg"):
@@ -189,16 +216,15 @@ def load_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
-        nonlinearity=str(exp["nonlinearity"]),
-        order=int(order),
-        geometry=str(exp["geometry"]),
+        nonlinearity=exp["nonlinearity"],
+        order=exp["order"],
+        geometry=exp["geometry"],
         eps_values=eps_values,
-        solver_overrides=dict(solver),
-        output_dir=str(outputs.get("directory", "out")),
-        snapshot_stride=int(outputs.get("snapshot_stride", 0)),
+        solver_overrides=dict(doc.get("solver") or {}),
+        output_dir=outputs.get("directory", "out"),
+        snapshot_stride=outputs.get("snapshot_stride", 0),
         formats=formats,
-        seed=int(doc.get("seed", 0)),
-        source_path=str(path),
+        seed=doc.get("seed", 0),
     )
     # fail fast on malformed nonlinearity/geometry tokens
     try:

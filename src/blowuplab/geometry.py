@@ -99,23 +99,6 @@ class PlanarDomain:
         (x0, x1), (y0, y1) = self.bounding_box
         return float(np.hypot(x1 - x0, y1 - y0))
 
-    @staticmethod
-    def from_spec(spec: str) -> "PlanarDomain":
-        """Parse the smooth-domain config tokens: disc | polar:<coeffs>.
-        Box tokens are parsed by the config (ExperimentConfig.half_widths)."""
-        spec = spec.strip()
-        if spec == "disc":
-            return SmoothPolarDomain(1.0)
-        if spec.startswith("polar:"):
-            vals = [float(s) for s in spec.split(":", 1)[1].split(",")]
-            c0, rest = vals[0], vals[1:]
-            if len(rest) % 2:
-                raise ValueError("polar coefficients must come in (cos, sin) pairs")
-            cos_c = rest[0::2]
-            sin_c = rest[1::2]
-            return SmoothPolarDomain(c0, cos_c, sin_c)
-        raise ValueError(f"unknown domain spec {spec!r}")
-
 
 class SmoothPolarDomain(PlanarDomain):
     """Star-shaped region r < r(theta), r a trigonometric polynomial.
@@ -766,8 +749,6 @@ def skeleton_arrival_time(skel: Skeleton, rs, eps: float, eta0: float) -> float:
     if skel.touches_boundary or skel.s_min <= 0.0:
         return 0.0
     u_target = (skel.s_min / (eta0 * eps)) ** 4
-    if rs.form == "tabulated" and u_target > rs._u_end:
-        return np.inf
     try:
         return float(rs.invert(u_target))
     except (OverflowError, RangeError):

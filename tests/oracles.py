@@ -466,15 +466,17 @@ def scalar_label_branches(samples, link_radius):
             i = parent[i]
         return i
 
-    # neighbor search on a hash grid to stay near-linear
+    # neighbor search on a hash grid to stay near-linear; two cells each
+    # way, because a pair whose rounded distance is link_radius can lie two
+    # cells apart, as (0, 0.125) and (0, -4.8e-277) at radius 0.125 do
     cell = {}
     inv = link_radius
     keys = np.floor(pts / inv).astype(int)
     for i, k in enumerate(map(tuple, keys)):
         cell.setdefault(k, []).append(i)
     for i, k in enumerate(map(tuple, keys)):
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
+        for dx in (-2, -1, 0, 1, 2):
+            for dy in (-2, -1, 0, 1, 2):
                 for j in cell.get((k[0] + dx, k[1] + dy), ()):
                     if j > i and np.hypot(*(pts[i] - pts[j])) <= link_radius:
                         ri, rj = find(i), find(j)

@@ -542,3 +542,107 @@ def test_read_points_csv_skips_comments_and_unselected(tmp_path):
     assert _read_points_csv(sing).tolist() == [[0.5]]
     sing.write_text("x,y,value\n")
     assert _read_points_csv(sing).shape == (0, 2)
+
+
+# -- one config schema, one load per verb ------------------------------------------
+
+def test_order2_strip_predicts_the_centre(tmp_path):
+    """Second order blows up at the point furthest from the boundary:
+    x = 0 on the strip, as a single peak in the solver too."""
+    path = write_cfg(tmp_path, STRIP_CFG.replace("order: 4", "order: 2"))
+    out = tmp_path / "out"
+    for verb in ("solve", "predict", "compare"):
+        assert main(["--config", path, "--out", str(out), verb]) == 0, verb
+    head = (out / "prediction_eps0p2.csv").read_text().splitlines()
+    assert head[0] == "# regime=distance-argmax" and "# order=2" in head
+    assert head[-1] == "0.0,1"
+    rows = (out / "comparison.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[-1] == "1"
+
+
+def test_seed_override_is_recorded(tmp_path):
+    path = write_cfg(tmp_path, STRIP_CFG)
+    out = str(tmp_path / "out")
+    for verb in ("solve", "predict"):
+        assert main(["--config", path, "--out", out, "--seed", "7", verb]) == 0
+    assert "seed: 7" in (tmp_path / "out" / "config_echo.yaml").read_text()
+    assert "seed: 7" in (tmp_path / "out" / "report_eps0p2.txt").read_text()
+    assert main(["--config", path, "--out", out, "--seed", "7", "compare"]) == 0
+    # the outputs are of seed 7, not of the config's seed 0
+    assert main(["--config", path, "--out", out, "compare"]) == 2
+
+
+MALFORMED = [
+    ("  nx: 401", "  nx: abc", "solver.nx"),
+    ("  nx: 401", "  nx: true", "solver.nx"),
+    ("  threshold: 8", "  threshold: hello", "solver.threshold"),
+    ("  threshold: 8", "  threshold: 1e3", "solver.threshold"),
+    ("  threshold: 8", "  threshold: 8\n  dt_max: [1, 2]", "solver.dt_max"),
+    ("  threshold: 8", "  threshold: 8\n  check_supersolution: maybe",
+     "solver.check_supersolution"),
+    ("eps: [0.2]", "eps: [a]", "experiment.eps"),
+    ("  formats: [csv]", "  formats: [csv]\nseed: abc", "seed"),
+    ("  formats: [csv]", "  formats: [csv]\n  snapshot_stride: x",
+     "outputs.snapshot_stride"),
+    ("  formats: [csv]", "  formats: csv", "outputs.formats"),
+]
+
+
+@pytest.mark.parametrize("old, new, key", MALFORMED,
+                         ids=[new.split("\n")[-1].strip() for _, new, _ in MALFORMED])
+def test_malformed_value_exits_2_without_output(tmp_path, capsys, old, new, key):
+    path = write_cfg(tmp_path, STRIP_CFG.replace(old, new))
+    with pytest.raises(ConfigError, match=rf"{key} .*\(line \d+\)"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "solve"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_key_line_is_searched_within_its_section(tmp_path):
+    # solver.threshold sets line 11; the misplaced key is on line 15
+    path = write_cfg(tmp_path, STRIP_CFG.replace("  formats: [csv]",
+                                                 "  formats: [csv]\n  threshold: 3"))
+    with pytest.raises(ConfigError, match=r"unknown key outputs\.threshold \(line 15\)"):
+        load_config(path)
+
+
+def test_predict_on_the_cube_exits_2_without_output(tmp_path, capsys):
+    path = write_cfg(tmp_path, STRIP_CFG.replace("geometry: strip", "geometry: cube:1"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "predict"]) == 2
+    assert "no 2D domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_svg_output_leaves_csvs_unchanged(tmp_path):
+    """solve, predict and compare with and without SVG: equal CSVs, and
+    every SVG parses as XML."""
+    import xml.etree.ElementTree as ET
+    outs = {}
+    for formats in ("[csv, svg]", "[csv]"):
+        path = write_cfg(tmp_path, SQUARE_CFG.replace("[csv, svg]", formats))
+        outs[formats] = out = tmp_path / formats.strip("[]").replace(", ", "-")
+        for verb in ("solve", "predict", "compare"):
+            assert main(["--config", path, "--out", str(out), verb]) == 0, verb
+    with_svg, without = outs.values()
+    csvs = sorted(p.name for p in with_svg.glob("*.csv"))
+    assert csvs == sorted(p.name for p in without.glob("*.csv"))
+    for name in csvs:
+        assert (with_svg / name).read_bytes() == (without / name).read_bytes(), name
+    assert not list(without.glob("*.svg"))
+    for kind in ("singularities", "prediction", "comparison"):
+        svg = with_svg / f"{kind}_eps0p2.svg"
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg", kind
+
+
+def test_readme_config_example_loads(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("### Experiment configs", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "example.yaml").write_text(example)
+    cfg = load_config(str(tmp_path / "example.yaml"))
+    assert cfg.formats == ("csv", "svg") and cfg.solver_overrides["threshold"] == 10
