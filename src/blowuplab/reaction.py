@@ -253,26 +253,37 @@ class ReactionSolution:
 
         Vectorized; entries that blow through the singularity within dt
         come back as +inf. This is what makes the split PDE stepper
-        reaction-exact near blow-up.
+        reaction-exact near blow-up. Non-finite entries stay non-finite.
+        The closed forms work in place on one array; `**=` keeps numpy's
+        fast paths for scalar powers such as -1 and 2.
         """
         u = np.asarray(u, dtype=float)
-        if self.nl.kind == "exp":
+        if self.nl.kind in ("exp", "pow"):
             with np.errstate(over="ignore", invalid="ignore"):
-                arg = np.exp(-u) - dt
-                out = np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-320)), np.inf)
-            return out
-        if self.nl.kind == "pow":
-            q = self.nl.p - 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                arg = (1.0 + u) ** (-q) - q * dt
-                out = np.where(arg > 0.0, np.maximum(arg, 1e-320) ** (-1.0 / q) - 1.0,
-                               np.inf)
-            return out
+                if self.nl.kind == "exp":
+                    arg = np.negative(u)
+                    np.exp(arg, out=arg)                   # exp(-u) - dt
+                    arg -= dt
+                else:
+                    q = self.nl.p - 1.0
+                    arg = u + 1.0
+                    arg **= -q                             # (1 + u)^-q - q dt
+                    arg -= q * dt
+                singular = ~(arg > 0.0)                    # NaN included
+                np.maximum(arg, 1e-320, out=arg)
+                if self.nl.kind == "exp":
+                    np.log(arg, out=arg)                   # -log(arg)
+                    np.negative(arg, out=arg)
+                else:
+                    arg **= -1.0 / q                       # arg^(-1/q) - 1
+                    arg -= 1.0
+            arg[singular] = np.inf
+            return arg
         # tabulated: map through tau = invert(u), step, map back
         tau = np.clip(self._invert_vec(u), 0.0, self._t_end)
         t_new = tau + dt
         out = np.full_like(u, np.inf)
-        ok = t_new <= self._t_end
+        ok = (t_new <= self._t_end) & np.isfinite(u)
         if np.any(ok):
             out[ok] = self._dense(t_new[ok])[0]
         return out

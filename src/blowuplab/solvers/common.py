@@ -17,11 +17,12 @@ Step sizes adapt by proportional control on the per-step growth of the
 sup norm (2% target near blow-up). Rectangle and cube steps are solved
 by fast diagonalization (FastDiagCN, with FastDiagRectCN and
 FastDiagCubeCN at order 4), set up once per power-of-two step-size
-bucket. They are taken in the sine basis: the explicit half
-u - (1 - theta) dt B u comes from the forward transform of u that the
-solve needs anyway, plus, at order 4, a thin product of the lines or
-faces next to the walls, so no box step makes a sparse product, and
-the box builders assemble no sparse operator. Strip and disc steps
+bucket. They are taken in the sine basis, where the clamped wall term
+is rank 2 per axis: the explicit half u - (1 - theta) dt B u, the
+rectangle's Woodbury correction and every cube PCG iteration work on
+sine coefficients, so a box step makes one forward and one inverse
+transform and no sparse product, and the box builders assemble no
+sparse operator. Strip and disc steps
 (BandedCN) take every dt the controller chooses: the band of their
 operator is stored once and each new dt costs one banded
 factorization. SparseLUCN (direct sparse LU) and
@@ -294,11 +295,14 @@ class FastDiagCN:
     d4_clamped_uniform is D2^2 plus 2/h^4 on its first and last diagonal
     entries, so R is 2/h_k^4 on the nodes next to the walls of axis k.
     FastDiagRectCN and FastDiagCubeCN square eig, so that the sine solve
-    is P = I + theta dt s L^2, and add R back. Their explicit half is
-    b^ = u^ - c (eig u^ + T(R u)), where T(R u) is a thin product of the
-    wall-adjacent lines or faces of u (_ring_hat). No adapter holds B:
-    rect_operator and cube_operator assemble it for the tests. Setups are
-    cached on power-of-two dt buckets."""
+    is P = I + theta dt s L^2, and add R back. The sine matrices are
+    orthonormal and symmetric, so in the sine basis R is rank 2 per axis:
+    T R T = sum_k (2/h_k^4) E_k^T E_k along axis k, with E_k the rows of
+    S_k at the walls (ends). Their explicit half is
+    b^ = u^ - c (eig u^ + T R T u^), with T R T u^ a thin contraction of
+    u^ per axis (_wall_hat). No adapter holds B: rect_operator and
+    cube_operator assemble it for the tests. Setups are cached on
+    power-of-two dt buckets."""
 
     CACHE_SIZE = 6
 
@@ -331,20 +335,15 @@ class FastDiagCN:
         """Eigenvalues of the sine-basis solve's inverse for this dt."""
         return 1.0 / (1.0 + self.theta * dt * self.scale * self.eig)
 
-    def _solve(self, g, rhs):
-        """P^-1 rhs for a physical right side: T(g T rhs), flattened."""
-        return self._transform(g * self._transform(rhs.reshape(self.shape))).ravel()
-
-    def _ring_hat(self, U):
-        """T(R u) on the field U; R = 0 at order 2."""
+    def _wall_hat(self, Uh):
+        """T R T u^ on the sine coefficients Uh; R = 0 at order 2."""
         return 0.0
 
     def _explicit_hat(self, dt, u):
         """b^ = T(u - (1 - theta) dt B u), from the forward transform of u."""
-        U = u.reshape(self.shape)
-        Uh = self._transform(U)
+        Uh = self._transform(u.reshape(self.shape))
         bh = self.eig * Uh
-        bh += self._ring_hat(U)
+        bh += self._wall_hat(Uh)
         bh *= -(1.0 - self.theta) * dt * self.scale
         bh += Uh
         return bh
@@ -369,13 +368,16 @@ class FastDiagRectCN(FastDiagCN):
     R is added back exactly by a capacitance solve over the 2(mx+my)
     nodes of the lines next to the walls (Buzbee, Dorr, George and Golub
     1971), from G = g b^ in the sine basis; the capacitance matrix is
-    solved by two BLAS triangular solves on its Cholesky factor. With
-    Ex, Ey the sine vectors at the walls, T(R u) is
-    (2/hx^4) Ex^T (U[[0, -1]] Sy) + (2/hy^4) (Sx U[:, [0, -1]]) Ey.
-    Memory: every cached dt bucket holds a dense Cholesky factor of that
-    size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior nodes; at the
-    max_unknowns limit of about 1412^2 the six buckets would need about
-    1.5 GB, a size this solver has not been run at."""
+    solved by two BLAS triangular solves on its Cholesky factor. It is
+    taken in sine-line coordinates, each wall line transformed along its
+    length (Sy on the rows part, Sx on the columns part), where it is
+    built and applied from Ex, Ey and g alone, with no product by Sx or
+    Sy. With Ex, Ey the sine vectors at the walls, T R T u^ is
+    (2/hx^4) Ex^T (Ex U^) + (2/hy^4) (U^ Ey^T) Ey, and a step makes two
+    transforms. Memory: every cached dt bucket holds a dense Cholesky
+    factor of that size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior
+    nodes; at the max_unknowns limit of about 1412^2 the six buckets
+    would need about 1.5 GB, a size this solver has not been run at."""
 
     def __init__(self, theta: float, shape, spacing, scale):
         super().__init__(theta, shape, spacing, scale)
@@ -389,21 +391,20 @@ class FastDiagRectCN(FastDiagCN):
 
         W holds one column per node of the lines i = 0, mx-1 (rows part,
         (a, j) order) and j = 0, my-1 (columns part, (b, i) order); the
-        corners sit on both. P^-1 = S diag(g) S blockwise from the sine
-        vectors at the ring nodes, Ex and Ey."""
+        corners sit on both. Transformed along the lines, W^T P^-1 W has
+        diagonal rows-rows and columns-columns blocks,
+        (Ex[a] Ex[b]) @ g and g @ (Ey[a] Ey[b]), and rows-columns entries
+        Ex[a, p] g[p, q] Ey[b, q] at (a, q; b, p)."""
         g = super()._setup(dt)
-        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+        Ex, Ey = self.ends
         mx, my = self.shape
-        KR = np.empty((2, my, 2, my))
-        KC = np.empty((2, mx, 2, mx))
-        KX = np.empty((2, my, 2, mx))
-        for a in range(2):
-            gx = g.T @ (Sx * Ex[a]).T                    # (q, i)
-            for b in range(2):
-                if a <= b:  # Ex[a] * Ex[b] is symmetric in a and b, bit for bit
-                    KR[a, :, b] = KR[b, :, a] = (Sy * ((Ex[a] * Ex[b]) @ g)) @ Sy
-                    KC[a, :, b] = KC[b, :, a] = (Sx * (g @ (Ey[a] * Ey[b]))) @ Sx
-                KX[a, :, b] = (Sy * Ey[b]) @ gx
+        # Ex[a] * Ex[b] is symmetric in a and b, bit for bit, and so is K
+        jy, ix = np.arange(my), np.arange(mx)
+        KR = np.zeros((2, my, 2, my))
+        KC = np.zeros((2, mx, 2, mx))
+        KR[:, jy, :, jy] = ((Ex[:, None] * Ex) @ g).transpose(2, 0, 1)
+        KC[:, ix, :, ix] = ((Ey[:, None] * Ey) @ g.T).transpose(2, 0, 1)
+        KX = (Ex[:, None, None] * g.T[:, None]) * Ey.T[:, :, None]
         KX = KX.reshape(2 * my, 2 * mx)
         K = np.block([[KR.reshape(2 * my, 2 * my), KX],
                       [KX.T, KC.reshape(2 * mx, 2 * mx)]])
@@ -415,23 +416,23 @@ class FastDiagRectCN(FastDiagCN):
         C[np.diag_indices_from(C)] += 1.0
         return g, cho_factor(C), d
 
-    def _ring_hat(self, U):
-        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+    def _wall_hat(self, Uh):
+        Ex, Ey = self.ends
         wx, wy = self.walls
-        return wx * (Ex.T @ (U[[0, -1]] @ Sy)) + wy * ((Sx @ U[:, [0, -1]]) @ Ey)
+        return wx * (Ex.T @ (Ex @ Uh)) + wy * ((Uh @ Ey.T) @ Ey)
 
     def _step(self, setup, bh):
         g, (cu, _), d = setup                          # cu: upper factor
-        (Sx, Sy), (Ex, Ey) = self.sines, self.ends
+        Ex, Ey = self.ends
         mx, my = self.shape
         G = g * bh
-        # W^T P^-1 b: the ring lines of S G S, from thin products
-        y = np.concatenate([(Ex @ G @ Sy).ravel(), (Sx @ (G @ Ey.T)).T.ravel()])
+        # W^T P^-1 b in sine-line coordinates: Ex G and G Ey^T
+        y = np.concatenate([(Ex @ G).ravel(), (G @ Ey.T).T.ravel()])
         # C^-1 = U^-1 U^-T
         z = d * dtrsv(cu, dtrsv(cu, d * y, trans=1), trans=0)
         zr, zc = z[:2 * my].reshape(2, my), z[2 * my:].reshape(2, mx)
-        # S (W z) S, subtracted in the sine basis
-        H = Ex.T @ (zr @ Sy) + (Sx @ zc.T) @ Ey
+        # T (W z), subtracted in the sine basis
+        H = Ex.T @ zr + zc.T @ Ey
         return self._transform(G - g * H).ravel()
 
 
@@ -440,22 +441,23 @@ class FastDiagCubeCN(FastDiagCN):
 
     The ring of the cube is too large for a dense capacitance matrix, so
     P preconditions CG on the step matrix A1 = P + c R, c = theta dt s,
-    where R is the diagonal wall term. The cube has the same m nodes on
-    every axis; T(R u) transforms the six wall-adjacent faces of u as
-    S F S in one batched product and expands each axis pair with the
-    sine vectors at the walls. A dt bucket's setup is (g, cR): the
-    sine-basis eigenvalues g of P^-1 and the vector c R. The loop carries
-    P p along with the search direction p: from p <- z + beta p and
-    z = P^-1 r follows P p <- r + beta P p, so A1 p = P p + cR p costs
-    O(n), and each iteration makes one sine solve and no sparse product.
-    It starts from x0 = T(g b^), the P solve of the sine-basis right
-    side, so r0 = -cR x0. It stops by scipy's cg rule with atol 0:
-    |r| < RTOL |b|, with |b| = |b^| as T is orthonormal, tested before
-    each iteration, at most MAXITER iterations. RTOL is ten times tighter
-    than ConjugateGradientCN's: both stop just under their bound, and
-    plain CG overshoots further on the nearly diagonal early steps.
-    cg_iterations counts the iterations of all solves. A step makes
-    2 + 2 iterations sine transforms."""
+    where R is the diagonal wall term. The CG runs in the sine basis, on
+    T A1 T = diag(1/g) + c K with K = T R T, preconditioned by diag(g),
+    the sine-basis eigenvalues of P^-1; T is orthonormal, so its iterates
+    are those of the CG on A1 in another basis. The cube has the same m
+    nodes on every axis, and K p is three thin contractions of p with the
+    sine vectors at the walls (_wall_hat). A dt bucket's setup is (g, c).
+    The loop carries P p along with the search direction p: from
+    p <- z + beta p and z = P^-1 r follows P p <- r + beta P p, so
+    A1 p = P p + c K p makes no transform and no sparse product. It
+    starts from x0^ = g b^, the P solve of the sine-basis right side, so
+    r0^ = -c K x0^. It stops by scipy's cg rule with atol 0:
+    |r| < RTOL |b^|, tested before each iteration, at most MAXITER
+    iterations. RTOL is ten times tighter than ConjugateGradientCN's:
+    both stop just under their bound, and plain CG overshoots further on
+    the nearly diagonal early steps. cg_iterations counts the iterations
+    of all solves. A step makes two sine transforms, the forward one of
+    u and the inverse one of the solution."""
 
     RTOL = 1e-12
     MAXITER = 2000
@@ -463,46 +465,34 @@ class FastDiagCubeCN(FastDiagCN):
     def __init__(self, theta: float, shape, spacing, scale):
         super().__init__(theta, shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
-        # R: 2/h^4 of each axis on the nodes next to that axis's walls
         self.walls = [2.0 / h ** 4 for h in self.spacing]
-        rings = []
-        for m, w in zip(self.shape, self.walls):
-            r = np.zeros(m)
-            r[[0, -1]] = w
-            rings.append(r)
-        self.ring = reduce(np.add.outer, rings).ravel()
         self.ends = self.sines[0][[0, -1]]             # sine vectors at the walls
+        self.ends_t = self.ends.T.copy()               # contiguous for the last axis
         self.cg_iterations = 0
 
     def _setup(self, dt):
-        return super()._setup(dt), (self.theta * dt * self.scale) * self.ring
+        return super()._setup(dt).ravel(), self.theta * dt * self.scale
 
-    def _ring_hat(self, U):
-        S, E = self.sines[0], self.ends
-        m = len(S)
-        F = np.stack([U[0], U[-1], U[:, 0], U[:, -1], U[:, :, 0], U[:, :, -1]])
-        F = (S @ F) @ S                                # (6, m, m): S F S per face
+    def _wall_hat(self, Uh):
+        E, Et = self.ends, self.ends_t
+        m = len(Et)
         wx, wy, wz = self.walls
-        # each face pair goes back along its own axis through E^T:
-        # out[i, j, l] = wx E[a, i] F[a, j, l] + wy E[a, j] F[2+a, i, l]
-        #              + wz E[a, l] F[4+a, i, j], summed over a
-        out = (E.T @ (wx * F[0:2]).reshape(2, m * m)).reshape(m, m, m)
-        out += np.matmul(E.T, (wy * F[2:4]).transpose(1, 0, 2))
-        out += ((wz * F[4:6]).reshape(2, m * m).T @ E).reshape(m, m, m)
-        return out
+        X = Uh.reshape(m, m, m)
+        out = (Et @ (wx * (E @ X.reshape(m, m * m)))).reshape(m, m, m)
+        out += Et @ (wy * (E @ X))
+        out += ((wz * (X.reshape(m * m, m) @ Et)) @ E).reshape(m, m, m)
+        return out.reshape(Uh.shape)
 
     def _step(self, setup, bh):
-        g, cR = setup
-        x = super()._step(g, bh)
-        r = -cR * x
-        atol = self.RTOL * np.linalg.norm(bh)
-        if atol == 0.0:                                # b = 0
-            return x
+        g, c = setup
+        b = bh.ravel()
+        x = g * b
+        r = -c * self._wall_hat(x)
+        atol = self.RTOL * np.linalg.norm(b)
         for it in range(self.MAXITER):
-            if np.linalg.norm(r) < atol:
-                self.cg_iterations += it
-                return x
-            z = self._solve(g, r)
+            if atol == 0.0 or np.linalg.norm(r) < atol:   # atol 0: b = 0
+                break
+            z = g * r
             rho = r @ z
             if it:
                 beta = rho / rho_prev
@@ -512,12 +502,17 @@ class FastDiagCubeCN(FastDiagCN):
                 Pp += r
             else:
                 p, Pp = z, r.copy()
-            q = Pp + cR * p
+            q = self._wall_hat(p)
+            q *= c
+            q += Pp
             alpha = rho / (p @ q)
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
-        raise ConvergenceError(f"PCG did not converge in {self.MAXITER} iterations")
+        else:
+            raise ConvergenceError(f"PCG did not converge in {self.MAXITER} iterations")
+        self.cg_iterations += it
+        return self._transform(x.reshape(self.shape)).ravel()
 
 
 def _dst1_matrix(m):
@@ -591,14 +586,16 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
             break
         u_prev, t_prev, sup_prev = u, t, sup
         u1 = rs.flow(u, 0.5 * dtb)
-        if np.all(np.isfinite(u1)) and adapter is not None:
+        if adapter is not None and np.isfinite(u1).all():
             u2 = adapter.apply(dtb, u1)
         else:
             u2 = u1
-        u3 = rs.flow(u2, 0.5 * dtb) if np.all(np.isfinite(u2)) else u2
+        # the flow keeps non-finite entries non-finite, so one scan of its
+        # output also catches a failed linear step
+        u3 = rs.flow(u2, 0.5 * dtb)
         t = t + dtb
         steps += 1
-        if not np.all(np.isfinite(u3)):
+        if not np.isfinite(u3).all():
             sup = np.inf
             u = u3
             stop = "reaction-singularity"
@@ -767,7 +764,9 @@ def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
 
     Returns a list of tracks, each dict(times=[...], points=[...]).
     Linking is nearest-association within a quarter of the largest grid
-    extent; unmatched peaks start new tracks."""
+    extent; unmatched peaks start new tracks. Peaks take tracks greedily
+    in their sorted order, each the nearest track not yet taken in this
+    snapshot, from one peak-to-track distance matrix per snapshot."""
     tracks = []
     max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
     last = np.empty((0, len(coords)))     # last point of every track
@@ -775,18 +774,19 @@ def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
         peaks = extract_singularities(snap.field, coords,
                                       threshold_fraction=threshold_fraction,
                                       separation=separation)
+        locs = np.array([loc for loc, _ in peaks]).reshape(-1, len(coords))
+        # summed axis by axis, left to right like a row sum, bit for bit
+        dist = np.sqrt(sum((x[:, None] - y) ** 2 for x, y in zip(locs.T, last.T)))
         # tracks started in this snapshot are not in `last` yet, so, as
-        # used tracks, they take no other peak of the same snapshot
-        free = np.ones(len(last), dtype=bool)
+        # taken tracks, they take no other peak of the same snapshot
         born = []
-        for loc, val in peaks:
-            d = np.where(free, np.sqrt(((last - loc) ** 2).sum(axis=1)), np.inf)
-            best = int(np.argmin(d)) if len(d) else -1
+        for (loc, _), d in zip(peaks, dist):
+            best = int(d.argmin()) if len(d) else -1
             if best >= 0 and d[best] < max_jump:
                 tracks[best]["times"].append(snap.t)
                 tracks[best]["points"].append(loc)
                 last[best] = loc
-                free[best] = False
+                dist[:, best] = np.inf
             else:
                 tracks.append(dict(times=[snap.t], points=[loc]))
                 born.append(loc)

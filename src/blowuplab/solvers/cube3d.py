@@ -5,10 +5,10 @@ the three one-dimensional fourth-derivative operators plus the doubled
 mixed second-derivative pairs. The Crank-Nicolson matrix is symmetric
 positive definite, and 3D fill-in rules out a direct factorization, so
 FastDiagCubeCN solves steps by conjugate gradients preconditioned with
-the exact sine-basis solve of its L^2 part. The right side is formed in
-the sine basis from the transform of u and of its six wall-adjacent
-faces. build_cube does not assemble the operator; cube_operator is the
-tests' reference.
+the exact sine-basis solve of its L^2 part. The right side and the
+iterations stay in the sine basis, where the wall term is three thin
+contractions, so a step makes two transforms. build_cube does not
+assemble the operator; cube_operator is the tests' reference.
 """
 
 from __future__ import annotations

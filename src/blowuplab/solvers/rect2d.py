@@ -8,12 +8,14 @@ zero), reproducing the 13-point stencil. The Dirichlet Laplacian is the
 usual 5-point kron sum. Uniform grids only; memory is guarded.
 
 Steps are taken by fast diagonalization, right side included, in the
-sine basis of each axis: FastDiagCN at order 2, where a step is two
-transforms; FastDiagRectCN at order 4, where the biharmonic is L^2 plus
-a diagonal R on the lines next to the walls. There the right side needs
-T(R u), a thin product of those lines, and a sine-basis solve plus a
-Woodbury correction on those lines is exact. build_rect does not
-assemble the operator; rect_operator is the tests' reference.
+sine basis of each axis, two transforms per step: FastDiagCN at order 2;
+FastDiagRectCN at order 4, where the biharmonic is L^2 plus a diagonal R
+on the lines next to the walls. R is rank 2 per axis in the sine basis,
+so the right side needs only thin products of the sine coefficients
+with the sine vectors at the walls, and a sine-basis solve plus a
+Woodbury correction on those lines, taken in sine-line coordinates, is
+exact. build_rect does not assemble the operator; rect_operator is the
+tests' reference.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ from .fileio import atomic_open
 def svg_scatter(path, series, size=480, margin=40, title=""):
     """series: list of dicts with keys points ((n,2) array), color, marker
     ('o' or 'x'), label."""
-    pts = np.vstack([np.atleast_2d(s["points"]) for s in series if len(s["points"])])
+    pts = np.vstack([np.zeros((0, 2))]
+                    + [np.reshape(s["points"], (-1, 2)) for s in series])
     if len(pts) == 0:
         pts = np.zeros((1, 2))
     lo = pts.min(axis=0)
@@ -38,7 +39,7 @@ def svg_scatter(path, series, size=480, margin=40, title=""):
     for s in series:
         color = s.get("color", "#1f6fb2")
         marker = s.get("marker", "o")
-        for p in np.atleast_2d(s["points"]):
+        for p in np.reshape(s["points"], (-1, 2)):
             x, y = to_px(p)
             if marker == "o":
                 out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="none" '

@@ -24,7 +24,9 @@ scalar_radial_laplacian_dirichlet and scalar_second_derivative_dirichlet
 are the disc and strip operators as they were first written, one row and
 one triplet at a time. scalar_curvature_candidates is the predictor's
 curvature-maximum search on omega loops with one Python comparison per
-loop point.
+loop point. expression_flow is the closed-form reaction flow as it was
+first written, one array expression per form. scalar_track_peaks is the
+peak linking as it was first written, one distance array per peak.
 """
 
 import numpy as np
@@ -589,3 +591,45 @@ def scalar_parabola_vertex(x3, f3):
         return x1
     xv = -b / (2.0 * a)
     return float(np.clip(xv, min(x0, x2), max(x0, x2)))
+
+
+def expression_flow(rs, u, dt):
+    """ReactionSolution.flow of the exp and pow forms as it was first
+    written: one array expression each, +inf where the flow blows up."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rs.nl.kind == "exp":
+            arg = np.exp(-u) - dt
+            return np.where(arg > 0.0, -np.log(np.maximum(arg, 1e-320)), np.inf)
+        q = rs.nl.p - 1.0
+        arg = (1.0 + u) ** (-q) - q * dt
+        return np.where(arg > 0.0, np.maximum(arg, 1e-320) ** (-1.0 / q) - 1.0, np.inf)
+
+
+def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
+    """solvers.track_peaks as it was first written: each peak, in sorted
+    order, computes its distances to the free tracks and takes the nearest."""
+    from blowuplab.solvers.common import extract_singularities
+    tracks = []
+    max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
+    last = np.empty((0, len(coords)))
+    for snap in snapshots:
+        peaks = extract_singularities(snap.field, coords,
+                                      threshold_fraction=threshold_fraction,
+                                      separation=separation)
+        free = np.ones(len(last), dtype=bool)
+        born = []
+        for loc, val in peaks:
+            d = np.where(free, np.sqrt(((last - loc) ** 2).sum(axis=1)), np.inf)
+            best = int(np.argmin(d)) if len(d) else -1
+            if best >= 0 and d[best] < max_jump:
+                tracks[best]["times"].append(snap.t)
+                tracks[best]["points"].append(loc)
+                last[best] = loc
+                free[best] = False
+            else:
+                tracks.append(dict(times=[snap.t], points=[loc]))
+                born.append(loc)
+        if born:
+            last = np.vstack([last, born])
+    return tracks

@@ -637,6 +637,19 @@ def test_svg_output_leaves_csvs_unchanged(tmp_path):
         assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg", kind
 
 
+def test_svg_scatter_with_every_series_empty(tmp_path):
+    import xml.etree.ElementTree as ET
+    from blowuplab.svgplot import svg_scatter
+    path = tmp_path / "empty.svg"
+    svg_scatter(path, [dict(points=np.zeros((0, 2)), label="predicted"),
+                       dict(points=[], marker="x", label="computed")], title="none")
+    root = ET.parse(path).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    assert not root.findall("svg:circle", ns) and not root.findall("svg:path", ns)
+    assert [t.text for t in root.findall("svg:text", ns)] == ["none", "predicted", "computed"]
+
+
 def test_readme_config_example_loads(tmp_path):
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
               encoding="utf-8") as fh:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blowuplab.errors import DivergenceError, EvaluationDomainError, RangeError
 from blowuplab.reaction import (Nonlinearity, ReactionSolution, blowup_time_T0,
                                 register_nonlinearity)
+from oracles import expression_flow
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -199,6 +201,23 @@ def test_flow_tabulated_matches_closed():
 EPS = np.finfo(float).eps
 U_MAX = {"exp": 30.0, "pow": 1e3}
 fractions = st.floats(0.0, 0.999)
+
+
+@pytest.mark.parametrize("nl", [EXP, POW2, Nonlinearity.power(3.0), Nonlinearity.power(1.5)],
+                         ids=["exp", "pow2", "pow3", "pow1.5"])
+@settings(max_examples=200, deadline=None)
+@given(u=arrays(float, st.integers(1, 64), elements=st.one_of(
+           st.floats(0.0, 1.0), st.sampled_from([np.inf, -np.inf, np.nan, -0.5]))),
+       pick=st.integers(0, 63), factor=st.floats(0.0, 2.0))
+def test_flow_in_place_equals_expression(nl, u, pick, factor):
+    """The in-place flow equals the one-expression flow bit for bit, on
+    inputs with +-inf and NaN, and with dt around the tail time of one
+    entry, so that entries on both sides blow up within dt or stay finite."""
+    rs = ReactionSolution(nl)
+    u = np.where(np.isfinite(u) & (u >= 0.0), u * U_MAX[nl.kind], u)
+    ref = u[pick % len(u)]
+    dt = factor * (rs.tail_time(ref) if np.isfinite(ref) and ref >= 0.0 else 0.1)
+    assert np.array_equal(rs.flow(u, dt), expression_flow(rs, u, dt))
 
 
 def _flow(rs, u, dt):

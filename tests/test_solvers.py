@@ -11,7 +11,8 @@ from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
                                solve, solve_problem, track_peaks)
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
                                      FastDiagCN, FastDiagCubeCN, FastDiagRectCN,
-                                     SparseLUCN, _strict_local_maxima)
+                                     Snapshot, SparseLUCN, _strict_local_maxima,
+                                     initial_field, run_stepper)
 from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
@@ -20,7 +21,7 @@ from blowuplab.solvers.radial import (radial_biharmonic, radial_grid,
 from blowuplab.solvers.rect2d import rect_operator
 from oracles import (RebuiltBandedCN, box_operator, scalar_extract_singularities,
                      scalar_radial_biharmonic, scalar_radial_laplacian_dirichlet,
-                     scalar_second_derivative_dirichlet)
+                     scalar_second_derivative_dirichlet, scalar_track_peaks)
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -142,6 +143,31 @@ def test_track_peaks_moving_gaussian():
     pos = np.array([p[0] for p in tracks[0]["points"]])
     assert len(pos) == 11
     assert np.allclose(pos, 0.8 - 0.5 * np.linspace(0, 1, 11), atol=1e-3)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(order=4, nonlinearity=EXP, eps=0.1, geometry="strip", nx=401, grading=2.0),
+    dict(order=4, nonlinearity=POW2, eps=0.05, geometry="rect", nx=41, ny=31,
+         half_width_y=0.5)], ids=["strip", "rect"])
+def test_track_peaks_matches_scalar_loop(kw):
+    """On recorded snapshots with many peaks, tracks born and tracks
+    competing for peaks, the distance-matrix linking equals the loop."""
+    rep = solve(SolverConfig(threshold=10.0, snapshot_stride=5, **kw))
+    tracks = track_peaks(rep.snapshots, rep.grid)
+    assert len(tracks) > 10 and max(len(tr["times"]) for tr in tracks) > 50
+    assert tracks == scalar_track_peaks(rep.snapshots, rep.grid)
+
+
+@pytest.mark.parametrize("shape", [(300,), (30, 20), (12, 10, 9)])
+def test_track_peaks_matches_scalar_loop_on_noise(shape):
+    """Noise fields: many peaks per snapshot that jump, compete for the
+    same tracks and start new ones, in one to three dimensions."""
+    rng = np.random.default_rng(len(shape))
+    coords = tuple(np.sort(rng.uniform(-1.0, 1.0, n)) for n in shape)
+    snaps = [Snapshot(t=0.1 * k, field=rng.random(shape), sup=1.0) for k in range(12)]
+    tracks = track_peaks(snaps, coords)
+    assert len(tracks) > 12 and max(len(tr["times"]) for tr in tracks) > 6
+    assert tracks == scalar_track_peaks(snaps, coords)
 
 
 # -- operator construction -------------------------------------------------------
@@ -319,6 +345,42 @@ def test_per_step_symmetry_injection():
     u2 = adapter.apply(dt, u1)
     u3 = rs.flow(u2, dt / 2)
     assert np.max(np.abs(u3 - u3[::-1])) <= 1e-10 * np.max(np.abs(u3))
+
+
+class _PoisonedStep:
+    """The identity linear step, except that step number `at` returns
+    `value` at one node."""
+
+    def __init__(self, at, value):
+        self.at, self.value, self.solves = at, value, 0
+
+    def quantize(self, dt):
+        return dt
+
+    def apply(self, dt, u):
+        self.solves += 1
+        out = u.copy()
+        if self.solves == self.at:
+            out[len(out) // 2] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("nl", [EXP, POW2, Nonlinearity.custom(lambda u: (1.0 + u) ** 2,
+                                                                "sq2")],
+                         ids=["exp", "pow2", "tabulated"])
+def test_non_finite_linear_step_stops_the_run(nl, value):
+    """A linear step that returns NaN or -inf stops the run with
+    reaction-singularity and the tail estimate of the state before it."""
+    cfg = SolverConfig(order=2, nonlinearity=nl, eps=0.1, nx=41,
+                       noise_amplitude=1e-3, seed=2)
+    rs = ReactionSolution(nl)
+    u0 = np.abs(initial_field(cfg, cfg.nx - 2))
+    before = run_stepper(cfg.replace(max_steps=29), _PoisonedStep(0, value), rs, u0)
+    run = run_stepper(cfg, _PoisonedStep(30, value), rs, u0)
+    assert run["stop_reason"] == "reaction-singularity" and run["steps"] == 30
+    assert run["T_eps"] == before["t_stop"] + rs.tail_time(before["sup_stop"])
+    assert np.array_equal(run["u"], before["u"])
 
 
 def test_snapshot_symmetry_accumulated():
@@ -605,9 +667,9 @@ def test_cube_cg_iterations_match_scipy_cg():
         want += 1
 
     for dt, u in steps:
-        g, _ = fast._setup(dt)
-        M = LinearOperator((n, n), dtype=float,
-                           matvec=lambda r: FastDiagCN._solve(fast, g, r))
+        g = fast._setup(dt)[0].reshape(fast.shape)
+        M = LinearOperator((n, n), dtype=float, matvec=lambda r: fast._transform(
+            g * fast._transform(r.reshape(fast.shape))).ravel())
         A1 = sp.identity(n, format="csr") + cfg.theta * dt * B
         b = u - (1.0 - cfg.theta) * dt * (B @ u)
         _, info = cg(A1, b, x0=M @ b, M=M, rtol=fast.RTOL, atol=0.0,
@@ -638,8 +700,30 @@ def test_thin_ring_transform_matches_dense():
         for _ in range(3):
             U = rng.standard_normal(fast.shape)
             want = _dense_ring_hat(fast, U)
-            got = fast._ring_hat(U)
+            got = fast._wall_hat(fast._transform(U))
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geometry,order", [("rect", 2), ("rect", 4), ("cube", 4)])
+def test_box_step_makes_two_transforms(geometry, order):
+    """The forward transform of u and the inverse one of the step: the
+    wall term, the Woodbury correction and the PCG stay in the sine basis."""
+    cfg = SolverConfig(order=order, nonlinearity=POW2, eps=0.1, geometry=geometry,
+                       nx=17, ny=11)
+    fast, _ = BUILDERS[geometry](cfg)
+    transform, calls = fast._transform, []
+
+    def counting(U):
+        calls.append(U.shape)
+        return transform(U)
+
+    fast._transform = counting
+    rng = np.random.default_rng(order)
+    for dt in (2.0 ** -12, 2.0 ** -6):
+        del calls[:]
+        fast.apply(dt, rng.uniform(0.0, 1.0, int(np.prod(fast.shape))))
+        assert calls == [fast.shape] * 2
+    assert getattr(fast, "cg_iterations", 1) > 0
 
 
 def _holds_sparse(obj):
