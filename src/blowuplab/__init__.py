@@ -17,8 +17,8 @@ from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
 from .predictor import (Prediction, critical_eps, outer_1d_second,
                         outer_2d_second, predict_1d_fourth, predict_fourth_2d,
                         predict_second_2d, uniform_1d, uniform_2d)
-from .profiles import (OMEGA, CorrectionProfile, LayerProfile, eval_profile4,
-                       get_correction, get_profile4, second_order_profile,
+from .profiles import (OMEGA, CorrectionProfile, LayerProfile, get_correction,
+                       get_profile4, second_order_profile,
                        solve_curvature_correction, solve_profile4, v2, v2_prime,
                        v2_tail)
 from .reaction import (Nonlinearity, ReactionSolution, blowup_time_T0,

@@ -3,17 +3,16 @@
 Verbs: profile, predict, solve (also named sweep), compare. Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 no blow-up detected.
 CSV files are the data contract; SVG plots are a convenience. Identical
-configs (same seed) produce byte-identical CSVs: floats are written with
-repr and every merge is sorted. Every output file is written through
-atomic_open, so a failed run leaves earlier files whole. A numerical
-failure of one eps, in a --threads worker too, exits 3 and names that
-eps.
+configs (same seed) produce byte-identical CSVs: fileio.write_csv writes
+floats with repr, and every merge is sorted. Every output file is written
+through atomic_open, so a failed run leaves earlier files whole. A
+numerical failure of one eps, in a --threads worker too, exits 3 and
+names that eps.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import dump_config, load_config
 from .errors import BlowupLabError, ConfigError, ConvergenceError, DivergenceError
-from .fileio import atomic_open
+from .fileio import atomic_open, cell, read_csv, write_csv
 from .geometry import compute_skeleton, omega_set, skeleton_arrival_time
 from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
                         predict_1d_fourth)
@@ -62,10 +61,8 @@ def cmd_profile(args) -> int:
         name = "profile2"
     prof.to_csv(os.path.join(args.out, f"{name}.csv"))
     corr = get_correction(args.order)
-    with atomic_open(os.path.join(args.out, f"{name}_correction.csv")) as fh:
-        fh.write("eta,vbar1\n")
-        for e, v in zip(corr.eta, corr.values):
-            fh.write(f"{float(e)!r},{float(v)!r}\n")
+    write_csv(os.path.join(args.out, f"{name}_correction.csv"), ("eta", "vbar1"),
+              np.column_stack([corr.eta, corr.values]))
     with atomic_open(os.path.join(args.out, f"{name}_summary.txt")) as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"wrote {name}.csv, {name}_correction.csv, {name}_summary.txt in {args.out}")
@@ -74,20 +71,19 @@ def cmd_profile(args) -> int:
 
 def _measured_T(out, rs):
     """Measured blow-up times from a prior solve in the same out dir,
-    read from the `eps` and `T_eps` columns of sweep_summary.csv."""
+    read from the `eps` and `T_eps` columns of sweep_summary.csv; a
+    malformed summary is a config error."""
     path = os.path.join(out, "sweep_summary.csv")
     if not os.path.exists(path):
         return {}
-    T_of = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not {"eps", "T_eps"} <= set(reader.fieldnames or ()):
-            raise ConfigError(f"{path} has no eps and T_eps columns")
-        for row in reader:
-            T = float(row["T_eps"])
-            if np.isfinite(T) and 0.0 < T < rs.T0:
-                T_of[float(row["eps"])] = T
-    return T_of
+    try:
+        _, header, rows = read_csv(path)
+        if not {"eps", "T_eps"} <= set(header):
+            raise ValueError("no eps and T_eps columns")
+        pairs = [(float(row["eps"]), float(row["T_eps"])) for row in rows]
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return {eps: T for eps, T in pairs if np.isfinite(T) and 0.0 < T < rs.T0}
 
 
 def _svg(cfg, path, title, *series):
@@ -137,12 +133,12 @@ def cmd_predict(cfg, out) -> int:
             except BlowupLabError:
                 pass
         pred.to_csv(os.path.join(out, f"prediction_eps{tag}.csv"))
-        rows.append(f"{eps!r},{pred.regime},{pred.multiplicity}\n")
+        rows.append((eps, pred.regime, pred.multiplicity))
         if not strip and pred.points.size:
             _svg(cfg, os.path.join(out, f"prediction_eps{tag}.svg"),
                  f"prediction eps={eps:g}", dict(points=pred.points, label="predicted"))
-    with atomic_open(os.path.join(out, "predictions_summary.csv")) as fh:
-        fh.write("eps,regime,multiplicity\n" + "".join(rows))
+    write_csv(os.path.join(out, "predictions_summary.csv"),
+              ("eps", "regime", "multiplicity"), rows)
     if not strip:
         T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
         print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
@@ -151,11 +147,8 @@ def cmd_predict(cfg, out) -> int:
 
 
 def _write_loops(path, loops):
-    with atomic_open(path) as fh:
-        fh.write("x,y,loop\n")
-        for k, loop in enumerate(loops):
-            for p in loop:
-                fh.write(f"{float(p[0])!r},{float(p[1])!r},{k}\n")
+    write_csv(path, ("x", "y", "loop"),
+              [(x, y, k) for k, loop in enumerate(loops) for x, y in loop.tolist()])
 
 
 def _write_echo(cfg, out):
@@ -176,21 +169,14 @@ def _solve_one(cfg, eps, out):
 
 def _write_report(report, cfg, eps, out):
     tag = _eps_tag(eps)
-    with atomic_open(os.path.join(out, f"singularities_eps{tag}.csv")) as fh:
-        dim = len(report.grid)
-        fh.write(",".join(["x", "y", "z"][:dim]) + ",value\n")
-        for coords, val in report.singularities:
-            fh.write(",".join(repr(float(c)) for c in coords) + f",{val!r}\n")
-    with atomic_open(os.path.join(out, f"trajectory_eps{tag}.csv")) as fh:
-        dim = len(report.grid)
-        fh.write("t," + ",".join(["x", "y", "z"][:dim]) + "\n")
-        for t, loc in report.peak_trajectory:
-            fh.write(f"{t!r}," + ",".join(repr(float(c)) for c in loc) + "\n")
-    with atomic_open(os.path.join(out, f"diagnostics_eps{tag}.csv")) as fh:
-        fh.write("t,sup,dt\n")
-        dts = [""] + [repr(float(d)) for d in report.diagnostics["dt_history"]]
-        for (t, s), d in zip(report.diagnostics["sup_history"], dts):
-            fh.write(f"{t!r},{s!r},{d}\n")
+    axes = ("x", "y", "z")[:len(report.grid)]
+    write_csv(os.path.join(out, f"singularities_eps{tag}.csv"), (*axes, "value"),
+              [(*coords, val) for coords, val in report.singularities])
+    write_csv(os.path.join(out, f"trajectory_eps{tag}.csv"), ("t", *axes),
+              [(t, *loc) for t, loc in report.peak_trajectory])
+    dts = [""] + list(report.diagnostics["dt_history"])
+    write_csv(os.path.join(out, f"diagnostics_eps{tag}.csv"), ("t", "sup", "dt"),
+              [(t, s, d) for (t, s), d in zip(report.diagnostics["sup_history"], dts)])
     with atomic_open(os.path.join(out, f"report_eps{tag}.txt")) as fh:
         fh.write(f"T_eps={report.T_eps!r}\n"
                  f"t_stop={report.t_stop!r}\n"
@@ -209,23 +195,15 @@ def _write_report(report, cfg, eps, out):
 
 
 def _write_field(report, path):
-    """One CSV line per node, written one grid row at a time from plain
-    floats; the cube stores its max-z slice."""
-    grid = [g.tolist() for g in report.grid]
-    field = report.final_field
-    with atomic_open(path) as fh:
-        if len(grid) == 1:
-            fh.write("x,u\n")
-            for x, u in zip(grid[0], field.tolist()):
-                fh.write(f"{x!r},{u!r}\n")
-            return
-        if len(grid) == 3:  # too large to dump fully
-            k = int(np.argmax(field.max(axis=(0, 1))))
-            fh.write(f"# z-slice k={k} z={grid[2][k]!r}\n")
-            field = field[:, :, k]
-        fh.write("x,y,u\n")
-        for x, row in zip(grid[0], field.tolist()):
-            fh.write("".join(f"{x!r},{y!r},{u!r}\n" for y, u in zip(grid[1], row)))
+    """One CSV line per node in grid order; the cube stores its max-z slice."""
+    grid, field, comments = report.grid, report.final_field, ()
+    if len(grid) == 3:  # too large to dump fully
+        k = int(np.argmax(field.max(axis=(0, 1))))
+        comments = (f"z-slice k={k} z={cell(grid[2][k])}",)
+        grid, field = grid[:2], field[:, :, k]
+    nodes = np.meshgrid(*grid, indexing="ij")
+    write_csv(path, ("x", "y")[:len(grid)] + ("u",),
+              np.column_stack([*(g.ravel() for g in nodes), field.ravel()]), comments)
 
 
 def cmd_solve(cfg, out, threads) -> int:
@@ -244,10 +222,9 @@ def cmd_solve(cfg, out, threads) -> int:
     except (ConvergenceError, DivergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    with atomic_open(os.path.join(out, "sweep_summary.csv")) as fh:
-        fh.write("eps,T_eps,multiplicity,stop_reason,sup_stop\n")
-        for eps, T, mult, reason, sup, _ in results:
-            fh.write(f"{eps!r},{T!r},{mult},{reason},{sup!r}\n")
+    write_csv(os.path.join(out, "sweep_summary.csv"),
+              ("eps", "T_eps", "multiplicity", "stop_reason", "sup_stop"),
+              [r[:5] for r in results])
     for eps, T, mult, reason, _, _ in results:
         print(f"eps={eps:g}: T_eps={T:.6g} multiplicity={mult} [{reason}]")
     return EXIT_OK if all(r[5] for r in results) else EXIT_NO_BLOWUP
@@ -255,13 +232,15 @@ def cmd_solve(cfg, out, threads) -> int:
 
 def _read_points_csv(path):
     """Coordinate rows (columns x, y, z as present) of a points CSV,
-    skipping `#` lines and, when there is a `selected` column, the rows
-    not selected."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = csv.DictReader(line for line in fh
-                              if line.strip() and not line.lstrip().startswith("#"))
-        pts = [[float(row[c]) for c in ("x", "y", "z") if c in row]
+    without the rows not selected when there is a `selected` column; a
+    malformed file is a config error."""
+    try:
+        _, header, rows = read_csv(path)
+        axes = [c for c in ("x", "y", "z") if c in header]
+        pts = [[float(row[c]) for c in axes]
                for row in rows if row.get("selected") in (None, "1")]
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return np.array(pts) if pts else np.zeros((0, 2))
 
 
@@ -367,12 +346,9 @@ def cmd_compare(cfg, out) -> int:
                  f"predicted vs computed, eps={eps:g}",
                  dict(points=pred[:, :2], label="asymptotic"),
                  dict(points=comp[:, :2], marker="x", color="#c23", label="numerical"))
-    with atomic_open(os.path.join(out, "comparison.csv")) as fh:
-        fh.write("eps,pred_x,pred_y,comp_x,comp_y,distance,"
-                 "pred_multiplicity,comp_multiplicity,multiplicity_agree\n")
-        for r in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in r) + "\n")
+    write_csv(os.path.join(out, "comparison.csv"),
+              ("eps", "pred_x", "pred_y", "comp_x", "comp_y", "distance",
+               "pred_multiplicity", "comp_multiplicity", "multiplicity_agree"), rows)
     agree = all(r[-1] == 1 for r in rows)
     print(f"comparison.csv written ({len(rows)} matched rows); "
           f"multiplicity agreement: {agree}")

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RangeError
-from .fileio import atomic_open
+from .fileio import write_csv
 
 TWO_PI = 2.0 * np.pi
 # entries of one block of the cos/sin table in SmoothPolarDomain: 8 MB
@@ -397,11 +397,8 @@ class Skeleton:
         return np.array([s.s_value for s in self.samples])
 
     def to_csv(self, path):
-        with atomic_open(path) as fh:
-            fh.write("x,y,s,branch\n")
-            for s in self.samples:
-                fh.write(f"{float(s.point[0])!r},{float(s.point[1])!r},"
-                         f"{float(s.s_value)!r},{s.branch}\n")
+        write_csv(path, ("x", "y", "s", "branch"),
+                  [(*s.point, s.s_value, s.branch) for s in self.samples])
 
 
 def _equidistant_firsts(distance, tol):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError
-from .fileio import atomic_open
+from .fileio import write_csv
 from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
                        max_distance_point, omega_set, skeleton_arrival_time)
 from .profiles import get_correction, get_profile4, v2
@@ -46,20 +46,14 @@ class Prediction:
         return len(self.points)
 
     def to_csv(self, path):
-        with atomic_open(path) as fh:
-            fh.write(f"# regime={self.regime}\n")
-            for k in sorted(self.metadata):
-                fh.write(f"# {k}={self.metadata[k]!r}\n")
-            dim = self.points.shape[1] if self.points.size else 2
-            cols = ["x", "y", "z"][:dim]
-            fh.write(",".join(cols) + ",selected\n")
-            for p in self.points:
-                fh.write(",".join(repr(float(c)) for c in p) + ",1\n")
-            for c in self.candidates:
-                p = c["point"]
-                if any(np.allclose(p, q) for q in self.points):
-                    continue
-                fh.write(",".join(repr(float(v)) for v in p) + ",0\n")
+        dim = self.points.shape[1] if self.points.size else 2
+        cands = np.array([c["point"] for c in self.candidates]).reshape(-1, dim)
+        taken = np.isclose(cands[:, None], self.points[None]).all(axis=2).any(axis=1)
+        write_csv(path, (*("x", "y", "z")[:dim], "selected"),
+                  [(*p, 1) for p in self.points.tolist()]
+                  + [(*p, 0) for p in cands[~taken].tolist()],
+                  [f"regime={self.regime}"]
+                  + [f"{k}={self.metadata[k]!r}" for k in sorted(self.metadata)])
 
 
 # -- one-dimensional ---------------------------------------------------------

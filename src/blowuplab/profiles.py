@@ -29,7 +29,7 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import erfcx
 
 from .errors import ConvergenceError
-from .fileio import atomic_open
+from .fileio import cell, read_csv, write_csv
 from .stencils import fd_weights, stencil_window
 
 # decay rate of the fourth-order far field, from the WKB exponents
@@ -181,28 +181,19 @@ class LayerProfile:
         return float(out) if scalar else out
 
     def to_csv(self, path):
-        with atomic_open(path) as fh:
-            fh.write(self.header_line() + "\n")
-            fh.write("eta,v\n")
-            for e, v in zip(self.eta, self.values):
-                fh.write(f"{float(e)!r},{float(v)!r}\n")
-
-    def header_line(self):
-        return (f"# order={self.order} eta_max={float(self.eta_max)!r} "
-                f"A={float(self.amplitude)!r} theta={float(self.phase)!r} "
-                f"omega={float(self.omega)!r} eta0={float(self.eta0)!r} "
-                f"v_peak={float(self.v_peak)!r}")
+        meta = dict(order=self.order, eta_max=self.eta_max, A=self.amplitude,
+                    theta=self.phase, omega=self.omega, eta0=self.eta0,
+                    v_peak=self.v_peak)
+        write_csv(path, ("eta", "v"), np.column_stack([self.eta, self.values]),
+                  [" ".join(f"{k}={cell(v)}" for k, v in meta.items())])
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            meta = {}
-            for tok in header.lstrip("# ").split():
-                k, v = tok.split("=")
-                meta[k] = float(v)
-            data = np.loadtxt(fh, delimiter=",", skiprows=1)
-        return cls(order=int(meta["order"]), eta=data[:, 0], values=data[:, 1],
+        comments, _, rows = read_csv(path)
+        meta = {k: float(v) for k, v in (t.split("=") for t in comments[0].split())}
+        return cls(order=int(meta["order"]),
+                   eta=np.array([float(r["eta"]) for r in rows]),
+                   values=np.array([float(r["v"]) for r in rows]),
                    eta_max=meta["eta_max"], amplitude=meta["A"],
                    phase=meta["theta"], omega=meta["omega"],
                    eta0=meta["eta0"], v_peak=meta["v_peak"])
@@ -334,13 +325,6 @@ def second_order_profile(eta_max=36.0, h=1.0 / 200.0) -> LayerProfile:
     """Closed-form second-order profile, tabulated for export symmetry."""
     eta = np.linspace(0.0, eta_max, int(round(eta_max / h)) + 1)
     return LayerProfile(order=2, eta=eta, values=v2(eta), eta_max=eta_max)
-
-
-def eval_profile4(profile: LayerProfile, eta):
-    """Interpolated profile value, tail formula beyond the table."""
-    if profile.order != 4:
-        raise ValueError("eval_profile4 expects a fourth-order profile")
-    return profile.evaluate(eta)
 
 
 def solve_curvature_correction(order, profile4: LayerProfile | None = None,

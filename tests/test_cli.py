@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blowuplab.cli import _assign, _read_points_csv, main
+from blowuplab.cli import _assign, _read_points_csv, build_parser, main
 from blowuplab.config import dump_config, load_config
 from blowuplab.errors import ConfigError, ConvergenceError
-from blowuplab.fileio import atomic_open
+from blowuplab.fileio import atomic_open, read_csv
 from blowuplab.geometry import omega_set
 
 STRIP_CFG = """
@@ -373,6 +373,12 @@ def test_predict_uses_reordered_summary_and_rejects_headless(tmp_path, capsys):
     summary.write_text("0.2,0.75,1,threshold,8.0\n")
     assert main(["--config", path, "--out", str(out), "predict"]) == 2
     assert "no eps and T_eps columns" in capsys.readouterr().err
+    # a non-number or a short row exits 2 too, not with a traceback
+    for text, msg in [("eps,T_eps\n0.2,abc\n", "could not convert"),
+                      ("eps,T_eps\n0.2\n", "line 2: 1 cells")]:
+        summary.write_text(text)
+        assert main(["--config", path, "--out", str(out), "predict"]) == 2
+        assert msg in capsys.readouterr().err
 
 
 def test_order2_predict_solves_once_for_all_eps(tmp_path, monkeypatch):
@@ -434,10 +440,19 @@ def test_order2_prediction_csv_holds_plain_numbers(tmp_path):
 
 
 def _assert_plain_csvs(out):
+    """Every CSV in `out` reads back through read_csv, and each cell
+    outside the text columns is empty (the first dt of a diagnostics
+    file) or a plain number that float() parses."""
     csvs = sorted(out.glob("*.csv"))
     assert csvs
     for p in csvs:
         assert "np." not in p.read_text(), p.name
+        _, header, rows = read_csv(p)
+        assert header, p.name
+        for row in rows:
+            for k, v in row.items():
+                if k not in ("regime", "stop_reason") and v:
+                    float(v)
 
 
 # -- numerical failures and atomic outputs ------------------------------------
@@ -488,7 +503,8 @@ def test_atomic_open_keeps_previous_file_on_error(tmp_path):
 
 def test_every_cli_output_is_written_atomically(tmp_path, monkeypatch):
     """Each file solve, predict, compare and profile leave behind was moved
-    into place by atomic_open's os.replace."""
+    into place by atomic_open's os.replace, and every CSV among them
+    holds plain numbers."""
     replaced = set()
     real_replace = os.replace
 
@@ -506,6 +522,7 @@ def test_every_cli_output_is_written_atomically(tmp_path, monkeypatch):
     assert {"comparison.csv", "field_eps0p2.csv", "config_echo.yaml",
             "prediction_eps0p2.csv", "singularities_eps0p2.svg"} <= written
     assert written == replaced
+    _assert_plain_csvs(out)
 
 
 # -- the assignment port -----------------------------------------------------------
@@ -542,6 +559,10 @@ def test_read_points_csv_skips_comments_and_unselected(tmp_path):
     assert _read_points_csv(sing).tolist() == [[0.5]]
     sing.write_text("x,y,value\n")
     assert _read_points_csv(sing).shape == (0, 2)
+    for bad in ("x,value\n0.5,3.0,1\n", "x,value\nnan?,3.0\n"):
+        sing.write_text(bad)
+        with pytest.raises(ConfigError, match="singularities.csv"):
+            _read_points_csv(sing)
 
 
 # -- one config schema, one load per verb ------------------------------------------
@@ -659,3 +680,17 @@ def test_readme_config_example_loads(tmp_path):
     (tmp_path / "example.yaml").write_text(example)
     cfg = load_config(str(tmp_path / "example.yaml"))
     assert cfg.formats == ("csv", "svg") and cfg.solver_overrides["threshold"] == 10
+
+
+def test_readme_cli_examples_parse():
+    """Every `blowup-lab ...` line of README's CLI block is a valid command
+    line: the global options come before the verb."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].split() for ln in block.splitlines()]
+    lines = [ln[1:] for ln in lines if ln and ln[0] == "blowup-lab"]
+    assert len(lines) == 5
+    for argv in lines:
+        build_parser().parse_args(argv)

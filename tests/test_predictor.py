@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowuplab.errors import RangeError
+from blowuplab.fileio import read_csv
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, ellipse_domain, omega_set,
                                 potato_domain)
-from blowuplab.predictor import (critical_eps, outer_1d_second, outer_2d_second,
-                                 predict_1d_fourth, predict_fourth_2d,
-                                 predict_second_2d, uniform_1d, uniform_2d)
+from blowuplab.predictor import (Prediction, critical_eps, outer_1d_second,
+                                 outer_2d_second, predict_1d_fourth,
+                                 predict_fourth_2d, predict_second_2d, uniform_1d,
+                                 uniform_2d)
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
 from blowuplab.predictor import _curvature_candidates
 from oracles import scalar_curvature_candidates, scalar_uniform_2d
@@ -275,3 +277,25 @@ def test_curvature_candidates_match_scalar_reference(dom, level):
     for a, b in zip(got, ref):
         assert np.array_equal(a["point"], b["point"])
         assert a["curvature"] == b["curvature"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prediction_csv_rows_equal_per_candidate_loop(tmp_path_factory, data):
+    """The selected points, then every candidate that np.allclose matches
+    to no selected point, as the per-candidate loop wrote them."""
+    # 1 + 1.00100005e-5 is close to 1.0 only relative to itself: it tells
+    # np.isclose(candidate, point) from np.isclose(point, candidate)
+    coord = st.sampled_from([-0.5, 0.0, 0.25, 0.25 + 1e-9, 0.25 + 1e-3, 1.0,
+                             1.0 + 1.00100005e-5])
+    point = st.tuples(coord, coord)
+    pts = np.array(data.draw(st.lists(point, max_size=4)), dtype=float).reshape(-1, 2)
+    cands = [dict(point=np.array(p)) for p in data.draw(st.lists(point, max_size=6))]
+    path = tmp_path_factory.mktemp("pred") / "p.csv"
+    Prediction("omega-set", pts, dict(eps=0.1, order=4), candidates=cands).to_csv(path)
+    comments, header, rows = read_csv(path)
+    assert comments == ["regime=omega-set", "eps=0.1", "order=4"]
+    assert header == ["x", "y", "selected"]
+    kept = [c["point"] for c in cands if not any(np.allclose(c["point"], q) for q in pts)]
+    expected = [(*p, 1) for p in pts.tolist()] + [(*p, 0) for p in np.reshape(kept, (-1, 2)).tolist()]
+    assert [(float(r["x"]), float(r["y"]), int(r["selected"])) for r in rows] == expected

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from blowuplab.errors import ConvergenceError
-from blowuplab.profiles import (OMEGA, LayerProfile, _Spline, eval_profile4,
+from blowuplab.profiles import (OMEGA, LayerProfile, _Spline,
                                 second_order_profile, solve_curvature_correction,
                                 solve_profile4, v2, v2_prime, v2_tail)
 from oracles import (d1_5pt, d2_5pt, d3_7pt, d4_7pt, shooting_profile4)
@@ -105,10 +105,10 @@ class TestProfile4:
         assert abs(finer.eta0 - profile4.eta0) <= 1e-5
 
     def test_eval_examples(self, profile4):
-        assert eval_profile4(profile4, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert eval_profile4(profile4, profile4.eta0) == pytest.approx(
+        assert profile4.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert profile4.evaluate(profile4.eta0) == pytest.approx(
             profile4.v_peak, abs=1e-9)
-        assert eval_profile4(profile4, 2 * profile4.eta_max) == pytest.approx(
+        assert profile4.evaluate(2 * profile4.eta_max) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_oscillation_sign_changes(self, profile4):
