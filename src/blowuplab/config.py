@@ -42,9 +42,8 @@ _SCHEMA = {
                    "geometry": str, "eps": object},  # eps: checked by load_config
     "solver": {
         "nx": int, "ny": int, "grading": float,
-        "dt_init": float, "dt_min": float, "dt_max": float,
-        "safety": float, "growth_target": float, "threshold": float,
-        "max_steps": int, "t_end": float, "theta": float,
+        "dt_init": float, "dt_max": float, "growth_target": float,
+        "threshold": float, "max_steps": int, "t_end": float,
         "noise_amplitude": float,
         "check_supersolution": bool, "max_unknowns": int,
         "skeleton_resolution": float,  # consumed by the predict command

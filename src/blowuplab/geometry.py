@@ -296,9 +296,9 @@ class SmoothPolarDomain(PlanarDomain):
         circle = np.where(degenerate, float(self.radius(0.0)) - np.hypot(*pts.T), np.nan)
         return _feet_table(row, y, th, dist, kap, circle)
 
-    def _segments_inside(self, x, y, n_samples=64):
-        """Whether each segment x[i] -> y[i] stays inside, on n_samples points."""
-        s = np.linspace(0.0, 1.0, n_samples + 1)[:-1]
+    def _segments_inside(self, x, y):
+        """Whether each segment x[i] -> y[i] stays inside, on 64 points."""
+        s = np.linspace(0.0, 1.0, 65)[:-1]
         P = x[:, None, :] + s[:, None] * (y - x)[:, None, :]
         th = np.arctan2(P[..., 1], P[..., 0])
         rho = np.hypot(P[..., 0], P[..., 1])
@@ -500,16 +500,18 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     inside = dom.contains(pts)
-    sd = np.full(len(pts), -1.0)
-    sd[inside] = dom.signed_distance(pts[inside])
+    # one nearest-boundary query per inside point: its distance, foot and
+    # parameter do not depend on the batch
+    sd, th = np.full(len(pts), -1.0), np.full(len(pts), np.nan)
+    yb = np.full((len(pts), 2), np.nan)
+    th[inside], sd[inside], yb[inside] = dom.nearest_feet_grid(pts[inside])
     # only points a little off the boundary participate
     ok = inside & (sd > 0.3 * res)
-    yb = np.full((len(pts), 2), np.nan)
-    yb[ok] = dom.nearest_feet_grid(pts[ok])[2]
 
     ok2 = ok.reshape(X.shape)
     ybg = yb.reshape(X.shape + (2,))
-    P, Q = [], []
+    thg = th.reshape(X.shape)
+    P, Q, TP, TQ = [], [], [], []
     for axis in (0, 1):
         sl_a = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
         sl_b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
@@ -518,10 +520,14 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
                         ybg[sl_a][..., 1] - ybg[sl_b][..., 1])
         hits = both & (jump > max(6.0 * res, 0.05 * dom.diameter) * 0.5)
         ii, jj = np.where(hits)
+        ki, kj = ii + (axis == 0), jj + (axis == 1)
         P.append(np.column_stack([xs[ii], ys[jj]]))
-        Q.append(np.column_stack([xs[ii + (axis == 0)], ys[jj + (axis == 1)]]))
+        Q.append(np.column_stack([xs[ki], ys[kj]]))
+        TP.append(thg[ii, jj])
+        TQ.append(thg[ki, kj])
 
-    refined, found = _refine_equidistance(dom, np.concatenate(P), np.concatenate(Q))
+    refined, found = _refine_equidistance(
+        dom, *(np.concatenate(c) for c in (P, Q, TP, TQ)))
     samples = _skeleton_samples(dom, refined[found], 1e-6 * dom.diameter)
     # dedup near-coincident samples
     samples = _dedup_samples(samples, 0.25 * res)
@@ -535,14 +541,13 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
                     touches_boundary=touches, domain=dom)
 
 
-def _refine_equidistance(dom: SmoothPolarDomain, p, q):
+def _refine_equidistance(dom: SmoothPolarDomain, p, q, th_a, th_b):
     """Bisect each segment [p_i, q_i] (40 halvings) for the point where
-    the nearest feet approached from either endpoint become equidistant.
+    the nearest feet approached from either endpoint become equidistant;
+    th_a and th_b are the nearest-foot parameters of p and q.
 
     All segments are bisected together. Returns the points and a mask of
     the segments that gave one."""
-    th_a = dom.nearest_feet_grid(p)[0]
-    th_b = dom.nearest_feet_grid(q)[0]
 
     def delta(x, rows):
         # both tracks in one call: values do not depend on the batch
@@ -752,23 +757,16 @@ def skeleton_arrival_time(skel: Skeleton, rs, eps: float, eta0: float) -> float:
         return np.inf
 
 
-def ellipse_coefficients(a, b, n_harmonics=64, n_samples=4096):
-    """Fourier cosine coefficients of the polar radius of an ellipse.
-
-    r(theta) = a b / sqrt((b cos)^2 + (a sin)^2); even in theta so the
-    sine coefficients vanish. Truncation error decays geometrically."""
-    th = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
+def ellipse_domain(a, b) -> SmoothPolarDomain:
+    """The ellipse with half-axes a (x) and b (y), its polar radius
+    r(theta) = a b / sqrt((b cos)^2 + (a sin)^2) truncated to 64
+    harmonics from 4096 samples. r is even in theta, so the sine
+    coefficients vanish; the truncation error decays geometrically."""
+    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     r = a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
-    F = np.fft.rfft(r) / n_samples
-    c0 = float(F[0].real)
-    cos_c = 2.0 * F[1:n_harmonics + 1].real
-    sin_c = -2.0 * F[1:n_harmonics + 1].imag
-    return c0, cos_c.tolist(), sin_c.tolist()
-
-
-def ellipse_domain(a, b, n_harmonics=64) -> SmoothPolarDomain:
-    c0, cos_c, sin_c = ellipse_coefficients(a, b, n_harmonics)
-    return SmoothPolarDomain(c0, cos_c, sin_c)
+    F = np.fft.rfft(r)[:65] / 4096
+    return SmoothPolarDomain(float(F[0].real), (2.0 * F[1:].real).tolist(),
+                             (-2.0 * F[1:].imag).tolist())
 
 
 def potato_domain() -> SmoothPolarDomain:

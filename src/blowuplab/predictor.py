@@ -178,15 +178,16 @@ def predict_second_2d(dom: PlanarDomain, skeleton: Skeleton = None) -> Predictio
 
 def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
                       rs: ReactionSolution, eps: float, T_eps: float,
-                      eta0: float = None, profile=None, correction=None,
-                      match_rel_tol=1e-3, simultaneity_rel_tol=1e-6) -> Prediction:
+                      eta0: float = None, profile=None, correction=None
+                      ) -> Prediction:
     """Fourth-order prediction via the omega-set / skeleton dichotomy.
 
     Before the arrival time the blow-up set is the level curve
     omega(T_eps) with discrete candidates picked by boundary curvature;
-    after it, skeleton samples matching s(x) = eta0 phi are ranked by the
-    curvature-corrected uniform solution and every sample within the
-    simultaneity tolerance of the best is reported. When no sample
+    after it, skeleton samples matching s(x) = eta0 phi (to 1e-3 of it,
+    or 0.75 of the skeleton resolution if that is wider) are ranked by the
+    curvature-corrected uniform solution and every sample within 1e-6
+    (relative) of the best is reported. When no sample
     matches the level band (level beyond the branch range, e.g. the
     rectangle between its two thresholds or past the deepest point) the
     ranking runs over the whole skeleton, which yields the rectangle's
@@ -216,7 +217,7 @@ def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
 
     samples = skeleton.samples
     s_vals = skeleton.s_values()
-    band = max(match_rel_tol * level, 0.75 * skeleton.resolution)
+    band = max(1e-3 * level, 0.75 * skeleton.resolution)
     idx = np.where(np.abs(s_vals - level) <= band)[0]
     fell_back = len(idx) == 0
     if fell_back:
@@ -233,7 +234,7 @@ def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
             keep.append(a)
     keep = np.array(keep, dtype=int)
     vmax = np.max(vals[keep])
-    band_v = simultaneity_rel_tol * max(abs(vmax), 1.0)
+    band_v = 1e-6 * max(abs(vmax), 1.0)
     win = keep[vals[keep] >= vmax - band_v]
     order_ix = np.lexsort((pts[win][:, 1], pts[win][:, 0]))
     points = pts[win][order_ix]
@@ -270,26 +271,13 @@ def _curvature_candidates(dom, loops):
     return cands
 
 
-def critical_eps(rs: ReactionSolution, s_target: float, eta0: float = None,
-                 T_eps_of=None, bracket=(1e-6, 1e3)) -> float:
-    """Solve s_target = eta0 * phi(T_eps(eps); eps) for eps.
-
-    T_eps_of defaults to the regularized reaction blow-up time
-    T0 * (1 - delta), the leading-order stand-in when no measured
-    blow-up time is available."""
-    from scipy.optimize import brentq
+def critical_eps(rs: ReactionSolution, s_target: float, eta0: float = None) -> float:
+    """Solve s_target = eta0 * phi(T; eps) for eps, at the regularized
+    reaction blow-up time T = T0 * (1 - delta), the leading-order
+    stand-in when no measured blow-up time is available. phi is linear
+    in eps, so eps = s_target / (eta0 * phi(T; 1))."""
+    if s_target < 0.0:
+        raise RangeError("s_target is a distance and must be >= 0")
     if eta0 is None:
         eta0 = get_profile4().eta0
-    if s_target == 0.0:
-        return 0.0
-    if T_eps_of is None:
-        T_end = rs.T0 * (1.0 - TABLE_DELTA)
-        T_eps_of = lambda e: T_end
-
-    def g(eps):
-        return eta0 * rs.gauge(T_eps_of(eps), eps, 4) - s_target
-
-    lo, hi = bracket
-    if g(lo) > 0 or g(hi) < 0:
-        raise RangeError("critical eps not bracketed; widen the bracket")
-    return float(brentq(g, lo, hi, xtol=1e-14, rtol=1e-13))
+    return s_target / (eta0 * rs.gauge(rs.T0 * (1.0 - TABLE_DELTA), 1.0, 4))

@@ -41,6 +41,14 @@ V2_ETA_SWITCH = 26.0
 
 _SQRT_PI = np.sqrt(np.pi)
 
+# The profile grid: [0, ETA_MAX] (the second-order correction stops at
+# 20), spacing 1/200 unless solve_profile4 is given another h, and
+# WIDTH-point stencils. Every sparse solve must leave a residual of at
+# most RESIDUAL_TOL.
+ETA_MAX = 36.0
+WIDTH = 7
+RESIDUAL_TOL = 1e-9
+
 
 class _Spline:
     """Not-a-knot cubic interpolating spline (de Boor, A Practical Guide
@@ -228,7 +236,7 @@ def _triplets(*blocks):
     return tuple(np.concatenate([np.ravel(p[k]) for p in parts]) for k in range(3))
 
 
-def _mixed_operator(eta, width, c0, rhs_values):
+def _mixed_operator(eta, c0, rhs_values):
     """Assemble the mixed-system matrix for -w'' + (eta/4) v' + c0 v = rhs,
     v'' = w, with rows scaled by h^2 to keep conditioning ~ h^-2; rhs_values
     holds the right side on the grid."""
@@ -239,7 +247,7 @@ def _mixed_operator(eta, width, c0, rhs_values):
     # one stencil per node; the end stencils are also the one-sided windows
     # of the v'(0) and v'(eta_max) rows
     i = np.arange(N)
-    J = stencil_window(i, N, width)
+    J = stencil_window(i, N, WIDTH)
     C = fd_weights(eta[J], eta, 2)
     D1, D2 = C[:, :, 1] * h2, C[:, :, 2] * h2
     i = i[:, None]
@@ -282,9 +290,9 @@ def _peak_from_table(eta, v):
     return float(eta[i] + x0), float(np.polyval(p, x0))
 
 
-def _fit_tail(eta, v, lo=12.0, hi=20.0):
-    """Least-squares (A, theta) of the WKB tail on the given window."""
-    m = (eta >= lo) & (eta <= hi)
+def _fit_tail(eta, v):
+    """Least-squares (A, theta) of the WKB tail on the window [12, 20]."""
+    m = (eta >= 12.0) & (eta <= 20.0)
     xi = OMEGA * eta[m] ** (4.0 / 3.0)
     r = (v[m] - 1.0) * np.exp(xi)
     M = np.column_stack([np.sin(np.sqrt(3.0) * xi), np.cos(np.sqrt(3.0) * xi)])
@@ -292,9 +300,18 @@ def _fit_tail(eta, v, lo=12.0, hi=20.0):
     return float(np.hypot(*ab)), float(np.arctan2(ab[1], ab[0]))
 
 
-def solve_profile4(eta_max=36.0, h=1.0 / 200.0, width=7,
-                   residual_tol=1e-9) -> LayerProfile:
-    """Solve the fourth-order layer profile BVP.
+def _solve_checked(A, rhs, what):
+    """spsolve(A, rhs); ConvergenceError when the residual exceeds
+    RESIDUAL_TOL."""
+    sol = spsolve(A, rhs)
+    resid = np.abs(A @ sol - rhs).max()
+    if resid > RESIDUAL_TOL:
+        raise ConvergenceError(f"{what} residual {resid:g}")
+    return sol
+
+
+def solve_profile4(h=1.0 / 200.0) -> LayerProfile:
+    """Solve the fourth-order layer profile BVP on [0, ETA_MAX].
 
     Far field handled by capping v(eta_max)=1, v'(eta_max)=0; with
     eta_max = 36 the committed tail amplitude exp(-OMEGA*eta_max^(4/3))
@@ -302,21 +319,18 @@ def solve_profile4(eta_max=36.0, h=1.0 / 200.0, width=7,
     (A, theta) are fitted on [12, 20] and the peak is located by a local
     quartic fit.
     """
-    n = int(round(eta_max / h))
-    eta = np.linspace(0.0, eta_max, n + 1)
-    A, rhs = _mixed_operator(eta, width, -1.0, -np.ones_like(eta))
+    n = int(round(ETA_MAX / h))
+    eta = np.linspace(0.0, ETA_MAX, n + 1)
+    A, rhs = _mixed_operator(eta, -1.0, -np.ones_like(eta))
     rhs[n] = 1.0  # v(eta_max) = 1
-    sol = spsolve(A, rhs)
-    resid = np.abs(A @ sol - rhs).max()
-    if resid > residual_tol:
-        raise ConvergenceError(f"profile linear solve residual {resid:g}")
+    sol = _solve_checked(A, rhs, "profile linear solve")
     v = sol[:n + 1]
     w = sol[n + 1:]
     eta0, v_peak = _peak_from_table(eta, v)
-    if not (0.0 < eta0 < eta_max and v_peak > 1.0):
+    if not (0.0 < eta0 < ETA_MAX and v_peak > 1.0):
         raise ConvergenceError("fourth-order profile peak not interior or <= 1")
     amp, phase = _fit_tail(eta, v)
-    return LayerProfile(order=4, eta=eta, values=v, eta_max=eta_max,
+    return LayerProfile(order=4, eta=eta, values=v, eta_max=ETA_MAX,
                         amplitude=amp, phase=phase, eta0=eta0, v_peak=v_peak,
                         d2_values=w)
 
@@ -327,21 +341,22 @@ def second_order_profile(eta_max=36.0, h=1.0 / 200.0) -> LayerProfile:
     return LayerProfile(order=2, eta=eta, values=v2(eta), eta_max=eta_max)
 
 
-def solve_curvature_correction(order, profile4: LayerProfile | None = None,
-                               eta_max=None, h=1.0 / 200.0, width=7,
-                               residual_tol=1e-9) -> CorrectionProfile:
-    """Solve the curvature-correction BVP for vbar1 with zero boundary data.
+def solve_curvature_correction(order, profile4: LayerProfile | None = None
+                               ) -> CorrectionProfile:
+    """Solve the curvature-correction BVP for vbar1 with zero boundary data,
+    at spacing 1/200 on [0, 20] (order 2) or on the profile's [0, eta_max].
 
     order 2:  vbar'' + (eta/2) vbar' - (3/2) vbar = v0'   (v0 = closed form)
     order 4:  -vbar'''' + (eta/4) vbar' - (5/4) vbar = -2 v0'''
     """
+    h = 1.0 / 200.0
     if order == 2:
-        eta_max = 20.0 if eta_max is None else eta_max
+        eta_max = 20.0
         n = int(round(eta_max / h))
         eta = np.linspace(0.0, eta_max, n + 1)
         h2 = h * h
         i = np.arange(1, n)
-        J = stencil_window(i, n + 1, width)
+        J = stencil_window(i, n + 1, WIDTH)
         C = fd_weights(eta[J], eta[i], 2)
         i = i[:, None]
         rows, cols, vals = _triplets(
@@ -352,10 +367,7 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None,
         rhs = np.zeros(n + 1)
         rhs[1:n] = v2_prime(eta[1:n]) * h2
         A = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
-        sol = spsolve(A, rhs)
-        resid = np.abs(A @ sol - rhs).max()
-        if resid > residual_tol:
-            raise ConvergenceError(f"correction solve residual {resid:g}")
+        sol = _solve_checked(A, rhs, "correction solve")
         return CorrectionProfile(order=2, eta=eta, values=sol, eta_max=eta_max)
 
     if order == 4:
@@ -364,40 +376,37 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None,
         if profile4.d2_values is None:
             raise ValueError("need a freshly solved profile (with its v'' "
                              "table) to form the correction forcing")
-        eta_max = profile4.eta_max if eta_max is None else eta_max
+        eta_max = profile4.eta_max
         n = int(round(eta_max / h))
         eta = np.linspace(0.0, eta_max, n + 1)
         # v0''' as one derivative of the solved v'' table; differentiating
         # the value table three times amplifies its boundary-row error
-        v0_3 = _table_derivative(profile4.eta, profile4.d2_values, eta, width)
-        A, rhs = _mixed_operator(eta, width, -1.25, -2.0 * v0_3)
+        v0_3 = _table_derivative(profile4.eta, profile4.d2_values, eta)
+        A, rhs = _mixed_operator(eta, -1.25, -2.0 * v0_3)
         rhs[n] = 0.0  # vbar -> 0 in the far field
-        sol = spsolve(A, rhs)
-        resid = np.abs(A @ sol - rhs).max()
-        if resid > residual_tol:
-            raise ConvergenceError(f"correction solve residual {resid:g}")
+        sol = _solve_checked(A, rhs, "correction solve")
         return CorrectionProfile(order=4, eta=eta, values=sol[:n + 1],
                                  eta_max=eta_max)
 
     raise ValueError(f"order must be 2 or 4, got {order}")
 
 
-def _table_derivative(tab_eta, tab_values, eta, width=7):
+def _table_derivative(tab_eta, tab_values, eta):
     """First derivative of a table, evaluated on `eta` (same grid expected)."""
     if len(eta) != len(tab_eta) or not np.allclose(eta, tab_eta):
         tab_values = _Spline(tab_eta, tab_values)(eta)
     n = len(eta)
-    J = stencil_window(np.arange(n), n, width)
+    J = stencil_window(np.arange(n), n, WIDTH)
     w = fd_weights(eta[J], eta, 1)[:, None, :, 1]
     # one BLAS dot per row, as for a single stencil: a row sum in another
     # order would change the last bits of the table
     return np.matmul(w, tab_values[J][:, :, None]).ravel()
 
 
-@lru_cache(maxsize=4)
-def get_profile4(eta_max=36.0, h=1.0 / 200.0) -> LayerProfile:
+@lru_cache(maxsize=1)
+def get_profile4() -> LayerProfile:
     """Cached default fourth-order profile."""
-    return solve_profile4(eta_max=eta_max, h=h)
+    return solve_profile4()
 
 
 @lru_cache(maxsize=4)

@@ -187,6 +187,12 @@ class ReactionSolution:
         self._dense = sol.sol
         self._t_end = t_end
         self._u_end = float(sol.y[0, -1])
+        # start grid of the inverse, geometric in T0 - t from T0 down to
+        # T0 * TABLE_DELTA: u0 grows as T0 - t shrinks, and equal ratios
+        # keep every Newton start close, up to the table end
+        self._grid_t = np.minimum(
+            self.T0 - self.T0 * np.geomspace(1.0, TABLE_DELTA, 4096), t_end)
+        self._grid_u = self._dense(self._grid_t)[0]
 
     def _state_table(self, t):
         t = np.asarray(t, dtype=float)
@@ -194,21 +200,6 @@ class ReactionSolution:
             raise RangeError(
                 f"t beyond tabulation endpoint {self._t_end!r}; u0 diverges at T0")
         return self._dense(np.atleast_1d(t))[0].reshape(t.shape)
-
-    def _invert_table(self, u):
-        from scipy.optimize import brentq
-        u = np.asarray(u, dtype=float)
-        if np.any(u > self._u_end):
-            raise RangeError(f"u beyond tabulated range (max {self._u_end:g})")
-        flat = np.atleast_1d(u).astype(float)
-        out = np.empty_like(flat)
-        for i, ui in enumerate(flat):
-            if ui <= 0.0:
-                out[i] = 0.0
-                continue
-            out[i] = brentq(lambda t: float(self._dense(t)[0]) - ui,
-                            0.0, self._t_end, xtol=1e-12)
-        return out.reshape(u.shape) if u.shape else float(out[0])
 
     # -- public api --------------------------------------------------------
     def state(self, t):
@@ -224,7 +215,12 @@ class ReactionSolution:
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr < 0.0):
             raise RangeError("u must be >= 0")
-        out = self._invert_closed(u_arr) if self.form == "closed" else self._invert_table(u_arr)
+        if self.form == "closed":
+            out = self._invert_closed(u_arr)
+        elif np.any(u_arr > self._u_end):
+            raise RangeError(f"u beyond tabulated range (max {self._u_end:g})")
+        else:
+            out = self._invert_vec(u_arr)
         return float(out) if np.isscalar(u) else out
 
     def tail_time(self, u):
@@ -280,7 +276,7 @@ class ReactionSolution:
             arg[singular] = np.inf
             return arg
         # tabulated: map through tau = invert(u), step, map back
-        tau = np.clip(self._invert_vec(u), 0.0, self._t_end)
+        tau = self._invert_vec(u)
         t_new = tau + dt
         out = np.full_like(u, np.inf)
         ok = (t_new <= self._t_end) & np.isfinite(u)
@@ -289,16 +285,13 @@ class ReactionSolution:
         return out
 
     def _invert_vec(self, u):
-        """Vectorized tabulated inverse: coarse bracket + Newton polish."""
-        u = np.asarray(u, dtype=float)
-        if not hasattr(self, "_grid_t"):
-            self._grid_t = np.linspace(0.0, self._t_end, 4096)
-            self._grid_u = self._dense(self._grid_t)[0]
+        """Tabulated inverse, in [0, t_end]: interpolation on the start
+        grid, polished by 3 Newton steps; 0 where u <= 0."""
         t = np.interp(u, self._grid_u, self._grid_t)
         for _ in range(3):
-            ut = self._dense(np.clip(t, 0.0, self._t_end))[0]
+            ut = self._dense(t)[0]
             t = np.clip(t - (ut - u) / self.nl.f(ut), 0.0, self._t_end)
-        return t
+        return np.where(u > 0.0, t, 0.0)
 
     def residual(self, t):
         """|du0/dt - f(u0)| at t, derivative by central difference.

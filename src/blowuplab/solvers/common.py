@@ -1,11 +1,11 @@
 """The solver pipeline shared by every geometry. A geometry module builds
-its problem (a theta-step adapter of its operator, one coordinate array
-per field axis); solve_problem() does the rest: stepping, extraction,
-peak tracking and the BlowupReport.
+its problem (a Crank-Nicolson step adapter of its operator, one
+coordinate array per field axis); solve_problem() does the rest:
+stepping, extraction, peak tracking and the BlowupReport.
 
 Time integration is Strang splitting: an exact pointwise reaction flow
 (closed form or dense-output based, see ReactionSolution.flow) around a
-theta-scheme solve of the constant linear diffusion operator. The
+Crank-Nicolson solve of the constant linear diffusion operator. The
 reaction map is exact for any step size, so near blow-up, where the
 dynamics are reaction-dominated, the stepper commits no time error and
 the blow-up time estimate t_stop + tail(sup) converges; the step
@@ -18,7 +18,7 @@ sup norm (2% target near blow-up). Rectangle and cube steps are solved
 by fast diagonalization (FastDiagCN, with FastDiagRectCN and
 FastDiagCubeCN at order 4), set up once per power-of-two step-size
 bucket. They are taken in the sine basis, where the clamped wall term
-is rank 2 per axis: the explicit half u - (1 - theta) dt B u, the
+is rank 2 per axis: the explicit half u - dt/2 B u, the
 rectangle's Woodbury correction and every cube PCG iteration work on
 sine coefficients, so a box step makes one forward and one inverse
 transform and no sparse product, and the box builders assemble no
@@ -50,6 +50,10 @@ from scipy.sparse.linalg import cg, splu
 from ..errors import ConfigError, ConvergenceError
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
 
+# Crank-Nicolson (Crank and Nicolson 1947): the implicit weight of every
+# step. THETA * dt and (1 - THETA) * dt are both exactly dt / 2.
+THETA = 0.5
+
 
 @dataclass
 class SolverConfig:
@@ -73,9 +77,7 @@ class SolverConfig:
     half_width_y: float = 1.0
     grading: float = 0.0
     dt_init: float = 1e-6
-    dt_min: float = 0.0
     dt_max: float = 5e-3
-    safety: float = 0.9
     growth_target: float = 0.02
     threshold: float = 1e3
     max_steps: int = 500_000
@@ -84,7 +86,6 @@ class SolverConfig:
     snapshot_stride: int = 0
     noise_amplitude: float = 0.0
     seed: int = 0
-    theta: float = 0.5
     check_supersolution: bool = True
     max_unknowns: int = 2_000_000
 
@@ -97,8 +98,6 @@ class SolverConfig:
             raise ConfigError("threshold M must exceed 1")
         if not (0 < self.dt_init <= self.dt_max):
             raise ConfigError("need 0 < dt_init <= dt_max")
-        if self.dt_min >= self.dt_init:
-            raise ConfigError("dt_min must be below dt_init")
         if self.nx < 5:
             raise ConfigError("nx too small")
         if self.geometry == "cube" and self.order != 4:
@@ -144,15 +143,15 @@ class BlowupReport:
 
 
 class BandedCN:
-    """theta-scheme solve for banded operators (1D), dt by dt.
+    """Crank-Nicolson solve for banded operators (1D), dt by dt.
 
-    The band of B is stored once. A new dt forms the band of I + theta dt B
-    as (theta dt) times it plus 1 on the main diagonal, and factors it
+    The band of B is stored once. A new dt forms the band of I + THETA dt B
+    as (THETA dt) times it plus 1 on the main diagonal, and factors it
     once for the step and its mirror solve: dgttrf/dgttrs at bandwidth 1
     and dgbtrf/dgbtrs above, the factor and solve halves of gtsv and
     gbsv, the LAPACK routines behind scipy's solve_banded, so every step
     is that of solve_banded on the assembled matrix, bit for bit. The explicit half
-    (I - (1 - theta) dt B) u refills a fixed CSR structure, that of the
+    (I - (1 - THETA) dt B) u refills a fixed CSR structure, that of the
     sparse sum I - B, so each row sums in the order of that sum. The
     order matters: the strip's persymmetrized B has unsorted indices.
 
@@ -161,11 +160,9 @@ class BandedCN:
     symmetric data symmetric to roundoff instead of accumulating a biased
     drift that blow-up amplification would magnify."""
 
-    def __init__(self, B: sp.spmatrix, bandwidth: int, theta: float,
-                 symmetrize=False):
+    def __init__(self, B: sp.spmatrix, bandwidth: int, symmetrize=False):
         self.B = B.tocsr()
         self.bw = bandwidth
-        self.theta = theta
         self.symmetrize = symmetrize
         self.n = B.shape[0]
         self.Bab = _to_banded(self.B, bandwidth)
@@ -186,9 +183,9 @@ class BandedCN:
         return dt
 
     def _factor(self, dt):
-        """LU factors of the band of I + theta dt B."""
+        """LU factors of the band of I + THETA dt B."""
         bw = self.bw
-        ab = (self.theta * dt) * self.Bab
+        ab = (THETA * dt) * self.Bab
         ab[bw] += 1.0
         if bw == 1:
             *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
@@ -211,7 +208,7 @@ class BandedCN:
 
     def apply(self, dt, u):
         if self._key != dt:
-            self._A2.data = self._A2_I - ((1.0 - self.theta) * dt) * self._A2_B
+            self._A2.data = self._A2_I - ((1.0 - THETA) * dt) * self._A2_B
             self._lu = self._factor(dt)
             self._key = dt
         self.solves += 1
@@ -224,13 +221,12 @@ class BandedCN:
 
 
 class SparseLUCN:
-    """theta-scheme with LU factors cached on power-of-two dt buckets."""
+    """Crank-Nicolson with LU factors cached on power-of-two dt buckets."""
 
     CACHE_SIZE = 6
 
-    def __init__(self, B: sp.spmatrix, theta: float):
+    def __init__(self, B: sp.spmatrix):
         self.B = B.tocsc()
-        self.theta = theta
         self.n = B.shape[0]
         self.I = sp.identity(self.n, format="csc")
         self.cache = {}
@@ -243,8 +239,8 @@ class SparseLUCN:
     def apply(self, dt, u):
         key = dt
         if key not in self.cache:
-            lu = splu((self.I + self.theta * dt * self.B).tocsc())
-            A2 = (self.I - (1.0 - self.theta) * dt * self.B).tocsr()
+            lu = splu((self.I + THETA * dt * self.B).tocsc())
+            A2 = (self.I - (1.0 - THETA) * dt * self.B).tocsr()
             if len(self.cache) >= self.CACHE_SIZE:
                 self.cache.pop(next(iter(self.cache)))
             self.cache[key] = (lu, A2)
@@ -255,13 +251,12 @@ class SparseLUCN:
 
 
 class ConjugateGradientCN:
-    """Matrix-free-ish theta-scheme via CG; for the SPD 3D operator."""
+    """Matrix-free-ish Crank-Nicolson via CG; for the SPD 3D operator."""
 
     RTOL = 1e-11
 
-    def __init__(self, B: sp.spmatrix, theta: float):
+    def __init__(self, B: sp.spmatrix):
         self.B = B.tocsr()
-        self.theta = theta
         self.n = B.shape[0]
         self.solves = 0
 
@@ -270,8 +265,8 @@ class ConjugateGradientCN:
 
     def apply(self, dt, u):
         self.solves += 1
-        A1 = sp.identity(self.n, format="csr") + self.theta * dt * self.B
-        rhs = u - (1.0 - self.theta) * dt * (self.B @ u)
+        A1 = sp.identity(self.n, format="csr") + THETA * dt * self.B
+        rhs = u - (1.0 - THETA) * dt * (self.B @ u)
         x, info = cg(A1, rhs, x0=u, rtol=self.RTOL, atol=0.0, maxiter=2000)
         if info != 0:
             raise ConvergenceError(f"CG did not converge (info={info})")
@@ -279,15 +274,15 @@ class ConjugateGradientCN:
 
 
 class FastDiagCN:
-    """theta-scheme for box operators by fast diagonalization.
+    """Crank-Nicolson for box operators by fast diagonalization.
 
     On a uniform box grid with spacing h_k per axis the Dirichlet
     Laplacian L is diagonal in the orthonormal DST-I basis T of each axis
     (Lynch, Rice and Thomas 1964). This class takes the order-2 step,
     B = -s L, s = eps^2, entirely in that basis (dense per-axis sine
     matrices beat FFT-based DSTs at these grid sizes): with u^ = T u and
-    c = (1 - theta) dt s, the explicit half is b^ = u^ - c eig u^, the
-    solve multiplies by g = 1 / (1 + theta dt s eig), and the step is
+    c = (1 - THETA) dt s, the explicit half is b^ = u^ - c eig u^, the
+    solve multiplies by g = 1 / (1 + THETA dt s eig), and the step is
     T(g b^), two transforms and no sparse product. eig holds the
     eigenvalues of -L.
 
@@ -295,7 +290,7 @@ class FastDiagCN:
     d4_clamped_uniform is D2^2 plus 2/h^4 on its first and last diagonal
     entries, so R is 2/h_k^4 on the nodes next to the walls of axis k.
     FastDiagRectCN and FastDiagCubeCN square eig, so that the sine solve
-    is P = I + theta dt s L^2, and add R back. The sine matrices are
+    is P = I + THETA dt s L^2, and add R back. The sine matrices are
     orthonormal and symmetric, so in the sine basis R is rank 2 per axis:
     T R T = sum_k (2/h_k^4) E_k^T E_k along axis k, with E_k the rows of
     S_k at the walls (ends). Their explicit half is
@@ -306,8 +301,7 @@ class FastDiagCN:
 
     CACHE_SIZE = 6
 
-    def __init__(self, theta: float, shape, spacing, scale):
-        self.theta = theta
+    def __init__(self, shape, spacing, scale):
         self.shape = tuple(shape)
         self.spacing = tuple(spacing)
         self.scale = scale
@@ -333,18 +327,18 @@ class FastDiagCN:
 
     def _setup(self, dt):
         """Eigenvalues of the sine-basis solve's inverse for this dt."""
-        return 1.0 / (1.0 + self.theta * dt * self.scale * self.eig)
+        return 1.0 / (1.0 + THETA * dt * self.scale * self.eig)
 
     def _wall_hat(self, Uh):
         """T R T u^ on the sine coefficients Uh; R = 0 at order 2."""
         return 0.0
 
     def _explicit_hat(self, dt, u):
-        """b^ = T(u - (1 - theta) dt B u), from the forward transform of u."""
+        """b^ = T(u - (1 - THETA) dt B u), from the forward transform of u."""
         Uh = self._transform(u.reshape(self.shape))
         bh = self.eig * Uh
         bh += self._wall_hat(Uh)
-        bh *= -(1.0 - self.theta) * dt * self.scale
+        bh *= -(1.0 - THETA) * dt * self.scale
         bh += Uh
         return bh
 
@@ -379,8 +373,8 @@ class FastDiagRectCN(FastDiagCN):
     nodes; at the max_unknowns limit of about 1412^2 the six buckets
     would need about 1.5 GB, a size this solver has not been run at."""
 
-    def __init__(self, theta: float, shape, spacing, scale):
-        super().__init__(theta, shape, spacing, scale)
+    def __init__(self, shape, spacing, scale):
+        super().__init__(shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         self.ends = [S[[0, -1]] for S in self.sines]   # sine vectors at the walls
         self.walls = [2.0 / h ** 4 for h in self.spacing]
@@ -409,7 +403,7 @@ class FastDiagRectCN(FastDiagCN):
         K = np.block([[KR.reshape(2 * my, 2 * my), KX],
                       [KX.T, KC.reshape(2 * mx, 2 * mx)]])
         wx, wy = self.walls
-        c = self.theta * dt * self.scale
+        c = THETA * dt * self.scale
         d = np.sqrt(c * np.concatenate([np.full(2 * my, wx),
                                         np.full(2 * mx, wy)]))
         C = d[:, None] * K * d[None, :]
@@ -440,7 +434,7 @@ class FastDiagCubeCN(FastDiagCN):
     """Order-4 cube steps: conjugate gradients preconditioned by P.
 
     The ring of the cube is too large for a dense capacitance matrix, so
-    P preconditions CG on the step matrix A1 = P + c R, c = theta dt s,
+    P preconditions CG on the step matrix A1 = P + c R, c = THETA dt s,
     where R is the diagonal wall term. The CG runs in the sine basis, on
     T A1 T = diag(1/g) + c K with K = T R T, preconditioned by diag(g),
     the sine-basis eigenvalues of P^-1; T is orthonormal, so its iterates
@@ -462,8 +456,8 @@ class FastDiagCubeCN(FastDiagCN):
     RTOL = 1e-12
     MAXITER = 2000
 
-    def __init__(self, theta: float, shape, spacing, scale):
-        super().__init__(theta, shape, spacing, scale)
+    def __init__(self, shape, spacing, scale):
+        super().__init__(shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         self.walls = [2.0 / h ** 4 for h in self.spacing]
         self.ends = self.sines[0][[0, -1]]             # sine vectors at the walls
@@ -471,7 +465,7 @@ class FastDiagCubeCN(FastDiagCN):
         self.cg_iterations = 0
 
     def _setup(self, dt):
-        return super()._setup(dt).ravel(), self.theta * dt * self.scale
+        return super()._setup(dt).ravel(), THETA * dt * self.scale
 
     def _wall_hat(self, Uh):
         E, Et = self.ends, self.ends_t
@@ -543,8 +537,8 @@ def initial_field(cfg: SolverConfig, n_unknowns: int) -> np.ndarray:
 def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray):
     """March the split scheme until threshold/t_end/stall.
 
-    adapter applies the theta step of the linear operator (None: reaction
-    only). Returns a dict with the raw run record; solve_problem turns it
+    adapter applies the Crank-Nicolson step of the linear operator (None:
+    reaction only). Returns a dict with the raw run record; solve_problem turns it
     into a BlowupReport."""
     t = 0.0
     dt = cfg.dt_init
@@ -620,13 +614,11 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
             stop = "threshold"
             break
         if growth > 0:
-            dt = dtb * min(2.0, max(0.4, cfg.safety * cfg.growth_target / growth))
+            # proportional control toward the growth target, safety factor 0.9
+            dt = dtb * min(2.0, max(0.4, 0.9 * cfg.growth_target / growth))
         else:
             dt = dtb * 2.0
         dt = min(dt, cfg.dt_max)
-        if cfg.dt_min and dt < cfg.dt_min:
-            stop = "no-blowup-detected"
-            break
 
     if stop == "reaction-singularity":
         # singular inside the last step: the pre-step state carries the tail
@@ -652,7 +644,7 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
 def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
     """Integrate a built problem to blow-up (or t_end) and report it.
 
-    adapter is the theta-step solver of the assembled operator; axes holds
+    adapter is the Crank-Nicolson step of the assembled operator; axes holds
     one coordinate array per field axis, and the unknowns are the field
     flattened in C order over them."""
     shape = tuple(len(a) for a in axes)

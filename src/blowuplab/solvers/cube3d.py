@@ -34,8 +34,8 @@ def cube_operator(n, h):
 
 
 def build_cube(cfg: SolverConfig):
-    """Theta-step adapter and interior grid of [-L, L]^3 (order 4 only)."""
+    """Crank-Nicolson step adapter and interior grid of [-L, L]^3 (order 4 only)."""
     n, L = cfg.nx, cfg.half_width_x
     h = 2 * L / (n - 1)
     x = np.linspace(-L, L, n)[1:-1]
-    return FastDiagCubeCN(cfg.theta, (n - 2,) * 3, (h,) * 3, cfg.eps ** 4), (x, x, x)
+    return FastDiagCubeCN((n - 2,) * 3, (h,) * 3, cfg.eps ** 4), (x, x, x)

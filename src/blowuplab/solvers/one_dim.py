@@ -73,7 +73,7 @@ def second_derivative_dirichlet(x):
 
 
 def build_strip(cfg: SolverConfig):
-    """Theta-step adapter and interior grid of the strip problem."""
+    """Crank-Nicolson step adapter and interior grid of the strip problem."""
     x = strip_grid(cfg.nx, cfg.grading, cfg.half_width_x)
     if cfg.order == 4:
         B = fourth_derivative_clamped(x) * cfg.eps ** 4
@@ -82,4 +82,4 @@ def build_strip(cfg: SolverConfig):
     # exact persymmetry: mirrored stencil weights agree only algebraically,
     # and the bias would be amplified by blow-up growth
     B = 0.5 * (B + B[::-1, ::-1].tocsr())
-    return BandedCN(B, cfg.order // 2, cfg.theta, symmetrize=True), (x[1:-1],)
+    return BandedCN(B, cfg.order // 2, symmetrize=True), (x[1:-1],)

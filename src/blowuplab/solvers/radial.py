@@ -68,13 +68,13 @@ def radial_laplacian_dirichlet(nr):
 
 
 def build_disc(cfg: SolverConfig):
-    """Theta-step adapter and staggered radial grid (nr = nx) of the disc."""
+    """Crank-Nicolson step adapter and staggered radial grid (nr = nx) of the disc."""
     nr = cfg.nx
     if cfg.order == 4:
         B = radial_biharmonic(nr) * cfg.eps ** 4
     else:
         B = -radial_laplacian_dirichlet(nr) * cfg.eps ** 2
-    return BandedCN(B, cfg.order // 2, cfg.theta), (radial_grid(nr),)
+    return BandedCN(B, cfg.order // 2), (radial_grid(nr),)
 
 
 def mark_ring(report: BlowupReport) -> BlowupReport:

@@ -55,11 +55,11 @@ def rect_operator(nx, ny, hx, hy, order):
 
 
 def build_rect(cfg: SolverConfig):
-    """Theta-step adapter and interior grid of [-a, a] x [-b, b]."""
+    """Crank-Nicolson step adapter and interior grid of [-a, a] x [-b, b]."""
     nx, ny = cfg.nx, cfg.ny or cfg.nx
     ax, ay = cfg.half_width_x, cfg.half_width_y
     h = (2 * ax / (nx - 1), 2 * ay / (ny - 1))
     step = FastDiagRectCN if cfg.order == 4 else FastDiagCN
-    adapter = step(cfg.theta, (nx - 2, ny - 2), h, cfg.eps ** cfg.order)
+    adapter = step((nx - 2, ny - 2), h, cfg.eps ** cfg.order)
     return adapter, (np.linspace(-ax, ax, nx)[1:-1],
                      np.linspace(-ay, ay, ny)[1:-1])

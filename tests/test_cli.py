@@ -74,14 +74,46 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="graddding"):
         load_config(path)
     # nz and a solver-side snapshot_stride were once accepted and ignored
-    # or overridden; they are unknown keys now
-    for key in ("nz: 7", "snapshot_stride: 3"):
+    # or overridden, and theta, safety and dt_min were never set to another
+    # value than their default; they are unknown keys now
+    for key in ("nz: 7", "snapshot_stride: 3", "theta: 0.5", "safety: 0.9",
+                "dt_min: 0.0"):
         path = write_cfg(tmp_path, STRIP_CFG.replace("  grading: 2.0", "  " + key))
         name = key.split(":")[0]
         with pytest.raises(ConfigError,
                            match=rf"unknown key solver\.{name} \(line 10\)"):
             load_config(path)
         assert main(["--config", path, "solve"]) == 2
+
+
+def test_solver_schema_matches_solver_config():
+    """The solver: section declares every SolverConfig knob with its type:
+    the fields, less those the experiment, the geometry token and the
+    outputs set, plus skeleton_resolution, which predict reads."""
+    import dataclasses
+
+    from blowuplab.config import _SCHEMA
+    from blowuplab.solvers import SolverConfig
+    set_elsewhere = {"order", "nonlinearity", "eps", "geometry", "half_width_x",
+                     "half_width_y", "snapshot_times", "snapshot_stride", "seed"}
+    fields = {f.name: f.type for f in dataclasses.fields(SolverConfig)
+              if f.name not in set_elsewhere}
+    schema = dict(_SCHEMA["solver"])
+    assert schema.pop("skeleton_resolution") is float
+    assert set(schema) == set(fields)
+    for key, typ in schema.items():
+        # annotations are strings; an optional knob is declared by its type
+        assert fields[key] in (typ.__name__, f"Optional[{typ.__name__}]"), key
+
+
+def test_readme_lists_every_solver_key():
+    from blowuplab.config import _SCHEMA
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        section = fh.read().split("### Experiment configs", 1)[1]
+    table = section.split("| `solver:` key |", 1)[1].split("\n\n", 1)[0]
+    listed = [row.split("`")[1] for row in table.splitlines()[2:]]
+    assert sorted(listed) == sorted(_SCHEMA["solver"])
 
 
 def test_unknown_key_reports_line(tmp_path):

@@ -8,7 +8,7 @@ are relative to the unit scale of the domains, since the coordinate of a
 centred peak is rounding noise (1e-16) rather than a number to match.
 
 The rectangle and cube cases were recorded with the sparse LU and plain
-CG theta-steps. Those stay as the reference slow paths: the golden check
+CG Crank-Nicolson steps. Those stay as the reference slow paths: the golden check
 runs these cases through them, and test_fast_solver_matches_reference
 compares `solve()`, which uses FastDiagCN, with that reference run.
 
@@ -64,7 +64,7 @@ CASES = {
 }
 
 
-# the theta-step each golden rectangle and cube case was recorded with
+# the Crank-Nicolson step each golden rectangle and cube case was recorded with
 REFERENCE = {"rect2": SparseLUCN, "rect4_anisotropic_snapshots": SparseLUCN,
              "cube": ConjugateGradientCN}
 
@@ -81,7 +81,7 @@ def run_case(name):
     if name not in REFERENCE:
         return solve(cfg)
     adapter, axes = BUILDERS[cfg.geometry](cfg)
-    return solve_problem(cfg, REFERENCE[name](box_operator(adapter), cfg.theta), axes)
+    return solve_problem(cfg, REFERENCE[name](box_operator(adapter)), axes)
 
 
 def record(rep):

@@ -4,7 +4,9 @@ scipy.interpolate, scipy.integrate or scipy.ndimage on its own.
 Together they cost a quarter of a second at every CLI start-up, and the
 package needs only a spline (profiles._Spline), an assignment
 (cli._assign) and a local-maximum mask from them. Custom nonlinearities
-and critical_eps import quad, solve_ivp and brentq where they are called.
+import quad and solve_ivp where they are called, and scipy.integrate
+loads scipy.optimize with it; nothing in the package imports
+scipy.optimize itself.
 
 Two scipy packages do stay loaded. scipy.spatial adds about 0.015 s on
 top of the rest and gives the k-d tree of the nearest-boundary search.
@@ -74,3 +76,23 @@ def test_cli_verbs_load_no_heavy_scipy(tmp_path):
         """)
     assert loaded_after(code) == []
     assert (out / "comparison.csv").exists()
+
+
+def test_critical_eps_and_tabulated_flow_import_no_optimize():
+    """critical_eps is a closed form, and the tabulated inverse is Newton
+    on a start grid, so neither calls into scipy.optimize. Building the
+    table loads scipy.integrate, which loads scipy.optimize, so the probe
+    unloads it after the build and checks that no call loads it again."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from blowuplab import Nonlinearity, ReactionSolution, critical_eps
+        tab = ReactionSolution(Nonlinearity.custom(lambda u: (1.0 + u) ** 2),
+                               form="tabulated")
+        for name in [m for m in sys.modules if m.startswith("scipy.optimize")]:
+            del sys.modules[name]
+        assert critical_eps(ReactionSolution(Nonlinearity.exponential()), 1.0) > 0
+        assert tab.invert(3.0) > 0 and tab.invert(np.array([0.5, 2.0])).shape == (2,)
+        assert np.all(np.isfinite(tab.flow(np.array([0.0, 1.0, 10.0]), 1e-3)))
+        """)
+    assert "scipy.optimize" not in loaded_after(code)

@@ -248,6 +248,9 @@ def test_critical_eps_square(profile4):
     assert profile4.eta0 * rs.gauge(T, ec, 4) == pytest.approx(1.0, abs=1e-10)
     # s_target -> 0 drives eps_c -> 0 (phi is linear in eps)
     assert critical_eps(rs, 1e-3, eta0=profile4.eta0) <= 1e-3
+    assert critical_eps(rs, 0.0, eta0=profile4.eta0) == 0.0
+    with pytest.raises(RangeError):
+        critical_eps(rs, -0.1, eta0=profile4.eta0)
 
 
 def test_critical_eps_rectangle_thresholds(profile4):

@@ -210,8 +210,8 @@ class TestCorrections:
     def test_discrete_system_residual_tolerance(self):
         # the assembled sparse systems are solved to residual <= 1e-9
         # (enforced internally; a ConvergenceError would surface here)
-        solve_curvature_correction(2, residual_tol=1e-9)
-        solve_profile4(residual_tol=1e-9)
+        solve_curvature_correction(2)
+        solve_profile4()
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):

@@ -193,6 +193,21 @@ def test_flow_tabulated_matches_closed():
     assert np.allclose(tab.flow(u, 0.03), closed.flow(u, 0.03), atol=1e-7)
 
 
+def test_flow_tabulated_matches_closed_at_large_u():
+    """Up to u = 1e5, where u0 is steep, the tabulated inverse keeps the
+    flow at the closed form's and invert round trips; a start grid uniform
+    in t once gave 3.4e5 for 1.01e4 at u = 1e4."""
+    closed = ReactionSolution(POW2)
+    tab = ReactionSolution(Nonlinearity.custom(lambda u: (1.0 + u) ** 2, "sq2"),
+                           form="tabulated")
+    u = np.geomspace(1.0, 1e5, 501)
+    np.testing.assert_allclose(tab.flow(u, 1e-6), closed.flow(u, 1e-6), rtol=1e-9)
+    np.testing.assert_allclose(tab.state(tab.invert(u)), u, rtol=1e-9)
+    with pytest.raises(RangeError):
+        tab.invert(2.0 * tab._u_end)
+    assert tab.invert(0.0) == 0.0
+
+
 # -- flow properties ------------------------------------------------------------
 # The flow is a shift in the tail coordinate T(u) = tail_time(u), the time
 # left to blow-up: T(flow(u, dt)) = T(u) - dt. A rounding error delta in T

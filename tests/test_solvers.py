@@ -11,8 +11,9 @@ from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
                                solve, solve_problem, track_peaks)
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
                                      FastDiagCN, FastDiagCubeCN, FastDiagRectCN,
-                                     Snapshot, SparseLUCN, _strict_local_maxima,
-                                     initial_field, run_stepper)
+                                     THETA, Snapshot, SparseLUCN,
+                                     _strict_local_maxima, initial_field,
+                                     run_stepper)
 from blowuplab.solvers.cube3d import build_cube, cube_operator
 from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
                                        second_derivative_dirichlet, strip_grid)
@@ -329,13 +330,13 @@ def test_grid_convergence_T_eps():
 
 def test_per_step_symmetry_injection():
     # a symmetric state stays symmetric to 1e-10 of its scale through one
-    # full split step (reaction, theta-solve, reaction)
+    # full split step (reaction, Crank-Nicolson solve, reaction)
     x = strip_grid(801, grading=2.0)
     from blowuplab.solvers.one_dim import fourth_derivative_clamped
     import scipy.sparse as sp
     B = fourth_derivative_clamped(x) * 0.1 ** 4
     B = 0.5 * (B + B[::-1, ::-1].tocsr())
-    adapter = BandedCN(B, 2, 0.5, symmetrize=True)
+    adapter = BandedCN(B, 2, symmetrize=True)
     rs = ReactionSolution(EXP)
     xi = x[1:-1]
     u = 0.5 * np.exp(-4 * xi ** 2)
@@ -566,8 +567,8 @@ def test_fast_diag_rect_step_matches_sparse_lu(order, dt):
     scale = eps ** order
     B = rect_operator(nx, ny, hx, hy, order) * scale
     step = FastDiagRectCN if order == 4 else FastDiagCN
-    fast = step(0.5, (nx - 2, ny - 2), (hx, hy), scale)
-    ref = SparseLUCN(B, 0.5)
+    fast = step((nx - 2, ny - 2), (hx, hy), scale)
+    ref = SparseLUCN(B)
     rng = np.random.default_rng(order)
     x = np.linspace(-1, 1, nx - 2)[:, None]
     y = np.linspace(-1, 1, ny - 2)[None, :]
@@ -597,14 +598,14 @@ def test_fast_diag_cube_step_error_within_plain_cg():
     solve_problem(cfg, recording, axes)
     fast, _ = build_cube(cfg)
     B = box_operator(fast)
-    ref = ConjugateGradientCN(B, cfg.theta)
+    ref = ConjugateGradientCN(B)
     lus, worst_fast, worst_cg = {}, 0.0, 0.0
     for dt, u in steps:
         if dt not in lus:
-            A = (sp.identity(B.shape[0]) + cfg.theta * dt * B).tocsc()
+            A = (sp.identity(B.shape[0]) + THETA * dt * B).tocsc()
             lus[dt] = A, splu(A)
         A, lu = lus[dt]
-        b = u - (1.0 - cfg.theta) * dt * (B @ u)
+        b = u - (1.0 - THETA) * dt * (B @ u)
         exact = lu.solve(b)
         x = fast.apply(dt, u)
         assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
@@ -626,7 +627,7 @@ def test_banded_step_matches_rebuilt_reference(geometry, order):
                        nx=301, grading=2.0 if geometry == "strip" else 0.0)
     fast, _ = BUILDERS[geometry](cfg)
     assert fast.symmetrize == (geometry == "strip")
-    ref = RebuiltBandedCN(fast.B, fast.bw, cfg.theta, fast.symmetrize)
+    ref = RebuiltBandedCN(fast.B, fast.bw, THETA, fast.symmetrize)
     rng = np.random.default_rng(order)
     dts = rng.choice(10.0 ** rng.uniform(-7.0, -2.0, 6), size=60)
     u = rng.uniform(0.0, 1.0, fast.n)
@@ -670,8 +671,8 @@ def test_cube_cg_iterations_match_scipy_cg():
         g = fast._setup(dt)[0].reshape(fast.shape)
         M = LinearOperator((n, n), dtype=float, matvec=lambda r: fast._transform(
             g * fast._transform(r.reshape(fast.shape))).ravel())
-        A1 = sp.identity(n, format="csr") + cfg.theta * dt * B
-        b = u - (1.0 - cfg.theta) * dt * (B @ u)
+        A1 = sp.identity(n, format="csr") + THETA * dt * B
+        b = u - (1.0 - THETA) * dt * (B @ u)
         _, info = cg(A1, b, x0=M @ b, M=M, rtol=fast.RTOL, atol=0.0,
                      maxiter=fast.MAXITER, callback=count)
         assert info == 0
@@ -694,8 +695,8 @@ def _dense_ring_hat(fast, U):
 def test_thin_ring_transform_matches_dense():
     rng = np.random.default_rng(5)
     eps4 = 0.1 ** 4
-    rect = FastDiagRectCN(0.5, (21, 12), (0.09, 0.15), eps4)
-    cube = FastDiagCubeCN(0.5, (10,) * 3, (2.0 / 11,) * 3, eps4)
+    rect = FastDiagRectCN((21, 12), (0.09, 0.15), eps4)
+    cube = FastDiagCubeCN((10,) * 3, (2.0 / 11,) * 3, eps4)
     for fast in (rect, cube):
         for _ in range(3):
             U = rng.standard_normal(fast.shape)
@@ -754,6 +755,3 @@ def test_config_validation():
         SolverConfig(order=2, nonlinearity=EXP, eps=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(order=2, nonlinearity=EXP, eps=0.1, threshold=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(order=2, nonlinearity=EXP, eps=0.1, dt_init=1e-3,
-                     dt_min=1e-2)
