@@ -3,11 +3,11 @@
 Verbs: profile, predict, solve (also named sweep), compare. Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 no blow-up detected.
 CSV files are the data contract; SVG plots are a convenience. Identical
-configs (same seed) produce byte-identical CSVs: fileio.write_csv writes
-floats with repr, and every merge is sorted. Every output file is written
-through atomic_open, so a failed run leaves earlier files whole. A
-numerical failure of one eps, in a --threads worker too, exits 3 and
-names that eps.
+configs (same seed) produce byte-identical CSVs at a fixed BLAS thread
+count: fileio.write_csv writes floats with repr, and every merge is
+sorted. Every output file is written through atomic_open, so a failed
+run leaves earlier files whole. A numerical failure of one eps, in a
+--threads worker too, exits 3 and names that eps.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 from .config import dump_config, load_config
 from .errors import BlowupLabError, ConfigError, ConvergenceError, DivergenceError
 from .fileio import atomic_open, cell, read_csv, write_csv
-from .geometry import compute_skeleton, omega_set, skeleton_arrival_time
+from .geometry import compute_skeleton, omega_set
 from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
-                        predict_1d_fourth)
+                        predict_1d_fourth, skeleton_arrival_time)
 from .profiles import (get_correction, get_profile4, second_order_profile)
 from .reaction import ReactionSolution, TABLE_DELTA
 from .solvers import solve as run_solver

@@ -7,7 +7,7 @@ is a boundary point y whose segment to x stays inside the domain and
 meets the boundary perpendicularly; the skeleton is the set of interior
 points with at least two equidistant orthogonal feet, and s(x) is the
 smallest such equidistant distance. omega-level sets of the boundary
-distance and the skeleton arrival time build directly on these.
+distance build directly on these, and so does the predictor.
 
 Rectangles get closed-form feet and an exact skeleton (mid-lines plus
 the four corner bisectors). Smooth domains are sampled on a grid; the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -87,12 +87,6 @@ def _feet_table(row, point, param, distance, curvature, circle) -> Feet:
 
 class PlanarDomain:
     """Common interface; see SmoothPolarDomain and RectangleDomain."""
-
-    def contains(self, points):
-        raise NotImplementedError
-
-    def signed_distance(self, points):
-        raise NotImplementedError
 
     @property
     def diameter(self):
@@ -304,9 +298,9 @@ class SmoothPolarDomain(PlanarDomain):
         rho = np.hypot(P[..., 0], P[..., 1])
         return np.all(rho <= self.radius(th) * (1.0 + 1e-9) + 1e-12, axis=1)
 
-    def nearest_feet_grid(self, pts):
-        """Nearest boundary point/parameter per grid point (fast path)."""
-        return self._nearest_on_boundary(pts)
+    # the public name; signed_distance calls the body by its own name, so
+    # a wrapper of this one sees each query once
+    nearest_feet_grid = _nearest_on_boundary
 
 
 class RectangleDomain(PlanarDomain):
@@ -388,7 +382,6 @@ class Skeleton:
     resolution: float
     s_min: float                       # inf over the skeleton of s(x)
     touches_boundary: bool
-    domain: PlanarDomain = field(repr=False, default=None)
 
     def points(self):
         return np.array([s.point for s in self.samples])
@@ -490,7 +483,7 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
     samples = _dedup_samples(samples, 1e-9 * dom.diameter)
     _label_branches(samples, 1.8 * res)
     return Skeleton(samples=samples, resolution=res, s_min=0.0,
-                    touches_boundary=True, domain=dom)
+                    touches_boundary=True)
 
 
 def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
@@ -538,7 +531,7 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
     touches = s_min <= 2.0 * res
     return Skeleton(samples=samples, resolution=res,
                     s_min=0.0 if touches else s_min,
-                    touches_boundary=touches, domain=dom)
+                    touches_boundary=touches)
 
 
 def _refine_equidistance(dom: SmoothPolarDomain, p, q, th_a, th_b):
@@ -732,7 +725,6 @@ def _chain_segments(segs):
         while True:
             nxts = [k for k in adj[cur] if k != prev and k not in visited]
             if not nxts:
-                closing = [k for k in adj[cur] if k == start]
                 break
             prev, cur = cur, nxts[0]
             visited.add(cur)
@@ -741,20 +733,6 @@ def _chain_segments(segs):
             loops.append(np.array([pt_of[k] for k in loop]))
     loops.sort(key=lambda L: (-len(L), L[0, 0], L[0, 1]))
     return loops
-
-
-def skeleton_arrival_time(skel: Skeleton, rs, eps: float, eta0: float) -> float:
-    """First time the inward-moving layer-peak set reaches the skeleton.
-
-    T_S solves s_min = eta0 * phi(t; eps); zero when the skeleton touches
-    the boundary, +inf when the required reaction state is out of range."""
-    if skel.touches_boundary or skel.s_min <= 0.0:
-        return 0.0
-    u_target = (skel.s_min / (eta0 * eps)) ** 4
-    try:
-        return float(rs.invert(u_target))
-    except (OverflowError, RangeError):
-        return np.inf
 
 
 def ellipse_domain(a, b) -> SmoothPolarDomain:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import RangeError
 from .fileio import write_csv
 from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
-                       max_distance_point, omega_set, skeleton_arrival_time)
+                       max_distance_point, omega_set)
 from .profiles import get_correction, get_profile4, v2
 from .reaction import TABLE_DELTA, ReactionSolution
 
@@ -269,6 +269,20 @@ def _curvature_candidates(dom, loops):
                   for i in np.flatnonzero(peak)]
     cands.sort(key=lambda c: -c["curvature"])
     return cands
+
+
+def skeleton_arrival_time(skel: Skeleton, rs, eps: float, eta0: float) -> float:
+    """First time the inward-moving layer-peak set reaches the skeleton.
+
+    T_S solves s_min = eta0 * phi(t; eps); zero when the skeleton touches
+    the boundary, +inf when the required reaction state is out of range."""
+    if skel.touches_boundary or skel.s_min <= 0.0:
+        return 0.0
+    u_target = (skel.s_min / (eta0 * eps)) ** 4
+    try:
+        return float(rs.invert(u_target))
+    except (OverflowError, RangeError):
+        return np.inf
 
 
 def critical_eps(rs: ReactionSolution, s_target: float, eta0: float = None) -> float:

@@ -42,10 +42,11 @@ V2_ETA_SWITCH = 26.0
 _SQRT_PI = np.sqrt(np.pi)
 
 # The profile grid: [0, ETA_MAX] (the second-order correction stops at
-# 20), spacing 1/200 unless solve_profile4 is given another h, and
+# 20), spacing H unless solve_profile4 is given another h, and
 # WIDTH-point stencils. Every sparse solve must leave a residual of at
 # most RESIDUAL_TOL.
 ETA_MAX = 36.0
+H = 1.0 / 200.0
 WIDTH = 7
 RESIDUAL_TOL = 1e-9
 
@@ -310,7 +311,7 @@ def _solve_checked(A, rhs, what):
     return sol
 
 
-def solve_profile4(h=1.0 / 200.0) -> LayerProfile:
+def solve_profile4(h=H) -> LayerProfile:
     """Solve the fourth-order layer profile BVP on [0, ETA_MAX].
 
     Far field handled by capping v(eta_max)=1, v'(eta_max)=0; with
@@ -335,10 +336,10 @@ def solve_profile4(h=1.0 / 200.0) -> LayerProfile:
                         d2_values=w)
 
 
-def second_order_profile(eta_max=36.0, h=1.0 / 200.0) -> LayerProfile:
+def second_order_profile() -> LayerProfile:
     """Closed-form second-order profile, tabulated for export symmetry."""
-    eta = np.linspace(0.0, eta_max, int(round(eta_max / h)) + 1)
-    return LayerProfile(order=2, eta=eta, values=v2(eta), eta_max=eta_max)
+    eta = np.linspace(0.0, ETA_MAX, int(round(ETA_MAX / H)) + 1)
+    return LayerProfile(order=2, eta=eta, values=v2(eta), eta_max=ETA_MAX)
 
 
 def solve_curvature_correction(order, profile4: LayerProfile | None = None
@@ -349,7 +350,7 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None
     order 2:  vbar'' + (eta/2) vbar' - (3/2) vbar = v0'   (v0 = closed form)
     order 4:  -vbar'''' + (eta/4) vbar' - (5/4) vbar = -2 v0'''
     """
-    h = 1.0 / 200.0
+    h = H
     if order == 2:
         eta_max = 20.0
         n = int(round(eta_max / h))

@@ -70,9 +70,6 @@ class Nonlinearity:
             return cls.custom(_CUSTOM_REGISTRY[spec], name=spec)
         raise ValueError(f"unknown nonlinearity {spec!r}")
 
-    def __call__(self, u):
-        return self.f(u)
-
     def f(self, u):
         """Evaluate f(u). Scalars in, scalar out; arrays elementwise."""
         scalar = np.isscalar(u)
@@ -135,7 +132,8 @@ class ReactionSolution:
 
     form "closed" uses exact expressions (exp and power kinds); form
     "tabulated" integrates the ODE with a tight-tolerance adaptive pair
-    and dense output on [0, T0*(1 - TABLE_DELTA)].
+    and dense output on [-T0, T0*(1 - TABLE_DELTA)]; the part below t = 0
+    carries the flow of negative states.
     """
 
     nl: Nonlinearity
@@ -172,26 +170,32 @@ class ReactionSolution:
 
     # -- tabulated path ----------------------------------------------------
     def _build_table(self):
-        from scipy.integrate import solve_ivp
+        from scipy.integrate import OdeSolution, solve_ivp
         t_end = self.T0 * (1.0 - TABLE_DELTA)
 
         def rhs(t, y):
             return [self.nl.f(y[0])]
 
         # rtol must stay well below 1e-10: the table is asked to agree with
-        # closed forms to 1e-8 absolute even where u0 ~ 1e2
-        sol = solve_ivp(rhs, [0.0, t_end], [0.0], method="DOP853",
-                        rtol=1e-12, atol=1e-14, dense_output=True)
-        if not sol.success:
-            raise DivergenceError(f"reaction ODE integration failed: {sol.message}")
-        self._dense = sol.sol
+        # closed forms to 1e-8 absolute even where u0 ~ 1e2. The leg back
+        # to -T0 flows the states below zero: u0 falls toward a zero of f,
+        # if f has one, and never reaches it
+        fwd, back = (solve_ivp(rhs, [0.0, t1], [0.0], method="DOP853", rtol=1e-12,
+                               atol=1e-14, dense_output=True) for t1 in (t_end, -self.T0))
+        if not (fwd.success and back.success):
+            raise DivergenceError("reaction ODE integration failed: "
+                                  f"{fwd.message} / {back.message}")
+        self._dense = OdeSolution(np.concatenate([back.t[::-1], fwd.t[1:]]),
+                                  back.sol.interpolants[::-1] + fwd.sol.interpolants)
         self._t_end = t_end
-        self._u_end = float(sol.y[0, -1])
-        # start grid of the inverse, geometric in T0 - t from T0 down to
-        # T0 * TABLE_DELTA: u0 grows as T0 - t shrinks, and equal ratios
-        # keep every Newton start close, up to the table end
-        self._grid_t = np.minimum(
-            self.T0 - self.T0 * np.geomspace(1.0, TABLE_DELTA, 4096), t_end)
+        self._u_end = float(fwd.y[0, -1])
+        # start grid of the inverse: uniform in t below zero, then geometric
+        # in T0 - t from T0 down to T0 * TABLE_DELTA: u0 grows as T0 - t
+        # shrinks, and equal ratios keep every Newton start close, up to
+        # the table end
+        self._grid_t = np.concatenate([
+            np.linspace(-self.T0, 0.0, 256, endpoint=False),
+            np.minimum(self.T0 - self.T0 * np.geomspace(1.0, TABLE_DELTA, 4096), t_end)])
         self._grid_u = self._dense(self._grid_t)[0]
 
     def _state_table(self, t):
@@ -249,7 +253,8 @@ class ReactionSolution:
 
         Vectorized; entries that blow through the singularity within dt
         come back as +inf. This is what makes the split PDE stepper
-        reaction-exact near blow-up. Non-finite entries stay non-finite.
+        reaction-exact near blow-up. Non-finite entries stay non-finite; a
+        finite one below the table's u0(-T0) raises DivergenceError.
         The closed forms work in place on one array; `**=` keeps numpy's
         fast paths for scalar powers such as -1 and 2.
         """
@@ -276,6 +281,9 @@ class ReactionSolution:
             arg[singular] = np.inf
             return arg
         # tabulated: map through tau = invert(u), step, map back
+        if np.any((u < self._grid_u[0]) & np.isfinite(u)):
+            raise DivergenceError("reaction state below the tabulated range, "
+                                  f"u0(-T0) = {float(self._grid_u[0])!r}")
         tau = self._invert_vec(u)
         t_new = tau + dt
         out = np.full_like(u, np.inf)
@@ -285,13 +293,13 @@ class ReactionSolution:
         return out
 
     def _invert_vec(self, u):
-        """Tabulated inverse, in [0, t_end]: interpolation on the start
-        grid, polished by 3 Newton steps; 0 where u <= 0."""
+        """Tabulated inverse, in [-T0, t_end]: interpolation on the start
+        grid, polished by 3 Newton steps."""
         t = np.interp(u, self._grid_u, self._grid_t)
         for _ in range(3):
             ut = self._dense(t)[0]
-            t = np.clip(t - (ut - u) / self.nl.f(ut), 0.0, self._t_end)
-        return np.where(u > 0.0, t, 0.0)
+            t = np.clip(t - (ut - u) / self.nl.f(ut), self._grid_t[0], self._t_end)
+        return t
 
     def residual(self, t):
         """|du0/dt - f(u0)| at t, derivative by central difference.

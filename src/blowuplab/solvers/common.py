@@ -36,7 +36,7 @@ copies these counts into BlowupReport.diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -108,9 +108,6 @@ class SolverConfig:
             raise ConfigError(f"{self.geometry} grid with {unknowns} unknowns "
                               f"exceeds max_unknowns={self.max_unknowns}")
 
-    def replace(self, **kw):
-        return replace(self, **kw)
-
 
 @dataclass
 class Snapshot:
@@ -128,18 +125,25 @@ class BlowupReport:
     sup_stop: float
     stop_reason: str
     singularities: list          # [(coords tuple, value)]
-    multiplicity: int
     final_field: np.ndarray
     grid: tuple                  # per-axis coordinate arrays
     peak_trajectory: list        # [(t, coords tuple)] for the tracked main peak
     snapshots: list
     diagnostics: dict
-    config: SolverConfig
     ring_radius: Optional[float] = None
     blowup_detected: bool = False
 
+    @property
+    def multiplicity(self):
+        return len(self.singularities)
+
     def singularity_points(self):
         return np.array([list(c) for c, _ in self.singularities])
+
+
+def _pow2_bucket(dt):
+    """The largest power of two <= dt: the step of a cached setup."""
+    return float(2.0 ** np.floor(np.log2(dt)))
 
 
 class BandedCN:
@@ -233,8 +237,7 @@ class SparseLUCN:
         self.factorizations = 0
         self.solves = 0
 
-    def quantize(self, dt):
-        return float(2.0 ** np.floor(np.log2(dt)))
+    quantize = staticmethod(_pow2_bucket)
 
     def apply(self, dt, u):
         key = dt
@@ -260,8 +263,7 @@ class ConjugateGradientCN:
         self.n = B.shape[0]
         self.solves = 0
 
-    def quantize(self, dt):
-        return float(2.0 ** np.floor(np.log2(dt)))
+    quantize = staticmethod(_pow2_bucket)
 
     def apply(self, dt, u):
         self.solves += 1
@@ -314,8 +316,7 @@ class FastDiagCN:
             (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1))) ** 2
             for m, h in zip(self.shape, self.spacing)])
 
-    def quantize(self, dt):
-        return float(2.0 ** np.floor(np.log2(dt)))
+    quantize = staticmethod(_pow2_bucket)
 
     def _transform(self, U):
         """Orthonormal DST-I along every axis (its own inverse). Each pass
@@ -563,18 +564,17 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
         if steps >= cfg.max_steps:
             stop = "no-blowup-detected"
             break
-        dt_eff = min(dt, cfg.dt_max)
         # exact hits for snapshot times and t_end
         target = None
         if snap_q:
             target = snap_q[0]
         if cfg.t_end is not None and (target is None or cfg.t_end < target):
             target = cfg.t_end
-        exact_hit = target is not None and t + dt_eff >= target - 1e-15
+        exact_hit = target is not None and t + dt >= target - 1e-15
         if exact_hit:
             dtb = target - t
         else:
-            dtb = adapter.quantize(dt_eff) if adapter is not None else dt_eff
+            dtb = adapter.quantize(dt) if adapter is not None else dt
         if dtb <= 0.0 or t + dtb == t:
             stop = "dt-underflow"
             break
@@ -669,10 +669,9 @@ def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
                 cg_iterations=getattr(adapter, "cg_iterations", 0))
     return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
                         sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
-                        singularities=sing, multiplicity=len(sing),
-                        final_field=u, grid=tuple(axes), peak_trajectory=traj,
-                        snapshots=run["snapshots"], diagnostics=diag, config=cfg,
-                        blowup_detected=run["blowup_detected"])
+                        singularities=sing, final_field=u, grid=tuple(axes),
+                        peak_trajectory=traj, snapshots=run["snapshots"],
+                        diagnostics=diag, blowup_detected=run["blowup_detected"])
 
 
 # -- singularity extraction -----------------------------------------------------
@@ -751,8 +750,9 @@ def _parabola_vertices(x3, f3):
     return np.where((denom == 0.0) | (a == 0.0), x1, xv)
 
 
-def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
-    """Link per-snapshot refined peak locations into tracks over time.
+def track_peaks(snapshots, coords):
+    """Link per-snapshot refined peak locations (maxima above 0.6 of the
+    snapshot's sup) into tracks over time.
 
     Returns a list of tracks, each dict(times=[...], points=[...]).
     Linking is nearest-association within a quarter of the largest grid
@@ -763,9 +763,7 @@ def track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
     max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
     last = np.empty((0, len(coords)))     # last point of every track
     for snap in snapshots:
-        peaks = extract_singularities(snap.field, coords,
-                                      threshold_fraction=threshold_fraction,
-                                      separation=separation)
+        peaks = extract_singularities(snap.field, coords, threshold_fraction=0.6)
         locs = np.array([loc for loc, _ in peaks]).reshape(-1, len(coords))
         # summed axis by axis, left to right like a row sum, bit for bit
         dist = np.sqrt(sum((x[:, None] - y) ** 2 for x, y in zip(locs.T, last.T)))

@@ -92,6 +92,5 @@ def mark_ring(report: BlowupReport) -> BlowupReport:
     if ring < 1.5 / len(r):
         ring = 0.0
         report.singularities = [((0.0,), float(u.max()))]
-        report.multiplicity = 1
     report.ring_radius = ring
     return report

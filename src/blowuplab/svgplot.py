@@ -8,9 +8,10 @@ import numpy as np
 from .fileio import atomic_open
 
 
-def svg_scatter(path, series, size=480, margin=40, title=""):
+def svg_scatter(path, series, title=""):
     """series: list of dicts with keys points ((n,2) array), color, marker
     ('o' or 'x'), label."""
+    size, margin = 480, 40      # square canvas and frame inset, in pixels
     pts = np.vstack([np.zeros((0, 2))]
                     + [np.reshape(s["points"], (-1, 2)) for s in series])
     if len(pts) == 0:

@@ -518,6 +518,20 @@ def test_numerical_failure_exits_3_and_names_eps(tmp_path, monkeypatch, capsys,
     assert not (out / "sweep_summary.csv").exists()
 
 
+def test_state_below_the_reaction_table_exits_3(tmp_path, capsys):
+    """Noise below u0(-T0) = -1/2 of the tabulated (1+u)^2 flow stops the
+    run with exit 3 and no summary, not with a silently clamped state."""
+    from blowuplab.reaction import register_nonlinearity
+    register_nonlinearity("sqlow", lambda u: (1.0 + u) ** 2)
+    text = STRIP_CFG.replace("nonlinearity: exp", "nonlinearity: sqlow")
+    path = write_cfg(tmp_path, text.replace("threshold: 8",
+                                            "threshold: 8\n  noise_amplitude: 0.9"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "solve"]) == 3
+    assert "below the tabulated range" in capsys.readouterr().err
+    assert not (out / "sweep_summary.csv").exists()
+
+
 def test_atomic_open_keeps_previous_file_on_error(tmp_path):
     path = tmp_path / "sweep_summary.csv"
     path.write_text("eps,T_eps\n0.1,0.9\n")

@@ -12,9 +12,8 @@ from blowuplab import geometry
 from blowuplab.errors import RangeError
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, ellipse_domain,
-                                max_distance_point, omega_set, potato_domain,
-                                skeleton_arrival_time)
-from blowuplab.predictor import predict_second_2d
+                                max_distance_point, omega_set, potato_domain)
+from blowuplab.predictor import predict_second_2d, skeleton_arrival_time
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from oracles import (brute_force_distance, brute_force_nearest_sample,

@@ -208,6 +208,28 @@ def test_flow_tabulated_matches_closed_at_large_u():
     assert tab.invert(0.0) == 0.0
 
 
+def test_flow_tabulated_matches_closed_below_zero():
+    """Negative states flow on the part of the table below t = 0, as the
+    closed form's do; the flow once sent every u <= 0 to u0(dt). A finite
+    state below u0(-T0) raises, and invert and state keep their ranges."""
+    closed = ReactionSolution(POW2)
+    tab = ReactionSolution(Nonlinearity.custom(lambda u: (1.0 + u) ** 2, "sq2"),
+                           form="tabulated")
+    u = np.concatenate([-np.geomspace(0.45, 1e-8, 200), [0.0],
+                        np.geomspace(1e-8, 1e3, 300)])
+    for dt in (1e-6, 1e-3):
+        # atol: the table's absolute error, about 1e-17 where u0 crosses 0
+        np.testing.assert_allclose(tab.flow(u, dt), closed.flow(u, dt),
+                                   rtol=1e-9, atol=1e-15)
+    with pytest.raises(DivergenceError):
+        tab.flow(np.array([0.1, -0.6]), 1e-3)
+    assert np.all(np.isinf(tab.flow(np.array([-np.inf, np.nan]), 1e-3)))
+    with pytest.raises(RangeError):
+        tab.invert(-0.1)
+    with pytest.raises(RangeError):
+        tab.state(-0.1)
+
+
 # -- flow properties ------------------------------------------------------------
 # The flow is a shift in the tail coordinate T(u) = tail_time(u), the time
 # left to blow-up: T(flow(u, dt)) = T(u) - dt. A rounding error delta in T

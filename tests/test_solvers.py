@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -284,7 +286,7 @@ def test_supersolution_bound_with_noisy_initial_data():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
                        nx=201, noise_amplitude=1e-4)
     rep = solve(cfg)
-    unchecked = solve(cfg.replace(check_supersolution=False))
+    unchecked = solve(dataclasses.replace(cfg, check_supersolution=False))
     assert rep.stop_reason == "threshold"
     assert np.array_equal(rep.final_field, unchecked.final_field)
     assert rep.T_eps == unchecked.T_eps
@@ -377,7 +379,8 @@ def test_non_finite_linear_step_stops_the_run(nl, value):
                        noise_amplitude=1e-3, seed=2)
     rs = ReactionSolution(nl)
     u0 = np.abs(initial_field(cfg, cfg.nx - 2))
-    before = run_stepper(cfg.replace(max_steps=29), _PoisonedStep(0, value), rs, u0)
+    before = run_stepper(dataclasses.replace(cfg, max_steps=29), _PoisonedStep(0, value),
+                         rs, u0)
     run = run_stepper(cfg, _PoisonedStep(30, value), rs, u0)
     assert run["stop_reason"] == "reaction-singularity" and run["steps"] == 30
     assert run["T_eps"] == before["t_stop"] + rs.tail_time(before["sup_stop"])
@@ -454,7 +457,7 @@ def test_noise_seed_determinism():
     b = solve(cfg)
     assert np.array_equal(a.final_field, b.final_field)
     assert a.T_eps == b.T_eps
-    c = solve(cfg.replace(seed=10))
+    c = solve(dataclasses.replace(cfg, seed=10))
     assert not np.array_equal(a.final_field, c.final_field)
 
 
@@ -466,7 +469,7 @@ def test_solver_dispatch():
     rep = solve(cfg)
     assert rep.blowup_detected
     with pytest.raises(ValueError):
-        solve(cfg.replace(geometry="torus"))
+        solve(dataclasses.replace(cfg, geometry="torus"))
 
 
 def test_radial_disc_large_eps_origin():
