@@ -132,8 +132,8 @@ class ReactionSolution:
 
     form "closed" uses exact expressions (exp and power kinds); form
     "tabulated" integrates the ODE with a tight-tolerance adaptive pair
-    and dense output on [-T0, T0*(1 - TABLE_DELTA)]; the part below t = 0
-    carries the flow of negative states.
+    and dense output up to T0*(1 - TABLE_DELTA), and down from t = 0 as far
+    toward -T0 as f allows; the part below 0 carries negative states.
     """
 
     nl: Nonlinearity
@@ -170,31 +170,50 @@ class ReactionSolution:
 
     # -- tabulated path ----------------------------------------------------
     def _build_table(self):
-        from scipy.integrate import OdeSolution, solve_ivp
+        from scipy.integrate import DOP853, OdeSolution, solve_ivp
         t_end = self.T0 * (1.0 - TABLE_DELTA)
 
         def rhs(t, y):
             return [self.nl.f(y[0])]
 
+        def rhs_below(t, y):
+            v = self.nl.f(y[0])
+            if not np.isfinite(v):
+                raise EvaluationDomainError(f"nonlinearity {self.nl.name} not finite")
+            return [v]
+
         # rtol must stay well below 1e-10: the table is asked to agree with
-        # closed forms to 1e-8 absolute even where u0 ~ 1e2. The leg back
-        # to -T0 flows the states below zero: u0 falls toward a zero of f,
-        # if f has one, and never reaches it
-        fwd, back = (solve_ivp(rhs, [0.0, t1], [0.0], method="DOP853", rtol=1e-12,
-                               atol=1e-14, dense_output=True) for t1 in (t_end, -self.T0))
-        if not (fwd.success and back.success):
-            raise DivergenceError("reaction ODE integration failed: "
-                                  f"{fwd.message} / {back.message}")
-        self._dense = OdeSolution(np.concatenate([back.t[::-1], fwd.t[1:]]),
-                                  back.sol.interpolants[::-1] + fwd.sol.interpolants)
+        # closed forms to 1e-8 absolute even where u0 ~ 1e2
+        fwd = solve_ivp(rhs, [0.0, t_end], [0.0], method="DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True)
+        if not fwd.success:
+            raise DivergenceError(f"reaction ODE integration failed: {fwd.message}")
         self._t_end = t_end
         self._u_end = float(fwd.y[0, -1])
-        # start grid of the inverse: uniform in t below zero, then geometric
-        # in T0 - t from T0 down to T0 * TABLE_DELTA: u0 grows as T0 - t
-        # shrinks, and equal ratios keep every Newton start close, up to
-        # the table end
+        # best-effort leg back toward -T0 for the states below zero: u0 falls
+        # toward a zero of f, if f has one. f is only promised on u >= 0, so
+        # the leg ends at the last step before f fails to be finite and
+        # positive, or past -u_end, and the table starts where it got to
+        ts, pieces = [0.0], []
+        with np.errstate(all="ignore"):
+            try:
+                back = DOP853(rhs_below, 0.0, [0.0], -self.T0, rtol=1e-12, atol=1e-14)
+                while back.status == "running" and back.y[0] > -self._u_end:
+                    if back.step() is not None:            # a failed step
+                        break
+                    ts.append(back.t)
+                    pieces.append(back.dense_output())
+            except (ArithmeticError, ValueError):
+                pass
+        self._dense = OdeSolution(np.concatenate([ts[::-1], fwd.t[1:]]),
+                                  pieces[::-1] + fwd.sol.interpolants)
+        # start grid of the inverse, geometric in the distance to -T0 below
+        # zero and to T0 above, from T0 down to T0 * TABLE_DELTA: u0 is steep
+        # where it runs off to -inf or +inf, and equal ratios keep every
+        # Newton start close. Below zero it stops where the table does
+        n_below = 4096 if ts[-1] < 0.0 else 0
         self._grid_t = np.concatenate([
-            np.linspace(-self.T0, 0.0, 256, endpoint=False),
+            np.maximum(self.T0 * np.geomspace(TABLE_DELTA, 1.0, n_below) - self.T0, ts[-1]),
             np.minimum(self.T0 - self.T0 * np.geomspace(1.0, TABLE_DELTA, 4096), t_end)])
         self._grid_u = self._dense(self._grid_t)[0]
 
@@ -254,7 +273,7 @@ class ReactionSolution:
         Vectorized; entries that blow through the singularity within dt
         come back as +inf. This is what makes the split PDE stepper
         reaction-exact near blow-up. Non-finite entries stay non-finite; a
-        finite one below the table's u0(-T0) raises DivergenceError.
+        finite one below the table's lowest state raises DivergenceError.
         The closed forms work in place on one array; `**=` keeps numpy's
         fast paths for scalar powers such as -1 and 2.
         """
@@ -283,7 +302,7 @@ class ReactionSolution:
         # tabulated: map through tau = invert(u), step, map back
         if np.any((u < self._grid_u[0]) & np.isfinite(u)):
             raise DivergenceError("reaction state below the tabulated range, "
-                                  f"u0(-T0) = {float(self._grid_u[0])!r}")
+                                  f"lowest {float(self._grid_u[0])!r}")
         tau = self._invert_vec(u)
         t_new = tau + dt
         out = np.full_like(u, np.inf)
@@ -293,7 +312,7 @@ class ReactionSolution:
         return out
 
     def _invert_vec(self, u):
-        """Tabulated inverse, in [-T0, t_end]: interpolation on the start
+        """Tabulated inverse, in [_grid_t[0], t_end]: interpolation on the start
         grid, polished by 3 Newton steps."""
         t = np.interp(u, self._grid_u, self._grid_t)
         for _ in range(3):

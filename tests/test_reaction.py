@@ -230,6 +230,34 @@ def test_flow_tabulated_matches_closed_below_zero():
         tab.state(-0.1)
 
 
+def test_tabulated_table_builds_where_f_fails_below_zero():
+    """f is only promised on u >= 0, so the table's leg below t = 0 goes as
+    far as f allows. 1 + u^2.5 is NaN below 0: the table starts at u = 0,
+    flows u >= 0 as an independent integration does, and a state below 0
+    raises. 1 + u^2 flows as tan(arctan(u) + dt) and reaches -inf at -T0,
+    so its leg ends near -u_end, as the table's other end is at u_end."""
+    from scipy.integrate import solve_ivp
+    frac = ReactionSolution(Nonlinearity.custom(lambda u: 1.0 + u ** 2.5, "frac"),
+                            form="tabulated")
+    u = np.concatenate([[0.0], np.geomspace(1e-6, 1e1, 12)])
+    for dt in (1e-6, 1e-3):
+        ref = [solve_ivp(lambda t, y: 1.0 + y ** 2.5, [0.0, dt], [v], method="DOP853",
+                         rtol=1e-13, atol=1e-15).y[0, -1] for v in u]
+        np.testing.assert_allclose(frac.flow(u, dt), ref, rtol=1e-9)
+    with pytest.raises(DivergenceError):
+        frac.flow(np.array([1.0, -1e-3]), 1e-3)
+
+    tan = ReactionSolution(Nonlinearity.custom(lambda u: 1.0 + u * u, "tan"),
+                           form="tabulated")
+    u = np.concatenate([-np.geomspace(1e2, 1e-8, 200), [0.0], np.geomspace(1e-8, 1e2, 200)])
+    for dt in (1e-6, 1e-4):
+        np.testing.assert_allclose(tan.flow(u, dt), np.tan(np.arctan(u) + dt),
+                                   rtol=1e-9, atol=1e-15)
+    assert np.isfinite(tan.flow(np.array([-0.5 * tan._u_end]), 1e-3)).all()
+    with pytest.raises(DivergenceError):
+        tan.flow(np.array([-2.0 * tan._u_end]), 1e-3)
+
+
 # -- flow properties ------------------------------------------------------------
 # The flow is a shift in the tail coordinate T(u) = tail_time(u), the time
 # left to blow-up: T(flow(u, dt)) = T(u) - dt. A rounding error delta in T
