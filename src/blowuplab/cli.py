@@ -182,8 +182,9 @@ def _write_report(report, cfg, eps, out):
                  f"t_stop={report.t_stop!r}\n"
                  f"sup_stop={report.sup_stop!r}\n"
                  f"stop_reason={report.stop_reason}\n"
-                 f"multiplicity={report.multiplicity}\n"
-                 f"steps={report.diagnostics['steps']}\n")
+                 f"multiplicity={report.multiplicity}\n")
+        for key in ("steps", "solves", "factorizations", "cg_iterations"):
+            fh.write(f"{key}={report.diagnostics[key]}\n")
         fh.write("--- config ---\n")
         fh.write(dump_config(cfg))
     if "csv" in cfg.formats:

@@ -548,8 +548,19 @@ def _refine_equidistance(dom: SmoothPolarDomain, p, q, th_a, th_b):
                               np.concatenate([th_a[rows], th_b[rows]]))
         return d[:len(x)] - d[len(x):]
 
+    # |delta| <= tol is rounding, and counts as zero. Each tracked distance
+    # is a hypot of coordinate differences no larger than the diameter D,
+    # so its rounding error is a few eps D (at most eps D measured along the
+    # skeletons of the ellipse and the disc), far below tol = 64 eps D. A
+    # point with a true |delta| <= tol lies within tol / |grad delta| of the
+    # equidistance set, about what 40 halvings of a res-long segment
+    # resolve. Without the bound, a segment along the skeleton is bisected
+    # on noise.
+    tol = 64.0 * np.finfo(float).eps * dom.diameter
     fa = delta(p, slice(None))
     fb = delta(q, slice(None))
+    fa[np.abs(fa) <= tol] = 0.0
+    fb[np.abs(fb) <= tol] = 0.0
     # where the endpoints already agree the midpoint is the best guess
     out = 0.5 * (p + q)
     agree = ~np.isfinite(fa) | ~np.isfinite(fb) | (fa * fb > 0)
@@ -559,7 +570,7 @@ def _refine_equidistance(dom: SmoothPolarDomain, p, q, th_a, th_b):
     for _ in range(40):
         mid = 0.5 * (lo[act] + hi[act])
         fm = delta(mid, act)
-        hit = fm == 0.0
+        hit = np.abs(fm) <= tol
         out[act[hit]] = mid[hit]
         side = np.sign(fm) == np.sign(fa[act])
         lo[act[side]] = mid[side]

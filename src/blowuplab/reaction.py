@@ -126,6 +126,15 @@ def blowup_time_T0(nl: Nonlinearity) -> float:
     return float(val)
 
 
+def _power(a, s):
+    """a **= s in place. At s = -1 np.reciprocal gives the same bits at
+    half the cost of numpy's power."""
+    if s == -1.0:
+        np.reciprocal(a, out=a)
+    else:
+        a **= s
+
+
 @dataclass
 class ReactionSolution:
     """The uniform reaction state u0(t) with its inverse and blow-up time.
@@ -274,11 +283,14 @@ class ReactionSolution:
         come back as +inf. This is what makes the split PDE stepper
         reaction-exact near blow-up. Non-finite entries stay non-finite; a
         finite one below the table's lowest state raises DivergenceError.
-        The closed forms work in place on one array; `**=` keeps numpy's
-        fast paths for scalar powers such as -1 and 2.
+        The closed forms work in place on one array. Where every argument
+        of the log or power is at least 1e-320 (a NaN fails the test), no
+        entry is singular and the clamp is a no-op, so the flow skips the
+        singular mask, the clamp and the +inf fill.
         """
         u = np.asarray(u, dtype=float)
         if self.nl.kind in ("exp", "pow"):
+            singular = None
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.nl.kind == "exp":
                     arg = np.negative(u)
@@ -287,17 +299,19 @@ class ReactionSolution:
                 else:
                     q = self.nl.p - 1.0
                     arg = u + 1.0
-                    arg **= -q                             # (1 + u)^-q - q dt
+                    _power(arg, -q)                        # (1 + u)^-q - q dt
                     arg -= q * dt
-                singular = ~(arg > 0.0)                    # NaN included
-                np.maximum(arg, 1e-320, out=arg)
+                if not (arg.size and arg.min() >= 1e-320):
+                    singular = ~(arg > 0.0)                # NaN included
+                    np.maximum(arg, 1e-320, out=arg)
                 if self.nl.kind == "exp":
                     np.log(arg, out=arg)                   # -log(arg)
                     np.negative(arg, out=arg)
                 else:
-                    arg **= -1.0 / q                       # arg^(-1/q) - 1
+                    _power(arg, -1.0 / q)                  # arg^(-1/q) - 1
                     arg -= 1.0
-            arg[singular] = np.inf
+            if singular is not None:
+                arg[singular] = np.inf
             return arg
         # tabulated: map through tau = invert(u), step, map back
         if np.any((u < self._grid_u[0]) & np.isfinite(u)):

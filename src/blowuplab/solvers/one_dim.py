@@ -9,6 +9,8 @@ interpolatory generator so graded grids need no special casing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -72,13 +74,24 @@ def second_derivative_dirichlet(x):
     return sp.csr_matrix((w[keep], (rows[keep], j[keep] - 1)), shape=(m, m))
 
 
+@lru_cache(maxsize=4)
+def _strip_operator(nx, grading, half_width, order):
+    """The eps-free operator, assembled once per grid and scaled by each
+    eps of a sweep. Every caller shares it, so its entries are read-only."""
+    x = strip_grid(nx, grading, half_width)
+    D = (fourth_derivative_clamped if order == 4 else second_derivative_dirichlet)(x)
+    D.data.flags.writeable = False
+    return D
+
+
 def build_strip(cfg: SolverConfig):
     """Crank-Nicolson step adapter and interior grid of the strip problem."""
     x = strip_grid(cfg.nx, cfg.grading, cfg.half_width_x)
+    D = _strip_operator(cfg.nx, cfg.grading, cfg.half_width_x, cfg.order)
     if cfg.order == 4:
-        B = fourth_derivative_clamped(x) * cfg.eps ** 4
+        B = D * cfg.eps ** 4
     else:
-        B = -second_derivative_dirichlet(x) * cfg.eps ** 2
+        B = -D * cfg.eps ** 2
     # exact persymmetry: mirrored stencil weights agree only algebraically,
     # and the bias would be amplified by blow-up growth
     B = 0.5 * (B + B[::-1, ::-1].tocsr())

@@ -25,7 +25,8 @@ are the disc and strip operators as they were first written, one row and
 one triplet at a time. scalar_curvature_candidates is the predictor's
 curvature-maximum search on omega loops with one Python comparison per
 loop point. expression_flow is the closed-form reaction flow as it was
-first written, one array expression per form. scalar_track_peaks is the
+first written, one array expression per form, and full_path_flow the
+in-place flow with its singular mask, clamp and +inf fill on every call. scalar_track_peaks is the
 peak linking as it was first written, one distance array per peak.
 """
 
@@ -604,6 +605,33 @@ def expression_flow(rs, u, dt):
         q = rs.nl.p - 1.0
         arg = (1.0 + u) ** (-q) - q * dt
         return np.where(arg > 0.0, np.maximum(arg, 1e-320) ** (-1.0 / q) - 1.0, np.inf)
+
+
+def full_path_flow(rs, u, dt):
+    """ReactionSolution.flow of the exp and pow forms with every pass on
+    every call: the singular mask (NaN included), the clamp at 1e-320, the
+    +inf fill, and numpy's power for each power."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rs.nl.kind == "exp":
+            arg = np.negative(u)
+            np.exp(arg, out=arg)
+            arg -= dt
+        else:
+            q = rs.nl.p - 1.0
+            arg = u + 1.0
+            arg **= -q
+            arg -= q * dt
+        singular = ~(arg > 0.0)
+        np.maximum(arg, 1e-320, out=arg)
+        if rs.nl.kind == "exp":
+            np.log(arg, out=arg)
+            np.negative(arg, out=arg)
+        else:
+            arg **= -1.0 / q
+            arg -= 1.0
+    arg[singular] = np.inf
+    return arg
 
 
 def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):

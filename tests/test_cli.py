@@ -462,6 +462,24 @@ def test_solve_csvs_hold_plain_numbers(tmp_path, geometry, solver):
     assert all(np.isfinite(float(c)) for c in cells)
 
 
+@pytest.mark.parametrize("geometry, solver", [("strip", "nx: 401"), ("cube:1", "nx: 11")])
+def test_report_lists_the_linear_solver_work(tmp_path, geometry, solver):
+    """report_eps*.txt gives the run's steps, solves, factorizations (or
+    setups) and PCG iterations, as the report's diagnostics count them."""
+    text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
+            .replace("nx: 401", solver).replace("  grading: 2.0\n", ""))
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "solve"]) == 0
+    head = (out / "report_eps0p2.txt").read_text().split("--- config ---")[0]
+    fields = dict(line.split("=", 1) for line in head.splitlines())
+    assert list(fields) == ["T_eps", "t_stop", "sup_stop", "stop_reason", "multiplicity",
+                            "steps", "solves", "factorizations", "cg_iterations"]
+    work = {key: int(fields[key]) for key in list(fields)[5:]}
+    assert work["solves"] == work["steps"] > work["factorizations"] > 0
+    assert (work["cg_iterations"] > 0) == geometry.startswith("cube")
+
+
 def test_order2_prediction_csv_holds_plain_numbers(tmp_path):
     path = write_cfg(tmp_path, POTATO_CFG.replace("order: 4", "order: 2"))
     out = tmp_path / "out"

@@ -519,6 +519,20 @@ def test_ellipse_origin_two_pairs():
     assert sorted(smp.pair_distances) == pytest.approx([0.75, 1.0], abs=1e-3)
 
 
+def test_ellipse_skeleton_count_is_invariant_under_its_symmetries():
+    """The ellipse, its rotation by pi and its mirror image in y give equal
+    sample counts: segments along the x = 0 branch, where the two tracked
+    distances agree to rounding, are not bisected on rounding noise."""
+    k = np.arange(1, len(ELLIPSE.cos_coeffs) + 1)
+    sign = (-1.0) ** k
+    rotated = SmoothPolarDomain(ELLIPSE.c0, ELLIPSE.cos_coeffs * sign,
+                                ELLIPSE.sin_coeffs * sign)
+    mirrored = SmoothPolarDomain(ELLIPSE.c0, ELLIPSE.cos_coeffs, -ELLIPSE.sin_coeffs)
+    counts = [len(compute_skeleton(dom, 0.05).samples)
+              for dom in (ELLIPSE, rotated, mirrored)]
+    assert counts[0] == counts[1] == counts[2]
+
+
 def _golden_rows(name):
     with open(os.path.join(DATA, name), encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]

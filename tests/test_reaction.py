@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from blowuplab.errors import DivergenceError, EvaluationDomainError, RangeError
 from blowuplab.reaction import (Nonlinearity, ReactionSolution, blowup_time_T0,
                                 register_nonlinearity)
-from oracles import expression_flow
+from oracles import expression_flow, full_path_flow
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
@@ -283,6 +283,47 @@ def test_flow_in_place_equals_expression(nl, u, pick, factor):
     ref = u[pick % len(u)]
     dt = factor * (rs.tail_time(ref) if np.isfinite(ref) and ref >= 0.0 else 0.1)
     assert np.array_equal(rs.flow(u, dt), expression_flow(rs, u, dt))
+
+
+def _tiny_arg_dt(rs, u):
+    """A dt that leaves the log or power argument of the flow of u,
+    exp(-u) - dt or (1 + u)^-q - q dt, in (0, 1e-320)."""
+    q = 1.0 if rs.nl.kind == "exp" else rs.nl.p - 1.0
+    a = float(np.exp(-np.array([u]))[0] if rs.nl.kind == "exp"
+              else (np.array([u]) + 1.0)[0] ** -q)
+    dt = a / q
+    for _ in range(100):
+        arg = a - q * dt
+        if 0.0 < arg < 1e-320:
+            return dt
+        dt = np.nextafter(dt, 0.0 if arg <= 0.0 else np.inf)
+    raise AssertionError(f"no dt found for u={u!r}")
+
+
+@pytest.mark.parametrize("nl", [EXP, POW2, POW3, Nonlinearity.power(2.5)],
+                         ids=["exp", "pow2", "pow3", "pow2.5"])
+@settings(max_examples=200, deadline=None)
+@given(u=arrays(float, st.integers(1, 64), elements=st.floats(-2.0, 1.0)),
+       special=st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3),
+       pick=st.integers(0, 63), factor=st.floats(0.0, 2.0), tiny=st.booleans())
+def test_flow_fast_path_equals_full_path(nl, u, special, pick, factor, tiny):
+    """Bit for bit, NaN positions included, the flow equals the flow with
+    its singular mask, clamp and +inf fill on every call. dt sits around the
+    tail time of one entry, so that entries blow up within dt or stay
+    finite; or it leaves one entry's log or power argument in (0, 1e-320),
+    where the clamp is not a no-op."""
+    rs = ReactionSolution(nl)
+    u = np.where(u >= 0.0, u * U_MAX[nl.kind], u)
+    u = np.concatenate([u, special])
+    if tiny:
+        big = 705.0 if nl.kind == "exp" else 10.0 ** (306.0 / (nl.p - 1.0))
+        u = np.append(u, big)
+        dt = _tiny_arg_dt(rs, big)
+    else:
+        ref = u[pick % len(u)]
+        dt = factor * (rs.tail_time(ref) if np.isfinite(ref) and ref >= 0.0 else 0.1)
+    with np.errstate(divide="ignore"):                 # (1 + u)^-q at u = -1
+        assert np.array_equal(rs.flow(u, dt), full_path_flow(rs, u, dt), equal_nan=True)
 
 
 def _flow(rs, u, dt):

@@ -642,45 +642,82 @@ def test_banded_step_matches_rebuilt_reference(geometry, order):
     assert fast.factorizations == 1 + np.count_nonzero(dts[1:] != dts[:-1])
 
 
-def test_cube_cg_iterations_match_scipy_cg():
-    """On the golden cube run, the PCG iteration count in the report equals
-    scipy's cg with the same preconditioner, start and stopping rule,
-    summed over the recorded steps."""
-    from scipy.sparse.linalg import LinearOperator, cg
-    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
-                       nx=11, threshold=5.0)
-    recording, axes = build_cube(cfg)
-    apply = recording.apply
-    steps = []
+def _record_cube_steps(cfg):
+    """Solve cfg on the cube, recording each step's dt and input u, and the
+    start x0^ and P solve g b^ of each step's PCG in the sine basis."""
+    fast, axes = build_cube(cfg)
+    apply, start = fast.apply, fast._start
+    steps, starts = [], []
 
-    def record(dt, u):
+    def record_apply(dt, u):
         steps.append((dt, u.copy()))
         return apply(dt, u)
 
-    recording.apply = record
-    rep = solve_problem(cfg, recording, axes)
-    assert rep.diagnostics["solves"] == rep.diagnostics["steps"] == len(steps)
+    def record_start(g, c, gb):
+        x, r = start(g, c, gb)
+        starts.append((x.copy(), gb.copy()))
+        return x, r
+
+    fast.apply, fast._start = record_apply, record_start
+    rep = solve_problem(cfg, fast, axes)
+    assert len(starts) == len(steps) == rep.diagnostics["solves"] == rep.diagnostics["steps"]
+    return rep, fast, steps, starts
+
+
+def test_cube_cg_iterations_match_scipy_cg():
+    """On the golden cube run, the PCG iteration count in the report equals
+    scipy's cg with the same preconditioner, start and stopping rule,
+    summed over the recorded steps; the extrapolated starts take fewer
+    iterations than starting every step from the P solve M b."""
+    from scipy.sparse.linalg import LinearOperator, cg
+    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
+                       nx=11, threshold=5.0)
+    rep, recording, steps, starts = _record_cube_steps(cfg)
     assert rep.diagnostics["cg_iterations"] == recording.cg_iterations > 0
     fast, _ = build_cube(cfg)
     B = box_operator(fast)
     n = B.shape[0]
-    want = 0
 
-    def count(xk):
-        nonlocal want
-        want += 1
+    def iterations(A1, b, M, x0):
+        count = 0
 
-    for dt, u in steps:
+        def callback(xk):
+            nonlocal count
+            count += 1
+
+        _, info = cg(A1, b, x0=x0, M=M, rtol=fast.RTOL, atol=0.0,
+                     maxiter=fast.MAXITER, callback=callback)
+        assert info == 0
+        return count
+
+    warm = cold = 0
+    for (dt, u), (x0, _) in zip(steps, starts):
         g = fast._setup(dt)[0].reshape(fast.shape)
         M = LinearOperator((n, n), dtype=float, matvec=lambda r: fast._transform(
             g * fast._transform(r.reshape(fast.shape))).ravel())
         A1 = sp.identity(n, format="csr") + THETA * dt * B
         b = u - (1.0 - THETA) * dt * (B @ u)
-        _, info = cg(A1, b, x0=M @ b, M=M, rtol=fast.RTOL, atol=0.0,
-                     maxiter=fast.MAXITER, callback=count)
-        assert info == 0
-    assert rep.diagnostics["cg_iterations"] == want
+        warm += iterations(A1, b, M, fast._transform(x0.reshape(fast.shape)).ravel())
+        cold += iterations(A1, b, M, M @ b)
+    assert rep.diagnostics["cg_iterations"] == warm < cold
 
+
+def test_cube_pcg_starts_from_the_p_solve_on_a_new_setup():
+    """The first step of every dt bucket and an exact-hit step (here of a
+    snapshot time) start the PCG from g b^ exactly; every later step of a
+    bucket starts from an extrapolated correction."""
+    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
+                       nx=11, threshold=5.0, snapshot_times=(0.123456789,))
+    rep, _, steps, starts = _record_cube_steps(cfg)
+    assert [s.t for s in rep.snapshots] == [0.123456789]
+    dts = [dt for dt, _ in steps]
+    exact = [i for i, dt in enumerate(dts) if np.log2(dt) % 1.0 != 0.0]
+    assert len(exact) == 1 and 0 < exact[0] < len(dts) - 1
+    new_setup = [i == 0 or dts[i] != dts[i - 1] for i in range(len(dts))]
+    assert new_setup[exact[0]] and new_setup[exact[0] + 1]
+    assert 1 < sum(new_setup) < len(dts) // 2
+    for fresh, (x0, gb) in zip(new_setup, starts):
+        assert np.array_equal(x0, gb) == fresh
 
 
 def _dense_ring_hat(fast, U):
