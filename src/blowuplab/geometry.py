@@ -85,6 +85,20 @@ def _feet_table(row, point, param, distance, curvature, circle) -> Feet:
                 curvature=table(curvature, np.nan), count=count, circle=circle)
 
 
+def _polar_frame(th, r, r1):
+    """Point and unit tangent of a polar boundary at th from r and r'."""
+    c, s = np.cos(th), np.sin(th)
+    tx = r1 * c - r * s
+    ty = r1 * s + r * c
+    n = np.hypot(tx, ty)
+    return np.stack([r * c, r * s], axis=-1), np.stack([tx / n, ty / n], axis=-1)
+
+
+def _curvature(r, r1, r2):
+    """Curvature of a polar boundary from r, r' and r''."""
+    return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+
+
 class PlanarDomain:
     """Common interface; see SmoothPolarDomain and RectangleDomain."""
 
@@ -102,9 +116,19 @@ class SmoothPolarDomain(PlanarDomain):
     star-shaped with respect to the origin by construction. A warning is
     emitted when max|curvature| * min r exceeds `roughness_bound`: the
     layer expansion behind the predictors assumes O(1) curvature.
+
+    Construction makes one pass over the harmonics on the N_BOUNDARY
+    samples; the positivity test, the roughness curvature and the cached
+    points and tangents come from it by the expressions of `curvature`
+    and `_point_tangent`, so they equal those methods at the samples bit
+    for bit. The nearest-sample k-d tree has LEAF-sample leaves: deep
+    interior points have many samples at similar distances, and wider
+    leaves than scipy's 16 visit fewer nodes for them (the query is exact,
+    so the seeds do not depend on the leaf size).
     """
 
     N_BOUNDARY = 4096
+    LEAF = 64
 
     def __init__(self, c0, cos_coeffs=(), sin_coeffs=(), roughness_bound=50.0):
         self.c0 = float(c0)
@@ -120,10 +144,10 @@ class SmoothPolarDomain(PlanarDomain):
                                            np.concatenate([k * b, -k * a]),
                                            np.concatenate([-k2 * a, -k2 * b])])
         th = np.linspace(0.0, TWO_PI, self.N_BOUNDARY, endpoint=False)
-        r = self.radius(th)
+        r, r1, r2 = self._radius_derivs(th)
         if np.any(r <= 0.0):
             raise ValueError("polar radius must be positive everywhere")
-        kap = self.curvature(th)
+        kap = _curvature(r, r1, r2)
         if np.max(np.abs(kap)) * np.min(r) > roughness_bound:
             warnings.warn(
                 "boundary is rough/spiky (max|kappa|*min r = "
@@ -131,9 +155,8 @@ class SmoothPolarDomain(PlanarDomain):
                 "are unreliable here", stacklevel=2)
         # dense boundary cache used by distance and foot queries
         self._th = th
-        self._bp = self.point_at(th)          # (N, 2)
-        self._tau = self.tangent_at(th)        # (N, 2)
-        self._tree = cKDTree(self._bp)         # nearest-sample seeds
+        self._bp, self._tau = _polar_frame(th, r, r1)         # (N, 2) each
+        self._tree = cKDTree(self._bp, leafsize=self.LEAF)   # nearest-sample seeds
 
     # -- radius and derivatives --------------------------------------------
     def _radius_derivs(self, th):
@@ -179,19 +202,13 @@ class SmoothPolarDomain(PlanarDomain):
     def _point_tangent(self, th):
         """Boundary point y(th) and unit tangent, each th.shape + (2,)."""
         r, r1, _ = self._radius_derivs(th)
-        c, s = np.cos(th), np.sin(th)
-        tx = r1 * c - r * s
-        ty = r1 * s + r * c
-        n = np.hypot(tx, ty)
-        return (np.stack([r * c, r * s], axis=-1),
-                np.stack([tx / n, ty / n], axis=-1))
+        return _polar_frame(th, r, r1)
 
     def tangent_at(self, th):
         return self._point_tangent(th)[1]
 
     def curvature(self, th):
-        r, r1, r2 = self._radius_derivs(th)
-        return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+        return _curvature(*self._radius_derivs(th))
 
     @property
     def bounding_box(self):
@@ -704,7 +721,8 @@ def _marching_squares(xs, ys, F):
             segs.append((*crossings[0], *crossings[1]))
         elif len(crossings) == 4:
             # saddle: split by the cell-center sign
-            fc = 0.25 * sum(f)
+            # left to right: sum() compensates floats from Python 3.12 on
+            fc = 0.25 * (((f[0] + f[1]) + f[2]) + f[3])
             # order of `crossings` here: bottom, right, top, left
             if (fc > 0) == (f[0] > 0):
                 pairs = [(0, 1), (2, 3)]
@@ -779,63 +797,94 @@ def minimize(fun, x0s, xatol, fatol, maxiter):
     gives each point the same value whatever batch it arrives in, every
     seed's iterates are scipy's bit for bit.
 
+    The simplices are kept as lists of Python floats: for a few seeds in
+    two or three dimensions, numpy's per-call overhead would outweigh the
+    arithmetic. Each coordinate goes through scipy's operations in scipy's
+    order; the centroid is summed left to right from +0.0, as numpy's
+    reduction does (not with sum(), which compensates from Python 3.12
+    on). fun's values must not be NaN, which the sort does not order.
+
     The result is the first seed with the strictly lowest fun, as a scalar
     loop over the seeds with `<` gives. nfev is the number of points
     evaluated over all seeds, the ones evaluated and not kept included.
     The name stays `minimize`, the scipy function this replaces, since
     outside tools count the polish's evaluations through it."""
-    sim0 = np.asarray(x0s, dtype=float)
-    S, n = sim0.shape
+    x0s = np.asarray(x0s, dtype=float).tolist()
+    S, n = len(x0s), len(x0s[0])
     # vertex 0 is the seed, vertex k + 1 moves coordinate k
-    sim = np.repeat(sim0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    v = sim[:, k + 1, k]
-    sim[:, k + 1, k] = np.where(v != 0, (1 + 0.05) * v, 0.00025)
-    fsim = fun(sim.reshape(-1, n)).reshape(S, n + 1)
+    sims = [[x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+                    for k, v in enumerate(x0)] for x0 in x0s]
+    fs = fun(np.array([v for sim in sims for v in sim])).tolist()
+    fsims = [fs[i * (n + 1):(i + 1) * (n + 1)] for i in range(S)]
     nfev = S * (n + 1)
 
-    def sort(rows):
-        ind = np.argsort(fsim[rows], axis=1, kind="stable")
-        sim[rows] = np.take_along_axis(sim[rows], ind[..., None], axis=1)
-        fsim[rows] = np.take_along_axis(fsim[rows], ind, axis=1)
+    def sort(i):
+        order = sorted(range(n + 1), key=fsims[i].__getitem__)
+        sims[i] = [sims[i][j] for j in order]
+        fsims[i] = [fsims[i][j] for j in order]
 
-    sort(slice(None))
+    def converged(i):
+        best, f0 = sims[i][0], fsims[i][0]
+        return (all(abs(a - b) <= xatol for v in sims[i][1:] for a, b in zip(v, best))
+                and all(abs(f0 - f) <= fatol for f in fsims[i][1:]))
+
+    for i in range(S):
+        sort(i)
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    act = np.arange(S)
+    act = list(range(S))
     for _ in range(maxiter - 1):
-        s, f = sim[act], fsim[act]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
-        act, s, f = act[~done], s[~done], f[~done]
-        if not len(act):
+        act = [i for i in act if not converged(i)]
+        if not act:
             break
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
         # reflected, expanded, outside and inside contracted points
-        trial = np.stack([(1 + rho) * xbar - rho * worst,
-                          (1 + rho * chi) * xbar - rho * chi * worst,
-                          (1 + psi * rho) * xbar - psi * rho * worst,
-                          (1 - psi) * xbar + psi * worst])
-        ftrial = fun(trial.reshape(-1, n)).reshape(4, -1)
-        nfev += 4 * len(act)
-        fxr, fxe, fxc, fxcc = ftrial
-        # scipy's branches: the trial point that replaces the worst vertex,
-        # or -1 for a shrink
-        pick = np.select([fxr < f[:, 0], fxr < f[:, -2], fxr < f[:, -1]],
-                         [np.where(fxe < fxr, 1, 0), 0, np.where(fxc <= fxr, 2, -1)],
-                         np.where(fxcc < f[:, -1], 3, -1))
-        keep = np.flatnonzero(pick >= 0)
-        sim[act[keep], -1] = trial[pick[keep], keep]
-        fsim[act[keep], -1] = ftrial[pick[keep], keep]
-        shrink = act[pick < 0]
-        if len(shrink):
-            best = sim[shrink, :1]
-            sim[shrink, 1:] = best + sigma * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = fun(sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        trial = [[], [], [], []]
+        for i in act:
+            xbar = [0.0] * n
+            for v in sims[i][:-1]:
+                xbar = [a + b for a, b in zip(xbar, v)]
+            xbar = [a / n for a in xbar]
+            worst = sims[i][-1]
+            trial[0].append([(1 + rho) * b - rho * w for b, w in zip(xbar, worst)])
+            trial[1].append([(1 + rho * chi) * b - rho * chi * w
+                             for b, w in zip(xbar, worst)])
+            trial[2].append([(1 + psi * rho) * b - psi * rho * w
+                             for b, w in zip(xbar, worst)])
+            trial[3].append([(1 - psi) * b + psi * w for b, w in zip(xbar, worst)])
+        m = len(act)
+        ft = fun(np.array(trial[0] + trial[1] + trial[2] + trial[3])).tolist()
+        nfev += 4 * m
+        shrink = []
+        for t, i in enumerate(act):
+            fxr, fxe, fxc, fxcc = ft[t], ft[m + t], ft[2 * m + t], ft[3 * m + t]
+            f = fsims[i]
+            # scipy's branches: the trial point that replaces the worst
+            # vertex, or None for a shrink
+            if fxr < f[0]:
+                pick = 1 if fxe < fxr else 0
+            elif fxr < f[-2]:
+                pick = 0
+            elif fxr < f[-1]:
+                pick = 2 if fxc <= fxr else None
+            else:
+                pick = 3 if fxcc < f[-1] else None
+            if pick is None:
+                best = sims[i][0]
+                sims[i][1:] = [[b + sigma * (a - b) for a, b in zip(v, best)]
+                               for v in sims[i][1:]]
+                shrink.append(i)
+            else:
+                sims[i][-1] = trial[pick][t]
+                f[-1] = ft[pick * m + t]
+        if shrink:
+            fs = fun(np.array([v for i in shrink for v in sims[i][1:]])).tolist()
+            for t, i in enumerate(shrink):
+                fsims[i][1:] = fs[t * n:(t + 1) * n]
             nfev += len(shrink) * n
-        sort(act)
-    i = int(np.argmin(fsim[:, 0]))
-    return types.SimpleNamespace(x=sim[i, 0], fun=fsim[i, 0], nfev=nfev)
+        for i in act:
+            sort(i)
+    i = min(range(S), key=lambda i: fsims[i][0])
+    return types.SimpleNamespace(x=np.array(sims[i][0]), fun=np.float64(fsims[i][0]),
+                                 nfev=nfev)
 
 
 def max_distance_point(dom: PlanarDomain, seeds=None):

@@ -291,7 +291,8 @@ class ReactionSolution:
         u = np.asarray(u, dtype=float)
         if self.nl.kind in ("exp", "pow"):
             singular = None
-            with np.errstate(over="ignore", invalid="ignore"):
+            # divide: (1 + u)^-q at u = -1, a zero of f that stays at -1
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if self.nl.kind == "exp":
                     arg = np.negative(u)
                     np.exp(arg, out=arg)                   # exp(-u) - dt

@@ -1,4 +1,6 @@
 import collections
+import copy
+import math
 import os
 import warnings
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
+from scipy.spatial import cKDTree
 
 from blowuplab import geometry
 from blowuplab.errors import RangeError
@@ -78,6 +81,47 @@ def test_radius_derivatives_match_harmonic_loop(dom):
         for g, r in zip(got, ref):
             assert np.shape(g) == np.shape(th)
             assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+def _assert_one_pass_cache(build):
+    """The domain that build() returns makes one harmonic pass at
+    construction, and its cached points, tangents and roughness curvature
+    equal point_at, tangent_at and curvature at the samples bit for bit."""
+    passes, kappas = [], []
+    derivs, curvature = SmoothPolarDomain._radius_derivs, geometry._curvature
+
+    def counting(self, th):
+        passes.append(np.shape(th))
+        return derivs(self, th)
+
+    def recording(*args):
+        kappas.append(curvature(*args))
+        return kappas[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SmoothPolarDomain, "_radius_derivs", counting)
+        mp.setattr(geometry, "_curvature", recording)
+        dom = build()
+    th = dom._th
+    assert passes == [th.shape] and len(kappas) == 1
+    assert np.array_equal(kappas[0], dom.curvature(th))
+    assert np.array_equal(dom._bp, dom.point_at(th))
+    assert np.array_equal(dom._tau, dom.tangent_at(th))
+
+
+@pytest.mark.parametrize("build", [potato_domain, lambda: ellipse_domain(0.75, 1.0),
+                                   lambda: SmoothPolarDomain(1.0)],
+                         ids=["potato", "ellipse", "disc"])
+def test_construction_cache_equals_boundary_methods(build):
+    _assert_one_pass_cache(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_construction_cache_equals_boundary_methods_on_random_domains(data):
+    dom = data.draw(polar_domains())
+    _assert_one_pass_cache(lambda: SmoothPolarDomain(dom.c0, dom.cos_coeffs,
+                                                     dom.sin_coeffs))
 
 
 # -- orthogonal feet -----------------------------------------------------------
@@ -444,6 +488,111 @@ def test_lockstep_minimize_equals_scalar_nelder_mead(dom):
     assert sum(scalar.values()) == sum(r.nfev for r in runs)
 
 
+def _deep_points(dom, centre, res):
+    """400 points within 0.1 of centre, centre itself, and every sample of
+    the skeleton at resolution res."""
+    rng = np.random.default_rng(12)
+    rad = 0.1 * np.sqrt(rng.uniform(0.0, 1.0, 400))
+    ang = rng.uniform(0.0, 2 * np.pi, 400)
+    cloud = centre + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.concatenate([cloud, [centre], compute_skeleton(dom, res).points()])
+
+
+@pytest.mark.parametrize("dom,centre,res", [
+    (POTATO, POTATO_ARGMAX_BEFORE[0][0], 0.05), (ELLIPSE, (0.0, 0.0), 0.1)],
+    ids=["potato-argmax", "ellipse-centre"])
+def test_wide_leaf_tree_seeds_equal_leaf_16_seeds(dom, centre, res):
+    """Deep interior points, where the tree works hardest, get the same
+    nearest sample from the domain's tree as from scipy's default 16-point
+    leaves, so the distances keep their bits."""
+    pts = _deep_points(dom, np.array(centre), res)
+    assert dom._tree.leafsize == SmoothPolarDomain.LEAF
+    narrow = cKDTree(dom._bp, leafsize=16)
+    assert np.array_equal(dom._tree.query(pts)[1], narrow.query(pts)[1])
+    swapped = copy.copy(dom)
+    swapped._tree = narrow
+    assert np.array_equal(dom.signed_distance(pts), swapped.signed_distance(pts))
+
+
+# objectives that map (k, n) points to (k,) values elementwise, so that a
+# point's value does not depend on its batch, with their seeds; together
+# they take every branch of Nelder-Mead in two and in three dimensions
+NM_OBJECTIVES = {
+    "abs-2d": (lambda z: np.abs(z[:, 0]) + 2 * np.abs(z[:, 1]),
+               [(1.0, 0.7), (-0.3, 2.0), (0.0, 0.0)]),
+    "wavy-2d": (lambda z: (z[:, 0] ** 2 + z[:, 1] ** 2
+                           + 0.2 * np.sin(20 * z[:, 0]) * np.sin(20 * z[:, 1])),
+                [(1.0, 0.7), (-0.3, 2.0)]),
+    "abs-3d": (lambda z: (np.abs(z[:, 0]) + 2 * np.abs(z[:, 1])
+                          + 3 * np.abs(z[:, 2] - 0.5)),
+               [(1.0, -0.7, 0.2), (0.0, 0.3, 2.0)]),
+    "quad-3d": (lambda z: ((z[:, 0] - 1) ** 2 + 10 * (z[:, 1] + 0.5) ** 2
+                           + 100 * z[:, 2] ** 2 + z[:, 0] * z[:, 1]),
+                [(0.0, 0.0, 0.0), (3.0, 1.0, -1.0)]),
+}
+REFLECT, EXPAND, OUTSIDE, INSIDE, SHRINK = range(5)
+
+
+def _lockstep_branches(fun, seed, opts):
+    """minimize from one seed, and the branch of each point it evaluated
+    after the start simplex: a call of 4 points is one iteration's
+    reflected, expanded, outside and inside contracted points; a call of
+    n points (2 or 3, never 4) is a shrink."""
+    calls = []
+
+    def recording(z):
+        calls.append(z.tolist())
+        return fun(z)
+
+    got = geometry.minimize(recording, [seed], **opts)
+    assert got.nfev == sum(map(len, calls))
+    branch = collections.defaultdict(set)
+    for call in calls[1:]:
+        for k, p in enumerate(call):
+            branch[tuple(p)].add(k if len(call) == 4 else SHRINK)
+    return got, branch
+
+
+@pytest.mark.parametrize("maxiter", [400, 30])
+@pytest.mark.parametrize("name", list(NM_OBJECTIVES))
+def test_minimize_branches_equal_scipy_nelder_mead(name, maxiter):
+    """On objectives that expand, contract outside and inside, and shrink,
+    and on seeds cut off by maxiter, each seed alone and all seeds in lock
+    step give scipy's x and fun bit for bit, and nfev counts the points the
+    objective received."""
+    fun, seeds = NM_OBJECTIVES[name]
+    n = len(seeds[0])
+    opts = dict(xatol=1e-10, fatol=1e-12, maxiter=maxiter)
+    runs, taken = [], set()
+    for seed in seeds:
+        points = []
+
+        def one_point(z):
+            points.append(tuple(z.tolist()))
+            return float(fun(z[None])[0])
+
+        want = scipy_minimize(one_point, seed, method="Nelder-Mead", options=opts)
+        assert want.status == (2 if maxiter == 30 else 0)    # 2: maxiter reached
+        got, branch = _lockstep_branches(fun, seed, opts)
+        assert np.array_equal(got.x, want.x) and got.fun == want.fun
+        for p in points[n + 1:]:
+            taken |= branch[p]
+        runs.append(want)
+    received = []
+
+    def batched(z):
+        received.append(len(z))
+        return fun(z)
+
+    got = geometry.minimize(batched, seeds, **opts)
+    want = min(runs, key=lambda r: r.fun)      # the first of equal minima
+    assert np.array_equal(got.x, want.x) and got.fun == want.fun
+    assert got.nfev == sum(received)
+    assert {REFLECT, EXPAND, OUTSIDE, INSIDE} <= taken
+    if maxiter == 400 and name in ("wavy-2d", "quad-3d"):
+        assert SHRINK in taken
+
+
 # -- skeleton -------------------------------------------------------------------
 
 def test_disc_skeleton_single_point():
@@ -667,6 +816,21 @@ def test_omega_beyond_inradius_raises():
     for dom, level in ((POTATO, 0.8), (RECT, 0.51), (SQUARE, 1.01)):
         with pytest.raises(RangeError):
             omega_set(dom, level)
+
+
+def test_saddle_pairing_follows_the_left_to_right_sum():
+    """A saddle cell whose corner values sum to -0.5 left to right and to
+    +0.5 exactly: the cell centre counts as negative, so the positive
+    corner (0, 0) pairs its bottom crossing with its left one. Python 3.11's
+    sum() also adds left to right, so there this guards the written-out sum
+    against a regression only; from 3.12 on, sum() pairs the other way."""
+    f = (1.0, -1e16, 1e16, -0.5)            # corners (0,0), (1,0), (1,1), (0,1)
+    assert ((f[0] + f[1]) + f[2]) + f[3] < 0.0 < math.fsum(f)
+    F = np.array([[f[0], f[3]], [f[1], f[2]]])
+    segs = geometry._marching_squares(np.array([0.0, 1.0]), np.array([0.0, 1.0]), F)
+    pairs = {frozenset((ka, kb)) for ka, _, kb, _ in segs}
+    assert pairs == {frozenset({("h", 0, 0), ("v", 0, 0)}),     # bottom, left
+                     frozenset({("v", 1, 0), ("h", 0, 1)})}     # right, top
 
 
 # (domain, level, resolution); level None is 0.995 of the potato's depth

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -324,6 +326,24 @@ def test_flow_fast_path_equals_full_path(nl, u, special, pick, factor, tiny):
         dt = factor * (rs.tail_time(ref) if np.isfinite(ref) and ref >= 0.0 else 0.1)
     with np.errstate(divide="ignore"):                 # (1 + u)^-q at u = -1
         assert np.array_equal(rs.flow(u, dt), full_path_flow(rs, u, dt), equal_nan=True)
+
+
+@pytest.mark.parametrize("nl", [POW2, POW3, Nonlinearity.power(2.5)],
+                         ids=["pow2", "pow3", "pow2.5"])
+@pytest.mark.parametrize("dt", [1e-3, 2.0], ids=["finite", "blow-up"])
+def test_flow_at_a_zero_of_f_is_silent(nl, dt):
+    """u = -1, a zero of f, flows to exactly -1 with no divide-by-zero
+    warning from (1 + u)^-q; every other entry keeps the bits it has
+    without the -1 entry. dt 2.0 blows the largest entries up, so that the
+    singular pass runs too."""
+    rs = ReactionSolution(nl)
+    u = np.array([0.0, 0.5, -0.5, 3.0, 40.0, -0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = rs.flow(u, dt)
+        got = rs.flow(np.insert(u, 2, -1.0), dt)
+    assert got[2] == -1.0
+    assert np.array_equal(np.delete(got, 2), ref)
 
 
 def _flow(rs, u, dt):
