@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -215,6 +214,8 @@ def cmd_solve(cfg, out, threads) -> int:
     _write_echo(cfg, out)
     try:
         if threads > 1 and len(eps_list) > 1:
+            # imported here: multiprocessing costs every start-up otherwise
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(_solve_one, cfg, e, out) for e in eps_list]
                 results = [f.result() for f in futures]

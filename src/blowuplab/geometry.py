@@ -18,15 +18,17 @@ fast), then each detection is refined by bisection to the equidistance
 locus.
 
 Smooth domains cache 4096 boundary samples. A nearest-boundary query
-seeds Newton from the nearest sample, found with a k-d tree over the
-samples (Bentley 1975). r, r' and r'' come from one pass over the
-harmonics: a blocked cos/sin table times a coefficient matrix. The
-feet of many points come back as one table of padded arrays (Feet).
-Their bisection, equidistance refinement and Newton tracking run on all
-points or detections at once, not point by point; marching squares
-(Lorensen and Cline 1987) visits only the cells the level set crosses,
-and the distance on its grid is exact only in a narrow band around the
-level set.
+seeds Newton from the nearest sample, found by a branch and bound over
+blocks of consecutive samples (Fukunaga and Narendra 1975): a block
+whose centre lies farther than the nearest centre plus the block's
+covering radius cannot hold the nearest sample. r, r' and r'' come
+from one pass over the harmonics: a blocked cos/sin table times a
+coefficient matrix. The feet of many points come back as one table
+of padded arrays (Feet). Their bisection, equidistance refinement and
+Newton tracking run on all points or detections at once, not point by
+point; marching squares (Lorensen and Cline 1987) visits only the cells
+the level set crosses, and the distance on its grid is exact only in a
+narrow band around the level set.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import RangeError
 from .fileio import write_csv
@@ -94,6 +95,16 @@ def _polar_frame(th, r, r1):
     return np.stack([r * c, r * s], axis=-1), np.stack([tx / n, ty / n], axis=-1)
 
 
+def _squared_distances(ax, ay, bx, by):
+    """(ax - bx)**2 + (ay - by)**2, broadcast, in place after the
+    differences; swapping a and b keeps every bit."""
+    d = ax - bx
+    e = ay - by
+    np.square(d, out=d)
+    d += np.square(e, out=e)
+    return d
+
+
 def _curvature(r, r1, r2):
     """Curvature of a polar boundary from r, r' and r''."""
     return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
@@ -121,14 +132,19 @@ class SmoothPolarDomain(PlanarDomain):
     samples; the positivity test, the roughness curvature and the cached
     points and tangents come from it by the expressions of `curvature`
     and `_point_tangent`, so they equal those methods at the samples bit
-    for bit. The nearest-sample k-d tree has LEAF-sample leaves: deep
-    interior points have many samples at similar distances, and wider
-    leaves than scipy's 16 visit fewer nodes for them (the query is exact,
-    so the seeds do not depend on the leaf size).
+    for bit. The nearest-sample search splits the samples into blocks of
+    BLOCK consecutive ones, each with its middle sample as centre and a
+    covering radius; batches of at most BRUTE_MAX points compare every
+    sample instead, and larger batches go CHUNK points at a time, so the
+    candidate tables stay small. Both paths compare the same squared
+    distances and take the lowest index among equal minima, so a point's
+    seed does not depend on its batch.
     """
 
     N_BOUNDARY = 4096
-    LEAF = 64
+    BLOCK = 64
+    BRUTE_MAX = 4
+    CHUNK = 128
 
     def __init__(self, c0, cos_coeffs=(), sin_coeffs=(), roughness_bound=50.0):
         self.c0 = float(c0)
@@ -156,7 +172,13 @@ class SmoothPolarDomain(PlanarDomain):
         # dense boundary cache used by distance and foot queries
         self._th = th
         self._bp, self._tau = _polar_frame(th, r, r1)         # (N, 2) each
-        self._tree = cKDTree(self._bp, leafsize=self.LEAF)   # nearest-sample seeds
+        # nearest-sample blocks (nb, BLOCK); the covering radius is inflated
+        # so that rounding cannot prune a block holding a true minimum
+        bx, by = (v.reshape(-1, self.BLOCK) for v in self._bp.T)
+        cx, cy = bx[:, self.BLOCK // 2], by[:, self.BLOCK // 2]
+        self._blocks, self._centres = (bx, by), (cx, cy)
+        cover2 = _squared_distances(bx, by, cx[:, None], cy[:, None])
+        self._cover = np.sqrt(cover2.max(axis=1)) * (1.0 + 1e-9)
 
     # -- radius and derivatives --------------------------------------------
     def _radius_derivs(self, th):
@@ -240,11 +262,55 @@ class SmoothPolarDomain(PlanarDomain):
             th = th - np.clip(step, -max_step, max_step)
         return th
 
+    def _nearest_sample(self, pts):
+        """Index of the nearest boundary sample of each point, the lowest
+        among equal squared distances (px - sx)**2 + (py - sy)**2."""
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        px, py = pts[:, :1], pts[:, 1:]
+        if len(pts) <= self.BRUTE_MAX:
+            return _squared_distances(px, py, *self._bp.T).argmin(axis=1)
+        bx, by = self._blocks
+        seed = np.empty(len(pts), dtype=np.intp)
+        # one candidate table for all chunks, grown as needed: a fresh one
+        # per chunk page-faults again wherever freed memory goes back to
+        # the system
+        work = np.empty((2, 0, self.BLOCK))
+        for lo in range(0, len(pts), self.CHUNK):
+            qx, qy = px[lo:lo + self.CHUNK], py[lo:lo + self.CHUNK]
+            dc2 = _squared_distances(qx, qy, *self._centres)
+            # the nearest centre is a sample, so its distance bounds the
+            # answer; a block farther than that plus its cover holds no
+            # closer sample
+            reach = np.sqrt(dc2.min(axis=1, keepdims=True)) + self._cover
+            row, blk = np.nonzero(dc2 <= np.square(reach, out=reach))
+            m = len(row)
+            if m > work.shape[1]:
+                work = np.empty((2, m, self.BLOCK))
+            dx, dy = work[:, :m]
+            np.take(bx, blk, axis=0, out=dx, mode="clip")
+            np.take(by, blk, axis=0, out=dy, mode="clip")
+            dx -= qx[row]
+            dy -= qy[row]
+            np.square(dx, out=dx)
+            dx += np.square(dy, out=dy)
+            col = dx.argmin(axis=1)
+            # each point's minimum per block, inf where pruned; blocks hold
+            # consecutive samples, so the first minimal block and its first
+            # minimal column give the lowest index
+            dc2.fill(np.inf)
+            dc2[row, blk] = dx[np.arange(m), col]
+            near = dc2.argmin(axis=1)
+            cols = np.zeros(dc2.shape, dtype=np.intp)
+            cols[row, blk] = col
+            seed[lo:lo + self.CHUNK] = near * self.BLOCK + cols[np.arange(len(near)), near]
+        return seed
+
     def _nearest_on_boundary(self, pts):
         """Nearest boundary parameter + distance for many points: the
-        nearest boundary sample (k-d tree), polished by 3 Newton steps."""
+        nearest boundary sample, polished by 3 Newton steps."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        _, seed = self._tree.query(pts)
+        seed = self._nearest_sample(pts)
         th = self._newton_foot(pts, self._th[seed], 3, 0.01)
         y = self.point_at(th)
         d = np.hypot(*(pts - y).T)
@@ -627,12 +693,20 @@ def _dedup_samples(samples, radius):
 
 def _near_pairs(pts, radius):
     """Index pairs i < j of the points at most radius apart, with their
-    distances np.hypot(dx, dy). The k-d tree search is padded by a
-    relative 1e-9, so a few pairs just beyond radius come along: callers
-    apply their own exact test to the distances."""
-    i, j = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9),
-                                    output_type="ndarray").T
-    return i, j, np.hypot(*(pts[i] - pts[j]).T)
+    distances np.hypot(dx, dy). The search is padded by a relative 1e-9,
+    so a few pairs just beyond radius come along: callers apply their own
+    exact test to the distances. Points sorted by x pair only within
+    their window x + r, so memory grows with the pairs in the windows."""
+    r = radius * (1.0 + 1e-9)
+    order = np.argsort(pts[:, 0], kind="stable")
+    x = pts[order, 0]
+    count = np.searchsorted(x, x + r, "right") - np.arange(len(x)) - 1
+    a = np.repeat(np.arange(len(x)), count)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count - 1, count) + a
+    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    d = np.hypot(*(pts[i] - pts[j]).T)
+    near = d <= r
+    return i[near], j[near], d[near]
 
 
 # -- level sets ------------------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import spsolve
-from scipy.special import erfcx
 
 from .errors import ConvergenceError
 from .fileio import cell, read_csv, write_csv
@@ -106,7 +105,9 @@ def v2(eta):
 
     v(eta) = 1 - e^(-eta^2/4) * [-eta/sqrt(pi) + (1 + eta^2/2) erfcx(eta/2)]
     using the scaled complementary error function so no factor overflows.
+    scipy.special is imported here, not at start-up: only order 2 uses it.
     """
+    from scipy.special import erfcx
     scalar = np.isscalar(eta)
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
@@ -129,6 +130,7 @@ def v2_tail(eta):
 
 def v2_prime(eta):
     """dv/deta of the second-order profile: (2/sqrt(pi)) e^(-eta^2/4) - eta erfc(eta/2)."""
+    from scipy.special import erfcx
     scalar = np.isscalar(eta)
     eta = np.asarray(eta, dtype=float)
     g = np.exp(-0.25 * eta * eta)

@@ -357,14 +357,25 @@ def brute_force_distance(dom, points, n_samples=100_000):
 
 
 def brute_force_nearest_sample(samples, points):
-    """min |x - s| over a finite sample set, by the full distance matrix."""
+    """Index of the nearest sample to each point by the full matrix of
+    squared distances (x - sx)**2 + (y - sy)**2, the first among equal
+    minima."""
     points = np.atleast_2d(points)
-    out = np.empty(len(points))
+    out = np.empty(len(points), dtype=np.intp)
     for lo in range(0, len(points), 256):
         chunk = points[lo:lo + 256]
         d2 = ((chunk[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + 256] = np.sqrt(d2.min(axis=1))
+        out[lo:lo + 256] = np.argmin(d2, axis=1)
     return out
+
+
+def brute_force_near_pairs(points, radius):
+    """Every pair i < j of points with np.hypot(dx, dy) <= radius, in
+    (i, j) order, with its distance, by the full pair list."""
+    i, j = np.triu_indices(len(points), 1)
+    d = np.hypot(*(points[i] - points[j]).T)
+    near = d <= radius
+    return i[near], j[near], d[near]
 
 
 def polar_radius_derivatives(c0, cos_coeffs, sin_coeffs, th):

@@ -522,11 +522,13 @@ def _fail_at_eps(monkeypatch, eps):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_numerical_failure_exits_3_and_names_eps(tmp_path, monkeypatch, capsys,
                                                  threads):
-    import blowuplab.cli as cli
+    import concurrent.futures
     _fail_at_eps(monkeypatch, 0.25)
-    # forked workers inherit the failing solver
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-        cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    # forked workers inherit the failing solver; cmd_solve imports the pool
+    # from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("fork")))
     path = write_cfg(tmp_path, STRIP_CFG.replace("eps: [0.2]", "eps: [0.2, 0.25]"))
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "--threads", str(threads),

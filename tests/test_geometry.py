@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
-from scipy.spatial import cKDTree
 
 from blowuplab import geometry
 from blowuplab.errors import RangeError
@@ -19,7 +18,8 @@ from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
 from blowuplab.predictor import predict_second_2d, skeleton_arrival_time
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from oracles import (brute_force_distance, brute_force_nearest_sample,
+from oracles import (brute_force_distance, brute_force_near_pairs,
+                     brute_force_nearest_sample,
                      dense_omega_loops, equidistant_classes, hausdorff,
                      omega_grid, polar_radius_derivatives,
                      rectangle_skeleton_points, scalar_dedup_samples,
@@ -380,18 +380,56 @@ def test_signed_distance_independent_of_batch_across_table_blocks():
     assert np.array_equal(ELLIPSE.signed_distance(pts[8000:8300]), batch[8000:])
 
 
+def _near_and_far_points(seed, n_near, n_far):
+    """Points inside and just outside the unit-size domains, and far ones."""
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(-1.6, 1.6, (n_near, 2))
+    ang = rng.uniform(0.0, 2 * np.pi, n_far)
+    far = rng.uniform(3.0, 50.0, n_far)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.concatenate([near, far])
+
+
 @pytest.mark.parametrize("dom", [POTATO, ELLIPSE], ids=["potato", "ellipse"])
 def test_tree_seed_is_a_nearest_boundary_sample(dom):
-    rng = np.random.default_rng(9)
-    near = rng.uniform(-1.6, 1.6, (1600, 2))       # inside and just outside
-    ang = rng.uniform(0.0, 2 * np.pi, 400)
-    far = rng.uniform(3.0, 50.0, 400)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    pts = np.concatenate([near, far])
+    """The block search returns the brute-force argmin index itself, the
+    lowest among equal squared distances, in one batch and point by point."""
+    pts = _near_and_far_points(9, 1600, 400)
     assert 0 < np.count_nonzero(dom.contains(pts)) < len(pts)
-    _, seed = dom._tree.query(pts)
-    # ties may pick another sample than argmin, so compare distances
-    d_tree = np.hypot(*(pts - dom._bp[seed]).T)
-    assert np.max(np.abs(d_tree - brute_force_nearest_sample(dom._bp, pts))) <= 1e-12
+    want = brute_force_nearest_sample(dom._bp, pts)
+    assert np.array_equal(dom._nearest_sample(pts), want)
+    assert np.array_equal([dom._nearest_sample(p[None])[0] for p in pts[::7]], want[::7])
+
+
+@pytest.mark.parametrize("dom", [POTATO, ELLIPSE], ids=["potato", "ellipse"])
+def test_nearest_seeds_and_distances_independent_of_batch(dom):
+    """Batches on each side of BRUTE_MAX and CHUNK, far points included,
+    give the seeds and the signed_distance bits of one-point calls."""
+    pts = _near_and_far_points(21, 7900, 400)[np.random.default_rng(22).permutation(8300)]
+    one_seed = np.array([dom._nearest_sample(p[None])[0] for p in pts])
+    one_sd = np.array([dom.signed_distance(p) for p in pts])
+    b, c = SmoothPolarDomain.BRUTE_MAX, SmoothPolarDomain.CHUNK
+    for n in sorted({1, b, b + 1, 32, 33, c, c + 1, 512, 513, 8300}):
+        assert np.array_equal(dom._nearest_sample(pts[:n]), one_seed[:n]), n
+        assert np.array_equal(dom.signed_distance(pts[:n]), one_sd[:n]), n
+
+
+@pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
+def test_block_covers_hold_their_samples(dom):
+    """The search may prune a block only if its cover holds every sample:
+    the cover is the largest distance from the centre, padded by a
+    relative 1e-9 and no more."""
+    bx, by = dom._blocks
+    cx, cy = dom._centres
+    reach = np.sqrt((bx - cx[:, None]) ** 2 + (by - cy[:, None]) ** 2).max(axis=1)
+    assert np.all(reach < dom._cover) and np.all(dom._cover <= reach * (1.0 + 2e-9))
+    assert np.array_equal(np.stack([bx.ravel(), by.ravel()], axis=1), dom._bp)
+    assert np.array_equal(cx, dom._bp[SmoothPolarDomain.BLOCK // 2::SmoothPolarDomain.BLOCK, 0])
+
+
+def test_nearest_search_rejects_non_finite_points():
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            POTATO.signed_distance(np.array([[0.1, 0.2]] * 40 + [bad]))
 
 
 def test_potato_max_distance_point():
@@ -502,15 +540,26 @@ def _deep_points(dom, centre, res):
     (POTATO, POTATO_ARGMAX_BEFORE[0][0], 0.05), (ELLIPSE, (0.0, 0.0), 0.1)],
     ids=["potato-argmax", "ellipse-centre"])
 def test_wide_leaf_tree_seeds_equal_leaf_16_seeds(dom, centre, res):
-    """Deep interior points, where the tree works hardest, get the same
-    nearest sample from the domain's tree as from scipy's default 16-point
-    leaves, so the distances keep their bits."""
+    """Deep interior points, where the most blocks stay candidates, get
+    the nearest sample of scipy's k-d tree with 16-point leaves, the
+    search the package used before, so the distances keep their bits. The
+    tree breaks exact ties its own way (the ellipse's centre is as far
+    from sample 0 as from sample 2048), so at a tie the two seeds need
+    only be equally near."""
+    from scipy.spatial import cKDTree   # the oracle only
     pts = _deep_points(dom, np.array(centre), res)
-    assert dom._tree.leafsize == SmoothPolarDomain.LEAF
-    narrow = cKDTree(dom._bp, leafsize=16)
-    assert np.array_equal(dom._tree.query(pts)[1], narrow.query(pts)[1])
+    seed = dom._nearest_sample(pts)
+    assert np.array_equal(seed, brute_force_nearest_sample(dom._bp, pts))
+    tree_seed = cKDTree(dom._bp, leafsize=16).query(pts)[1]
+    other = np.flatnonzero(seed != tree_seed)
+    assert len(other) <= 1
+
+    def d2(k):
+        return ((pts[other] - dom._bp[k[other]]) ** 2).sum(axis=1)
+
+    assert np.array_equal(d2(seed), d2(tree_seed))
     swapped = copy.copy(dom)
-    swapped._tree = narrow
+    swapped._nearest_sample = lambda p: cKDTree(dom._bp, leafsize=16).query(p)[1]
     assert np.array_equal(dom.signed_distance(pts), swapped.signed_distance(pts))
 
 
@@ -748,6 +797,40 @@ def test_dedup_and_branch_labels_match_scalar_references(cloud):
     labels = [s.branch for s in samples]
     scalar_label_branches(samples, radius)
     assert labels == [s.branch for s in samples]
+
+
+@st.composite
+def pair_clouds(draw):
+    """0 to 60 points on a grid of spacing 1/8 (exact distances 1/8 and
+    5/8, shared x values), free points and exact duplicates, with a
+    radius of 1/8, 5/8 or free."""
+    h = 0.125
+    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
+        lambda ij: (ij[0] * h, ij[1] * h))
+    free = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    pts = draw(st.lists(st.one_of(grid, free), max_size=60))
+    if pts:
+        pts += [pts[k] for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=10))]
+    radius = draw(st.sampled_from([h, 5 * h]) | st.floats(0.01, 0.5))
+    return np.array(pts, dtype=float).reshape(-1, 2), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_clouds())
+@example((np.empty((0, 2)), 0.1))
+@example((np.array([[0.5, 0.5]]), 0.1))
+@example((np.array([[0.0, 0.0], [0.0, 0.125], [0.0, 0.125], [0.125, 0.0]]), 0.125))
+@example((np.array([[0.0, 0.0], [0.125 * (1.0 + 5e-10), 0.0]]), 0.125))   # in the padding
+def test_near_pairs_equal_brute_force_pairs(cloud):
+    """The sorted-window pair search returns every pair of the full pair
+    list at the padded radius, with bit-identical distances."""
+    pts, radius = cloud
+    i, j, d = geometry._near_pairs(pts, radius)
+    assert np.all(i < j)
+    order = np.lexsort((j, i))
+    want = brute_force_near_pairs(pts, radius * (1.0 + 1e-9))
+    for got, ref in zip((i[order], j[order], d[order]), want):
+        assert np.array_equal(got, ref)
 
 
 def test_dedup_and_links_at_exactly_the_radius():

@@ -1,17 +1,23 @@
 """Start-up stays small: the package never imports scipy.optimize,
-scipy.interpolate, scipy.integrate or scipy.ndimage on its own.
+scipy.interpolate, scipy.integrate, scipy.ndimage, scipy.spatial or
+multiprocessing on its own, and scipy.special only when the order-2
+profile is evaluated.
 
-Together they cost a quarter of a second at every CLI start-up, and the
-package needs only a spline (profiles._Spline), an assignment
-(cli._assign) and a local-maximum mask from them. Custom nonlinearities
-import quad and solve_ivp where they are called, and scipy.integrate
-loads scipy.optimize with it; nothing in the package imports
-scipy.optimize itself.
+Together the first four cost a quarter of a second at every CLI
+start-up, and the package needs only a spline (profiles._Spline), an
+assignment (cli._assign) and a local-maximum mask from them. Custom
+nonlinearities import quad and solve_ivp where they are called, and
+scipy.integrate loads scipy.optimize with it; nothing in the package
+imports scipy.optimize itself.
 
-Two scipy packages do stay loaded. scipy.spatial adds about 0.015 s on
-top of the rest and gives the k-d tree of the nearest-boundary search.
-scipy.sparse.linalg gives spsolve, and the benchmark's tracer hooks its
-`splu` and `cg` (tests/test_tracer_hooks.py).
+scipy.spatial and scipy.special added about 60 ms and 7.6 MB to every
+start-up (2-core x86_64, scipy 1.17). The nearest boundary sample and the close skeleton pairs are
+found in numpy (geometry.SmoothPolarDomain._nearest_sample and
+geometry._near_pairs), and v2 and v2_prime import erfcx when they are
+called. multiprocessing loads only when `solve --threads` starts a
+process pool. scipy.sparse.linalg does stay loaded: it gives spsolve,
+and the benchmark's tracer hooks its `splu` and `cg`
+(tests/test_tracer_hooks.py).
 
 Each check runs in a fresh interpreter, since the test session itself
 has imported them all.
@@ -26,7 +32,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimage")
+HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimage",
+         "scipy.spatial", "scipy.special", "multiprocessing")
 
 RECT_CFG = """
 experiment:
@@ -76,6 +83,51 @@ def test_cli_verbs_load_no_heavy_scipy(tmp_path):
         """)
     assert loaded_after(code) == []
     assert (out / "comparison.csv").exists()
+
+
+def test_smooth_domain_pipeline_loads_no_heavy_scipy():
+    """The potato's skeleton, its fourth-order prediction and its deepest
+    point search the boundary samples and the skeleton pairs in numpy."""
+    code = textwrap.dedent("""
+        from blowuplab.geometry import compute_skeleton, max_distance_point, potato_domain
+        from blowuplab.predictor import predict_fourth_2d
+        from blowuplab.profiles import get_correction, get_profile4
+        from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
+        dom = potato_domain()
+        skel = compute_skeleton(dom, 0.05)
+        assert len(skel.samples) > 0
+        rs = ReactionSolution(Nonlinearity.exponential())
+        prof = get_profile4()
+        pred = predict_fourth_2d(dom, skel, rs, 0.1, rs.T0 * (1.0 - TABLE_DELTA),
+                                 eta0=prof.eta0, profile=prof, correction=get_correction(4))
+        assert len(pred.points) > 0
+        assert max_distance_point(dom)[1] > 0.7
+        """)
+    assert loaded_after(code) == []
+
+
+# v2 and v2_prime at the commit that imported erfcx at start-up
+V2_GOLDEN = {0.0: 0.0, 0.5: 0.45087072128329486, 2.0: 0.9432098762697393,
+             10.0: 0.9999999999999439, 25.0: 1.0}
+V2_PRIME_GOLDEN = {0.0: 1.1283791670955126, 0.5: 0.6981773244602326,
+                   2.0: 0.10050908332002445, 10.0: 2.962685867369888e-13,
+                   25.0: 4.95414546614859e-71}
+
+
+def test_second_order_profile_loads_erfcx_on_first_call():
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from blowuplab.profiles import v2, v2_prime
+        assert "scipy.special" not in sys.modules
+        eta = {list(V2_GOLDEN)!r}
+        assert [v2(e) for e in eta] == {list(V2_GOLDEN.values())!r}
+        assert "scipy.special" in sys.modules
+        assert [v2_prime(e) for e in eta] == {list(V2_PRIME_GOLDEN.values())!r}
+        assert v2(np.array(eta)).tolist() == {list(V2_GOLDEN.values())!r}
+        assert v2_prime(np.array(eta)).tolist() == {list(V2_PRIME_GOLDEN.values())!r}
+        """)
+    assert loaded_after(code) == ["scipy.special"]
 
 
 def test_critical_eps_and_tabulated_flow_import_no_optimize():
