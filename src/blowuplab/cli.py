@@ -25,7 +25,7 @@ from .fileio import atomic_open, cell, read_csv, write_csv
 from .geometry import compute_skeleton, omega_set
 from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
                         predict_1d_fourth, skeleton_arrival_time)
-from .profiles import (get_correction, get_profile4, second_order_profile)
+from .profiles import OMEGA, get_correction, get_profile4, second_order_profile
 from .reaction import ReactionSolution, TABLE_DELTA
 from .solvers import solve as run_solver
 
@@ -47,7 +47,7 @@ def cmd_profile(args) -> int:
             f"order=4",
             f"eta0={prof.eta0!r}",
             f"v_peak={prof.v_peak!r}",
-            f"omega={prof.omega!r}",
+            f"omega={OMEGA!r}",
             f"tail_amplitude={prof.amplitude!r}",
             f"tail_phase={prof.phase!r}",
             f"eta_max={prof.eta_max!r}",

@@ -125,7 +125,7 @@ class SmoothPolarDomain(PlanarDomain):
     r(theta) = c0 + sum_k a_k cos(k theta) + b_k sin(k theta). Positivity
     of r is checked on a dense grid at construction; a polar graph is
     star-shaped with respect to the origin by construction. A warning is
-    emitted when max|curvature| * min r exceeds `roughness_bound`: the
+    emitted when max|curvature| * min r exceeds ROUGHNESS_BOUND: the
     layer expansion behind the predictors assumes O(1) curvature.
 
     Construction makes one pass over the harmonics on the N_BOUNDARY
@@ -142,11 +142,12 @@ class SmoothPolarDomain(PlanarDomain):
     """
 
     N_BOUNDARY = 4096
+    ROUGHNESS_BOUND = 50.0
     BLOCK = 64
     BRUTE_MAX = 4
     CHUNK = 128
 
-    def __init__(self, c0, cos_coeffs=(), sin_coeffs=(), roughness_bound=50.0):
+    def __init__(self, c0, cos_coeffs=(), sin_coeffs=()):
         self.c0 = float(c0)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
@@ -164,7 +165,7 @@ class SmoothPolarDomain(PlanarDomain):
         if np.any(r <= 0.0):
             raise ValueError("polar radius must be positive everywhere")
         kap = _curvature(r, r1, r2)
-        if np.max(np.abs(kap)) * np.min(r) > roughness_bound:
+        if np.max(np.abs(kap)) * np.min(r) > self.ROUGHNESS_BOUND:
             warnings.warn(
                 "boundary is rough/spiky (max|kappa|*min r = "
                 f"{np.max(np.abs(kap)) * np.min(r):.1f}); layer predictions "
@@ -225,9 +226,6 @@ class SmoothPolarDomain(PlanarDomain):
         """Boundary point y(th) and unit tangent, each th.shape + (2,)."""
         r, r1, _ = self._radius_derivs(th)
         return _polar_frame(th, r, r1)
-
-    def tangent_at(self, th):
-        return self._point_tangent(th)[1]
 
     def curvature(self, th):
         return _curvature(*self._radius_derivs(th))
@@ -673,11 +671,15 @@ def _tracked_distance(dom: SmoothPolarDomain, x, th0):
 
 def _dedup_samples(samples, radius):
     """Samples in (x, y) order, each dropped when closer than radius to
-    an earlier kept one."""
+    an earlier kept one. The order compares coordinates rounded to
+    multiples of 1e-6 radius, so rounding noise (x is +-1.7e-16 on the
+    ellipse's x = 0 branch) cannot flip it; equal keys keep the input
+    order."""
     if not samples:
         return []
     pts = np.array([s.point for s in samples])
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    key = np.round(pts / (1e-6 * radius))
+    order = np.lexsort((key[:, 1], key[:, 0]))
     i, j, d = _near_pairs(pts[order], radius)
     # one greedy pass over the close pairs in (x, y) order of their first
     # sample, which is final when its pairs come up: a live one is kept

@@ -105,9 +105,9 @@ def predict_1d_fourth(rs: ReactionSolution, eps: float, T_eps: float,
 # -- two-dimensional ---------------------------------------------------------
 
 def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
-               points, t, include_curvature=True, profile=None, correction=None):
-    """Short-time solution at interior points: u0 plus one layer term per
-    orthogonal foot (curvature-corrected unless disabled).
+               points, t, profile=None, correction=None):
+    """Short-time solution at interior points: u0 plus one curvature-corrected
+    layer term per orthogonal foot.
 
     The degenerate circle-of-feet case (disc center) is the radial limit
     of the same sum: two coincident contributions at the common distance."""
@@ -119,18 +119,15 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     else:
         prof = profile if profile is not None else get_profile4()
         v = prof.evaluate
-    vb = None
-    if include_curvature:
-        vb = correction if correction is not None else get_correction(order)
+    vb = correction if correction is not None else get_correction(order)
     feet = dom.feet_batch(pts)
     has = np.arange(feet.distance.shape[1]) < feet.count[:, None]
     eta = feet.distance[has] / phi
     layer, curv = np.zeros(has.shape), np.zeros(has.shape)
     layer[has] = v(eta) - 1.0
-    if vb is not None:
-        curv[has] = phi * feet.curvature[has] * vb(eta)
+    curv[has] = phi * feet.curvature[has] * vb(eta)
     # each slot's terms in foot order, as a scalar loop over a point's feet
-    # adds them (adding curv = +0.0 changes no bit)
+    # adds them
     out = np.ones(len(pts))
     for k in range(has.shape[1]):
         m = has[:, k]
@@ -138,9 +135,7 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     deg = ~np.isnan(feet.circle)
     if deg.any():
         eta = feet.circle[deg] / phi
-        term = v(eta) - 1.0
-        if vb is not None:
-            term = term + phi * float(dom.curvature(np.float64(0.0))) * vb(eta)
+        term = (v(eta) - 1.0) + phi * float(dom.curvature(np.float64(0.0))) * vb(eta)
         out[deg] = 1.0 + 2.0 * term
     out = u0 * out
     return float(out[0]) if np.asarray(points).ndim == 1 else out
@@ -223,8 +218,7 @@ def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
     if fell_back:
         idx = np.arange(len(samples))
     pts = np.array([samples[i].point for i in idx])
-    vals = uniform_2d(dom, rs, 4, eps, pts, T_eps, include_curvature=True,
-                      profile=prof, correction=corr)
+    vals = uniform_2d(dom, rs, 4, eps, pts, T_eps, profile=prof, correction=corr)
     # local maxima among the matched samples (ties on symmetric domains kept)
     keep = []
     vtol = 1e-12 * max(1.0, np.max(np.abs(vals)))

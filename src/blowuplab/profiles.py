@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import spsolve
 
 from .errors import ConvergenceError
-from .fileio import cell, read_csv, write_csv
+from .fileio import cell, write_csv
 from .stencils import fd_weights, stencil_window
 
 # decay rate of the fourth-order far field, from the WKB exponents
@@ -143,9 +143,9 @@ class LayerProfile:
     """Tabulated similarity profile with far-field tail parameters.
 
     For order 4 the tail is 1 + A sin(sqrt(3) w eta^(4/3) + theta)
-    * exp(-w eta^(4/3)); (eta0, v_peak) locates the global overshoot
-    maximum. For order 2 the table holds the closed form and eta0 is
-    meaningless (the profile is monotone), kept as nan.
+    * exp(-w eta^(4/3)) with w = OMEGA; (eta0, v_peak) locates the global
+    overshoot maximum. For order 2 the table holds the closed form and
+    eta0 is meaningless (the profile is monotone), kept as nan.
     """
 
     order: int
@@ -154,16 +154,12 @@ class LayerProfile:
     eta_max: float
     amplitude: float = np.nan
     phase: float = np.nan
-    omega: float = OMEGA
     eta0: float = np.nan
     v_peak: float = np.nan
     d2_values: np.ndarray = None  # v'' table from the mixed solve, when available
 
     def __post_init__(self):
         self._spline = _Spline(self.eta, self.values)
-
-    def __call__(self, eta):
-        return self.evaluate(eta)
 
     def evaluate(self, eta):
         """Table interpolation inside [0, eta_max], tail formula beyond."""
@@ -175,39 +171,19 @@ class LayerProfile:
         if np.any(~inside):
             e = eta[~inside]
             if self.order == 4:
-                xi = self.omega * e ** (4.0 / 3.0)
+                xi = OMEGA * e ** (4.0 / 3.0)
                 out[~inside] = 1.0 + self.amplitude * np.sin(
                     np.sqrt(3.0) * xi + self.phase) * np.exp(-xi)
             else:
                 out[~inside] = v2_tail(e)
         return float(out) if scalar else out
 
-    def derivative(self, eta, order=1):
-        """Spline derivative inside the table (tail treated as flat)."""
-        scalar = np.isscalar(eta)
-        eta = np.asarray(eta, dtype=float)
-        out = np.where(eta <= self.eta_max,
-                       self._spline(np.clip(eta, 0.0, self.eta_max), order),
-                       0.0)
-        return float(out) if scalar else out
-
     def to_csv(self, path):
         meta = dict(order=self.order, eta_max=self.eta_max, A=self.amplitude,
-                    theta=self.phase, omega=self.omega, eta0=self.eta0,
+                    theta=self.phase, omega=OMEGA, eta0=self.eta0,
                     v_peak=self.v_peak)
         write_csv(path, ("eta", "v"), np.column_stack([self.eta, self.values]),
                   [" ".join(f"{k}={cell(v)}" for k, v in meta.items())])
-
-    @classmethod
-    def from_csv(cls, path):
-        comments, _, rows = read_csv(path)
-        meta = {k: float(v) for k, v in (t.split("=") for t in comments[0].split())}
-        return cls(order=int(meta["order"]),
-                   eta=np.array([float(r["eta"]) for r in rows]),
-                   values=np.array([float(r["v"]) for r in rows]),
-                   eta_max=meta["eta_max"], amplitude=meta["A"],
-                   phase=meta["theta"], omega=meta["omega"],
-                   eta0=meta["eta0"], v_peak=meta["v_peak"])
 
 
 @dataclass

@@ -139,20 +139,20 @@ def _power(a, s):
 class ReactionSolution:
     """The uniform reaction state u0(t) with its inverse and blow-up time.
 
-    form "closed" uses exact expressions (exp and power kinds); form
-    "tabulated" integrates the ODE with a tight-tolerance adaptive pair
-    and dense output up to T0*(1 - TABLE_DELTA), and down from t = 0 as far
-    toward -T0 as f allows; the part below 0 carries negative states.
+    form is "closed" for the exp and power kinds, which have exact
+    expressions, and "tabulated" for custom f: the ODE is integrated with
+    a tight-tolerance adaptive pair and dense output up to
+    T0*(1 - TABLE_DELTA), and down from t = 0 as far toward -T0 as f
+    allows; the part below 0 carries negative states.
     """
 
     nl: Nonlinearity
     T0: float = field(init=False)
-    form: str = "auto"
+    form: str = field(init=False)
 
     def __post_init__(self):
         self.T0 = blowup_time_T0(self.nl)
-        if self.form == "auto":
-            self.form = "closed" if self.nl.kind in ("exp", "pow") else "tabulated"
+        self.form = "closed" if self.nl.kind in ("exp", "pow") else "tabulated"
         if self.form == "tabulated":
             self._build_table()
 
@@ -334,17 +334,3 @@ class ReactionSolution:
             ut = self._dense(t)[0]
             t = np.clip(t - (ut - u) / self.nl.f(ut), self._grid_t[0], self._t_end)
         return t
-
-    def residual(self, t):
-        """|du0/dt - f(u0)| at t, derivative by central difference.
-
-        The step adapts to the local reaction timescale 1/f'(u0) so the
-        FD truncation stays ~1e-9 relative to f; what remains is the
-        dense-output error divided by h (~2e-8 relative near the table
-        end, the measurement floor for any difference quotient)."""
-        t = np.asarray(t, dtype=float)
-        u = self.state(t)
-        h = 1e-4 / (1.0 + np.abs(self.nl.df(u)))
-        h = np.minimum(h, 0.5 * (self.T0 * (1 - TABLE_DELTA) - t))
-        du = (self.state(t + h) - self.state(t - h)) / (2.0 * h)
-        return np.abs(du - self.nl.f(u))

@@ -711,17 +711,18 @@ def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
 
 # -- singularity extraction -----------------------------------------------------
 
-def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
-                          separation=4):
+# grid cells within which extracted maxima merge into the larger one
+SEPARATION = 4
+
+
+def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5):
     """Strict local maxima above a fraction of the sup, merged by closeness.
 
-    coords is one 1D coordinate array per field axis. Maxima closer than
-    `separation` grid cells keep only the larger. Locations are refined
-    per axis by the vertex of the parabola through the three neighboring
-    nodes (valid on non-uniform grids too)."""
+    coords is a tuple or list of one 1D coordinate array per field axis.
+    Maxima closer than SEPARATION grid cells keep only the larger.
+    Locations are refined per axis by the vertex of the parabola through
+    the three neighboring nodes (valid on non-uniform grids too)."""
     field = np.asarray(field)
-    if field.ndim == 1:
-        coords = (coords,) if isinstance(coords, np.ndarray) else tuple(coords)
     vmax = float(np.max(field))
     mask = _strict_local_maxima(field) & (field >= threshold_fraction * vmax)
     idxs = np.argwhere(mask)
@@ -731,14 +732,14 @@ def extract_singularities(field: np.ndarray, coords, threshold_fraction=0.5,
     order = np.argsort(-vals)
     idxs, vals = idxs[order], vals[order]
     # greedy suppression, largest first: the first live candidate is kept
-    # and kills the live ones closer than `separation`; on integer offsets
-    # |ij - other| < separation is exactly |ij - other|^2 < separation^2
+    # and kills the live ones closer than SEPARATION; on integer offsets
+    # |ij - other| < SEPARATION is exactly |ij - other|^2 < SEPARATION^2
     live = np.ones(len(idxs), dtype=bool)
     kept = []
     for k in range(len(idxs)):
         if live[k]:
             kept.append(k)
-            live &= ((idxs - idxs[k]) ** 2).sum(axis=1) >= separation ** 2
+            live &= ((idxs - idxs[k]) ** 2).sum(axis=1) >= SEPARATION ** 2
     ij, vals = idxs[kept], vals[kept]
     locs = np.empty(ij.shape)
     for ax, x in enumerate(coords):

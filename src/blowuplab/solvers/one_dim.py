@@ -32,37 +32,20 @@ def strip_grid(n, grading=0.0, half_width=1.0):
 
 def fourth_derivative_clamped(x):
     """eps-free u_xxxx on interior nodes; u=0 at boundary nodes and even
-    ghost reflection (u(ghost) = u(first interior)) for u_x = 0."""
-    n = len(x)
-    rows, cols, vals = [], [], []
+    ghost reflection (u(ghost) = u(first interior)) for u_x = 0.
 
-    def add(r, c, v):
-        if 1 <= c <= n - 2:  # boundary values are zero and drop out
-            rows.append(r - 1)
-            cols.append(c - 1)
-            vals.append(v)
-
-    for i in range(1, n - 1):
-        if i == 1:
-            xs = np.array([2 * x[0] - x[1], x[0], x[1], x[2], x[3]])
-            w = fd_weights(xs, x[i], 4)[:, 4]
-            add(i, 1, w[0] + w[2])  # ghost folds onto the mirror node
-            add(i, 2, w[3])
-            add(i, 3, w[4])
-        elif i == n - 2:
-            xs = np.array([x[n - 4], x[n - 3], x[n - 2], x[n - 1],
-                           2 * x[n - 1] - x[n - 2]])
-            w = fd_weights(xs, x[i], 4)[:, 4]
-            add(i, n - 4, w[0])
-            add(i, n - 3, w[1])
-            add(i, n - 2, w[2] + w[4])
-        else:
-            xs = x[i - 2:i + 3]
-            w = fd_weights(xs, x[i], 4)[:, 4]
-            for k, j in enumerate(range(i - 2, i + 3)):
-                add(i, j, w[k])
-    m = n - 2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    Row r takes its 5-point stencil from the grid extended by both
+    ghosts, in one fd_weights call per row (perfbench/selfcheck.py counts
+    nx - 2 of them on a traced strip solve)."""
+    m = len(x) - 2
+    xg = np.concatenate(([2 * x[0] - x[1]], x, [2 * x[-1] - x[-2]]))
+    w = np.array([fd_weights(xg[r:r + 5], xg[r + 2], 4)[:, 4] for r in range(m)])
+    w[0, 2] += w[0, 0]    # each ghost folds onto its mirror node
+    w[-1, 2] += w[-1, 4]
+    j = np.arange(m)[:, None] + np.arange(-2, 3)
+    keep = (0 <= j) & (j < m)  # ghosts and boundary values drop out
+    rows = np.broadcast_to(np.arange(m)[:, None], j.shape)
+    return sp.csr_matrix((w[keep], (rows[keep], j[keep])), shape=(m, m))
 
 
 def second_derivative_dirichlet(x):

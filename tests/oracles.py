@@ -20,14 +20,17 @@ with, as the box builders once did on every eps. scalar_dedup_samples and
 scalar_label_branches are the skeleton's sample deduplication (one kept
 array rebuilt per candidate) and branch labelling (hash grid and
 union-find) as they were first written. scalar_radial_biharmonic,
-scalar_radial_laplacian_dirichlet and scalar_second_derivative_dirichlet
-are the disc and strip operators as they were first written, one row and
-one triplet at a time. scalar_curvature_candidates is the predictor's
+scalar_radial_laplacian_dirichlet, scalar_second_derivative_dirichlet and
+scalar_fourth_derivative_clamped are the disc and strip operators as they
+were first written, one row and one triplet at a time. scalar_curvature_candidates is the predictor's
 curvature-maximum search on omega loops with one Python comparison per
 loop point. expression_flow is the closed-form reaction flow as it was
 first written, one array expression per form, and full_path_flow the
 in-place flow with its singular mask, clamp and +inf fill on every call. scalar_track_peaks is the
 peak linking as it was first written, one distance array per peak.
+reaction_residual measures a reaction state against its ODE by central
+differences, and read_profile_csv reads a layer profile back from the CSV
+that LayerProfile.to_csv writes.
 """
 
 import numpy as np
@@ -271,6 +274,42 @@ def scalar_second_derivative_dirichlet(x):
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
+def scalar_fourth_derivative_clamped(x):
+    """eps-free u_xxxx on interior nodes; u=0 at boundary nodes and even
+    ghost reflection (u(ghost) = u(first interior)) for u_x = 0."""
+    from blowuplab.stencils import fd_weights
+    n = len(x)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        if 1 <= c <= n - 2:  # boundary values are zero and drop out
+            rows.append(r - 1)
+            cols.append(c - 1)
+            vals.append(v)
+
+    for i in range(1, n - 1):
+        if i == 1:
+            xs = np.array([2 * x[0] - x[1], x[0], x[1], x[2], x[3]])
+            w = fd_weights(xs, x[i], 4)[:, 4]
+            add(i, 1, w[0] + w[2])  # ghost folds onto the mirror node
+            add(i, 2, w[3])
+            add(i, 3, w[4])
+        elif i == n - 2:
+            xs = np.array([x[n - 4], x[n - 3], x[n - 2], x[n - 1],
+                           2 * x[n - 1] - x[n - 2]])
+            w = fd_weights(xs, x[i], 4)[:, 4]
+            add(i, n - 4, w[0])
+            add(i, n - 3, w[1])
+            add(i, n - 2, w[2] + w[4])
+        else:
+            xs = x[i - 2:i + 3]
+            w = fd_weights(xs, x[i], 4)[:, 4]
+            for k, j in enumerate(range(i - 2, i + 3)):
+                add(i, j, w[k])
+    m = n - 2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
 # -- reference banded theta-step ---------------------------------------------------
 
 class RebuiltBandedCN:
@@ -425,7 +464,7 @@ def rectangle_skeleton_points(a=1.0, b=0.5, n=2000):
     return np.vstack(pts)
 
 
-def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
+def scalar_uniform_2d(dom, rs, order, eps, points, t, correction=None):
     """predictor.uniform_2d as a loop over points and the feet in their
     table rows, with scalar profile calls."""
     from blowuplab.profiles import get_correction, get_profile4, v2
@@ -433,7 +472,7 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
     u0 = rs.state(t)
     phi = rs.gauge(t, eps, order)
     v = v2 if order == 2 else get_profile4().evaluate
-    vb = get_correction(order) if include_curvature else None
+    vb = correction if correction is not None else get_correction(order)
     feet = dom.feet_batch(pts)
     out = np.empty(len(pts))
     for i in range(len(pts)):
@@ -441,16 +480,14 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
         if not np.isnan(r):
             kap = float(dom.curvature(np.float64(0.0)))
             term = v(r / phi) - 1.0
-            if vb is not None:
-                term += phi * kap * vb(r / phi)
+            term += phi * kap * vb(r / phi)
             out[i] = 1.0 + 2.0 * term
             continue
         s = 1.0
         for k in range(feet.count[i]):
             d = feet.distance[i, k]
             s += v(d / phi) - 1.0
-            if vb is not None:
-                s += phi * feet.curvature[i, k] * vb(d / phi)
+            s += phi * feet.curvature[i, k] * vb(d / phi)
         out[i] = s
     return u0 * out
 
@@ -458,7 +495,12 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, include_curvature=True):
 def scalar_dedup_samples(samples, radius):
     kept = []
     pts = []
-    for s in sorted(samples, key=lambda s: (s.point[0], s.point[1])):
+
+    def key(s):
+        x, y = np.round(np.asarray(s.point) / (1e-6 * radius))
+        return x, y
+
+    for s in sorted(samples, key=key):
         if pts and np.min(np.hypot(*(np.array(pts) - s.point).T)) < radius:
             continue
         kept.append(s)
@@ -645,7 +687,7 @@ def full_path_flow(rs, u, dt):
     return arg
 
 
-def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
+def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6):
     """solvers.track_peaks as it was first written: each peak, in sorted
     order, computes its distances to the free tracks and takes the nearest."""
     from blowuplab.solvers.common import extract_singularities
@@ -654,8 +696,7 @@ def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
     last = np.empty((0, len(coords)))
     for snap in snapshots:
         peaks = extract_singularities(snap.field, coords,
-                                      threshold_fraction=threshold_fraction,
-                                      separation=separation)
+                                      threshold_fraction=threshold_fraction)
         free = np.ones(len(last), dtype=bool)
         born = []
         for loc, val in peaks:
@@ -672,3 +713,34 @@ def scalar_track_peaks(snapshots, coords, threshold_fraction=0.6, separation=4):
         if born:
             last = np.vstack([last, born])
     return tracks
+
+
+def reaction_residual(rs, t):
+    """|du0/dt - f(u0)| at t, derivative by central difference.
+
+    The step adapts to the local reaction timescale 1/f'(u0) so the
+    FD truncation stays ~1e-9 relative to f; what remains is the
+    dense-output error divided by h (~2e-8 relative near the table
+    end, the measurement floor for any difference quotient)."""
+    from blowuplab.reaction import TABLE_DELTA
+    t = np.asarray(t, dtype=float)
+    u = rs.state(t)
+    h = 1e-4 / (1.0 + np.abs(rs.nl.df(u)))
+    h = np.minimum(h, 0.5 * (rs.T0 * (1 - TABLE_DELTA) - t))
+    du = (rs.state(t + h) - rs.state(t - h)) / (2.0 * h)
+    return np.abs(du - rs.nl.f(u))
+
+
+def read_profile_csv(path):
+    """The LayerProfile that LayerProfile.to_csv wrote to path; the tail's
+    decay rate in the header is the module's OMEGA."""
+    from blowuplab.fileio import read_csv
+    from blowuplab.profiles import LayerProfile
+    comments, _, rows = read_csv(path)
+    meta = {k: float(v) for k, v in (t.split("=") for t in comments[0].split())}
+    return LayerProfile(order=int(meta["order"]),
+                        eta=np.array([float(r["eta"]) for r in rows]),
+                        values=np.array([float(r["v"]) for r in rows]),
+                        eta_max=meta["eta_max"], amplitude=meta["A"],
+                        phase=meta["theta"], eta0=meta["eta0"],
+                        v_peak=meta["v_peak"])

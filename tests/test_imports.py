@@ -139,8 +139,7 @@ def test_critical_eps_and_tabulated_flow_import_no_optimize():
         import sys
         import numpy as np
         from blowuplab import Nonlinearity, ReactionSolution, critical_eps
-        tab = ReactionSolution(Nonlinearity.custom(lambda u: (1.0 + u) ** 2),
-                               form="tabulated")
+        tab = ReactionSolution(Nonlinearity.custom(lambda u: (1.0 + u) ** 2))
         for name in [m for m in sys.modules if m.startswith("scipy.optimize")]:
             del sys.modules[name]
         assert critical_eps(ReactionSolution(Nonlinearity.exponential()), 1.0) > 0

@@ -12,6 +12,7 @@ from blowuplab.predictor import (Prediction, critical_eps, outer_1d_second,
                                  outer_2d_second, predict_1d_fourth,
                                  predict_fourth_2d, predict_second_2d, uniform_1d,
                                  uniform_2d)
+from blowuplab.profiles import CorrectionProfile, get_correction
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
 from blowuplab.predictor import _curvature_candidates
 from oracles import scalar_curvature_candidates, scalar_uniform_2d
@@ -141,7 +142,9 @@ UNIFORM_DOMAINS = {"potato": potato_domain(), "ellipse": ellipse_domain(0.75, 1.
 def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     """The (point, foot slot) table of uniform_2d adds each point's terms
     as a scalar loop over its feet does, bit for bit. The origin leads
-    every batch: on the disc it is the degenerate circle of feet."""
+    every batch: on the disc it is the degenerate circle of feet. Without
+    curvature both are given a zero correction profile, which leaves the
+    layer terms alone."""
     dom = UNIFORM_DOMAINS[name]
     (bx0, bx1), (by0, by1) = dom.bounding_box
     xy = st.tuples(st.floats(bx0, bx1), st.floats(by0, by1))
@@ -150,9 +153,13 @@ def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     eps = data.draw(st.floats(0.03, 0.2))
     t = data.draw(st.floats(0.05, 0.9))
     assert (not np.isnan(dom.feet_batch(pts[:1]).circle[0])) == (name == "disc")
-    got = uniform_2d(dom, EXP, order, eps, pts, t, include_curvature=curvature)
+    corr = None
+    if not curvature:
+        vb = get_correction(order)
+        corr = CorrectionProfile(order, vb.eta, np.zeros_like(vb.values), vb.eta_max)
+    got = uniform_2d(dom, EXP, order, eps, pts, t, correction=corr)
     assert np.array_equal(got, scalar_uniform_2d(dom, EXP, order, eps, pts, t,
-                                                 include_curvature=curvature))
+                                                 correction=corr))
 
 
 def test_outer_2d_argmax_is_distance_argmax():

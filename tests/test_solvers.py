@@ -23,7 +23,8 @@ from blowuplab.solvers.radial import (radial_biharmonic, radial_grid,
                                       radial_laplacian_dirichlet)
 from blowuplab.solvers.rect2d import rect_operator
 from oracles import (RebuiltBandedCN, box_operator, scalar_extract_singularities,
-                     scalar_radial_biharmonic, scalar_radial_laplacian_dirichlet,
+                     scalar_fourth_derivative_clamped, scalar_radial_biharmonic,
+                     scalar_radial_laplacian_dirichlet,
                      scalar_second_derivative_dirichlet, scalar_track_peaks)
 
 EXP = Nonlinearity.exponential()
@@ -109,15 +110,14 @@ def test_extract_equals_scalar_on_recorded_snapshots(geometry):
 @settings(max_examples=200, deadline=None)
 @given(arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
               elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, -1.0])),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5, 0.9]),
-       st.integers(1, 5))
-def test_extract_equals_scalar_with_ties_and_plateaus(field, seed, frac, separation):
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5, 0.9]))
+def test_extract_equals_scalar_with_ties_and_plateaus(field, seed, frac):
     # few distinct values: plateaus, tied peaks and flat parabolas are
     # common; the grids are non-uniform
     rng = np.random.default_rng(seed)
     coords = [np.cumsum(rng.uniform(0.1, 1.0, n)) for n in field.shape]
-    got = extract_singularities(field, coords, frac, separation)
-    assert got == scalar_extract_singularities(field, coords, frac, separation)
+    got = extract_singularities(field, coords, frac)
+    assert got == scalar_extract_singularities(field, coords, frac)
 
 
 def test_extract_threshold_and_separation():
@@ -125,11 +125,11 @@ def test_extract_threshold_and_separation():
     u = np.exp(-((x - 0.3) / 0.05) ** 2) + 0.3 * np.exp(-((x + 0.3) / 0.05) ** 2)
     assert len(extract_singularities(u, (x,), threshold_fraction=0.5)) == 1
     assert len(extract_singularities(u, (x,), threshold_fraction=0.2)) == 2
-    # peaks two cells apart merge under separation=4
+    # peaks three cells apart merge under SEPARATION = 4
     v = np.zeros_like(x)
     v[100] = 1.0
     v[103] = 0.9
-    assert len(extract_singularities(v, (x,), separation=4)) == 1
+    assert len(extract_singularities(v, (x,))) == 1
 
 
 def test_track_peaks_moving_gaussian():
@@ -241,6 +241,14 @@ def test_d2_dirichlet_matches_scalar_reference(n, grading):
     x = strip_grid(n, grading)
     _assert_same_operator(second_derivative_dirichlet(x),
                           scalar_second_derivative_dirichlet(x))
+
+
+@pytest.mark.parametrize("grading", [0.0, 1.2])
+@pytest.mark.parametrize("n", [5, 7, 301])
+def test_d4_clamped_matches_scalar_reference(n, grading):
+    x = strip_grid(n, grading)
+    _assert_same_operator(fourth_derivative_clamped(x),
+                          scalar_fourth_derivative_clamped(x))
 
 
 def test_radial_biharmonic_manufactured():
