@@ -25,9 +25,13 @@ covering radius cannot hold the nearest sample. r, r' and r'' come
 from one pass over the harmonics: a blocked cos/sin table times a
 coefficient matrix. The feet of many points come back as one table
 of padded arrays (Feet). Their bisection, equidistance refinement and
-Newton tracking run on all points or detections at once, not point by
-point; marching squares (Lorensen and Cline 1987) visits only the cells
-the level set crosses, and the distance on its grid is exact only in a
+Newton tracking are array passes, not loops over points. The tables
+that would grow with a batch times the samples or the harmonics (the
+nearest-boundary search, the feet scan, the segment test, the trig
+table) go in chunks of a fixed size, so the working set grows only
+with the per-point results, and no value depends on its batch.
+Marching squares (Lorensen and Cline 1987) visits only the cells the
+level set crosses, and the distance on its grid is exact only in a
 narrow band around the level set.
 """
 
@@ -43,8 +47,9 @@ from .errors import RangeError
 from .fileio import write_csv
 
 TWO_PI = 2.0 * np.pi
-# entries of one block of the cos/sin table in SmoothPolarDomain: 8 MB
-_TRIG_TABLE_ELEMS = 1 << 20
+# entries of one block of the cos/sin table in SmoothPolarDomain: 0.5 MB,
+# 512 points of the 64-harmonic ellipse
+_TRIG_TABLE_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,10 @@ class SmoothPolarDomain(PlanarDomain):
     sample instead, and larger batches go CHUNK points at a time, so the
     candidate tables stay small. Both paths compare the same squared
     distances and take the lowest index among equal minima, so a point's
-    seed does not depend on its batch.
+    seed does not depend on its batch. A nearest-boundary query takes
+    NEAREST_CHUNK points at a time, the feet scan SCAN_CHUNK points and
+    the segment test ROOT_CHUNK roots, so that their scratch tables do
+    not grow with the batch.
     """
 
     N_BOUNDARY = 4096
@@ -146,6 +154,9 @@ class SmoothPolarDomain(PlanarDomain):
     BLOCK = 64
     BRUTE_MAX = 4
     CHUNK = 128
+    SCAN_CHUNK = 64
+    ROOT_CHUNK = 256
+    NEAREST_CHUNK = 4096
 
     def __init__(self, c0, cos_coeffs=(), sin_coeffs=()):
         self.c0 = float(c0)
@@ -186,11 +197,12 @@ class SmoothPolarDomain(PlanarDomain):
         """r, r' and r'' at th (any shape) from one cos/sin pass.
 
         The trig table [cos(k th), sin(k th)] is built in blocks of theta
-        so that it stays near 8 MB for any number of harmonics and points.
-        The harmonic sums go through einsum, not a BLAS product: BLAS picks
-        its kernel by matrix size, so a point's last bit would depend on
-        the batch it arrives in. With einsum every value is independent of
-        its batch, and batched callers reproduce single-point calls."""
+        so that it stays near 0.5 MB for any number of harmonics and
+        points. The harmonic sums go through einsum, not a BLAS product:
+        BLAS picks its kernel by matrix size, so a point's last bit would
+        depend on the batch it arrives in. With einsum every value is
+        independent of its batch, and batched callers reproduce
+        single-point calls."""
         th = np.asarray(th, dtype=float)
         flat = th.reshape(-1)
         out = np.zeros((3, flat.size))
@@ -308,10 +320,13 @@ class SmoothPolarDomain(PlanarDomain):
         """Nearest boundary parameter + distance for many points: the
         nearest boundary sample, polished by 3 Newton steps."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        seed = self._nearest_sample(pts)
-        th = self._newton_foot(pts, self._th[seed], 3, 0.01)
-        y = self.point_at(th)
-        d = np.hypot(*(pts - y).T)
+        th, d, y = np.empty(len(pts)), np.empty(len(pts)), np.empty((len(pts), 2))
+        for lo in range(0, len(pts), self.NEAREST_CHUNK):
+            part = slice(lo, lo + self.NEAREST_CHUNK)
+            seed = self._nearest_sample(pts[part])
+            th[part] = self._newton_foot(pts[part], self._th[seed], 3, 0.01)
+            y[part] = self.point_at(th[part])
+            d[part] = np.hypot(*(pts[part] - y[part]).T)
         return th, d, y
 
     def signed_distance(self, points):
@@ -326,58 +341,81 @@ class SmoothPolarDomain(PlanarDomain):
         """All orthogonal feet of each point; vectorized bisection refine.
 
         The residual g = (x - y(theta)) . tau(theta) on the cached boundary
-        samples catches every sign change; all roots of a chunk of points
-        are polished together by bisection, then a foot is kept only if
-        the full segment to it stays inside the domain. An exactly
-        radial case (all residuals ~ 0, disc center) comes back as a
-        degenerate circle of feet.
+        samples catches every sign change. The scan takes SCAN_CHUNK points
+        at a time in reused tables, then all roots of all points are
+        polished together by bisection, and a foot is kept only if the
+        full segment to it stays inside the domain. An exactly radial case
+        (all residuals ~ 0, disc center) comes back as a degenerate circle
+        of feet. Every step is elementwise per point, so a point's feet do
+        not depend on its batch, and only the per-root arrays grow with
+        it.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         scale = max(self.c0, np.abs(self.cos_coeffs).sum()
                     + np.abs(self.sin_coeffs).sum())
         bx, by = self._bp.T
         tx, ty = self._tau.T
-        degenerate = np.zeros(len(pts), dtype=bool)
-        parts = []
-        # one chunk at least, so that no points give an empty table
-        for lo in range(0, max(len(pts), 1), 512):
-            chunk = pts[lo:lo + 512]
-            G = (chunk[:, :1] - bx) * tx + (chunk[:, 1:] - by) * ty
-            s_l = np.sign(G)
-            s_r = np.roll(s_l, -1, axis=1)  # the sample grid wraps around
-            # an exact zero at a grid node (g(0)=0 on the disc axis) must
-            # count as a root: the plain product test skips it
-            sign_change = (s_l * s_r < 0) | (s_l == 0)
-            degen = degenerate[lo:lo + 512] = np.abs(G).max(axis=1) < 1e-11 * scale
-            rows, cols = np.nonzero(sign_change & ~degen[:, None])
-            P = chunk[rows]
-            th_lo = self._th[cols]
-            th_hi = th_lo + (self._th[1] - self._th[0])
-            g_lo = G[rows, cols]
-            for _ in range(45):
-                mid = 0.5 * (th_lo + th_hi)
-                y, tau = self._point_tangent(mid)
-                gm = ((P - y) * tau).sum(axis=1)
-                take_lo = np.sign(gm) == np.sign(g_lo)
-                th_lo = np.where(take_lo, mid, th_lo)
-                g_lo = np.where(take_lo, gm, g_lo)
-                th_hi = np.where(take_lo, th_hi, mid)
-            th_star = 0.5 * (th_lo + th_hi)
-            y = self.point_at(th_star)
-            keep = self._segments_inside(P, y)
-            parts.append((rows[keep] + lo, y[keep], th_star[keep] % TWO_PI,
-                          np.hypot(*(P - y).T)[keep], self.curvature(th_star)[keep]))
-        row, y, th, dist, kap = (np.concatenate(c) for c in zip(*parts))
+        n = len(pts)
+        degenerate = np.zeros(n, dtype=bool)
+        G = np.empty((min(n, self.SCAN_CHUNK), self.N_BOUNDARY))
+        work = np.empty_like(G)
+        # per root: its point, the sample below it and g there
+        no_roots = np.empty(0, dtype=np.intp)
+        rows, cols, g_los = [no_roots], [no_roots], [np.empty(0)]
+        for lo in range(0, n, self.SCAN_CHUNK):
+            chunk = pts[lo:lo + self.SCAN_CHUNK]
+            g, w = G[:len(chunk)], work[:len(chunk)]
+            np.subtract(chunk[:, :1], bx, out=g)
+            g *= tx
+            np.subtract(chunk[:, 1:], by, out=w)
+            w *= ty
+            g += w
+            degen = degenerate[lo:lo + self.SCAN_CHUNK] = (
+                np.abs(g, out=w).max(axis=1) < 1e-11 * scale)
+            # a root lies between neighbouring samples of opposite signs
+            # (the sample grid wraps around); an exact zero at a grid node
+            # (g(0)=0 on the disc axis) must count as a root too
+            pos, neg = g > 0.0, g < 0.0
+            root = (pos & np.roll(neg, -1, axis=1)) | (neg & np.roll(pos, -1, axis=1))
+            root |= g == 0.0
+            root[degen] = False
+            r, c = np.nonzero(root)
+            rows.append(r + lo)
+            cols.append(c)
+            g_los.append(g[r, c])
+        row, col, g_lo = (np.concatenate(v) for v in (rows, cols, g_los))
+        P = pts[row]
+        th_lo = self._th[col]
+        th_hi = th_lo + (self._th[1] - self._th[0])
+        for _ in range(45):
+            mid = 0.5 * (th_lo + th_hi)
+            y, tau = self._point_tangent(mid)
+            gm = ((P - y) * tau).sum(axis=1)
+            take_lo = np.sign(gm) == np.sign(g_lo)
+            th_lo = np.where(take_lo, mid, th_lo)
+            g_lo = np.where(take_lo, gm, g_lo)
+            th_hi = np.where(take_lo, th_hi, mid)
+        th_star = 0.5 * (th_lo + th_hi)
+        y = self.point_at(th_star)
+        keep = self._segments_inside(P, y)
+        P, y, th_star = P[keep], y[keep], th_star[keep]
         circle = np.where(degenerate, float(self.radius(0.0)) - np.hypot(*pts.T), np.nan)
-        return _feet_table(row, y, th, dist, kap, circle)
+        return _feet_table(row[keep], y, th_star % TWO_PI, np.hypot(*(P - y).T),
+                           self.curvature(th_star), circle)
 
     def _segments_inside(self, x, y):
-        """Whether each segment x[i] -> y[i] stays inside, on 64 points."""
-        s = np.linspace(0.0, 1.0, 65)[:-1]
-        P = x[:, None, :] + s[:, None] * (y - x)[:, None, :]
-        th = np.arctan2(P[..., 1], P[..., 0])
-        rho = np.hypot(P[..., 0], P[..., 1])
-        return np.all(rho <= self.radius(th) * (1.0 + 1e-9) + 1e-12, axis=1)
+        """Whether each segment x[i] -> y[i] stays inside, on 64 points;
+        ROOT_CHUNK segments at a time."""
+        s = np.linspace(0.0, 1.0, 65)[:-1, None]
+        inside = np.empty(len(x), dtype=bool)
+        for lo in range(0, len(x), self.ROOT_CHUNK):
+            a, b = x[lo:lo + self.ROOT_CHUNK, None, :], y[lo:lo + self.ROOT_CHUNK, None, :]
+            P = a + s * (b - a)
+            th = np.arctan2(P[..., 1], P[..., 0])
+            rho = np.hypot(P[..., 0], P[..., 1])
+            inside[lo:lo + self.ROOT_CHUNK] = np.all(
+                rho <= self.radius(th) * (1.0 + 1e-9) + 1e-12, axis=1)
+        return inside
 
     # the public name; signed_distance calls the body by its own name, so
     # a wrapper of this one sees each query once
@@ -697,15 +735,31 @@ def _near_pairs(pts, radius):
     """Index pairs i < j of the points at most radius apart, with their
     distances np.hypot(dx, dy). The search is padded by a relative 1e-9,
     so a few pairs just beyond radius come along: callers apply their own
-    exact test to the distances. Points sorted by x pair only within
-    their window x + r, so memory grows with the pairs in the windows."""
+    exact test to the distances. Points go into square cells a little
+    wider than the padded radius r, and each point pairs only with the
+    later points of its own cell, the cell above it and the three cells
+    to its right, so memory grows with the pairs in 3 x 3 cell blocks."""
     r = radius * (1.0 + 1e-9)
-    order = np.argsort(pts[:, 0], kind="stable")
-    x = pts[order, 0]
-    count = np.searchsorted(x, x + r, "right") - np.arange(len(x)) - 1
-    a = np.repeat(np.arange(len(x)), count)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count - 1, count) + a
-    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    # the margin covers the rounding of x / size, so that two points within
+    # r never lie more than one cell apart; it also keeps every cell index
+    # below 2**53, where floats hold integers exactly
+    margin = 1e-6 * r + 16.0 * np.finfo(float).eps * np.abs(pts).max(initial=0.0)
+    size = max(r + margin, np.finfo(float).tiny)
+    # cell (i, j) as the complex number i + j 1j, which sorts by i, then j
+    cell = np.floor(pts / size).view(complex).ravel()
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    # ranges [lo, hi) of sorted positions: in its own column a point pairs
+    # from the next point to the cell above, in the next column from the
+    # cell below to the cell above
+    n = len(cell)
+    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(cell, cell + (1 - 1j), "left")])
+    hi = np.concatenate([np.searchsorted(cell, cell + 1j, "right"),
+                         np.searchsorted(cell, cell + (1 + 1j), "right")])
+    count = hi - lo
+    a = order[np.repeat(np.tile(np.arange(n), 2), count)]
+    b = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
     d = np.hypot(*(pts[i] - pts[j]).T)
     near = d <= r
     return i[near], j[near], d[near]

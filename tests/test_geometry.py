@@ -2,6 +2,7 @@ import collections
 import copy
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,14 +371,100 @@ def test_signed_distance_independent_of_batch(data):
 
 
 def test_signed_distance_independent_of_batch_across_table_blocks():
-    # 64 harmonics: the trig table holds 8192 points per block, so this
-    # batch ends 108 points into a second block
+    # 64 harmonics: the trig table holds 512 points per block, so this
+    # batch spans 17 blocks, and the nearest-boundary query's chunks of
+    # 4096 points start at 4096 and 8192
     assert len(ELLIPSE.cos_coeffs) == 64
+    assert geometry._TRIG_TABLE_ELEMS // (2 * 64) == 512
     pts = np.random.default_rng(5).uniform(-1.1, 1.1, (8300, 2))
     batch = ELLIPSE.signed_distance(pts)
-    for i in (0, 1, 8190, 8191, 8192, 8193, 8299):
+    for i in (0, 1, 511, 512, 513, 4095, 4096, 8191, 8192, 8193, 8299):
         assert ELLIPSE.signed_distance(pts[i]) == batch[i]
     assert np.array_equal(ELLIPSE.signed_distance(pts[8000:8300]), batch[8000:])
+
+
+def _feet_rows_equal(feet, i, other, k):
+    """Row i of feet equals row k of other in every field, nan for nan."""
+    n = feet.count[i]
+    if n != other.count[k] or not np.array_equal(feet.circle[i], other.circle[k],
+                                                 equal_nan=True):
+        return False
+    pad = [(f.distance[r, c:], f.param[r, c:]) for f, r, c in ((feet, i, n), (other, k, n))]
+    return (all(np.all(d == np.inf) and np.all(np.isnan(p)) for d, p in pad)
+            and all(np.array_equal(getattr(feet, f)[i, :n], getattr(other, f)[k, :n],
+                                   equal_nan=True)
+                    for f in ("point", "param", "distance", "curvature")))
+
+
+def _assert_feet_independent_of_batch(dom, pts, sizes, singles):
+    """Prefix batches of pts, and single points at the indices singles,
+    give the feet rows of the whole batch, which is returned."""
+    whole = dom.feet_batch(pts)
+    assert len(whole.count) == len(pts)
+    for n in sizes:
+        part = dom.feet_batch(pts[:n])
+        assert all(_feet_rows_equal(part, i, whole, i) for i in range(n)), n
+    for i in singles:
+        assert _feet_rows_equal(dom.feet_batch(pts[i]), 0, whole, i), i
+    return whole
+
+
+def _feet_points(seed, n):
+    """n points inside, near and far off a unit-size domain, with the
+    origin (the disc's degenerate circle) at both sides of a scan chunk."""
+    pts = _near_and_far_points(seed, n - n // 10, n // 10)
+    pts = pts[np.random.default_rng(seed).permutation(n)]
+    c = SmoothPolarDomain.SCAN_CHUNK
+    pts[[0, c - 1, c, n - 1]] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
+def test_feet_independent_of_batch(dom):
+    """Every field of a point's feet is the same in batches of 1, 63, 64,
+    65, 300 and 2000 points, across the scan chunks and the segment
+    test's root chunks, for near, far and degenerate points."""
+    c = SmoothPolarDomain.SCAN_CHUNK
+    whole = _assert_feet_independent_of_batch(dom, _feet_points(31, 2000),
+                                              (1, c - 1, c, c + 1, 300), range(0, 2000, 97))
+    assert np.any(whole.count > 1) and np.any(whole.count == 0)
+    assert np.isnan(whole.circle[0]) != (dom is DISC)
+
+
+@settings(max_examples=6, deadline=None)
+@given(dom=polar_domains(), seed=st.integers(0, 2**32 - 1))
+def test_feet_independent_of_batch_on_random_domains(dom, seed):
+    c = SmoothPolarDomain.SCAN_CHUNK
+    _assert_feet_independent_of_batch(dom, _feet_points(seed, 2000),
+                                      (1, c - 1, c, c + 1, 300), range(0, 2000, 331))
+
+
+def _traced_peak_mb(fn):
+    """Peak of the memory traced while fn runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_geometry_working_set_is_bounded():
+    """The feet of 2000 points and the potato skeleton at the CLI's
+    default resolution 0.01 keep their scratch tables in fixed chunks.
+    Measured traced peaks: 7.7 and 11.7 MB; tables that grew with the
+    batch took about 100 and 65 MB."""
+    pts = np.random.default_rng(41).uniform(-1.3, 1.3, (2000, 2))
+    assert _traced_peak_mb(lambda: POTATO.feet_batch(pts)) < 10.0
+    assert _traced_peak_mb(lambda: compute_skeleton(potato_domain(), 0.01)) < 15.0
+
+
+@pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
+def test_feet_of_no_points(dom):
+    feet = dom.feet_batch(np.empty((0, 2)))
+    assert feet.point.shape == (0, 0, 2)
+    assert feet.param.shape == feet.distance.shape == feet.curvature.shape == (0, 0)
+    assert feet.count.shape == feet.circle.shape == (0,)
 
 
 def _near_and_far_points(seed, n_near, n_far):
