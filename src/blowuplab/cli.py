@@ -100,7 +100,7 @@ def cmd_predict(cfg, out) -> int:
     strip = cfg.geometry == "strip"
     dom = None if strip else cfg.domain()
     os.makedirs(out, exist_ok=True)
-    _write_echo(cfg, out)
+    _write_echo(dump_config(cfg), out)
     rs = ReactionSolution(cfg.nonlinearity_obj())
     T_of = _measured_T(out, rs)
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
@@ -150,23 +150,23 @@ def _write_loops(path, loops):
               [(x, y, k) for k, loop in enumerate(loops) for x, y in loop.tolist()])
 
 
-def _write_echo(cfg, out):
+def _write_echo(echo, out):
     with atomic_open(os.path.join(out, "config_echo.yaml")) as fh:
-        fh.write(dump_config(cfg))
+        fh.write(echo)
 
 
-def _solve_one(cfg, eps, out):
+def _solve_one(cfg, eps, out, echo):
     try:
         report = run_solver(cfg.solver_config(eps))
     except (ConvergenceError, DivergenceError) as e:
         raise type(e)(f"eps={eps:g}: {e}") from e
-    _write_report(report, cfg, eps, out)
+    _write_report(report, cfg, eps, out, echo)
     detected = report.blowup_detected or report.stop_reason == "t-end"
     return (eps, report.T_eps, report.multiplicity, report.stop_reason,
             report.sup_stop, detected)
 
 
-def _write_report(report, cfg, eps, out):
+def _write_report(report, cfg, eps, out, echo):
     tag = _eps_tag(eps)
     axes = ("x", "y", "z")[:len(report.grid)]
     write_csv(os.path.join(out, f"singularities_eps{tag}.csv"), (*axes, "value"),
@@ -185,7 +185,7 @@ def _write_report(report, cfg, eps, out):
         for key in ("steps", "solves", "factorizations", "cg_iterations"):
             fh.write(f"{key}={report.diagnostics[key]}\n")
         fh.write("--- config ---\n")
-        fh.write(dump_config(cfg))
+        fh.write(echo)
     if "csv" in cfg.formats:
         _write_field(report, os.path.join(out, f"field_eps{tag}.csv"))
     if len(report.grid) == 2 and len(report.singularities):
@@ -211,16 +211,17 @@ def cmd_solve(cfg, out, threads) -> int:
     for e in eps_list:  # bad geometry or solver settings fail before any output
         cfg.solver_config(e)
     os.makedirs(out, exist_ok=True)
-    _write_echo(cfg, out)
+    echo = dump_config(cfg)
+    _write_echo(echo, out)
     try:
         if threads > 1 and len(eps_list) > 1:
             # imported here: multiprocessing costs every start-up otherwise
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_solve_one, cfg, e, out) for e in eps_list]
+                futures = [pool.submit(_solve_one, cfg, e, out, echo) for e in eps_list]
                 results = [f.result() for f in futures]
         else:
-            results = [_solve_one(cfg, e, out) for e in eps_list]
+            results = [_solve_one(cfg, e, out, echo) for e in eps_list]
     except (ConvergenceError, DivergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

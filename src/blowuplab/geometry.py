@@ -599,7 +599,8 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
         for sy in (-1.0, 1.0):
             pts.append(np.column_stack([cx + sx * (a - ts), cy + sy * (b - ts)]))
     samples = _skeleton_samples(dom, np.concatenate(pts), 1e-9 * dom.diameter)
-    samples = _dedup_samples(samples, 1e-9 * dom.diameter)
+    # sort keys on multiples of 1e-6 res; 1e-6 of this radius is ~20 ulps
+    samples = _dedup_samples(samples, 1e-9 * dom.diameter, 1e-6 * res)
     _label_branches(samples, 1.8 * res)
     return Skeleton(samples=samples, resolution=res, s_min=0.0,
                     touches_boundary=True)
@@ -707,16 +708,16 @@ def _tracked_distance(dom: SmoothPolarDomain, x, th0):
     return np.hypot(*(x - dom.point_at(th)).T)
 
 
-def _dedup_samples(samples, radius):
+def _dedup_samples(samples, radius, quantum=None):
     """Samples in (x, y) order, each dropped when closer than radius to
     an earlier kept one. The order compares coordinates rounded to
-    multiples of 1e-6 radius, so rounding noise (x is +-1.7e-16 on the
-    ellipse's x = 0 branch) cannot flip it; equal keys keep the input
-    order."""
+    multiples of quantum, 1e-6 radius unless given, so rounding noise (x
+    is +-1.7e-16 on the ellipse's x = 0 branch) cannot flip it; equal
+    keys keep the input order."""
     if not samples:
         return []
     pts = np.array([s.point for s in samples])
-    key = np.round(pts / (1e-6 * radius))
+    key = np.round(pts / (1e-6 * radius if quantum is None else quantum))
     order = np.lexsort((key[:, 1], key[:, 0]))
     i, j, d = _near_pairs(pts[order], radius)
     # one greedy pass over the close pairs in (x, y) order of their first

@@ -14,26 +14,16 @@ blow through the reaction singularity inside a step come back +inf and
 stop the run with the pre-step tail estimate.
 
 Step sizes adapt by proportional control on the per-step growth of the
-sup norm (2% target near blow-up). Rectangle and cube steps are solved
-by fast diagonalization (FastDiagCN, with FastDiagRectCN and
-FastDiagCubeCN at order 4), set up once per power-of-two step-size
-bucket. They are taken in the sine basis, where the clamped wall term
-is rank 2 per axis: the explicit half u - dt/2 B u, the
-rectangle's Woodbury correction and every cube PCG iteration work on
-sine coefficients, so a box step makes one forward and one inverse
-transform and no sparse product, and the box builders assemble no
-sparse operator. Strip and disc steps
-(BandedCN) take every dt the controller chooses: the band of their
-operator is stored once and each new dt costs one banded
-factorization. SparseLUCN (direct sparse LU) and
-ConjugateGradientCN (plain CG), the box steps these replaced, stay as
-the reference paths that the tests compare them against.
-
-FastDiagCubeCN starts each PCG from the sine solve plus a correction
-extrapolated from the last steps of its dt bucket, whose equal steps
-make the corrections change smoothly. Every adapter counts its solves
-(one per step) and its factorizations or setups; FastDiagCubeCN also
-counts its PCG iterations. solve_problem copies these counts into
+sup norm (2% target near blow-up). Each adapter keeps one form of its
+operator. Strip and disc steps (BandedCN) keep its band and take every
+dt the controller chooses, one banded factorization per new dt.
+Rectangle and cube steps (FastDiagCN; FastDiagRectCN and FastDiagCubeCN
+at order 4) work on sine coefficients from the grid alone, set up once
+per power-of-two dt bucket, so a step makes two transforms and no
+sparse product. SparseLUCN and ConjugateGradientCN, the box steps these
+replaced, stay as the tests' reference paths. Every adapter counts its
+solves and its factorizations or setups, FastDiagCubeCN also its PCG
+iterations, and solve_problem copies the counts into
 BlowupReport.diagnostics.
 """
 
@@ -153,36 +143,36 @@ def _pow2_bucket(dt):
 class BandedCN:
     """Crank-Nicolson solve for banded operators (1D), dt by dt.
 
-    The band of B is stored once. A new dt forms the band of I + THETA dt B
-    as (THETA dt) times it plus 1 on the main diagonal, and factors it
-    once for the step and its mirror solve: dgttrf/dgttrs at bandwidth 1
-    and dgbtrf/dgbtrs above, the factor and solve halves of gtsv and
-    gbsv, the LAPACK routines behind scipy's solve_banded, so every step
-    is that of solve_banded on the assembled matrix, bit for bit. The explicit half
-    (I - (1 - THETA) dt B) u refills a fixed CSR structure, that of the
-    sparse sum I - B, so each row sums in the order of that sum. The
-    order matters: the strip's persymmetrized B has unsorted indices.
+    B is stored once, as its band ab in LAPACK storage (B[i, j] at
+    ab[bw + i - j, j]). A new dt factors the band of I + THETA dt B once
+    for the step and its mirror solve: dgttrf/dgttrs at bandwidth 1 and
+    dgbtrf/dgbtrs above, the halves of gtsv and gbsv behind scipy's
+    solve_banded, so every step is that of solve_banded, bit for bit.
+    The explicit half is one product W[d, j] u[j], W the band of
+    I - (1 - THETA) dt B, summed by matrix row in the order of the sparse
+    sums the golden reports were recorded with: ascending offset, or,
+    with symmetrize, the off-diagonals ascending and the diagonal last.
 
     The banded LU sweep is directional; on reflection-symmetric operators
     symmetrize=True averages the solve with its mirror image, which keeps
     symmetric data symmetric to roundoff instead of accumulating a biased
     drift that blow-up amplification would magnify."""
 
-    def __init__(self, B: sp.spmatrix, bandwidth: int, symmetrize=False):
-        self.B = B.tocsr()
-        self.bw = bandwidth
+    def __init__(self, ab: np.ndarray, symmetrize=False):
+        self.ab = ab
+        self.bw = bw = len(ab) // 2
+        self.n = n = ab.shape[1]
         self.symmetrize = symmetrize
-        self.n = B.shape[0]
-        self.Bab = _to_banded(self.B, bandwidth)
-        # entries of -1 keep every entry of the sum nonzero, so the
-        # structure is that of I - c B for any c
-        pattern = self.B.copy()
-        pattern.data = np.full(len(pattern.data), -1.0)
-        self._A2 = (sp.identity(self.n, format="csr") - pattern).tocsr()
-        rows = np.repeat(np.arange(self.n), np.diff(self._A2.indptr))
-        cols = self._A2.indices
-        self._A2_I = (rows == cols).astype(float)
-        self._A2_B = self.Bab[bandwidth + rows - cols, cols]
+        # W[d, j] u[j] goes in rows of n + bw whose last bw entries stay
+        # zero; read back in rows of n + bw - 1, row d holds the products
+        # of offset bw - d, each in the column of its matrix row
+        buf = np.zeros((2 * bw + 1) * (n + bw))
+        self._products = buf.reshape(2 * bw + 1, n + bw)[:, :n]
+        self._by_offset = buf[bw:-bw - 1].reshape(2 * bw + 1, n + bw - 1)[:, :n]
+        # its rows in summation order: all reversed, offsets ascending (a
+        # view), or, with symmetrize, a copy with the main diagonal last
+        rows = [d for d in range(2 * bw, -1, -1) if d != bw] + [bw]
+        self._order = np.array(rows) if symmetrize else slice(None, None, -1)
         self._key = None
         self.factorizations = 0
         self.solves = 0
@@ -193,7 +183,7 @@ class BandedCN:
     def _factor(self, dt):
         """LU factors of the band of I + THETA dt B."""
         bw = self.bw
-        ab = (THETA * dt) * self.Bab
+        ab = (THETA * dt) * self.ab
         ab[bw] += 1.0
         if bw == 1:
             *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
@@ -216,11 +206,13 @@ class BandedCN:
 
     def apply(self, dt, u):
         if self._key != dt:
-            self._A2.data = self._A2_I - ((1.0 - THETA) * dt) * self._A2_B
+            self._W = (-(1.0 - THETA) * dt) * self.ab
+            self._W[self.bw] += 1.0
             self._lu = self._factor(dt)
             self._key = dt
         self.solves += 1
-        b = self._A2 @ u
+        np.multiply(self._W, u, out=self._products)
+        b = np.add.reduce(self._by_offset[self._order], axis=0)
         if not self.symmetrize:
             return self._solve(b)
         # the solve and its mirror as one two-column right side
@@ -366,54 +358,53 @@ class FastDiagRectCN(FastDiagCN):
 
     R is added back exactly by a capacitance solve over the 2(mx+my)
     nodes of the lines next to the walls (Buzbee, Dorr, George and Golub
-    1971), from G = g b^ in the sine basis; the capacitance matrix is
-    solved by two BLAS triangular solves on its Cholesky factor. It is
-    taken in sine-line coordinates, each wall line transformed along its
-    length (Sy on the rows part, Sx on the columns part), where it is
-    built and applied from Ex, Ey and g alone, with no product by Sx or
-    Sy. With Ex, Ey the sine vectors at the walls, T R T u^ is
-    (2/hx^4) Ex^T (Ex U^) + (2/hy^4) (U^ Ey^T) Ey, and a step makes two
-    transforms. Memory: every cached dt bucket holds a dense Cholesky
-    factor of that size, 8 (2(mx+my))^2 bytes, 20 MB at 399^2 interior
-    nodes; at the max_unknowns limit of about 1412^2 the six buckets
-    would need about 1.5 GB, a size this solver has not been run at."""
+    1971), from G = g b^ in the sine basis. It is built and applied from
+    Ex, Ey (the sine vectors at the walls) and g alone, in sine-line
+    coordinates, where both diagonal blocks of the capacitance matrix
+    are block-diagonal with 2 x 2 blocks. So the walls of the short axis
+    are eliminated by 2 x 2 inverses, and only the Schur complement on
+    the walls of the long axis, of size 2 min(mx, my), is
+    Cholesky-factored. Memory: a cached dt bucket holds
+    8 mx my + 8 (2 min(mx, my))^2 bytes, 0.17 MB at the benchmark's
+    119 x 59 interior nodes and 80 MB at 1414^2, about the max_unknowns
+    limit. There, on one BLAS thread of a 2-core x86_64, a setup took
+    0.96 s and a process peaked at 355 MB of RSS over one setup and step
+    (599^2: 0.10 s and 120 MB)."""
 
     def __init__(self, shape, spacing, scale):
         super().__init__(shape, spacing, scale)
         self.eig = self.eig ** 2                       # of L^2
         self.ends = [S[[0, -1]] for S in self.sines]   # sine vectors at the walls
         self.walls = [2.0 / h ** 4 for h in self.spacing]
+        # per-axis lists and fields (by _long) with the long axis first
+        self._axes = slice(None) if shape[0] >= shape[1] else slice(None, None, -1)
+
+    def _long(self, A):
+        return A.T if self._axes.step else A
 
     def _setup(self, dt):
-        """P^-1 eigenvalues, the Cholesky factor of
-        I + D^1/2 W^T P^-1 W D^1/2, and D^1/2.
-
-        W holds one column per node of the lines i = 0, mx-1 (rows part,
-        (a, j) order) and j = 0, my-1 (columns part, (b, i) order); the
-        corners sit on both. Transformed along the lines, W^T P^-1 W has
-        diagonal rows-rows and columns-columns blocks,
-        (Ex[a] Ex[b]) @ g and g @ (Ey[a] Ey[b]), and rows-columns entries
-        Ex[a, p] g[p, q] Ey[b, q] at (a, q; b, p)."""
+        """g, the upper Cholesky factor of the Schur complement, the 2 x 2
+        inverses F of the eliminated blocks, and D^1/2 of both parts. With
+        gL = g long axis first, the kept (a, q) and eliminated (b, p) blocks
+        of W^T P^-1 W are (EL[a] EL[b]) @ gL and (ES[a] ES[b]) @ gL^T, and
+        X[(a, q), (b, p)] = EL[a, p] gL[p, q] ES[b, q] joins them."""
         g = super()._setup(dt)
-        Ex, Ey = self.ends
-        mx, my = self.shape
-        # Ex[a] * Ex[b] is symmetric in a and b, bit for bit, and so is K
-        jy, ix = np.arange(my), np.arange(mx)
-        KR = np.zeros((2, my, 2, my))
-        KC = np.zeros((2, mx, 2, mx))
-        KR[:, jy, :, jy] = ((Ex[:, None] * Ex) @ g).transpose(2, 0, 1)
-        KC[:, ix, :, ix] = ((Ey[:, None] * Ey) @ g.T).transpose(2, 0, 1)
-        KX = (Ex[:, None, None] * g.T[:, None]) * Ey.T[:, :, None]
-        KX = KX.reshape(2 * my, 2 * mx)
-        K = np.block([[KR.reshape(2 * my, 2 * my), KX],
-                      [KX.T, KC.reshape(2 * mx, 2 * mx)]])
-        wx, wy = self.walls
-        c = THETA * dt * self.scale
-        d = np.sqrt(c * np.concatenate([np.full(2 * my, wx),
-                                        np.full(2 * mx, wy)]))
-        C = d[:, None] * K * d[None, :]
-        C[np.diag_indices_from(C)] += 1.0
-        return g, cho_factor(C), d
+        gL = self._long(g)
+        EL, ES = self.ends[self._axes]
+        aL, aS = (THETA * dt * self.scale * w for w in self.walls[self._axes])
+        mL, mS = gL.shape
+        # inverses of the eliminated part's blocks I + aS (ES[a] ES[b]) @ gL[p]
+        KS = (ES[:, None] * ES) @ gL.T
+        e00, e01, e11 = 1.0 + aS * KS[0, 0], aS * KS[0, 1], 1.0 + aS * KS[1, 1]
+        F = np.array([[e11, -e01], [-e01, e00]]) / (e00 * e11 - e01 * e01)
+        # S = I + aL KL - aL aS X F X^T, aL = D of the kept part, X^T as Y[b, p, (a, q)]
+        Y = ((EL.T[:, :, None] * gL[:, None, :]) * ES[:, None, None, :]).reshape(2, mL, 2 * mS)
+        S = Y.reshape(2 * mL, 2 * mS).T @ _pairs(F[..., None], Y).reshape(2 * mL, 2 * mS)
+        S *= -(aL * aS)
+        q = np.arange(mS)
+        S.reshape(2, mS, 2, mS)[:, q, :, q] += aL * ((EL[:, None] * EL) @ gL).transpose(2, 0, 1)
+        S[np.diag_indices_from(S)] += 1.0
+        return g, cho_factor(S)[0], F, math.sqrt(aL), math.sqrt(aS)
 
     def _wall_hat(self, Uh):
         Ex, Ey = self.ends
@@ -421,18 +412,25 @@ class FastDiagRectCN(FastDiagCN):
         return wx * (Ex.T @ (Ex @ Uh)) + wy * ((Uh @ Ey.T) @ Ey)
 
     def _step(self, setup, bh):
-        g, (cu, _), d = setup                          # cu: upper factor
-        Ex, Ey = self.ends
-        mx, my = self.shape
+        g, cu, F, dL, dS = setup                       # cu: upper factor of S
+        EL, ES = self.ends[self._axes]
         G = g * bh
-        # W^T P^-1 b in sine-line coordinates: Ex G and G Ey^T
-        y = np.concatenate([(Ex @ G).ravel(), (G @ Ey.T).T.ravel()])
-        # C^-1 = U^-1 U^-T
-        z = d * dtrsv(cu, dtrsv(cu, d * y, trans=1), trans=0)
-        zr, zc = z[:2 * my].reshape(2, my), z[2 * my:].reshape(2, mx)
-        # T (W z), subtracted in the sine basis
-        H = Ex.T @ zr + zc.T @ Ey
-        return self._transform(G - g * H).ravel()
+        gL, GL = self._long(g), self._long(G)
+        # D^1/2 W^T P^-1 b in sine-line coordinates: EL GL and ES GL^T
+        vK, vE = dL * (EL @ GL), dS * (ES @ GL.T)
+        # C z = v by blocks, X applied from EL, gL and ES:
+        # S zK = vK - dL dS X F vE, then zE = F (vE - dL dS X^T zK)
+        rK = vK - (dL * dS) * (EL @ (gL * (_pairs(F, vE).T @ ES)))
+        zK = dtrsv(cu, dtrsv(cu, rK.ravel(), trans=1), trans=0).reshape(2, -1)
+        zE = _pairs(F, vE - (dL * dS) * (((EL.T @ zK) * gL) @ ES.T).T)
+        # T (W D^1/2 z), subtracted in the sine basis
+        H = EL.T @ (dL * zK) + (dS * zE).T @ ES
+        return self._transform(G - g * self._long(H)).ravel()
+
+
+def _pairs(F, v):
+    """The 2 x 2 blocks F[:, :, p] applied to the pairs v[:, p]."""
+    return F[:, 0] * v[0] + F[:, 1] * v[1]
 
 
 class FastDiagCubeCN(FastDiagCN):
@@ -545,20 +543,22 @@ class FastDiagCubeCN(FastDiagCN):
         return x, r
 
 
+def banded(bw, cols, vals, keep=True):
+    """LAPACK band storage, entry (i, j) at ab[bw + i - j, j], of the
+    matrix whose row i adds vals[i] into the columns cols[i] where keep
+    is set, in C order (the order scipy's sparse assembly summed them)."""
+    rows, keep = np.indices(cols.shape)[0], np.broadcast_to(keep, cols.shape)
+    ab = np.zeros((2 * bw + 1, len(cols)))
+    np.add.at(ab, (bw + rows[keep] - cols[keep], cols[keep]), vals[keep])
+    return ab
+
+
 def _dst1_matrix(m):
     """Orthonormal, symmetric DST-I matrix of size m. The phase j*k is
     reduced mod 2(m+1) first, so sin sees arguments in [0, 2 pi)."""
     k = np.arange(1, m + 1)
     phase = np.outer(k, k) % (2 * (m + 1))
     return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * phase / (m + 1))
-
-
-def _to_banded(A: sp.spmatrix, bw: int):
-    n = A.shape[0]
-    ab = np.zeros((2 * bw + 1, n))
-    Ac = A.tocoo()
-    ab[bw + Ac.row - Ac.col, Ac.col] = Ac.data
-    return ab
 
 
 def initial_field(cfg: SolverConfig, n_unknowns: int) -> np.ndarray:

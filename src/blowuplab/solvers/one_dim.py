@@ -4,7 +4,8 @@ u_t = -eps^4 u_xxxx + f(u) (clamped) on x in [-1, 1].
 Grids are symmetric about 0 with optional tanh grading toward the
 endpoints. The clamped conditions u = u_x = 0 enter through even ghost
 reflection across each boundary node; stencil weights come from the
-interpolatory generator so graded grids need no special casing.
+interpolatory generator so graded grids need no special casing. The
+operators are assembled as the bands BandedCN steps on.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..stencils import fd_weights
-from .common import BandedCN, SolverConfig
+from .common import BandedCN, SolverConfig, banded
 
 
 def strip_grid(n, grading=0.0, half_width=1.0):
@@ -44,8 +44,7 @@ def fourth_derivative_clamped(x):
     w[-1, 2] += w[-1, 4]
     j = np.arange(m)[:, None] + np.arange(-2, 3)
     keep = (0 <= j) & (j < m)  # ghosts and boundary values drop out
-    rows = np.broadcast_to(np.arange(m)[:, None], j.shape)
-    return sp.csr_matrix((w[keep], (rows[keep], j[keep])), shape=(m, m))
+    return banded(2, j, w, keep)
 
 
 def second_derivative_dirichlet(x):
@@ -53,8 +52,7 @@ def second_derivative_dirichlet(x):
     j = np.arange(1, m + 1)[:, None] + np.arange(-1, 2)
     w = fd_weights(x[j], x[1:-1], 2)[:, :, 2]
     keep = (1 <= j) & (j <= m)  # boundary values are zero and drop out
-    rows = np.broadcast_to(np.arange(m)[:, None], j.shape)
-    return sp.csr_matrix((w[keep], (rows[keep], j[keep] - 1)), shape=(m, m))
+    return banded(1, j - 1, w, keep)
 
 
 @lru_cache(maxsize=4)
@@ -63,7 +61,7 @@ def _strip_operator(nx, grading, half_width, order):
     eps of a sweep. Every caller shares it, so its entries are read-only."""
     x = strip_grid(nx, grading, half_width)
     D = (fourth_derivative_clamped if order == 4 else second_derivative_dirichlet)(x)
-    D.data.flags.writeable = False
+    D.flags.writeable = False
     return D
 
 
@@ -72,10 +70,10 @@ def build_strip(cfg: SolverConfig):
     x = strip_grid(cfg.nx, cfg.grading, cfg.half_width_x)
     D = _strip_operator(cfg.nx, cfg.grading, cfg.half_width_x, cfg.order)
     if cfg.order == 4:
-        B = D * cfg.eps ** 4
+        ab = D * cfg.eps ** 4
     else:
-        B = -D * cfg.eps ** 2
+        ab = -D * cfg.eps ** 2
     # exact persymmetry: mirrored stencil weights agree only algebraically,
     # and the bias would be amplified by blow-up growth
-    B = 0.5 * (B + B[::-1, ::-1].tocsr())
-    return BandedCN(B, cfg.order // 2, symmetrize=True), (x[1:-1],)
+    ab = 0.5 * (ab + ab[::-1, ::-1])
+    return BandedCN(ab, symmetrize=True), (x[1:-1],)

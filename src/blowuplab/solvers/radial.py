@@ -14,15 +14,15 @@ onto interior unknowns:
 
 A standard radial Laplacian variant covers the second-order problem; its
 Dirichlet wall u(1) = 0 is the odd reflection u[nr] = -u[nr-1].
+Both are assembled as the bands BandedCN steps on.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..stencils import fd_weights
-from .common import BandedCN, BlowupReport, SolverConfig, _parabola_vertices
+from .common import BandedCN, BlowupReport, SolverConfig, _parabola_vertices, banded
 
 
 def radial_grid(nr):
@@ -48,8 +48,7 @@ def radial_biharmonic(nr):
     vals = np.stack([np.where(j == nr, 2.0 * coef, np.where(wall, 27.0 * coef, coef)),
                      np.where(j == nr, -coef / 9.0, -2.0 * coef)], axis=2)
     keep = np.stack([np.ones_like(wall), wall], axis=2)
-    rows = np.broadcast_to(np.arange(nr)[:, None, None], keep.shape)
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nr, nr))
+    return banded(2, cols, vals, keep)
 
 
 def radial_laplacian_dirichlet(nr):
@@ -62,19 +61,17 @@ def radial_laplacian_dirichlet(nr):
     j = np.arange(nr)[:, None] + offs
     cols = np.where(j < 0, 0, np.minimum(j, nr - 1))
     vals = np.where(j == nr, -coef, coef)  # u(1) = 0 via odd reflection
-    rows = np.broadcast_to(np.arange(nr)[:, None], j.shape)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(nr, nr))
+    return banded(1, cols, vals)
 
 
 def build_disc(cfg: SolverConfig):
     """Crank-Nicolson step adapter and staggered radial grid (nr = nx) of the disc."""
     nr = cfg.nx
     if cfg.order == 4:
-        B = radial_biharmonic(nr) * cfg.eps ** 4
+        ab = radial_biharmonic(nr) * cfg.eps ** 4
     else:
-        B = -radial_laplacian_dirichlet(nr) * cfg.eps ** 2
-    return BandedCN(B, cfg.order // 2), (radial_grid(nr),)
+        ab = -radial_laplacian_dirichlet(nr) * cfg.eps ** 2
+    return BandedCN(ab), (radial_grid(nr),)
 
 
 def mark_ring(report: BlowupReport) -> BlowupReport:

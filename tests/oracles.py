@@ -7,7 +7,8 @@ distance oracles use brute-force boundary sampling. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
 systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
 the banded theta-step as it was first written, assembled anew for every
-dt from sparse sums and solved by solve_banded. dense_omega_loops is
+dt from sparse sums and solved by solve_banded; band_to_dense unpacks
+the band storage the strip and disc operators come in. dense_omega_loops is
 omega_set as it was first written, with the signed distance evaluated
 at every grid node. scalar_uniform_2d is predictor.uniform_2d as it was
 first written, with one profile call per foot. scalar_extract_singularities
@@ -312,15 +313,32 @@ def scalar_fourth_derivative_clamped(x):
 
 # -- reference banded theta-step ---------------------------------------------------
 
+def band_to_dense(ab):
+    """The square matrix of a band in LAPACK storage, A[i, j] = ab[bw + i - j, j]."""
+    bw, n = len(ab) // 2, ab.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= bw
+    A = np.zeros((n, n))
+    A[inside] = ab[(bw + i - j)[inside], j[inside]]
+    return A
+
+
 class RebuiltBandedCN:
     """theta-step (I + theta dt B) x = (I - (1 - theta) dt B) u with both
     matrices rebuilt as sparse sums for every new dt, the implicit one
     converted to band storage and solved by solve_banded (once more on
-    the mirrored right side when symmetrize is set)."""
+    the mirrored right side when symmetrize is set). B is given as its
+    band ab; with symmetrize set, the CSR B is the persymmetrized sum
+    0.5 (B + B[::-1, ::-1]) that the strip's operator was once assembled
+    as, which leaves the entries of a persymmetric band as they are and
+    gives each row the unsorted order of that sum."""
 
-    def __init__(self, B, bandwidth, theta, symmetrize=False):
-        self.B = B.tocsr()
-        self.bw = bandwidth
+    def __init__(self, ab, theta, symmetrize=False):
+        B = sp.csr_matrix(band_to_dense(ab))
+        if symmetrize:
+            B = 0.5 * (B + B[::-1, ::-1].tocsr())
+        self.B = B
+        self.bw = len(ab) // 2
         self.theta = theta
         self.symmetrize = symmetrize
         self.n = B.shape[0]

@@ -275,6 +275,29 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert s1 == s2
 
 
+def test_each_verb_formats_the_config_echo_once(tmp_path, monkeypatch):
+    """solve, predict and compare each dump the config once; every
+    report_eps*.txt ends with the text of config_echo.yaml."""
+    import blowuplab.cli as cli
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return dump_config(cfg)
+
+    monkeypatch.setattr(cli, "dump_config", counting)
+    path = write_cfg(tmp_path, STRIP_CFG.replace("eps: [0.2]", "eps: [0.2, 0.25]"))
+    out = tmp_path / "out"
+    for verb in ("solve", "predict", "compare"):
+        del calls[:]
+        assert main(["--config", path, "--out", str(out), verb]) == 0
+        assert len(calls) == 1, verb
+    echo = (out / "config_echo.yaml").read_text()
+    for tag in ("0p2", "0p25"):
+        report = (out / f"report_eps{tag}.txt").read_text()
+        assert report.endswith("--- config ---\n" + echo)
+
+
 def test_solve_byte_identical_reruns(tmp_path):
     path = write_cfg(tmp_path, STRIP_CFG)
     out1 = str(tmp_path / "r1")

@@ -947,6 +947,27 @@ def test_dedup_order_survives_last_bit_noise():
         assert [id(s) for s in kept] == [id(s) for s in moved]
 
 
+def test_rectangle_skeleton_order_survives_last_bit_noise(monkeypatch):
+    """The rectangle's samples at resolution 0.01 share their x along the
+    mid-lines and diagonals. Each coordinate moved by one ulp before the
+    dedup, the 577 samples come out in the order of the exact ones."""
+    exact = np.array([s.point for s in compute_skeleton(RECT, 0.01).samples])
+    assert len(exact) == 577
+    make = geometry._skeleton_samples
+    rng = np.random.default_rng(0)
+
+    def nudged(*args):
+        samples = make(*args)
+        for s in samples:
+            s.point = np.nextafter(s.point, np.where(rng.random(2) < 0.5, -np.inf, np.inf))
+        return samples
+
+    monkeypatch.setattr(geometry, "_skeleton_samples", nudged)
+    for _ in range(20):
+        moved = np.array([s.point for s in compute_skeleton(RECT, 0.01).samples])
+        assert np.max(np.abs(moved - exact)) <= 4.5e-16
+
+
 def test_skeleton_requires_positive_resolution():
     with pytest.raises(ValueError):
         compute_skeleton(DISC, 0.0)

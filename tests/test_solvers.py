@@ -22,7 +22,8 @@ from blowuplab.solvers.one_dim import (fourth_derivative_clamped,
 from blowuplab.solvers.radial import (radial_biharmonic, radial_grid,
                                       radial_laplacian_dirichlet)
 from blowuplab.solvers.rect2d import rect_operator
-from oracles import (RebuiltBandedCN, box_operator, scalar_extract_singularities,
+from oracles import (RebuiltBandedCN, band_to_dense, box_operator,
+                     scalar_extract_singularities,
                      scalar_fourth_derivative_clamped, scalar_radial_biharmonic,
                      scalar_radial_laplacian_dirichlet,
                      scalar_second_derivative_dirichlet, scalar_track_peaks)
@@ -192,11 +193,11 @@ def test_strip_operator_persymmetric(order, grading):
     build_strip makes the stepped operator persymmetric exactly."""
     x = strip_grid(301, grading)
     raw = (fourth_derivative_clamped if order == 4 else second_derivative_dirichlet)(x)
-    raw = raw.toarray()
+    raw = band_to_dense(raw)
     assert np.abs(raw - raw[::-1, ::-1]).max() <= 1e-14 * np.abs(raw).max()
     cfg = SolverConfig(order=order, nonlinearity=EXP, eps=0.1, geometry="strip",
                        nx=301, grading=grading)
-    B = BUILDERS["strip"](cfg)[0].B.toarray()
+    B = band_to_dense(BUILDERS["strip"](cfg)[0].ab)
     assert np.array_equal(B, B[::-1, ::-1])
 
 
@@ -204,12 +205,11 @@ def test_d4_clamped_solution_convergence():
     # B u = 24 has the clamped solution u = (1 - x^2)^2; the reflection
     # ghost has an O(h^3) defect at one row per wall, absorbed by the
     # discrete Green function into >= 2nd-order solution convergence
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg import solve_banded
     errs = []
     for n in (201, 401):
         x = strip_grid(n, grading=0.0)
-        B = fourth_derivative_clamped(x).tocsc()
-        u = spsolve(B, np.full(n - 2, 24.0))
+        u = solve_banded((2, 2), fourth_derivative_clamped(x), np.full(n - 2, 24.0))
         errs.append(np.max(np.abs(u - (1 - x[1:-1] ** 2) ** 2)))
     assert errs[1] <= errs[0] / 3.5
     assert errs[1] <= 6e-5
@@ -217,15 +217,16 @@ def test_d4_clamped_solution_convergence():
 
 def test_d2_dirichlet_exact_for_quadratic():
     x = strip_grid(301, grading=1.2)
-    B = second_derivative_dirichlet(x)
+    B = band_to_dense(second_derivative_dirichlet(x))
     u = 1 - x[1:-1] ** 2
     assert np.max(np.abs(B @ u + 2.0)) <= 1e-8
 
 
-def _assert_same_operator(A, B):
-    """Entry for entry and in nnz: the triplets summed the same way."""
-    assert A.shape == B.shape and A.nnz == B.nnz
-    assert np.array_equal(A.toarray(), B.toarray())
+def _assert_same_operator(ab, B):
+    """The band ab and the sparse B entry for entry, with nothing stored
+    outside the matrix: the triplets summed the same way."""
+    assert ab.shape[1] == B.shape[0] and np.count_nonzero(ab) == B.nnz
+    assert np.array_equal(band_to_dense(ab), B.toarray())
 
 
 @pytest.mark.parametrize("nr", [4, 5, 7, 100, 1000])
@@ -255,7 +256,7 @@ def test_radial_biharmonic_manufactured():
     # u = (1 - r^2)^2: clamped at r=1, even at 0, Delta^2 u = 64
     nr = 500
     r = radial_grid(nr)
-    B = radial_biharmonic(nr)
+    B = band_to_dense(radial_biharmonic(nr))
     res = B @ (1 - r ** 2) ** 2 - 64.0
     # interior rows are exact (quartic); the wall closure is cubic-exact
     # so the last two rows carry an O(1) defect on an O(h) region
@@ -267,7 +268,7 @@ def test_radial_biharmonic_cubic_wall_exactness():
     import sympy as sym
     nr = 400
     r = radial_grid(nr)
-    B = radial_biharmonic(nr)
+    B = band_to_dense(radial_biharmonic(nr))
     rr = sym.symbols("r", positive=True)
     expr = (1 - rr) ** 2 * (0.7 - 0.3 * rr)
     L = (sym.diff(expr, rr, 4) + 2 / rr * sym.diff(expr, rr, 3)
@@ -342,11 +343,9 @@ def test_per_step_symmetry_injection():
     # a symmetric state stays symmetric to 1e-10 of its scale through one
     # full split step (reaction, Crank-Nicolson solve, reaction)
     x = strip_grid(801, grading=2.0)
-    from blowuplab.solvers.one_dim import fourth_derivative_clamped
-    import scipy.sparse as sp
-    B = fourth_derivative_clamped(x) * 0.1 ** 4
-    B = 0.5 * (B + B[::-1, ::-1].tocsr())
-    adapter = BandedCN(B, 2, symmetrize=True)
+    ab = fourth_derivative_clamped(x) * 0.1 ** 4
+    ab = 0.5 * (ab + ab[::-1, ::-1])
+    adapter = BandedCN(ab, symmetrize=True)
     rs = ReactionSolution(EXP)
     xi = x[1:-1]
     u = 0.5 * np.exp(-4 * xi ** 2)
@@ -632,13 +631,14 @@ def test_fast_diag_cube_step_error_within_plain_cg():
 def test_banded_step_matches_rebuilt_reference(geometry, order):
     """BandedCN against the per-dt sparse rebuild and solve_banded, bit for
     bit, over random dt sequences that repeat and revisit step sizes.
-    build_strip persymmetrizes B (unsorted CSR indices) and sets
-    symmetrize=True; build_disc does neither."""
+    build_strip persymmetrizes B and sets symmetrize=True, under which
+    the reference sums its rows in the unsorted order of the strip's
+    former CSR operator; build_disc does neither."""
     cfg = SolverConfig(order=order, nonlinearity=EXP, eps=0.1, geometry=geometry,
                        nx=301, grading=2.0 if geometry == "strip" else 0.0)
     fast, _ = BUILDERS[geometry](cfg)
     assert fast.symmetrize == (geometry == "strip")
-    ref = RebuiltBandedCN(fast.B, fast.bw, THETA, fast.symmetrize)
+    ref = RebuiltBandedCN(fast.ab, THETA, fast.symmetrize)
     rng = np.random.default_rng(order)
     dts = rng.choice(10.0 ** rng.uniform(-7.0, -2.0, 6), size=60)
     u = rng.uniform(0.0, 1.0, fast.n)
@@ -784,16 +784,38 @@ def _holds_sparse(obj):
     return isinstance(obj, (list, tuple)) and any(_holds_sparse(o) for o in obj)
 
 
-@pytest.mark.parametrize("geometry,order", [("rect", 2), ("rect", 4), ("cube", 4)])
+@pytest.mark.parametrize("geometry,order", [("rect", 2), ("rect", 4), ("cube", 4),
+                                            ("strip", 2), ("strip", 4),
+                                            ("radial-disc", 2), ("radial-disc", 4)])
 def test_fast_diag_apply_makes_no_sparse_product(geometry, order):
+    """No adapter holds a sparse matrix: the box steps work from the
+    grid, the strip and disc steps from the band of their operator."""
     cfg = SolverConfig(order=order, nonlinearity=POW2, eps=0.1, geometry=geometry,
                        nx=17, ny=11)
-    fast, _ = BUILDERS[geometry](cfg)
-    u = np.random.default_rng(order).uniform(0.0, 1.0, int(np.prod(fast.shape)))
+    fast, axes = BUILDERS[geometry](cfg)
+    u = np.random.default_rng(order).uniform(0.0, 1.0, int(np.prod([len(a) for a in axes])))
     for dt in (2.0 ** -12, 2.0 ** -6, 2.0 ** -12):
         fast.apply(dt, u)
-    assert fast.solves == 3 and fast.factorizations == 2
+    # box setups are cached per dt bucket; a banded step refactors on every new dt
+    assert fast.solves == 3 and fast.factorizations == (3 if hasattr(fast, "ab") else 2)
     assert not _holds_sparse(vars(fast))
+
+
+@pytest.mark.parametrize("nx,ny", [(17, 11), (11, 17), (13, 13)])
+def test_rect_buckets_factor_only_the_long_axis_walls(nx, ny):
+    """The largest array of every cached dt bucket is the Cholesky factor
+    of the Schur complement on the walls of the long axis, 2 min(mx, my)
+    square."""
+    cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.1, geometry="rect", nx=nx, ny=ny)
+    fast, _ = BUILDERS["rect"](cfg)
+    u = np.random.default_rng(0).uniform(0.0, 1.0, int(np.prod(fast.shape)))
+    for dt in (2.0 ** -12, 2.0 ** -9, 2.0 ** -6):
+        fast.apply(dt, u)
+    side = 2 * min(nx - 2, ny - 2)
+    assert len(fast.cache) == 3
+    for setup in fast.cache.values():
+        arrays = [a for a in setup if isinstance(a, np.ndarray)]
+        assert max(arrays, key=np.size).shape == (side, side)
 
 
 def test_config_validation():
