@@ -3,11 +3,11 @@
 Verbs: profile, predict, solve (also named sweep), compare. Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 no blow-up detected.
 CSV files are the data contract; SVG plots are a convenience. Identical
-configs (same seed) produce byte-identical CSVs at a fixed BLAS thread
-count: fileio.write_csv writes floats with repr, and every merge is
-sorted. Every output file is written through atomic_open, so a failed
-run leaves earlier files whole. A numerical failure of one eps, in a
---threads worker too, exits 3 and names that eps.
+configs (same seed) produce byte-identical CSVs: fileio.write_csv writes
+floats with repr, and every merge is sorted. Every output file is
+written through atomic_open, so a failed run leaves earlier files whole.
+A numerical failure of one eps, in a --threads worker too, exits 3 and
+names that eps.
 """
 
 from __future__ import annotations

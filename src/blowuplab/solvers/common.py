@@ -14,9 +14,10 @@ blow through the reaction singularity inside a step come back +inf and
 stop the run with the pre-step tail estimate.
 
 Step sizes adapt by proportional control on the per-step growth of the
-sup norm (2% target near blow-up). Each adapter keeps one form of its
-operator. Strip and disc steps (BandedCN) keep its band and take every
-dt the controller chooses, one banded factorization per new dt.
+sup norm (2% target near blow-up). Every adapter keeps one form of its
+operator and follows one contract (CNStep): a setup per dt, cached, and
+a step from it. Strip and disc steps (BandedCN) keep its band and take
+every dt the controller chooses, one banded factorization per new dt.
 Rectangle and cube steps (FastDiagCN; FastDiagRectCN and FastDiagCubeCN
 at order 4) work on sine coefficients from the grid alone, set up once
 per power-of-two dt bucket, so a step makes two transforms and no
@@ -94,6 +95,10 @@ class SolverConfig:
             raise ConfigError("need 0 < dt_init <= dt_max")
         if self.nx < 5:
             raise ConfigError("nx too small")
+        if self.geometry == "rect" and (self.ny or self.nx) < 5:
+            raise ConfigError("ny too small")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be >= 0")
         if self.geometry == "cube" and self.order != 4:
             raise ConfigError("cube solver covers the fourth-order problem only")
         unknowns = {"rect": (self.nx - 2) * ((self.ny or self.nx) - 2),
@@ -135,12 +140,37 @@ class BlowupReport:
         return np.array([list(c) for c, _ in self.singularities])
 
 
-def _pow2_bucket(dt):
-    """The largest power of two <= dt: the step of a cached setup."""
-    return float(2.0 ** np.floor(np.log2(dt)))
+class CNStep:
+    """The contract of every step adapter. apply(dt, u) is _step(dt,
+    setup, u), from the setup that _setup(dt) made: the work that depends
+    on dt alone, kept in a first-in-first-out cache of CACHE_SIZE setups
+    keyed by dt. quantize(dt), the step taken for the controller's dt, is
+    the largest power of two <= dt, or dt itself without BUCKETS. solves
+    counts the steps and factorizations the setups."""
+
+    CACHE_SIZE = 6
+    BUCKETS = True
+
+    def __init__(self):
+        self.cache = {}
+        self.factorizations = 0
+        self.solves = 0
+
+    def quantize(self, dt):
+        return float(2.0 ** np.floor(np.log2(dt))) if self.BUCKETS else dt
+
+    def apply(self, dt, u):
+        setup = self.cache.get(dt)
+        if setup is None:
+            if len(self.cache) >= self.CACHE_SIZE:
+                del self.cache[next(iter(self.cache))]
+            setup = self.cache[dt] = self._setup(dt)
+            self.factorizations += 1
+        self.solves += 1
+        return self._step(dt, setup, u)
 
 
-class BandedCN:
+class BandedCN(CNStep):
     """Crank-Nicolson solve for banded operators (1D), dt by dt.
 
     B is stored once, as its band ab in LAPACK storage (B[i, j] at
@@ -158,7 +188,10 @@ class BandedCN:
     symmetric data symmetric to roundoff instead of accumulating a biased
     drift that blow-up amplification would magnify."""
 
+    CACHE_SIZE, BUCKETS = 1, False  # the strip repeats only the last dt, the disc none
+
     def __init__(self, ab: np.ndarray, symmetrize=False):
+        super().__init__()
         self.ab = ab
         self.bw = bw = len(ab) // 2
         self.n = n = ab.shape[1]
@@ -173,16 +206,14 @@ class BandedCN:
         # view), or, with symmetrize, a copy with the main diagonal last
         rows = [d for d in range(2 * bw, -1, -1) if d != bw] + [bw]
         self._order = np.array(rows) if symmetrize else slice(None, None, -1)
-        self._key = None
-        self.factorizations = 0
-        self.solves = 0
 
-    def quantize(self, dt):
-        return dt
+    apply = CNStep.apply        # perfbench/tracer.py hooks it by this class's name
 
-    def _factor(self, dt):
-        """LU factors of the band of I + THETA dt B."""
+    def _setup(self, dt):
+        """W and the LU factors of the band of I + THETA dt B."""
         bw = self.bw
+        W = (-(1.0 - THETA) * dt) * self.ab
+        W[bw] += 1.0
         ab = (THETA * dt) * self.ab
         ab[bw] += 1.0
         if bw == 1:
@@ -193,77 +224,56 @@ class BandedCN:
             *lu, info = dgbtrf(a2, bw, bw, overwrite_ab=True)
         if info:
             raise LinAlgError("singular matrix")
-        self.factorizations += 1
-        return lu
+        return W, lu
 
-    def _solve(self, b):
-        if self.bw == 1:
-            x, _ = dgttrs(*self._lu, b)
-        else:
-            lu, piv = self._lu
-            x, _ = dgbtrs(lu, self.bw, self.bw, b, piv)
-        return x
-
-    def apply(self, dt, u):
-        if self._key != dt:
-            self._W = (-(1.0 - THETA) * dt) * self.ab
-            self._W[self.bw] += 1.0
-            self._lu = self._factor(dt)
-            self._key = dt
-        self.solves += 1
-        np.multiply(self._W, u, out=self._products)
+    def _step(self, dt, setup, u):
+        W, lu = setup
+        np.multiply(W, u, out=self._products)
         b = np.add.reduce(self._by_offset[self._order], axis=0)
-        if not self.symmetrize:
-            return self._solve(b)
-        # the solve and its mirror as one two-column right side
-        x, y = self._solve(np.column_stack((b, b[::-1]))).T
-        return 0.5 * (x + y[::-1])
+        if self.symmetrize:     # the solve and its mirror as one two-column right side
+            b = np.column_stack((b, b[::-1]))
+        if self.bw == 1:
+            x, _ = dgttrs(*lu, b)
+        else:
+            x, _ = dgbtrs(lu[0], self.bw, self.bw, b, lu[1])
+        return 0.5 * (x[:, 0] + x[::-1, 1]) if self.symmetrize else x
 
 
-class SparseLUCN:
-    """Crank-Nicolson with LU factors cached on power-of-two dt buckets."""
-
-    CACHE_SIZE = 6
+class SparseLUCN(CNStep):
+    """Crank-Nicolson by sparse LU factors, one per power-of-two dt bucket."""
 
     def __init__(self, B: sp.spmatrix):
+        super().__init__()
         self.B = B.tocsc()
-        self.n = B.shape[0]
-        self.I = sp.identity(self.n, format="csc")
-        self.cache = {}
-        self.factorizations = 0
-        self.solves = 0
+        self.I = sp.identity(B.shape[0], format="csc")
 
-    quantize = staticmethod(_pow2_bucket)
+    apply = CNStep.apply        # perfbench/tracer.py hooks it by this class's name
 
-    def apply(self, dt, u):
-        key = dt
-        if key not in self.cache:
-            lu = splu((self.I + THETA * dt * self.B).tocsc())
-            A2 = (self.I - (1.0 - THETA) * dt * self.B).tocsr()
-            if len(self.cache) >= self.CACHE_SIZE:
-                self.cache.pop(next(iter(self.cache)))
-            self.cache[key] = (lu, A2)
-            self.factorizations += 1
-        self.solves += 1
-        lu, A2 = self.cache[key]
+    def _setup(self, dt):
+        return (splu((self.I + THETA * dt * self.B).tocsc()),
+                (self.I - (1.0 - THETA) * dt * self.B).tocsr())
+
+    def _step(self, dt, setup, u):
+        lu, A2 = setup
         return lu.solve(A2 @ u)
 
 
-class ConjugateGradientCN:
-    """Matrix-free-ish Crank-Nicolson via CG; for the SPD 3D operator."""
+class ConjugateGradientCN(CNStep):
+    """Matrix-free-ish Crank-Nicolson via CG; for the SPD 3D operator. A
+    setup is the step matrix A1 of a power-of-two dt bucket."""
 
     RTOL = 1e-11
 
     def __init__(self, B: sp.spmatrix):
+        super().__init__()
         self.B = B.tocsr()
-        self.n = B.shape[0]
-        self.solves = 0
 
-    quantize = staticmethod(_pow2_bucket)
+    apply = CNStep.apply        # perfbench/tracer.py hooks it by this class's name
 
-    def apply(self, dt, u):
-        self.solves += 1
-        A1 = sp.identity(self.n, format="csr") + THETA * dt * self.B
+    def _setup(self, dt):
+        return sp.identity(self.B.shape[0], format="csr") + THETA * dt * self.B
+
+    def _step(self, dt, A1, u):
         rhs = u - (1.0 - THETA) * dt * (self.B @ u)
         x, info = cg(A1, rhs, x0=u, rtol=self.RTOL, atol=0.0, maxiter=2000)
         if info != 0:
@@ -271,7 +281,7 @@ class ConjugateGradientCN:
         return x
 
 
-class FastDiagCN:
+class FastDiagCN(CNStep):
     """Crank-Nicolson for box operators by fast diagonalization.
 
     On a uniform box grid with spacing h_k per axis the Dirichlet
@@ -294,25 +304,18 @@ class FastDiagCN:
     S_k at the walls (ends). Their explicit half is
     b^ = u^ - c (eig u^ + T R T u^), with T R T u^ a thin contraction of
     u^ per axis (_wall_hat). No adapter holds B: rect_operator and
-    cube_operator assemble it for the tests. Setups are cached on
-    power-of-two dt buckets."""
-
-    CACHE_SIZE = 6
+    cube_operator assemble it for the tests."""
 
     def __init__(self, shape, spacing, scale):
+        super().__init__()
         self.shape = tuple(shape)
         self.spacing = tuple(spacing)
         self.scale = scale
-        self.cache = {}
-        self.factorizations = 0
-        self.solves = 0
         self.sines = [_dst1_matrix(m) for m in self.shape]
         # eigenvalues of -L: per-axis 4/h^2 sin^2(pi k / (2(m+1))), summed
         self.eig = reduce(np.add.outer, [
             (2.0 / h * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1))) ** 2
             for m, h in zip(self.shape, self.spacing)])
-
-    quantize = staticmethod(_pow2_bucket)
 
     def _transform(self, U):
         """Orthonormal DST-I along every axis (its own inverse). Each pass
@@ -339,18 +342,8 @@ class FastDiagCN:
         bh += Uh
         return bh
 
-    def _step(self, g, bh):
-        """The step from the sine-basis right side b^."""
-        return self._transform(g * bh).ravel()
-
-    def apply(self, dt, u):
-        if dt not in self.cache:
-            if len(self.cache) >= self.CACHE_SIZE:
-                self.cache.pop(next(iter(self.cache)))
-            self.cache[dt] = self._setup(dt)
-            self.factorizations += 1
-        self.solves += 1
-        return self._step(self.cache[dt], self._explicit_hat(dt, u))
+    def _step(self, dt, g, u):
+        return self._transform(g * self._explicit_hat(dt, u)).ravel()
 
 
 class FastDiagRectCN(FastDiagCN):
@@ -411,10 +404,10 @@ class FastDiagRectCN(FastDiagCN):
         wx, wy = self.walls
         return wx * (Ex.T @ (Ex @ Uh)) + wy * ((Uh @ Ey.T) @ Ey)
 
-    def _step(self, setup, bh):
+    def _step(self, dt, setup, u):
         g, cu, F, dL, dS = setup                       # cu: upper factor of S
         EL, ES = self.ends[self._axes]
-        G = g * bh
+        G = g * self._explicit_hat(dt, u)
         gL, GL = self._long(g), self._long(G)
         # D^1/2 W^T P^-1 b in sine-line coordinates: EL GL and ES GL^T
         vK, vE = dL * (EL @ GL), dS * (ES @ GL.T)
@@ -493,21 +486,21 @@ class FastDiagCubeCN(FastDiagCN):
         out += ((wz * (X.reshape(m * m, m) @ Et)) @ E).reshape(m, m, m)
         return out.reshape(Uh.shape)
 
-    def _step(self, setup, bh):
+    def _step(self, dt, setup, u):
         g, c = setup
         if setup is not self._bucket:     # a new or re-set-up bucket, or an exact hit
             self._bucket, self._history = setup, []
-        b = bh.ravel()
-        atol = self.RTOL * math.sqrt(b @ b)
+        b = self._explicit_hat(dt, u).ravel()
+        atol = self.RTOL * math.sqrt(_dot(b, b))
         if atol == 0.0:                   # b^ = 0, so x = 0
             return np.zeros(b.size)
         gb = g * b
         x, r = self._start(g, c, gb)
         for it in range(self.MAXITER):
-            if math.sqrt(r @ r) < atol:
+            if math.sqrt(_dot(r, r)) < atol:
                 break
             z = g * r
-            rho = r @ z
+            rho = _dot(r, z)
             if it:
                 beta = rho / rho_prev
                 p *= beta
@@ -519,7 +512,7 @@ class FastDiagCubeCN(FastDiagCN):
             q = self._wall_hat(p)
             q *= c
             q += Pp
-            alpha = rho / (p @ q)
+            alpha = rho / _dot(p, q)
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
@@ -541,6 +534,11 @@ class FastDiagCubeCN(FastDiagCN):
         if h:
             r -= d / g
         return x, r
+
+
+def _dot(a, b):
+    """sum(a * b) in one order at any BLAS thread count, unlike ddot."""
+    return np.einsum("i,i->", a, b, optimize=False)
 
 
 def banded(bw, cols, vals, keep=True):

@@ -167,12 +167,25 @@ def test_rect_geometry_solver_config(tmp_path):
     ("strip", 4, "nx: 3"),
     ("strip", 4, "dt_init: 1.0"),   # above dt_max
     ("cube:1", 2, "nx: 9"),         # the cube is fourth order only
+    ("rect:1,0.5", 4, "nx: 21\n  ny: 1"),   # ny below nx's floor of 5
+    ("rect:1,0.5", 4, "nx: 21\n  ny: 2"),
+    ("rect:1,0.5", 4, "nx: 21\n  ny: 4"),
+    ("rect:1,0.5", 4, "nx: 21\n  ny: -5"),
 ])
 def test_bad_solver_input_exits_2_without_output(tmp_path, capsys, geometry,
                                                  order, solver):
     text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
             .replace("order: 4", f"order: {order}")
             .replace("nx: 401", solver))
+    _assert_solve_exits_2_without_output(tmp_path, capsys, text)
+
+
+def test_negative_snapshot_stride_exits_2_without_output(tmp_path, capsys):
+    text = STRIP_CFG.replace("formats: [csv]", "formats: [csv]\n  snapshot_stride: -1")
+    _assert_solve_exits_2_without_output(tmp_path, capsys, text)
+
+
+def _assert_solve_exits_2_without_output(tmp_path, capsys, text):
     path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "solve"]) == 2

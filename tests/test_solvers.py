@@ -818,6 +818,41 @@ def test_rect_buckets_factor_only_the_long_axis_walls(nx, ny):
         assert max(arrays, key=np.size).shape == (side, side)
 
 
+@pytest.mark.parametrize("reference,geometry,order", [
+    *[(None, g, o) for g in ("strip", "radial-disc", "rect") for o in (2, 4)],
+    (None, "cube", 4), (SparseLUCN, "rect", 2), (SparseLUCN, "rect", 4),
+    (SparseLUCN, "cube", 4), (ConjugateGradientCN, "rect", 4),
+    (ConjugateGradientCN, "cube", 4)])
+def test_every_adapter_caches_setups_by_one_contract(reference, geometry, order):
+    """Every builder's adapter, and the reference paths on the operator that
+    rect_operator or cube_operator assembles: over quantized steps with
+    repeats, more than CACHE_SIZE keys and a revisit after an eviction,
+    solves counts the steps, factorizations the misses of a first-in
+    first-out cache of CACHE_SIZE keys, and every step equals a fresh
+    adapter's. No step follows one of the same dt, so the cube's PCG
+    starts every step from the P solve, as a fresh adapter's does."""
+    cfg = SolverConfig(order=order, nonlinearity=POW2, eps=0.1, geometry=geometry,
+                       nx=13, ny=9)
+
+    def fresh():
+        fast, _ = BUILDERS[geometry](cfg)
+        return fast if reference is None else reference(box_operator(fast))
+
+    adapter, (_, axes) = fresh(), BUILDERS[geometry](cfg)
+    rng = np.random.default_rng(order)
+    exponents = (12, 10, 12, 9, 14, 8, 11, 13, 7, 12, 10)
+    keys, misses = [], 0
+    for e in exponents:
+        dt = adapter.quantize(1.3 * 2.0 ** -e)
+        if dt not in keys:
+            misses += 1
+            keys = (keys + [dt])[-adapter.CACHE_SIZE:]
+        u = rng.uniform(0.0, 1.0, int(np.prod([len(a) for a in axes])))
+        assert np.array_equal(adapter.apply(dt, u), fresh().apply(dt, u)), e
+    assert len(set(exponents)) > 6
+    assert adapter.solves == len(exponents) and adapter.factorizations == misses
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(order=3, nonlinearity=EXP, eps=0.1)
