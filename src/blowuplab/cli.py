@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .config import dump_config, load_config
-from .errors import BlowupLabError, ConfigError, ConvergenceError, DivergenceError
+from .errors import (BlowupLabError, ConfigError, ConvergenceError, DivergenceError,
+                     RangeError)
 from .fileio import atomic_open, cell, read_csv, write_csv
 from .geometry import compute_skeleton, omega_set
 from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
@@ -95,20 +96,25 @@ def _svg(cfg, path, title, *series):
 def cmd_predict(cfg, out) -> int:
     """Predicted singularity sets, one per eps. The strip is predicted in
     1D; any other geometry needs a 2D domain, so the cube fails before
-    any output. Second order predicts the point furthest from the
+    any output, and so does a skeleton resolution too coarse to find the
+    skeleton. Second order predicts the point furthest from the
     boundary, the same for every eps."""
     strip = cfg.geometry == "strip"
     dom = None if strip else cfg.domain()
-    os.makedirs(out, exist_ok=True)
-    _write_echo(dump_config(cfg), out)
     rs = ReactionSolution(cfg.nonlinearity_obj())
     T_of = _measured_T(out, rs)
     T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
     if not strip:
         res = cfg.solver_overrides.get("skeleton_resolution")
-        skel = compute_skeleton(dom, 0.01 if res is None else float(res))
-        skel.to_csv(os.path.join(out, "skeleton.csv"))
+        try:
+            skel = compute_skeleton(dom, 0.01 if res is None else float(res))
+        except RangeError as e:
+            raise ConfigError(f"solver.skeleton_resolution: {e}") from None
         max_depth = float(np.max(skel.s_values()))
+    os.makedirs(out, exist_ok=True)
+    _write_echo(dump_config(cfg), out)
+    if not strip:
+        skel.to_csv(os.path.join(out, "skeleton.csv"))
     if cfg.order == 2:
         pred = (Prediction("distance-argmax", np.zeros((1, 1)),
                            dict(order=2, distance=1.0)) if strip

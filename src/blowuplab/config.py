@@ -202,10 +202,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("experiment.eps must be a number or a non-empty list "
                           f"of numbers, got {exp['eps']!r}{_at(raw, 'experiment.eps')}")
     eps_values = [float(e) for e in eps_values]
-    if any(e < 0 for e in eps_values):
-        raise ConfigError("experiment.eps values must be >= 0")
+    if not all(0 <= e < math.inf for e in eps_values):
+        raise ConfigError("experiment.eps values must be finite and >= 0")
     if exp["order"] not in (2, 4):
         raise ConfigError(f"experiment.order must be 2 or 4, got {exp['order']!r}")
+    res = (doc.get("solver") or {}).get("skeleton_resolution")
+    if res is not None and not 0 < res < math.inf:
+        raise ConfigError("solver.skeleton_resolution must be finite and positive, "
+                          f"got {res!r}{_at(raw, 'solver.skeleton_resolution')}")
 
     outputs = doc.get("outputs") or {}
     formats = tuple(outputs.get("formats", ["csv"]))

@@ -58,23 +58,19 @@ class Feet:
     point i, nearest first, in k = max(count) slots.
 
     point (n, k, 2), param, distance and curvature (n, k); slots past a
-    row's count hold nan, and inf as their distance. A degenerate circle
-    of feet (the disc centre, where every boundary point is a foot) has
-    count 0 and its common distance in circle; circle is nan elsewhere."""
+    row's count hold nan, and inf as their distance."""
 
     point: np.ndarray
     param: np.ndarray
     distance: np.ndarray
     curvature: np.ndarray
     count: np.ndarray
-    circle: np.ndarray
 
 
-def _feet_table(row, point, param, distance, curvature, circle) -> Feet:
-    """Feet from flat per-foot arrays, row[j] the point of foot j, with the
-    rows in ascending order. The sort on distance within a row is stable,
-    so equidistant feet keep the order they came in."""
-    n = len(circle)
+def _feet_table(n, row, point, param, distance, curvature) -> Feet:
+    """Feet of n points from flat per-foot arrays, row[j] the point of
+    foot j. The sort on distance within a row is stable, so equidistant
+    feet keep the order they came in."""
     order = np.lexsort((distance, row))
     row = row[order]
     count = np.bincount(row, minlength=n)
@@ -88,7 +84,7 @@ def _feet_table(row, point, param, distance, curvature, circle) -> Feet:
 
     return Feet(point=table(point, np.nan), param=table(param, np.nan),
                 distance=table(distance, np.inf),
-                curvature=table(curvature, np.nan), count=count, circle=circle)
+                curvature=table(curvature, np.nan), count=count)
 
 
 def _polar_frame(th, r, r1):
@@ -344,11 +340,12 @@ class SmoothPolarDomain(PlanarDomain):
         samples catches every sign change. The scan takes SCAN_CHUNK points
         at a time in reused tables, then all roots of all points are
         polished together by bisection, and a foot is kept only if the
-        full segment to it stays inside the domain. An exactly radial case
-        (all residuals ~ 0, disc center) comes back as a degenerate circle
-        of feet. Every step is elementwise per point, so a point's feet do
-        not depend on its batch, and only the per-root arrays grow with
-        it.
+        full segment to it stays inside the domain. At an exactly radial
+        point (all residuals ~ 0, the disc centre) every boundary point is
+        a foot; it gets the two at theta = 0 and pi, at their common
+        distance, the radial limit of a pair of opposite feet. Every step
+        is elementwise per point, so a point's feet do not depend on its
+        batch, and only the per-root arrays grow with it.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         scale = max(self.c0, np.abs(self.cos_coeffs).sum()
@@ -399,9 +396,15 @@ class SmoothPolarDomain(PlanarDomain):
         y = self.point_at(th_star)
         keep = self._segments_inside(P, y)
         P, y, th_star = P[keep], y[keep], th_star[keep]
-        circle = np.where(degenerate, float(self.radius(0.0)) - np.hypot(*pts.T), np.nan)
-        return _feet_table(row[keep], y, th_star % TWO_PI, np.hypot(*(P - y).T),
-                           self.curvature(th_star), circle)
+        # each degenerate point's two feet: at 0 and pi, the common distance
+        deg = np.repeat(np.flatnonzero(degenerate), 2)
+        th_deg = np.tile([0.0, np.pi], len(deg) // 2)
+        dist = np.concatenate([np.hypot(*(P - y).T),
+                               float(self.radius(0.0)) - np.hypot(*pts[deg].T)])
+        th_star = np.concatenate([th_star, th_deg])
+        return _feet_table(n, np.concatenate([row[keep], deg]),
+                           np.concatenate([y, self.point_at(th_deg)]), th_star % TWO_PI,
+                           dist, self.curvature(th_star))
 
     def _segments_inside(self, x, y):
         """Whether each segment x[i] -> y[i] stays inside, on 64 points;
@@ -480,9 +483,9 @@ class RectangleDomain(PlanarDomain):
         param = np.hstack([px - self.x0, W + (py - self.y0),
                            2 * W + H - (px - self.x0), 2 * (W + H) - (py - self.y0)])
         dist = np.hstack([py - self.y0, self.x1 - px, self.y1 - py, px - self.x0])
-        return _feet_table(np.repeat(np.arange(len(pts)), 4), point.reshape(-1, 2),
-                           param.ravel(), dist.ravel(), np.zeros(dist.size),
-                           np.full(len(pts), np.nan))
+        return _feet_table(len(pts), np.repeat(np.arange(len(pts)), 4),
+                           point.reshape(-1, 2), param.ravel(), dist.ravel(),
+                           np.zeros(dist.size))
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -499,8 +502,7 @@ class SkeletonSample:
 class Skeleton:
     samples: list
     resolution: float
-    s_min: float                       # inf over the skeleton of s(x)
-    touches_boundary: bool
+    s_min: float                       # inf of s(x); 0 if it touches the boundary
 
     def points(self):
         return np.array([s.point for s in self.samples])
@@ -526,17 +528,11 @@ def _equidistant_firsts(distance, tol):
 
 def _skeleton_samples(dom, pts, tol):
     """A SkeletonSample at each point with a class of two or more
-    equidistant feet, or a degenerate circle of feet; s is the smallest
-    class distance."""
+    equidistant feet; s is the smallest class distance."""
     feet = dom.feet_batch(pts)
     first = _equidistant_firsts(feet.distance, tol)
-    samples = []
-    for p, circle, dist, m in zip(pts, feet.circle.tolist(), feet.distance, first):
-        quals = dist[m].tolist() if np.isnan(circle) else [circle]
-        if quals:
-            samples.append(SkeletonSample(point=p, s_value=quals[0],
-                                          pair_distances=quals))
-    return samples
+    return [SkeletonSample(point=p, s_value=q[0], pair_distances=q)
+            for p, dist, m in zip(pts, feet.distance, first) if (q := dist[m].tolist())]
 
 
 def _label_branches(samples, link_radius):
@@ -602,8 +598,7 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
     # sort keys on multiples of 1e-6 res; 1e-6 of this radius is ~20 ulps
     samples = _dedup_samples(samples, 1e-9 * dom.diameter, 1e-6 * res)
     _label_branches(samples, 1.8 * res)
-    return Skeleton(samples=samples, resolution=res, s_min=0.0,
-                    touches_boundary=True)
+    return Skeleton(samples=samples, resolution=res, s_min=0.0)
 
 
 def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
@@ -648,10 +643,9 @@ def _smooth_skeleton(dom: SmoothPolarDomain, res: float) -> Skeleton:
         raise RangeError("no skeleton detections; resolution too coarse")
     _label_branches(samples, 1.8 * res)
     s_min = float(min(s.s_value for s in samples))
-    touches = s_min <= 2.0 * res
+    # a skeleton within two samples of the boundary touches it
     return Skeleton(samples=samples, resolution=res,
-                    s_min=0.0 if touches else s_min,
-                    touches_boundary=touches)
+                    s_min=0.0 if s_min <= 2.0 * res else s_min)
 
 
 def _refine_equidistance(dom: SmoothPolarDomain, p, q, th_a, th_b):

@@ -109,8 +109,8 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     """Short-time solution at interior points: u0 plus one curvature-corrected
     layer term per orthogonal foot.
 
-    The degenerate circle-of-feet case (disc center) is the radial limit
-    of the same sum: two coincident contributions at the common distance."""
+    At the disc centre, the radial limit, the sum has two coincident
+    contributions at the common distance: feet_batch gives it two feet."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     u0 = rs.state(t)
     phi = rs.gauge(t, eps, order)
@@ -127,16 +127,10 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     layer[has] = v(eta) - 1.0
     curv[has] = phi * feet.curvature[has] * vb(eta)
     # each slot's terms in foot order, as a scalar loop over a point's feet
-    # adds them
+    # adds them; a padded slot adds exact zeros
     out = np.ones(len(pts))
     for k in range(has.shape[1]):
-        m = has[:, k]
-        out[m] = (out[m] + layer[m, k]) + curv[m, k]
-    deg = ~np.isnan(feet.circle)
-    if deg.any():
-        eta = feet.circle[deg] / phi
-        term = (v(eta) - 1.0) + phi * float(dom.curvature(np.float64(0.0))) * vb(eta)
-        out[deg] = 1.0 + 2.0 * term
+        out = (out + layer[:, k]) + curv[:, k]
     out = u0 * out
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
@@ -148,15 +142,12 @@ def outer_2d_second(dom: PlanarDomain, rs: ReactionSolution, eps: float,
     u0 = rs.state(t)
     phi = rs.gauge(t, eps, 2)
     c = 8.0 * phi ** 3 / np.sqrt(np.pi)
-    feet = dom.feet_batch(pts)
-    out = np.empty(len(pts))
-    for i, (dist, n, circle) in enumerate(zip(feet.distance, feet.count, feet.circle)):
-        d = dist[:n] if np.isnan(circle) else np.array([circle, circle])
-        if np.any(d <= 5.0 * phi):
-            raise RangeError("outer expansion invalid within 5 layer widths "
-                             "of the boundary")
-        out[i] = 1.0 - c * np.sum(d ** -3 * np.exp(-d * d / (4.0 * phi * phi)))
-    out = u0 * out
+    d = dom.feet_batch(pts).distance
+    if np.any(d <= 5.0 * phi):
+        raise RangeError("outer expansion invalid within 5 layer widths "
+                         "of the boundary")
+    # the inf padding adds terms of exactly 0
+    out = u0 * (1.0 - c * np.sum(d ** -3 * np.exp(-d * d / (4.0 * phi * phi)), axis=1))
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
 
@@ -188,9 +179,7 @@ def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
     ranking runs over the whole skeleton, which yields the rectangle's
     two-point and origin regimes."""
     if eta0 is None:
-        eta0 = get_profile4().eta0
-    prof = profile if profile is not None else get_profile4()
-    corr = correction if correction is not None else get_correction(4)
+        eta0 = (profile if profile is not None else get_profile4()).eta0
     T_S = skeleton_arrival_time(skeleton, rs, eps, eta0)
     phi_c = rs.gauge(T_eps, eps, 4)
     level = eta0 * phi_c
@@ -218,7 +207,8 @@ def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
     if fell_back:
         idx = np.arange(len(samples))
     pts = np.array([samples[i].point for i in idx])
-    vals = uniform_2d(dom, rs, 4, eps, pts, T_eps, profile=prof, correction=corr)
+    vals = uniform_2d(dom, rs, 4, eps, pts, T_eps, profile=profile,
+                      correction=correction)
     # local maxima among the matched samples (ties on symmetric domains kept)
     keep = []
     vtol = 1e-12 * max(1.0, np.max(np.abs(vals)))
@@ -270,7 +260,7 @@ def skeleton_arrival_time(skel: Skeleton, rs, eps: float, eta0: float) -> float:
 
     T_S solves s_min = eta0 * phi(t; eps); zero when the skeleton touches
     the boundary, +inf when the required reaction state is out of range."""
-    if skel.touches_boundary or skel.s_min <= 0.0:
+    if skel.s_min <= 0.0:
         return 0.0
     u_target = (skel.s_min / (eta0 * eps)) ** 4
     try:

@@ -59,8 +59,9 @@ class SolverConfig:
     applies tanh clustering toward the strip endpoints (1D only).
     threshold is the sup-norm blow-up cutoff M; t_end, when set, stops
     the run at a fixed time instead. eps = 0 disables diffusion entirely
-    (reaction limit, used by the solver self-checks). Invalid settings
-    raise ConfigError (a ValueError)."""
+    (reaction limit, used by the solver self-checks). max_unknowns bounds
+    the unknowns of every geometry: nx - 2 on the strip, nx on the disc.
+    Invalid settings raise ConfigError (a ValueError)."""
 
     order: int
     nonlinearity: Nonlinearity
@@ -85,27 +86,29 @@ class SolverConfig:
     max_unknowns: int = 2_000_000
 
     def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ConfigError(f"order must be 2 or 4, got {self.order}")
-        if self.eps < 0:
-            raise ConfigError("eps must be >= 0")
-        if self.threshold <= 1.0:
-            raise ConfigError("threshold M must exceed 1")
-        if not (0 < self.dt_init <= self.dt_max):
-            raise ConfigError("need 0 < dt_init <= dt_max")
-        if self.nx < 5:
-            raise ConfigError("nx too small")
-        if self.geometry == "rect" and (self.ny or self.nx) < 5:
-            raise ConfigError("ny too small")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be >= 0")
-        if self.geometry == "cube" and self.order != 4:
-            raise ConfigError("cube solver covers the fourth-order problem only")
-        unknowns = {"rect": (self.nx - 2) * ((self.ny or self.nx) - 2),
+        unknowns = {"strip": self.nx - 2, "radial-disc": self.nx,
+                    "rect": (self.nx - 2) * ((self.ny or self.nx) - 2),
                     "cube": (self.nx - 2) ** 3}.get(self.geometry, 0)
-        if unknowns > self.max_unknowns:
-            raise ConfigError(f"{self.geometry} grid with {unknowns} unknowns "
-                              f"exceeds max_unknowns={self.max_unknowns}")
+        # (holds, message) in the order they are checked; a NaN fails each test
+        for ok, message in (
+                (self.order in (2, 4), f"order must be 2 or 4, got {self.order}"),
+                (0 <= self.eps < math.inf, "eps must be finite and >= 0"),
+                (1.0 < self.threshold < math.inf, "threshold M must be finite and exceed 1"),
+                (0 < self.dt_init <= self.dt_max, "need 0 < dt_init <= dt_max"),
+                (self.growth_target > 0, "growth_target must be positive"),
+                (self.max_steps >= 1, "max_steps must be >= 1"),
+                (self.t_end is None or self.t_end > 0, "t_end must be positive"),
+                (self.grading >= 0, "grading must be >= 0"),
+                (self.noise_amplitude >= 0, "noise_amplitude must be >= 0"),
+                (self.nx >= 5, "nx too small"),
+                (self.geometry != "rect" or (self.ny or self.nx) >= 5, "ny too small"),
+                (self.snapshot_stride >= 0, "snapshot_stride must be >= 0"),
+                (self.geometry != "cube" or self.order == 4,
+                 "cube solver covers the fourth-order problem only"),
+                (unknowns <= self.max_unknowns, f"{self.geometry} grid with {unknowns} "
+                 f"unknowns exceeds max_unknowns={self.max_unknowns}")):
+            if not ok:
+                raise ConfigError(message)
 
 
 @dataclass

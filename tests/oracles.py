@@ -494,19 +494,27 @@ def scalar_uniform_2d(dom, rs, order, eps, points, t, correction=None):
     feet = dom.feet_batch(pts)
     out = np.empty(len(pts))
     for i in range(len(pts)):
-        r = feet.circle[i]
-        if not np.isnan(r):
-            kap = float(dom.curvature(np.float64(0.0)))
-            term = v(r / phi) - 1.0
-            term += phi * kap * vb(r / phi)
-            out[i] = 1.0 + 2.0 * term
-            continue
         s = 1.0
         for k in range(feet.count[i]):
             d = feet.distance[i, k]
             s += v(d / phi) - 1.0
             s += phi * feet.curvature[i, k] * vb(d / phi)
         out[i] = s
+    return u0 * out
+
+
+def scalar_outer_2d_second(dom, rs, eps, points, t):
+    """predictor.outer_2d_second as a loop over points, each summing the
+    terms of its own feet."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    u0 = rs.state(t)
+    phi = rs.gauge(t, eps, 2)
+    c = 8.0 * phi ** 3 / np.sqrt(np.pi)
+    feet = dom.feet_batch(pts)
+    out = np.empty(len(pts))
+    for i in range(len(pts)):
+        d = feet.distance[i, :feet.count[i]]
+        out[i] = 1.0 - c * np.sum(d ** -3 * np.exp(-d * d / (4.0 * phi * phi)))
     return u0 * out
 
 

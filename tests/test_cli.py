@@ -171,13 +171,41 @@ def test_rect_geometry_solver_config(tmp_path):
     ("rect:1,0.5", 4, "nx: 21\n  ny: 2"),
     ("rect:1,0.5", 4, "nx: 21\n  ny: 4"),
     ("rect:1,0.5", 4, "nx: 21\n  ny: -5"),
+    ("strip", 4, "nx: 41\n  growth_target: 0.0"),
+    ("strip", 4, "nx: 41\n  growth_target: -1.0"),
+    ("strip", 4, "nx: 41\n  max_steps: -1"),
+    ("strip", 4, "nx: 41\n  max_steps: 0"),
+    ("strip", 4, "nx: 41\n  t_end: -1.0"),
+    ("strip", 4, "nx: 41\n  t_end: 0.0"),
+    ("strip", 4, "nx: 41\n  threshold: .nan"),
+    ("strip", 4, "nx: 41\n  threshold: .inf"),
+    ("strip", 4, "nx: 41\n  grading: -1.0"),
+    ("strip", 4, "nx: 41\n  grading: .nan"),
+    ("strip", 4, "nx: 41\n  noise_amplitude: -1.0"),
+    ("strip", 4, "nx: 41\n  noise_amplitude: .nan"),
+    ("strip", 4, "nx: 2000003"),    # 2000001 unknowns, over max_unknowns
+    ("disc", 4, "nx: 2000001"),
 ])
 def test_bad_solver_input_exits_2_without_output(tmp_path, capsys, geometry,
                                                  order, solver):
-    text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
+    # a key the case sets replaces the config's own line
+    keys = {line.split(":")[0].strip() for line in solver.splitlines()} - {"nx"}
+    base = "".join(line for line in STRIP_CFG.splitlines(True)
+                   if line.split(":")[0].strip() not in keys)
+    text = (base.replace("geometry: strip", f"geometry: {geometry}")
             .replace("order: 4", f"order: {order}")
             .replace("nx: 401", solver))
     _assert_solve_exits_2_without_output(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("verb", ["solve", "predict"])
+@pytest.mark.parametrize("eps", ["-0.1", ".nan", ".inf", "[0.2, .nan]"])
+def test_bad_eps_exits_2_without_output(tmp_path, capsys, verb, eps):
+    path = write_cfg(tmp_path, SQUARE_CFG.replace("eps: 0.2", f"eps: {eps}"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), verb]) == 2
+    assert "experiment.eps values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_snapshot_stride_exits_2_without_output(tmp_path, capsys):
@@ -736,6 +764,27 @@ def test_predict_on_the_cube_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "predict"]) == 2
     assert "no 2D domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry, resolution, msg", [
+    ("rect:1,0.5", "0", "finite and positive"),
+    ("rect:1,0.5", "-0.01", "finite and positive"),
+    ("polar:1,0.3,0,0,0,0,-0.3", ".inf", "finite and positive"),
+    ("polar:1,0.3,0,0,0,0,-0.3", ".nan", "finite and positive"),
+    ("polar:1,0.3,0,0,0,0,-0.3", "5.0", "no skeleton detections"),
+])
+def test_bad_skeleton_resolution_exits_2_without_output(tmp_path, capsys, geometry,
+                                                        resolution, msg):
+    path = write_cfg(tmp_path, POTATO_CFG.replace("polar:1,0.3,0,0,0,0,-0.3", geometry)
+                     .replace("skeleton_resolution: 0.05",
+                              f"skeleton_resolution: {resolution}"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "predict"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "skeleton_resolution" in err and msg in err
+    if msg != "no skeleton detections":
+        assert "(line 9)" in err
     assert not out.exists()
 
 

@@ -128,11 +128,14 @@ def test_construction_cache_equals_boundary_methods_on_random_domains(data):
 # -- orthogonal feet -----------------------------------------------------------
 
 def test_disc_center_degenerate_circle_of_feet():
+    """Every boundary point is a foot of the centre; the table holds the
+    two at theta = 0 and pi, at the common distance."""
     feet = DISC.feet_batch([(0.0, 0.0), (0.3, 0.0)])
-    assert feet.count.tolist() == [0, 2]
-    assert feet.circle[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.isnan(feet.circle[1])
-    assert feet.distance[0].tolist() == [np.inf, np.inf]
+    assert feet.count.tolist() == [2, 2]
+    assert feet.distance[0] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert feet.distance[0, 0] == feet.distance[0, 1]
+    assert feet.param[0].tolist() == [0.0, np.pi]
+    assert feet.curvature[0].tolist() == [1.0, 1.0]
     assert feet.distance[1] == pytest.approx([0.7, 1.3], abs=1e-12)
 
 
@@ -144,7 +147,7 @@ def test_rectangle_feet_example():
     # nearest first; the equidistant right and left feet in edge order
     assert got == [((0.0, 0.0), 0.3), ((0.0, 1.0), 0.7),
                    ((1.0, 0.3), 1.0), ((-1.0, 0.3), 1.0)]
-    assert feet.count.tolist() == [4] and np.isnan(feet.circle[0])
+    assert feet.count.tolist() == [4]
 
 
 def test_square_diagonal_point_nearest_feet():
@@ -182,7 +185,6 @@ def test_rectangle_feet_match_closed_form(data):
     for box, xy in ((dom, pts), (square, diag)):
         feet = box.feet_batch(xy)
         assert feet.count.tolist() == [4] * len(xy)
-        assert np.isnan(feet.circle).all()
         assert not feet.curvature.any()
         for i, p in enumerate(xy):
             want = sorted(rectangle_edge_feet(box, p), key=lambda f: f[2])
@@ -386,8 +388,7 @@ def test_signed_distance_independent_of_batch_across_table_blocks():
 def _feet_rows_equal(feet, i, other, k):
     """Row i of feet equals row k of other in every field, nan for nan."""
     n = feet.count[i]
-    if n != other.count[k] or not np.array_equal(feet.circle[i], other.circle[k],
-                                                 equal_nan=True):
+    if n != other.count[k]:
         return False
     pad = [(f.distance[r, c:], f.param[r, c:]) for f, r, c in ((feet, i, n), (other, k, n))]
     return (all(np.all(d == np.inf) and np.all(np.isnan(p)) for d, p in pad)
@@ -411,7 +412,7 @@ def _assert_feet_independent_of_batch(dom, pts, sizes, singles):
 
 def _feet_points(seed, n):
     """n points inside, near and far off a unit-size domain, with the
-    origin (the disc's degenerate circle) at both sides of a scan chunk."""
+    origin (the disc's degenerate point) at both sides of a scan chunk."""
     pts = _near_and_far_points(seed, n - n // 10, n // 10)
     pts = pts[np.random.default_rng(seed).permutation(n)]
     c = SmoothPolarDomain.SCAN_CHUNK
@@ -428,7 +429,8 @@ def test_feet_independent_of_batch(dom):
     whole = _assert_feet_independent_of_batch(dom, _feet_points(31, 2000),
                                               (1, c - 1, c, c + 1, 300), range(0, 2000, 97))
     assert np.any(whole.count > 1) and np.any(whole.count == 0)
-    assert np.isnan(whole.circle[0]) != (dom is DISC)
+    # the radial limit's two feet only on the disc
+    assert (whole.param[0, :2].tolist() == [0.0, np.pi]) == (dom is DISC)
 
 
 @settings(max_examples=6, deadline=None)
@@ -464,7 +466,7 @@ def test_feet_of_no_points(dom):
     feet = dom.feet_batch(np.empty((0, 2)))
     assert feet.point.shape == (0, 0, 2)
     assert feet.param.shape == feet.distance.shape == feet.curvature.shape == (0, 0)
-    assert feet.count.shape == feet.circle.shape == (0,)
+    assert feet.count.shape == (0,)
 
 
 def _near_and_far_points(seed, n_near, n_far):
@@ -736,13 +738,13 @@ def test_disc_skeleton_single_point():
     pts = sk.points()
     assert np.max(np.hypot(pts[:, 0], pts[:, 1])) <= 0.05
     assert sk.s_min == pytest.approx(1.0, abs=0.01)
-    assert not sk.touches_boundary
+    assert sk.s_min > 0.0  # off the boundary
 
 
 def test_square_skeleton_hausdorff():
     res = 0.02
     sk = compute_skeleton(SQUARE, res)
-    assert sk.touches_boundary and sk.s_min == 0.0
+    assert sk.s_min == 0.0  # touches the boundary
     assert hausdorff(sk.points(), square_skeleton_points()) <= 2 * res
 
 

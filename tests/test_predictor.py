@@ -15,7 +15,8 @@ from blowuplab.predictor import (Prediction, critical_eps, outer_1d_second,
 from blowuplab.profiles import CorrectionProfile, get_correction
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
 from blowuplab.predictor import _curvature_candidates
-from oracles import scalar_curvature_candidates, scalar_uniform_2d
+from oracles import (scalar_curvature_candidates, scalar_outer_2d_second,
+                     scalar_uniform_2d)
 
 EXP = ReactionSolution(Nonlinearity.exponential())
 POW2 = ReactionSolution(Nonlinearity.power(2))
@@ -142,7 +143,7 @@ UNIFORM_DOMAINS = {"potato": potato_domain(), "ellipse": ellipse_domain(0.75, 1.
 def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     """The (point, foot slot) table of uniform_2d adds each point's terms
     as a scalar loop over its feet does, bit for bit. The origin leads
-    every batch: on the disc it is the degenerate circle of feet. Without
+    every batch: on the disc it has the radial limit's two feet. Without
     curvature both are given a zero correction profile, which leaves the
     layer terms alone."""
     dom = UNIFORM_DOMAINS[name]
@@ -152,7 +153,8 @@ def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     pts = pts[dom.contains(pts)]
     eps = data.draw(st.floats(0.03, 0.2))
     t = data.draw(st.floats(0.05, 0.9))
-    assert (not np.isnan(dom.feet_batch(pts[:1]).circle[0])) == (name == "disc")
+    origin = dom.feet_batch(pts[:1])
+    assert (origin.param[0, :2].tolist() == [0.0, np.pi]) == (name == "disc")
     corr = None
     if not curvature:
         vb = get_correction(order)
@@ -160,6 +162,40 @@ def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     got = uniform_2d(dom, EXP, order, eps, pts, t, correction=corr)
     assert np.array_equal(got, scalar_uniform_2d(dom, EXP, order, eps, pts, t,
                                                  correction=corr))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_uniform_2d_disc_centre_is_the_radial_limit(order):
+    """At the disc centre the sum holds two coincident layer terms at the
+    radius: u0 (1 + 2 ((v(eta) - 1) + phi kappa vb(eta))), to a few ulps
+    (the sum adds the two terms one at a time)."""
+    from blowuplab.profiles import get_profile4, v2
+    v = v2 if order == 2 else get_profile4().evaluate
+    vb = get_correction(order)
+    for eps, t in ((0.05, 0.3), (0.1, 0.5), (0.2, 0.8), (0.35, 0.3)):
+        phi = POW2.gauge(t, eps, order)
+        eta = float(DISC.radius(0.0)) / phi
+        term = (v(eta) - 1.0) + phi * float(DISC.curvature(0.0)) * vb(eta)
+        want = POW2.state(t) * (1.0 + 2.0 * term)
+        got = uniform_2d(DISC, POW2, order, eps, np.array([[0.0, 0.0]]), t)[0]
+        assert abs(got - want) <= 4.0 * np.spacing(abs(want)), (eps, t)
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_DOMAINS))
+def test_outer_2d_second_equals_scalar_loop(name):
+    """The padded distance table of outer_2d_second sums each point's
+    terms as a per-point loop over its feet does, bit for bit; the
+    origin, on the disc the radial limit's two feet, leads the batch."""
+    dom = UNIFORM_DOMAINS[name]
+    (bx0, bx1), (by0, by1) = dom.bounding_box
+    g = np.array([(x, y) for x in np.linspace(bx0, bx1, 25)
+                  for y in np.linspace(by0, by1, 25)])
+    pts = np.vstack([[0.0, 0.0], g[dom.contains(g)]])
+    for eps, t in ((0.02, 0.3), (0.05, 0.5)):
+        q = pts[dom.signed_distance(pts) > 5.5 * POW2.gauge(t, eps, 2)]
+        assert np.array_equal(q[0], [0.0, 0.0]) and len(q) > 20
+        assert np.array_equal(outer_2d_second(dom, POW2, eps, q, t),
+                              scalar_outer_2d_second(dom, POW2, eps, q, t))
 
 
 def test_outer_2d_argmax_is_distance_argmax():
