@@ -96,9 +96,13 @@ def _svg(cfg, path, title, *series):
 def cmd_predict(cfg, out) -> int:
     """Predicted singularity sets, one per eps. The strip is predicted in
     1D; any other geometry needs a 2D domain, so the cube fails before
-    any output, and so does a skeleton resolution too coarse to find the
-    skeleton. Second order predicts the point furthest from the
-    boundary, the same for every eps."""
+    any output, and so do eps 0 (the reaction limit, which only solve
+    runs) and a skeleton resolution too coarse to find the skeleton.
+    Second order predicts the point furthest from the boundary, the same
+    for every eps."""
+    if min(cfg.eps_values) <= 0:
+        raise ConfigError("predict needs experiment.eps > 0; eps 0 is the "
+                          "reaction limit, which only solve runs")
     strip = cfg.geometry == "strip"
     dom = None if strip else cfg.domain()
     rs = ReactionSolution(cfg.nonlinearity_obj())

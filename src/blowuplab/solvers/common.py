@@ -103,6 +103,7 @@ class SolverConfig:
                 (self.nx >= 5, "nx too small"),
                 (self.geometry != "rect" or (self.ny or self.nx) >= 5, "ny too small"),
                 (self.snapshot_stride >= 0, "snapshot_stride must be >= 0"),
+                (self.seed >= 0, "seed must be >= 0"),
                 (self.geometry != "cube" or self.order == 4,
                  "cube solver covers the fourth-order problem only"),
                 (unknowns <= self.max_unknowns, f"{self.geometry} grid with {unknowns} "

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the package's own numerical paths:
-textbook uniform-grid stencils are hard-coded, the profile oracle shoots
-from far-field data with an off-the-shelf initial-value integrator, and
-distance oracles use brute-force boundary sampling. The two PDE oracles
+textbook uniform-grid stencils are hard-coded, one profile oracle shoots
+from far-field data with an off-the-shelf initial-value integrator and
+another collocates at Chebyshev points in mpmath, and distance oracles
+use brute-force boundary sampling. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
 systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
 the banded theta-step as it was first written, assembled anew for every
@@ -92,13 +93,13 @@ def _wkb_tail_state(eta, theta):
     return np.array([g, g1, g2, g3])
 
 
-def shooting_profile4(eta_start=30.0, rtol=1e-12):
-    """Fourth-order profile peak by backward shooting.
+def shooting_v4(eta_start=30.0, rtol=1e-12):
+    """Fourth-order profile by backward shooting.
 
     Integrates the two decaying WKB tail modes from eta_start down to 0
     (backward integration is stable for them), then superposes with the
-    particular solution v = 1 to satisfy v(0) = v'(0) = 0. Returns
-    (eta0, v(eta0))."""
+    particular solution v = 1 to satisfy v(0) = v'(0) = 0. Returns the
+    functions v and v' on (0, eta_start]."""
 
     def rhs_hom(eta, y):
         return [y[1], y[2], y[3], 0.25 * eta * y[1] - y[0]]
@@ -119,10 +120,67 @@ def shooting_profile4(eta_start=30.0, rtol=1e-12):
     def vp(e):
         return c[0] * sols[0].sol(e)[1] + c[1] * sols[1].sol(e)[1]
 
+    return v, vp
+
+
+def shooting_profile4(eta_start=30.0, rtol=1e-12):
+    """Fourth-order profile peak (eta0, v(eta0)) of shooting_v4."""
+    v, vp = shooting_v4(eta_start, rtol)
     ee = np.linspace(0.5, 10.0, 4001)
     i = int(np.argmax(v(ee)))
     eta0 = brentq(vp, ee[i] - 0.1, ee[i] + 0.1, xtol=1e-13)
     return float(eta0), float(v(eta0))
+
+
+def chebyshev_profile4(n=80, dps=40):
+    """Fourth-order profile peak (eta0, v(eta0)) as mpmath numbers, by
+    Chebyshev collocation of the capped problem the package solves:
+    -v'''' + (eta/4) v' - v = -1 on [0, 36], v(0) = v'(0) = 0, v(36) = 1,
+    v'(36) = 0.
+
+    Trefethen's differentiation matrix (Spectral Methods in MATLAB, SIAM
+    2000, `cheb`) on n + 1 points at dps digits; the rows of the two end
+    nodes and of their neighbours hold the boundary conditions, and
+    findroot locates eta0 on the barycentric interpolant of v'."""
+    from mpmath import mp
+
+    eta_max = 36
+    with mp.workdps(dps):
+        x = [mp.cos(mp.pi * j / n) for j in range(n + 1)]
+        c = [(2 if j in (0, n) else 1) * (-1) ** j for j in range(n + 1)]
+        # d/d eta for eta = (eta_max / 2)(1 - x): node 0 is eta = 0
+        scale = -2 / mp.mpf(eta_max)
+        D = mp.matrix(n + 1, n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if i != j:
+                    D[i, j] = scale * mp.mpf(c[i]) / c[j] / (x[i] - x[j])
+            D[i, i] = -mp.fsum(D[i, j] for j in range(n + 1) if j != i)
+        D2 = D * D
+        D4 = D2 * D2
+        eta = [mp.mpf(eta_max) / 2 * (1 - xi) for xi in x]
+        A = mp.matrix(n + 1, n + 1)
+        rhs = mp.matrix(n + 1, 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                A[i, j] = -D4[i, j] + eta[i] / 4 * D[i, j] - (1 if i == j else 0)
+            rhs[i] = -1
+        for row, node, order, value in ((0, 0, 0, 0), (1, 0, 1, 0),
+                                        (n, n, 0, 1), (n - 1, n, 1, 0)):
+            for j in range(n + 1):
+                A[row, j] = D[node, j] if order else (1 if j == node else 0)
+            rhs[row] = value
+        v = mp.lu_solve(A, rhs)
+        vp = D * v
+        w = [1 / mp.mpf(cj) for cj in c]  # barycentric weights
+
+        def interp(f, e):
+            xe = 1 - 2 * e / eta_max
+            t = [w[j] / (xe - x[j]) for j in range(n + 1)]
+            return mp.fsum(t[j] * f[j] for j in range(n + 1)) / mp.fsum(t)
+
+        eta0 = mp.findroot(lambda e: interp(vp, e), mp.mpf("3.738"))
+        return +eta0, +interp(v, eta0)
 
 
 # -- PDE oracles (uniform-grid method of lines, scipy BDF) -----------------------

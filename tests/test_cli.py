@@ -208,6 +208,19 @@ def test_bad_eps_exits_2_without_output(tmp_path, capsys, verb, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_negative_seed_exits_2_without_output(tmp_path, capsys, override):
+    text = STRIP_CFG.replace("grading: 2.0", "grading: 2.0\n  noise_amplitude: 0.001")
+    if not override:
+        text += "seed: -1\n"
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    argv = ["--config", path, "--out", str(out)] + ["--seed", "-1"] * override
+    assert main(argv + ["solve"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_snapshot_stride_exits_2_without_output(tmp_path, capsys):
     text = STRIP_CFG.replace("formats: [csv]", "formats: [csv]\n  snapshot_stride: -1")
     _assert_solve_exits_2_without_output(tmp_path, capsys, text)
@@ -785,6 +798,18 @@ def test_bad_skeleton_resolution_exits_2_without_output(tmp_path, capsys, geomet
     assert "config error" in err and "skeleton_resolution" in err and msg in err
     if msg != "no skeleton detections":
         assert "(line 9)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["strip", "square", "potato"])
+@pytest.mark.parametrize("value", ["0", "[0.0, 0.2]"])
+def test_predict_at_eps_0_exits_2_without_output(tmp_path, capsys, geometry, value):
+    config, eps = {"strip": (STRIP_CFG, "eps: [0.2]"), "square": (SQUARE_CFG, "eps: 0.2"),
+                   "potato": (POTATO_CFG, "eps: [0.03, 0.1]")}[geometry]
+    path = write_cfg(tmp_path, config.replace(eps, f"eps: {value}"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "predict"]) == 2
+    assert "predict needs experiment.eps > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,15 +8,21 @@ from blowuplab.errors import ConvergenceError
 from blowuplab.profiles import (OMEGA, _Spline,
                                 second_order_profile, solve_curvature_correction,
                                 solve_profile4, v2, v2_prime, v2_tail)
-from oracles import (d1_5pt, d2_5pt, d3_7pt, d4_7pt, read_profile_csv,
-                     shooting_profile4)
+from oracles import (chebyshev_profile4, d1_5pt, d2_5pt, d3_7pt, d4_7pt,
+                     read_profile_csv, shooting_profile4, shooting_v4)
 
-# frozen golden values, pinned by the shooting oracle (see
-# test_eta0_agrees_with_shooting_oracle) and stable to ~4e-7 under mesh
-# halving of the default solve
-ETA0_GOLDEN = 3.738433
+# the peak of the capped fourth-order problem by mpmath Chebyshev
+# collocation, where n = 80 and 120 at 40 digits agree in all 20 digits
+# (test_collocation_reproduces_reference_digits)
+ETA0_REF = 3.7384337311286860135
+VPEAK_REF = 1.060510046450362279
+# the same rounded; the default solve is within 5e-8 of ETA0_REF, the
+# h = 1/400 solve within 3e-6
+ETA0_GOLDEN = 3.738434
 VPEAK_GOLDEN = 1.0605100
 DATA = os.path.join(os.path.dirname(__file__), "data")
+OPTIONAL = pytest.mark.skipif(os.environ.get("BLOWUPLAB_OPTIONAL_TIER") != "1",
+                              reason="optional tier: set BLOWUPLAB_OPTIONAL_TIER=1")
 
 
 def test_omega_constant():
@@ -101,6 +107,19 @@ class TestProfile4:
         assert abs(profile4.eta0 - eta0_sh) <= 1e-4
         assert abs(profile4.v_peak - vpeak_sh) <= 1e-5
 
+    def test_peak_agrees_with_collocation_digits(self, profile4):
+        # measured +4.7e-8 and +4.6e-10 at h = 1/100; -6.9e-7 and -7.0e-9
+        # at 1/200
+        assert abs(profile4.eta0 - ETA0_REF) <= 1e-7
+        assert abs(profile4.v_peak - VPEAK_REF) <= 1e-9
+
+    def test_table_agrees_with_shooting_oracle(self, profile4):
+        # the nodes on (0, 12], where the overshoot and the first swings
+        # lie: measured 2.8e-8 at h = 1/100, 4.3e-7 at 1/200
+        v, _ = shooting_v4()
+        m = (profile4.eta > 0.0) & (profile4.eta <= 12.0)
+        assert np.max(np.abs(profile4.values[m] - v(profile4.eta[m]))) <= 5e-8
+
     def test_eta0_stable_under_mesh_halving(self, profile4):
         finer = solve_profile4(h=1.0 / 400.0)
         assert abs(finer.eta0 - profile4.eta0) <= 1e-5
@@ -170,6 +189,15 @@ class TestProfile4:
         assert profile4.amplitude == pytest.approx(golden.amplitude, rel=1e-4)
         sub = np.linspace(0, golden.eta_max, 733)
         assert np.max(np.abs(golden.evaluate(sub) - profile4.evaluate(sub))) <= 1e-8
+
+
+@OPTIONAL
+def test_collocation_reproduces_reference_digits():
+    from mpmath import mp
+    eta0, v_peak = chebyshev_profile4(n=80, dps=40)
+    assert abs(eta0 - mp.mpf("3.7384337311286860135")) <= 1e-18
+    assert abs(v_peak - mp.mpf("1.060510046450362279")) <= 1e-18
+    assert float(eta0) == ETA0_REF and float(v_peak) == VPEAK_REF
 
 
 def test_second_order_profile_table():

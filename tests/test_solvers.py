@@ -864,9 +864,11 @@ def test_config_validation():
                 dict(threshold=np.inf), dict(growth_target=0.0),
                 dict(growth_target=np.nan), dict(max_steps=0), dict(t_end=0.0),
                 dict(t_end=np.nan), dict(grading=-1.0), dict(grading=np.nan),
-                dict(noise_amplitude=-1e-3), dict(noise_amplitude=np.nan)):
+                dict(noise_amplitude=-1e-3), dict(noise_amplitude=np.nan),
+                dict(seed=-1)):
         with pytest.raises(ValueError):
             SolverConfig(order=2, nonlinearity=EXP, **{"eps": 0.1, **bad})
+    SolverConfig(order=2, nonlinearity=EXP, eps=0.1, seed=0)
     # max_unknowns counts nx - 2 unknowns on the strip and nx on the disc
     for geometry, nx in (("strip", 2_000_002), ("radial-disc", 2_000_000)):
         SolverConfig(order=2, nonlinearity=EXP, eps=0.1, geometry=geometry, nx=nx)
