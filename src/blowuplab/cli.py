@@ -333,6 +333,10 @@ def cmd_compare(cfg, out) -> int:
             return EXIT_CONFIG
     sets = []
     for eps in sorted(cfg.eps_values):
+        if eps == 0:
+            print("eps=0 skipped: the reaction limit has no prediction to "
+                  "compare with", file=sys.stderr)
+            continue
         paths = [os.path.join(out, f"{kind}_eps{_eps_tag(eps)}.csv")
                  for kind in ("prediction", "singularities")]
         if not all(map(os.path.exists, paths)):
@@ -340,6 +344,9 @@ def cmd_compare(cfg, out) -> int:
                   file=sys.stderr)
             return EXIT_CONFIG
         sets.append((eps, *map(_read_points_csv, paths)))
+    if not sets:
+        print("nothing to compare: the sweep holds only eps 0", file=sys.stderr)
+        return EXIT_CONFIG
     rows = []
     for eps, pred, comp in sets:
         counts = (len(pred), len(comp), int(len(pred) == len(comp)))

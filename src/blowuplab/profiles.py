@@ -10,14 +10,18 @@ maximum at eta0. That overshoot is the whole story of multiple blow-up,
 so eta0 and v(eta0) are first-class outputs here.
 
 The fourth-order problem is discretized as the mixed system (v, w = v'')
-with 7-point interpolatory stencils and solved sparsely, at h = 1/100.
-Its error has a roundoff floor that grows as h shrinks. Against an
-mpmath Chebyshev collocation of the same capped problem, eta0 is off by
-+4.7e-8 and v(eta0) by +4.6e-10 at h = 1/100, but by -6.9e-7 and -7.0e-9
-at 1/200 and by -2.9e-6 at 1/400; the table is within 2.8e-8 of a
-shooting solution on (0, 12] at 1/100 (4.3e-7 at 1/200). A coarser grid
-is no cure: the not-a-knot spline's slope at 0, held below 1e-6, grows
-like h^3 and passes that bound for the correction at h = 1/80.
+with 7-point interpolatory stencils at h = 1/100, v_i and w_i interleaved
+so that it is banded, and solved by banded LU with one step of iterative
+refinement on a residual summed in extended precision, which takes the
+solve to working precision. Against an mpmath Chebyshev collocation of
+the same capped problem, eta0 is off by -5.8e-9 and v(eta0) by -6.2e-11
+at h = 1/100, and the table is within 4.3e-9 of a shooting solution on
+(0, 12]. The error has a roundoff floor that grows like h^-3, with eta0
+off by -4.6e-8 at 1/200 and by -3.7e-7 at 1/400; it stays when the
+refinement is repeated, so it lies in the system as assembled in double,
+not in its solve. A coarser grid is no cure either: the not-a-knot
+spline's slope at 0, held below 1e-6, grows like h^3 and passes that
+bound for the correction at h = 1/80.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 from .errors import ConvergenceError
 from .fileio import cell, write_csv
@@ -47,12 +49,14 @@ _SQRT_PI = np.sqrt(np.pi)
 # The profile grid: [0, ETA_MAX] (the second-order correction stops at
 # 20) and WIDTH-point stencils. Order 2 is tabulated at spacing H; the
 # fourth-order profile is solved at H4 unless solve_profile4 is given
-# another h, and its correction on the profile's own grid. Every sparse
-# solve must leave a residual of at most RESIDUAL_TOL.
+# another h, and its correction on the profile's own grid; K4 is the
+# half-width of their band. Every band solve must leave a residual of at
+# most RESIDUAL_TOL.
 ETA_MAX = 36.0
 H = 1.0 / 200.0
 H4 = 1.0 / 100.0
 WIDTH = 7
+K4 = 2 * WIDTH - 1
 RESIDUAL_TOL = 1e-9
 
 
@@ -212,19 +216,24 @@ class CorrectionProfile:
         return float(out) if scalar else out
 
 
-def _triplets(*blocks):
-    """COO (rows, cols, vals) from blocks of broadcastable arrays.
-
-    Entries enter block by block and, within a block, in row-major order,
-    so duplicate (row, col) pairs are always summed in the same order."""
-    parts = [np.broadcast_arrays(*b) for b in blocks]
-    return tuple(np.concatenate([np.ravel(p[k]) for p in parts]) for k in range(3))
+def _band(k, n, *blocks):
+    """LAPACK band storage, entry (i, j) at ab[k + i - j, j] in Fortran
+    order, of the n x n matrix that sums blocks (rows, cols, vals) of
+    broadcastable arrays, block by block; no (row, col) pair may repeat
+    within a block. No entry of the profile systems sums more than two
+    values, so their bits are those of any other order of the sums."""
+    ab = np.zeros((2 * k + 1, n), order="F")
+    for rows, cols, vals in blocks:
+        ab[k + rows - cols, cols] += vals
+    return ab
 
 
 def _mixed_operator(eta, c0, rhs_values):
-    """Assemble the mixed-system matrix for -w'' + (eta/4) v' + c0 v = rhs,
+    """Assemble the mixed system for -w'' + (eta/4) v' + c0 v = rhs,
     v'' = w, with rows scaled by h^2 to keep conditioning ~ h^-2; rhs_values
-    holds the right side on the grid."""
+    holds the right side on the grid. v_i and w_i are unknowns 2i and 2i+1,
+    and the v'' = w and fourth-order rows of node i are rows 2i and 2i+1,
+    so the band has half-width K4."""
     n = len(eta) - 1
     N = n + 1
     h = eta[1] - eta[0]
@@ -237,24 +246,26 @@ def _mixed_operator(eta, c0, rhs_values):
     D1, D2 = C[:, :, 1] * h2, C[:, :, 2] * h2
     i = i[:, None]
     mid = slice(2, n - 1)
-    rows, cols, vals = _triplets(
-        # v-block boundary rows: v(0)=0 (row 0), v'(0)=0 (row 1),
-        # v'(eta_max)=0 (row n-1), v(eta_max)=bc_right (row n)
+    v, w = 2 * J, 2 * J + 1  # the unknowns of each stencil
+    ab = _band(
+        K4, 2 * N,
+        # v rows: v(0)=0 (node 0), v'(0)=0 (node 1), v'(eta_max)=0 (node
+        # n-1), v(eta_max)=bc_right (node n)
         (0, 0, 1.0),
-        (1, J[0], C[0, :, 1] * h),
-        (n - 1, J[n], C[n, :, 1] * h),
-        (n, n, 1.0),
-        # v-block interior: v'' - w = 0
-        (i[mid], np.hstack([J[mid], N + i[mid]]),
-         np.hstack([D2[mid], np.full((n - 3, 1), -h2)])),
-        # w-block: the fourth-order equation at every node (one-sided at ends)
-        (N + i, np.hstack([N + J, J, i]),
-         np.hstack([-D2, 0.25 * eta[i] * D1, np.full((N, 1), c0 * h2)])),
+        (2, v[0], C[0, :, 1] * h),
+        (2 * n - 2, v[n], C[n, :, 1] * h),
+        (2 * n, 2 * n, 1.0),
+        # v rows of the interior: v'' - w = 0
+        (2 * i[mid], v[mid], D2[mid]),
+        (2 * i[mid], 2 * i[mid] + 1, -h2),
+        # w rows: the fourth-order equation at every node (one-sided at ends)
+        (2 * i + 1, w, -D2),
+        (2 * i + 1, v, 0.25 * eta[i] * D1),
+        (2 * i + 1, 2 * i, c0 * h2),
     )
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N)).tocsc()
     rhs = np.zeros(2 * N)
-    rhs[N:] = rhs_values * h2
-    return A, rhs
+    rhs[1::2] = rhs_values * h2
+    return ab, rhs
 
 
 def _peak_from_table(eta, v):
@@ -285,11 +296,36 @@ def _fit_tail(eta, v):
     return float(np.hypot(*ab)), float(np.arctan2(ab[1], ab[0]))
 
 
-def _solve_checked(A, rhs, what):
-    """spsolve(A, rhs); ConvergenceError when the residual exceeds
+def _band_residual(ab, x, rhs, dtype=float):
+    """rhs - A x for A in band storage ab, summed in dtype one diagonal at
+    a time, in an order that no BLAS thread count changes (dgbmv's does).
+    A refinement step needs it in extended precision (np.longdouble):
+    on a residual in working precision it leaves an error of the size of
+    that residual's rounding, and eta0 moved between 5e-9 and 1.3e-8 with
+    the order of the sum."""
+    k, n = len(ab) // 2, ab.shape[1]
+    x, r = x.astype(dtype), rhs.astype(dtype)
+    for d in range(2 * k + 1):  # diagonal d holds A[j + d - k, j]
+        lo, hi = max(k - d, 0), n - max(d - k, 0)  # its columns j
+        r[lo + d - k:hi + d - k] -= ab[d, lo:hi] * x[lo:hi]
+    return r.astype(float)
+
+
+def _solve_checked(ab, rhs, what):
+    """Solve the band system ab (as _band stores it, half-width k on both
+    sides) by LU with partial pivoting and one step of iterative
+    refinement on the extended-precision residual; ConvergenceError when
+    the matrix is singular or the residual, in double, then exceeds
     RESIDUAL_TOL."""
-    sol = spsolve(A, rhs)
-    resid = np.abs(A @ sol - rhs).max()
+    k = len(ab) // 2
+    lu = np.zeros((3 * k + 1, ab.shape[1]), order="F")
+    lu[k:] = ab
+    lu, piv, info = dgbtrf(lu, k, k, overwrite_ab=True)
+    if info:
+        raise ConvergenceError(f"{what}: singular matrix")
+    sol = dgbtrs(lu, k, k, rhs, piv)[0]
+    sol += dgbtrs(lu, k, k, _band_residual(ab, sol, rhs, np.longdouble), piv)[0]
+    resid = np.abs(_band_residual(ab, sol, rhs)).max()
     if resid > RESIDUAL_TOL:
         raise ConvergenceError(f"{what} residual {resid:g}")
     return sol
@@ -306,11 +342,10 @@ def solve_profile4(h=H4) -> LayerProfile:
     """
     n = int(round(ETA_MAX / h))
     eta = np.linspace(0.0, ETA_MAX, n + 1)
-    A, rhs = _mixed_operator(eta, -1.0, -np.ones_like(eta))
-    rhs[n] = 1.0  # v(eta_max) = 1
-    sol = _solve_checked(A, rhs, "profile linear solve")
-    v = sol[:n + 1]
-    w = sol[n + 1:]
+    ab, rhs = _mixed_operator(eta, -1.0, -np.ones_like(eta))
+    rhs[2 * n] = 1.0  # v(eta_max) = 1
+    sol = _solve_checked(ab, rhs, "profile linear solve")
+    v, w = sol[0::2], sol[1::2]
     eta0, v_peak = _peak_from_table(eta, v)
     if not (0.0 < eta0 < ETA_MAX and v_peak > 1.0):
         raise ConvergenceError("fourth-order profile peak not interior or <= 1")
@@ -343,15 +378,12 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None
         J = stencil_window(i, n + 1, WIDTH)
         C = fd_weights(eta[J], eta[i], 2)
         i = i[:, None]
-        rows, cols, vals = _triplets(
-            (0, 0, 1.0), (n, n, 1.0),
-            (i, np.hstack([J, i]),
-             np.hstack([(C[:, :, 2] + 0.5 * eta[i] * C[:, :, 1]) * h2,
-                        np.full((n - 1, 1), -1.5 * h2)])))
+        ab = _band(WIDTH - 2, n + 1, (0, 0, 1.0), (n, n, 1.0),
+                   (i, J, (C[:, :, 2] + 0.5 * eta[i] * C[:, :, 1]) * h2),
+                   (i, i, -1.5 * h2))
         rhs = np.zeros(n + 1)
         rhs[1:n] = v2_prime(eta[1:n]) * h2
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
-        sol = _solve_checked(A, rhs, "correction solve")
+        sol = _solve_checked(ab, rhs, "correction solve")
         return CorrectionProfile(order=2, eta=eta, values=sol, eta_max=eta_max)
 
     if order == 4:
@@ -365,10 +397,10 @@ def solve_curvature_correction(order, profile4: LayerProfile | None = None
         # v0''' as one derivative of the solved v'' table; differentiating
         # the value table three times amplifies its boundary-row error
         v0_3 = _table_derivative(eta, profile4.d2_values)
-        A, rhs = _mixed_operator(eta, -1.25, -2.0 * v0_3)
-        rhs[n] = 0.0  # vbar -> 0 in the far field
-        sol = _solve_checked(A, rhs, "correction solve")
-        return CorrectionProfile(order=4, eta=eta, values=sol[:n + 1],
+        ab, rhs = _mixed_operator(eta, -1.25, -2.0 * v0_3)
+        rhs[2 * n] = 0.0  # vbar -> 0 in the far field
+        sol = _solve_checked(ab, rhs, "correction solve")
+        return CorrectionProfile(order=4, eta=eta, values=sol[0::2],
                                  eta_max=profile4.eta_max)
 
     raise ValueError(f"order must be 2 or 4, got {order}")

@@ -22,10 +22,10 @@ Rectangle and cube steps (FastDiagCN; FastDiagRectCN and FastDiagCubeCN
 at order 4) work on sine coefficients from the grid alone, set up once
 per power-of-two dt bucket, so a step makes two transforms and no
 sparse product. SparseLUCN and ConjugateGradientCN, the box steps these
-replaced, stay as the tests' reference paths. Every adapter counts its
-solves and its factorizations or setups, FastDiagCubeCN also its PCG
-iterations, and solve_problem copies the counts into
-BlowupReport.diagnostics.
+replaced, stay as the tests' reference paths and import scipy.sparse
+only when used. Every adapter counts its solves and its factorizations
+or setups, FastDiagCubeCN also its PCG iterations, and solve_problem
+copies the counts into BlowupReport.diagnostics.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
-from scipy.sparse.linalg import cg, splu
 
 from ..errors import ConfigError, ConvergenceError
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
@@ -243,10 +241,20 @@ class BandedCN(CNStep):
         return 0.5 * (x[:, 0] + x[::-1, 1]) if self.symmetrize else x
 
 
-class SparseLUCN(CNStep):
-    """Crank-Nicolson by sparse LU factors, one per power-of-two dt bucket."""
+def splu(A):
+    """scipy's SuperLU factors of A, imported on the first call: only the
+    tests' reference adapter SparseLUCN factors a sparse matrix, so no
+    run loads scipy.sparse for it."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(A)
 
-    def __init__(self, B: sp.spmatrix):
+
+class SparseLUCN(CNStep):
+    """Crank-Nicolson by sparse LU factors, one per power-of-two dt bucket,
+    of a scipy.sparse operator B."""
+
+    def __init__(self, B):
+        import scipy.sparse as sp
         super().__init__()
         self.B = B.tocsc()
         self.I = sp.identity(B.shape[0], format="csc")
@@ -264,20 +272,23 @@ class SparseLUCN(CNStep):
 
 class ConjugateGradientCN(CNStep):
     """Matrix-free-ish Crank-Nicolson via CG; for the SPD 3D operator. A
-    setup is the step matrix A1 of a power-of-two dt bucket."""
+    setup is the step matrix A1 of a power-of-two dt bucket. B is a
+    scipy.sparse operator."""
 
     RTOL = 1e-11
 
-    def __init__(self, B: sp.spmatrix):
+    def __init__(self, B):
         super().__init__()
         self.B = B.tocsr()
 
     apply = CNStep.apply        # perfbench/tracer.py hooks it by this class's name
 
     def _setup(self, dt):
+        import scipy.sparse as sp
         return sp.identity(self.B.shape[0], format="csr") + THETA * dt * self.B
 
     def _step(self, dt, A1, u):
+        from scipy.sparse.linalg import cg
         rhs = u - (1.0 - THETA) * dt * (self.B @ u)
         x, info = cg(A1, rhs, x0=u, rtol=self.RTOL, atol=0.0, maxiter=2000)
         if info != 0:

@@ -8,19 +8,20 @@ FastDiagCubeCN solves steps by conjugate gradients preconditioned with
 the exact sine-basis solve of its L^2 part. The right side and the
 iterations stay in the sine basis, where the wall term is three thin
 contractions, so a step makes two transforms. build_cube does not
-assemble the operator; cube_operator is the tests' reference.
+assemble the operator; cube_operator is the tests' reference, and
+imports scipy.sparse only when called.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .common import FastDiagCubeCN, SolverConfig
 from .rect2d import d2_dirichlet_uniform, d4_clamped_uniform
 
 
 def cube_operator(n, h):
+    import scipy.sparse as sp
     m = n - 2
     I = sp.identity(m, format="csr")
     D4 = d4_clamped_uniform(n, h)

@@ -16,18 +16,19 @@ so the right side needs only thin products of the sine coefficients
 with the sine vectors at the walls, and a sine-basis solve plus a
 Woodbury correction on those lines, taken in sine-line coordinates and
 eliminated block by block, is exact. build_rect does not assemble the
-operator; rect_operator is the tests' reference.
+operator; rect_operator is the tests' reference, and the sparse
+operators import scipy.sparse only when called.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .common import FastDiagCN, FastDiagRectCN, SolverConfig
 
 
 def d4_clamped_uniform(n, h):
+    import scipy.sparse as sp
     m = n - 2
     main = np.full(m, 6.0)
     main[0] = main[-1] = 7.0  # ghost = first interior folds onto the diagonal
@@ -38,12 +39,14 @@ def d4_clamped_uniform(n, h):
 
 
 def d2_dirichlet_uniform(n, h):
+    import scipy.sparse as sp
     m = n - 2
     return sp.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
                     [-1, 0, 1], format="csr") / h ** 2
 
 
 def rect_operator(nx, ny, hx, hy, order):
+    import scipy.sparse as sp
     Ix = sp.identity(nx - 2, format="csr")
     Iy = sp.identity(ny - 2, format="csr")
     if order == 4:

@@ -32,7 +32,10 @@ in-place flow with its singular mask, clamp and +inf fill on every call. scalar_
 peak linking as it was first written, one distance array per peak.
 reaction_residual measures a reaction state against its ODE by central
 differences, and read_profile_csv reads a layer profile back from the CSV
-that LayerProfile.to_csv writes.
+that LayerProfile.to_csv writes. coo_mixed_operator and
+coo_correction2_operator are the layer-profile systems as they were first
+assembled, from COO triplets into a CSC matrix for SuperLU, and
+csc_to_band places such a matrix in the band storage the package solves.
 """
 
 import numpy as np
@@ -828,3 +831,79 @@ def read_profile_csv(path):
                         eta_max=meta["eta_max"], amplitude=meta["A"],
                         phase=meta["theta"], eta0=meta["eta0"],
                         v_peak=meta["v_peak"])
+
+
+def _triplets(*blocks):
+    """COO (rows, cols, vals) from blocks of broadcastable arrays.
+
+    Entries enter block by block and, within a block, in row-major order,
+    so duplicate (row, col) pairs are always summed in the same order."""
+    parts = [np.broadcast_arrays(*b) for b in blocks]
+    return tuple(np.concatenate([np.ravel(p[k]) for p in parts]) for k in range(3))
+
+
+def coo_mixed_operator(eta, c0, rhs_values):
+    """profiles._mixed_operator as it was first written: the CSC matrix and
+    right side of -w'' + (eta/4) v' + c0 v = rhs, v'' = w, with rows scaled
+    by h^2, the unknowns v_0..v_n then w_0..w_n, and the rows the same."""
+    from blowuplab.profiles import WIDTH
+    from blowuplab.stencils import fd_weights, stencil_window
+    n = len(eta) - 1
+    N = n + 1
+    h = eta[1] - eta[0]
+    h2 = h * h
+    i = np.arange(N)
+    J = stencil_window(i, N, WIDTH)
+    C = fd_weights(eta[J], eta, 2)
+    D1, D2 = C[:, :, 1] * h2, C[:, :, 2] * h2
+    i = i[:, None]
+    mid = slice(2, n - 1)
+    rows, cols, vals = _triplets(
+        (0, 0, 1.0),
+        (1, J[0], C[0, :, 1] * h),
+        (n - 1, J[n], C[n, :, 1] * h),
+        (n, n, 1.0),
+        (i[mid], np.hstack([J[mid], N + i[mid]]),
+         np.hstack([D2[mid], np.full((n - 3, 1), -h2)])),
+        (N + i, np.hstack([N + J, J, i]),
+         np.hstack([-D2, 0.25 * eta[i] * D1, np.full((N, 1), c0 * h2)])),
+    )
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N)).tocsc()
+    rhs = np.zeros(2 * N)
+    rhs[N:] = rhs_values * h2
+    return A, rhs
+
+
+def coo_correction2_operator():
+    """The order-2 curvature-correction system of
+    profiles.solve_curvature_correction as it was first written: the CSC
+    matrix and right side on [0, 20] at spacing profiles.H."""
+    from blowuplab.profiles import H, WIDTH, v2_prime
+    from blowuplab.stencils import fd_weights, stencil_window
+    n = int(round(20.0 / H))
+    eta = np.linspace(0.0, 20.0, n + 1)
+    h2 = H * H
+    i = np.arange(1, n)
+    J = stencil_window(i, n + 1, WIDTH)
+    C = fd_weights(eta[J], eta[i], 2)
+    i = i[:, None]
+    rows, cols, vals = _triplets(
+        (0, 0, 1.0), (n, n, 1.0),
+        (i, np.hstack([J, i]),
+         np.hstack([(C[:, :, 2] + 0.5 * eta[i] * C[:, :, 1]) * h2,
+                    np.full((n - 1, 1), -1.5 * h2)])))
+    rhs = np.zeros(n + 1)
+    rhs[1:n] = v2_prime(eta[1:n]) * h2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc(), rhs
+
+
+def csc_to_band(A, k, perm):
+    """LAPACK band storage, entry (i, j) at ab[k + i - j, j], of the matrix
+    A with its rows and columns renumbered, old index m to perm[m].
+    AssertionError when an entry lies outside the half-width k."""
+    A = A.tocoo()
+    r, c = perm[A.row], perm[A.col]
+    assert np.all(np.abs(r - c) <= k), "an entry lies outside the band"
+    ab = np.zeros((2 * k + 1, A.shape[1]))
+    ab[k + r - c, c] = A.data
+    return ab

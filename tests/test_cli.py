@@ -458,6 +458,28 @@ def test_square_solve_and_compare_multiplicity(tmp_path):
     assert rows[1].split(",")[-1] == "1"  # multiplicity agreement at eps=0.2
 
 
+def test_compare_skips_the_eps_0_row(tmp_path, capsys):
+    """A sweep that holds eps 0, the reaction limit, which predict refuses:
+    compare joins the other rows, as on the sweep without 0, and says that
+    it skipped eps 0; a sweep of eps 0 alone has nothing to compare."""
+    out = str(tmp_path / "out")
+    without = write_cfg(tmp_path, SQUARE_CFG, name="without.yaml")
+    for verb in ("solve", "predict", "compare"):
+        assert main(["--config", without, "--out", out, verb]) == 0, verb
+    joined = (tmp_path / "out" / "comparison.csv").read_bytes()
+    sweep = write_cfg(tmp_path, SQUARE_CFG.replace("eps: 0.2", "eps: [0, 0.2]"))
+    assert main(["--config", sweep, "--out", out, "solve"]) == 0
+    capsys.readouterr()
+    assert main(["--config", sweep, "--out", out, "compare"]) == 0
+    assert "eps=0 skipped" in capsys.readouterr().err
+    assert (tmp_path / "out" / "comparison.csv").read_bytes() == joined
+
+    only = write_cfg(tmp_path, SQUARE_CFG.replace("eps: 0.2", "eps: 0"), name="only.yaml")
+    assert main(["--config", only, "--out", out, "solve"]) == 0
+    assert main(["--config", only, "--out", out, "compare"]) == 2
+    assert "nothing to compare" in capsys.readouterr().err
+
+
 def test_measured_T_read_by_header(tmp_path):
     from blowuplab.cli import _measured_T
     from blowuplab.reaction import Nonlinearity, ReactionSolution

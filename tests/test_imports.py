@@ -1,7 +1,7 @@
 """Start-up stays small: the package never imports scipy.optimize,
-scipy.interpolate, scipy.integrate, scipy.ndimage, scipy.spatial or
-multiprocessing on its own, and scipy.special only when the order-2
-profile is evaluated.
+scipy.interpolate, scipy.integrate, scipy.ndimage, scipy.spatial,
+scipy.sparse or multiprocessing on its own, and scipy.special only when
+the order-2 profile is evaluated.
 
 Together the first four cost a quarter of a second at every CLI
 start-up, and the package needs only a spline (profiles._Spline), an
@@ -15,9 +15,11 @@ start-up (2-core x86_64, scipy 1.17). The nearest boundary sample and the close 
 found in numpy (geometry.SmoothPolarDomain._nearest_sample and
 geometry._near_pairs), and v2 and v2_prime import erfcx when they are
 called. multiprocessing loads only when `solve --threads` starts a
-process pool. scipy.sparse.linalg does stay loaded: it gives spsolve,
-and the benchmark's tracer hooks its `splu` and `cg`
-(tests/test_tracer_hooks.py).
+process pool. scipy.sparse (with scipy.sparse.linalg) added about 3.6 MB
+to every start-up: the layer-profile systems are solved on LAPACK bands,
+and only the tests' reference code (solvers.common.splu, SparseLUCN,
+ConjugateGradientCN, rect_operator and cube_operator) imports it, when
+called.
 
 Each check runs in a fresh interpreter, since the test session itself
 has imported them all.
@@ -33,7 +35,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimage",
-         "scipy.spatial", "scipy.special", "multiprocessing")
+         "scipy.spatial", "scipy.special", "scipy.sparse", "multiprocessing")
 
 RECT_CFG = """
 experiment:

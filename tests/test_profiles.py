@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from scipy.sparse.linalg import spsolve
+
+from blowuplab import profiles
 from blowuplab.errors import ConvergenceError
-from blowuplab.profiles import (OMEGA, _Spline,
+from blowuplab.profiles import (K4, OMEGA, WIDTH, _Spline, _mixed_operator,
+                                _solve_checked, _table_derivative,
                                 second_order_profile, solve_curvature_correction,
                                 solve_profile4, v2, v2_prime, v2_tail)
-from oracles import (chebyshev_profile4, d1_5pt, d2_5pt, d3_7pt, d4_7pt,
+from oracles import (chebyshev_profile4, coo_correction2_operator, coo_mixed_operator,
+                     csc_to_band, d1_5pt, d2_5pt, d3_7pt, d4_7pt,
                      read_profile_csv, shooting_profile4, shooting_v4)
 
 # the peak of the capped fourth-order problem by mpmath Chebyshev
@@ -16,8 +21,8 @@ from oracles import (chebyshev_profile4, d1_5pt, d2_5pt, d3_7pt, d4_7pt,
 # (test_collocation_reproduces_reference_digits)
 ETA0_REF = 3.7384337311286860135
 VPEAK_REF = 1.060510046450362279
-# the same rounded; the default solve is within 5e-8 of ETA0_REF, the
-# h = 1/400 solve within 3e-6
+# the same rounded; the default solve is within 6e-9 of ETA0_REF, the
+# h = 1/400 solve within 4e-7
 ETA0_GOLDEN = 3.738434
 VPEAK_GOLDEN = 1.0605100
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -108,21 +113,27 @@ class TestProfile4:
         assert abs(profile4.v_peak - vpeak_sh) <= 1e-5
 
     def test_peak_agrees_with_collocation_digits(self, profile4):
-        # measured +4.7e-8 and +4.6e-10 at h = 1/100; -6.9e-7 and -7.0e-9
+        # measured -5.8e-9 and -6.2e-11 at h = 1/100; -4.6e-8 and -4.6e-10
         # at 1/200
-        assert abs(profile4.eta0 - ETA0_REF) <= 1e-7
-        assert abs(profile4.v_peak - VPEAK_REF) <= 1e-9
+        assert abs(profile4.eta0 - ETA0_REF) <= 1e-8
+        assert abs(profile4.v_peak - VPEAK_REF) <= 1e-10
 
     def test_table_agrees_with_shooting_oracle(self, profile4):
         # the nodes on (0, 12], where the overshoot and the first swings
-        # lie: measured 2.8e-8 at h = 1/100, 4.3e-7 at 1/200
+        # lie: measured 4.3e-9 at h = 1/100, 2.9e-8 at 1/200
         v, _ = shooting_v4()
         m = (profile4.eta > 0.0) & (profile4.eta <= 12.0)
-        assert np.max(np.abs(profile4.values[m] - v(profile4.eta[m]))) <= 5e-8
+        assert np.max(np.abs(profile4.values[m] - v(profile4.eta[m]))) <= 1e-8
 
     def test_eta0_stable_under_mesh_halving(self, profile4):
         finer = solve_profile4(h=1.0 / 400.0)
         assert abs(finer.eta0 - profile4.eta0) <= 1e-5
+
+    def test_eta0_stable_under_one_mesh_halving(self, profile4):
+        # the default h = 1/100 against 1/200: measured 4.1e-8, the finer
+        # grid's roundoff drift
+        finer = solve_profile4(h=1.0 / 200.0)
+        assert abs(finer.eta0 - profile4.eta0) <= 1e-7
 
     def test_eval_examples(self, profile4):
         assert profile4.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
@@ -195,8 +206,9 @@ class TestProfile4:
 def test_collocation_reproduces_reference_digits():
     from mpmath import mp
     eta0, v_peak = chebyshev_profile4(n=80, dps=40)
-    assert abs(eta0 - mp.mpf("3.7384337311286860135")) <= 1e-18
-    assert abs(v_peak - mp.mpf("1.060510046450362279")) <= 1e-18
+    with mp.workdps(40):  # the digits, not their rounding to the default 15
+        assert abs(eta0 - mp.mpf("3.7384337311286860135")) <= 1e-18
+        assert abs(v_peak - mp.mpf("1.060510046450362279")) <= 1e-18
     assert float(eta0) == ETA0_REF and float(v_peak) == VPEAK_REF
 
 
@@ -237,7 +249,7 @@ class TestCorrections:
         assert np.nanmax(np.abs(res[10:-4])) <= 1e-4
 
     def test_discrete_system_residual_tolerance(self):
-        # the assembled sparse systems are solved to residual <= 1e-9
+        # the assembled band systems are solved to residual <= 1e-9
         # (enforced internally; a ConvergenceError would surface here)
         solve_curvature_correction(2)
         solve_profile4()
@@ -255,6 +267,75 @@ class TestCorrections:
         with open(os.path.join(DATA, f"correction{order}_golden.csv"),
                   newline="", encoding="utf-8") as fh:
             assert text == fh.read()
+
+
+# -- the band systems against their first assembly -------------------------------
+
+def _spy_solves(monkeypatch):
+    """The list to which each later _solve_checked call appends its band
+    and right side."""
+    seen = []
+
+    def spy(ab, rhs, what):
+        seen.append((ab, rhs))
+        return _solve_checked(ab, rhs, what)
+
+    monkeypatch.setattr(profiles, "_solve_checked", spy)
+    return seen
+
+
+def _interleave(N):
+    """New index of each old unknown: v_i (old i) is 2i, w_i (old N + i) 2i + 1."""
+    return np.concatenate([2 * np.arange(N), 2 * np.arange(N) + 1])
+
+
+@pytest.mark.parametrize("h", [1.0 / 100.0, 1.0 / 200.0])
+def test_mixed_bands_equal_coo_reference(h, monkeypatch):
+    """The profile's and the order-4 correction's band hold the entries of
+    the CSC matrix the COO assembly built, bit for bit, and their right
+    sides the same values."""
+    seen = _spy_solves(monkeypatch)
+    prof = solve_profile4(h)
+    solve_curvature_correction(4, prof)
+    eta = prof.eta
+    n, perm = len(eta) - 1, _interleave(len(eta))
+    forcings = [(-1.0, -np.ones_like(eta), 1.0),
+                (-1.25, -2.0 * _table_derivative(eta, prof.d2_values), 0.0)]
+    assert len(seen) == len(forcings)
+    for (band, right), (c0, forcing, far) in zip(seen, forcings):
+        A, ref = coo_mixed_operator(eta, c0, forcing)
+        ref[n] = far
+        assert band.flags.f_contiguous and band.shape == (2 * K4 + 1, 2 * n + 2)
+        assert np.array_equal(band, csc_to_band(A, K4, perm))
+        assert np.array_equal(right[perm], ref)
+
+
+def test_correction2_band_equals_coo_reference(monkeypatch):
+    seen = _spy_solves(monkeypatch)
+    solve_curvature_correction(2)
+    ((ab, rhs),) = seen
+    A, ref = coo_correction2_operator()
+    assert np.array_equal(ab, csc_to_band(A, WIDTH - 2, np.arange(len(ref))))
+    assert np.array_equal(rhs, ref)
+
+
+def test_band_solve_agrees_with_spsolve():
+    """The refined band LU against SuperLU on the profile system at h = 0.1
+    (722 unknowns): measured 5.2e-11 apart, where the solution is about 1."""
+    eta = np.linspace(0.0, 36.0, 361)
+    ab, rhs = _mixed_operator(eta, -1.0, -np.ones_like(eta))
+    rhs[-2] = 1.0
+    A, ref = coo_mixed_operator(eta, -1.0, -np.ones_like(eta))
+    ref[360] = 1.0
+    perm = _interleave(len(eta))
+    assert np.max(np.abs(_solve_checked(ab, rhs, "test")[perm] - spsolve(A, ref))) <= 2e-10
+
+
+def test_singular_band_raises():
+    ab = np.zeros((3, 4), order="F")
+    ab[1] = [1.0, 1.0, 0.0, 1.0]
+    with pytest.raises(ConvergenceError):
+        _solve_checked(ab, np.ones(4), "test")
 
 
 # -- the spline port ---------------------------------------------------------------
