@@ -42,6 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
 
 from .errors import RangeError
 from .fileio import write_csv
@@ -535,6 +536,15 @@ def _skeleton_samples(dom, pts, tol):
             for p, dist, m in zip(pts, feet.distance, first) if (q := dist[m].tolist())]
 
 
+def _first_positions(a):
+    """Ascending positions of each value's first entry in the 1-D a:
+    np.sort(np.unique(a, return_index=True)[1]), without np.unique's
+    import of numpy.ma."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    return np.sort(order[np.r_[True, s[1:] != s[:-1]]])
+
+
 def _label_branches(samples, link_radius):
     """Connected-component labels over samples linked at distance <=
     link_radius, numbered in the (x, y) order of each component's first
@@ -559,7 +569,7 @@ def _label_branches(samples, link_radius):
             root = root[root]
     first = root[np.lexsort((pts[:, 1], pts[:, 0]))]
     label = np.empty(len(pts), dtype=int)
-    starts = np.sort(np.unique(first, return_index=True)[1])
+    starts = _first_positions(first)
     label[first[starts]] = np.arange(len(starts))
     for s, b in zip(samples, label[root].tolist()):
         s.branch = b
@@ -791,14 +801,8 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     xs = np.arange(bx0 - pad, bx1 + pad + resolution, resolution)
     ys = np.arange(by0 - pad, by1 + pad + resolution, resolution)
 
-    def coarse(n):
-        """Every 8th of n node indices and the last, and for each node the
-        position of the nearest of them."""
-        c = np.unique(np.r_[np.arange(0, n, 8), n - 1])
-        return c, np.abs(np.arange(n)[:, None] - c).argmin(axis=1)
-
-    cx, kx = coarse(len(xs))
-    cy, ky = coarse(len(ys))
+    cx, kx = _coarse_nodes(len(xs))
+    cy, ky = _coarse_nodes(len(ys))
     Fc = dom.signed_distance(np.column_stack(
         [np.repeat(xs[cx], len(cy)), np.tile(ys[cy], len(cx))]))
     # each node's F_c and its distance R to that coarse node
@@ -811,6 +815,15 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
         raise RangeError(f"no points at distance {level}; exceeds inradius")
     segments = _marching_squares(xs, ys, F)
     return _chain_segments(segments)
+
+
+def _coarse_nodes(n):
+    """Every 8th of n >= 1 node indices and the last, and for each node
+    the position of the nearest of them."""
+    c = np.arange(0, n, 8)
+    if c[-1] != n - 1:
+        c = np.append(c, n - 1)
+    return c, np.abs(np.arange(n)[:, None] - c).argmin(axis=1)
 
 
 def _marching_squares(xs, ys, F):
@@ -896,7 +909,7 @@ def ellipse_domain(a, b) -> SmoothPolarDomain:
     coefficients vanish; the truncation error decays geometrically."""
     th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     r = a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
-    F = np.fft.rfft(r)[:65] / 4096
+    F = rfft(r)[:65] / 4096
     return SmoothPolarDomain(float(F[0].real), (2.0 * F[1:].real).tolist(),
                              (-2.0 * F[1:].imag).tolist())
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 from .errors import ConvergenceError
 from .fileio import cell, write_csv
+from .lapack import dgbtrf, dgbtrs, dgtsv
 from .stencils import fd_weights, stencil_window
 
 # decay rate of the fourth-order far field, from the WKB exponents

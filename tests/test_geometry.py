@@ -975,7 +975,23 @@ def test_skeleton_requires_positive_resolution():
         compute_skeleton(DISC, 0.0)
 
 
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=40))
+def test_first_positions_match_unique(values):
+    a = np.array(values)
+    want = np.sort(np.unique(a, return_index=True)[1])
+    got = geometry._first_positions(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # -- omega level sets -----------------------------------------------------------
+
+def test_omega_coarse_nodes_match_unique():
+    for n in range(1, 65):
+        c, nearest = geometry._coarse_nodes(n)
+        want = np.unique(np.r_[np.arange(0, n, 8), n - 1])
+        assert c.dtype == want.dtype == np.int64 and np.array_equal(c, want), n
+        assert np.array_equal(nearest, np.abs(np.arange(n)[:, None] - want).argmin(axis=1))
+
 
 def test_omega_disc_circle():
     loops = omega_set(DISC, 0.4, resolution=0.01)

@@ -21,6 +21,19 @@ and only the tests' reference code (solvers.common.splu, SparseLUCN,
 ConjugateGradientCN, rect_operator and cube_operator) imports it, when
 called.
 
+scipy.linalg is not imported either: blowuplab.lapack loads its two
+extension modules, _flapack and _fblas, from their files. The package
+init would run scipy._lib._util, whose array-API layer imports
+numpy.f2py and numpy.testing; a CLI start-up (`import blowuplab.cli`)
+fell from a median 0.41 s to 0.22 s without it (2-core x86_64, scipy
+1.17.1, alternating pairs). Every numpy and scipy module that a CLI
+verb or the potato pipeline needs is loaded by that start-up, so none
+is imported inside a run. The order-2 profile's erfcx still loads
+scipy._lib._util, numpy.f2py and numpy.testing on its first call (its
+scipy.special import takes about 0.15 s, against 0.04 s with
+scipy.linalg loaded), and a custom nonlinearity's scipy.integrate loads
+scipy.linalg as well.
+
 Each check runs in a fresh interpreter, since the test session itself
 has imported them all.
 """
@@ -31,11 +44,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
+
+from blowuplab import lapack
+from blowuplab.solvers import common
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimage",
-         "scipy.spatial", "scipy.special", "scipy.sparse", "multiprocessing")
+         "scipy.spatial", "scipy.special", "scipy.sparse", "multiprocessing",
+         "scipy.linalg", "numpy.f2py", "numpy.testing")
 
 RECT_CFG = """
 experiment:
@@ -54,19 +73,23 @@ outputs:
 """
 
 
-def loaded_after(code):
-    """The HEAVY modules in sys.modules after `code` runs in a new interpreter."""
-    probe = code + textwrap.dedent(f"""
-        import sys
-        print("loaded:" + ",".join(m for m in {HEAVY!r} if m in sys.modules))
-        """)
+def listed_after(code, names):
+    """The list that the expression `names` makes after `code` runs in a
+    new interpreter, printed as its last line."""
+    probe = code + f"\nprint('listed:' + ','.join({names}))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1]
-    assert last.startswith("loaded:"), done.stdout
-    return [m for m in last[len("loaded:"):].split(",") if m]
+    assert last.startswith("listed:"), done.stdout
+    return [m for m in last[len("listed:"):].split(",") if m]
+
+
+def loaded_after(code):
+    """The HEAVY modules in sys.modules after `code` runs in a new interpreter."""
+    return listed_after("import sys\n" + code,
+                        f"m for m in {HEAVY!r} if m in sys.modules")
 
 
 @pytest.mark.parametrize("module", ["blowuplab", "blowuplab.cli"])
@@ -74,38 +97,55 @@ def test_import_loads_no_heavy_scipy(module):
     assert loaded_after(f"import {module}\n") == []
 
 
-def test_cli_verbs_load_no_heavy_scipy(tmp_path):
-    out = tmp_path / "out"
+def rect_verbs(tmp_path):
+    """Code that runs the rect solve, predict and compare verbs into
+    tmp_path/out."""
     cfg = tmp_path / "rect.yaml"
-    cfg.write_text(RECT_CFG.format(out=out))
-    code = textwrap.dedent(f"""
+    cfg.write_text(RECT_CFG.format(out=tmp_path / "out"))
+    return textwrap.dedent(f"""
         from blowuplab.cli import main
         for verb in ("solve", "predict", "compare"):
             assert main(["--config", {str(cfg)!r}, verb]) == 0, verb
         """)
-    assert loaded_after(code) == []
-    assert (out / "comparison.csv").exists()
+
+
+# the potato's skeleton, its fourth-order prediction and its deepest point
+POTATO_PIPELINE = textwrap.dedent("""
+    from blowuplab.geometry import compute_skeleton, max_distance_point, potato_domain
+    from blowuplab.predictor import predict_fourth_2d
+    from blowuplab.profiles import get_correction, get_profile4
+    from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
+    dom = potato_domain()
+    skel = compute_skeleton(dom, 0.05)
+    assert len(skel.samples) > 0
+    rs = ReactionSolution(Nonlinearity.exponential())
+    prof = get_profile4()
+    pred = predict_fourth_2d(dom, skel, rs, 0.1, rs.T0 * (1.0 - TABLE_DELTA),
+                             eta0=prof.eta0, profile=prof, correction=get_correction(4))
+    assert len(pred.points) > 0
+    assert max_distance_point(dom)[1] > 0.7
+    """)
+
+
+def test_cli_verbs_load_no_heavy_scipy(tmp_path):
+    assert loaded_after(rect_verbs(tmp_path)) == []
+    assert (tmp_path / "out" / "comparison.csv").exists()
 
 
 def test_smooth_domain_pipeline_loads_no_heavy_scipy():
     """The potato's skeleton, its fourth-order prediction and its deepest
     point search the boundary samples and the skeleton pairs in numpy."""
-    code = textwrap.dedent("""
-        from blowuplab.geometry import compute_skeleton, max_distance_point, potato_domain
-        from blowuplab.predictor import predict_fourth_2d
-        from blowuplab.profiles import get_correction, get_profile4
-        from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
-        dom = potato_domain()
-        skel = compute_skeleton(dom, 0.05)
-        assert len(skel.samples) > 0
-        rs = ReactionSolution(Nonlinearity.exponential())
-        prof = get_profile4()
-        pred = predict_fourth_2d(dom, skel, rs, 0.1, rs.T0 * (1.0 - TABLE_DELTA),
-                                 eta0=prof.eta0, profile=prof, correction=get_correction(4))
-        assert len(pred.points) > 0
-        assert max_distance_point(dom)[1] > 0.7
-        """)
-    assert loaded_after(code) == []
+    assert loaded_after(POTATO_PIPELINE) == []
+
+
+def test_runs_import_no_numpy_or_scipy_module_after_start_up(tmp_path):
+    """The start-up loads every numpy and scipy module that the rect verbs
+    and the potato pipeline use (numpy.random, numpy.fft), and neither
+    np.unique's numpy.ma nor any other lazy import lands inside a run."""
+    code = ("import sys\nimport blowuplab.cli\nstarted = set(sys.modules)\n"
+            + rect_verbs(tmp_path) + POTATO_PIPELINE)
+    assert listed_after(code, "sorted(m for m in set(sys.modules) - started "
+                              "if m.split('.')[0] in ('numpy', 'scipy'))") == []
 
 
 # v2 and v2_prime at the commit that imported erfcx at start-up
@@ -129,7 +169,7 @@ def test_second_order_profile_loads_erfcx_on_first_call():
         assert v2(np.array(eta)).tolist() == {list(V2_GOLDEN.values())!r}
         assert v2_prime(np.array(eta)).tolist() == {list(V2_PRIME_GOLDEN.values())!r}
         """)
-    assert loaded_after(code) == ["scipy.special"]
+    assert loaded_after(code) == ["scipy.special", "numpy.f2py", "numpy.testing"]
 
 
 def test_critical_eps_and_tabulated_flow_import_no_optimize():
@@ -149,3 +189,50 @@ def test_critical_eps_and_tabulated_flow_import_no_optimize():
         assert np.all(np.isfinite(tab.flow(np.array([0.0, 1.0, 10.0]), 1e-3)))
         """)
     assert "scipy.optimize" not in loaded_after(code)
+
+
+@pytest.mark.parametrize("first", ["blowuplab.lapack", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    """blowuplab.lapack's routines are scipy.linalg.lapack's and
+    scipy.linalg.blas's objects, whether it or scipy.linalg loads the
+    extension modules."""
+    code = textwrap.dedent(f"""
+        import {first}
+        import scipy.linalg
+        from scipy.linalg import blas, lapack as scipy_lapack
+        from blowuplab import lapack
+        same = [lapack.dtrsv is blas.dtrsv, lapack.LinAlgError is scipy.linalg.LinAlgError]
+        same += [getattr(lapack, name) is getattr(scipy_lapack, name) for name in
+                 ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpotrf")]
+        """)
+    assert listed_after(code, "map(str, same)") == ["True"] * 8
+
+
+def test_cho_factor_is_scipys_on_the_bench_rectangle(monkeypatch):
+    """The Schur complement of the benchmark rectangle's order-4 step
+    (rect:1,0.5 at nx 121, 119 x 59 interior nodes, eps 0.05)."""
+    schur = []
+
+    def record(S):
+        schur.append(S.copy())
+        return lapack.cho_factor(S)
+
+    monkeypatch.setattr(common, "cho_factor", record)
+    common.FastDiagRectCN((119, 59), (2.0 / 120, 1.0 / 60), 0.05 ** 4)._setup(2.0 ** -10)
+    (S,) = schur
+    assert S.shape == (2 * 59, 2 * 59)
+    assert np.array_equal(lapack.cho_factor(S), scipy.linalg.cho_factor(S)[0])
+
+
+def test_cho_factor_raises_as_scipy_does():
+    with pytest.raises(lapack.LinAlgError, match="2-th leading minor"):
+        lapack.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lapack.cho_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_missing_extension_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module") as err:
+        lapack._extension("_no_such_module")
+    assert err.value.name == "scipy.linalg._no_such_module"
+    assert "scipy.linalg._no_such_module" not in sys.modules
