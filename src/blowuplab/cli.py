@@ -395,6 +395,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.verb == "profile":
             args.out = args.out or "out"
             return cmd_profile(args)

@@ -13,13 +13,18 @@ A config has four sections; only `experiment` is required:
       threshold: 10
     outputs:
       directory: runs/square
-      snapshot_stride: 0           # field every n-th step (0: off); outputs only
+      snapshot_stride: 0           # peak track sampled every n-th step (0: off)
       formats: [csv]               # csv (contract), svg (convenience)
     seed: 0
 
 Unknown keys and values of the wrong type are rejected with the
 offending key path and, when it can be located, the line in the source
 file. Values are kept as written: `threshold: 8` stays the int 8.
+
+`outputs.snapshot_stride` writes no field snapshot: the solver keeps
+the field of every n-th step only to track the main peak, whose path
+`solve` writes to trajectory_eps*.csv. At 0 that file holds only its
+header.
 """
 
 from __future__ import annotations

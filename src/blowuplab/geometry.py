@@ -143,7 +143,10 @@ class SmoothPolarDomain(PlanarDomain):
     seed does not depend on its batch. A nearest-boundary query takes
     NEAREST_CHUNK points at a time, the feet scan SCAN_CHUNK points and
     the segment test ROOT_CHUNK roots, so that their scratch tables do
-    not grow with the batch.
+    not grow with the batch. The scan's two tables of SCAN_CHUNK x
+    N_BOUNDARY floats take 0.5 MB each at 16 points: the feet of 2000
+    potato points peak at 4.6 MB traced against 7.7 MB at 64, and take
+    no longer (236 against 257 ms, 2-core x86_64).
     """
 
     N_BOUNDARY = 4096
@@ -151,7 +154,7 @@ class SmoothPolarDomain(PlanarDomain):
     BLOCK = 64
     BRUTE_MAX = 4
     CHUNK = 128
-    SCAN_CHUNK = 64
+    SCAN_CHUNK = 16
     ROOT_CHUNK = 256
     NEAREST_CHUNK = 4096
 
@@ -838,9 +841,12 @@ def _marching_squares(xs, ys, F):
     pos = F > 0
     cut = ((pos[:-1, :-1] != pos[1:, :-1]) | (pos[1:, :-1] != pos[1:, 1:])
            | (pos[1:, 1:] != pos[:-1, 1:]))
-    Fl, xs, ys = F.tolist(), xs.tolist(), ys.tolist()
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(cut))):
-        f = (Fl[i][j], Fl[i + 1][j], Fl[i + 1][j + 1], Fl[i][j + 1])
+    ci, cj = np.nonzero(cut)
+    # the corner values of the cut cells only, counter-clockwise from (i, j)
+    corners = zip(*(v.tolist() for v in (F[ci, cj], F[ci + 1, cj], F[ci + 1, cj + 1],
+                                          F[ci, cj + 1])))
+    xs, ys = xs.tolist(), ys.tolist()
+    for i, j, f in zip(ci.tolist(), cj.tolist(), corners):
         crossings = []
         # edges: bottom (j fixed), right, top, left; key = (edge-grid id)
         if (f[0] > 0) != (f[1] > 0):

@@ -31,8 +31,11 @@ The banded and Cholesky solves call LAPACK and BLAS through
 blowuplab.lapack, which loads scipy's two extension modules without the
 scipy.linalg package init: a CLI start-up took a median 0.22 s against
 0.41 s with `import scipy.linalg` (15 alternating pairs, 2-core x86_64,
-scipy 1.17.1). default_rng is imported here, at start-up, so that
-numpy.random's import (about 12 ms) does not land inside a run.
+scipy 1.17.1). Two imports wait for the solve that needs them:
+numpy.random (5.5 MB of RSS, about 10 ms) for noisy initial data in
+initial_field, and _fblas (1.3 MB) for FastDiagRectCN's dtrsv, taken
+as lapack.dtrsv. A start-up holds 34.6 MB of RSS without them and 41.5
+MB with them, and a prediction never loads them.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from numpy.random import default_rng
 
 from ..errors import ConfigError, ConvergenceError
-from ..lapack import LinAlgError, cho_factor, dgbtrf, dgbtrs, dgttrf, dgttrs, dtrsv
+from .. import lapack
+from ..lapack import LinAlgError, cho_factor, dgbtrf, dgbtrs, dgttrf, dgttrs
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
 
 # Crank-Nicolson (Crank and Nicolson 1947): the implicit weight of every
@@ -435,7 +438,7 @@ class FastDiagRectCN(FastDiagCN):
         # C z = v by blocks, X applied from EL, gL and ES:
         # S zK = vK - dL dS X F vE, then zE = F (vE - dL dS X^T zK)
         rK = vK - (dL * dS) * (EL @ (gL * (_pairs(F, vE).T @ ES)))
-        zK = dtrsv(cu, dtrsv(cu, rK.ravel(), trans=1), trans=0).reshape(2, -1)
+        zK = lapack.dtrsv(cu, lapack.dtrsv(cu, rK.ravel(), trans=1), trans=0).reshape(2, -1)
         zE = _pairs(F, vE - (dL * dS) * (((EL.T @ zK) * gL) @ ES.T).T)
         # T (W D^1/2 z), subtracted in the sine basis
         H = EL.T @ (dL * zK) + (dS * zE).T @ ES
@@ -584,6 +587,7 @@ def initial_field(cfg: SolverConfig, n_unknowns: int) -> np.ndarray:
     """Zero data plus optional seeded uniform noise."""
     u = np.zeros(n_unknowns)
     if cfg.noise_amplitude > 0.0:
+        from numpy.random import default_rng
         rng = default_rng(cfg.seed)
         u += cfg.noise_amplitude * rng.uniform(-1.0, 1.0, size=n_unknowns)
     return u

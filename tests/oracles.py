@@ -434,18 +434,65 @@ def omega_grid(dom, resolution=None):
             np.arange(by0 - pad, by1 + pad + resolution, resolution))
 
 
+def dense_omega_grid(dom, level, resolution=None):
+    """omega_set's grid xs, ys and F = d - level from one signed_distance
+    call on every node."""
+    xs, ys = omega_grid(dom, resolution)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    F = dom.signed_distance(np.column_stack([X.ravel(), Y.ravel()]))
+    return xs, ys, F.reshape(X.shape) - level
+
+
 def dense_omega_loops(dom, level, resolution=None):
     """omega_set's loops from one signed_distance call on its full grid.
     Raises RangeError past the inradius."""
     from blowuplab.errors import RangeError
     from blowuplab.geometry import _chain_segments, _marching_squares
-    xs, ys = omega_grid(dom, resolution)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = dom.signed_distance(np.column_stack([X.ravel(), Y.ravel()]))
-    F = F.reshape(X.shape) - level
+    xs, ys, F = dense_omega_grid(dom, level, resolution)
     if F.max() <= 0:
         raise RangeError(f"no points at distance {level}")
     return _chain_segments(_marching_squares(xs, ys, F))
+
+
+def full_grid_marching_squares(xs, ys, F):
+    """geometry._marching_squares as it read the corner values: from the
+    whole grid converted to Python floats, F.tolist()."""
+    segs = []
+
+    def interp(x0, f0, x1, f1):
+        t = f0 / (f0 - f1)
+        return x0 + t * (x1 - x0)
+
+    pos = F > 0
+    cut = ((pos[:-1, :-1] != pos[1:, :-1]) | (pos[1:, :-1] != pos[1:, 1:])
+           | (pos[1:, 1:] != pos[:-1, 1:]))
+    Fl, xs, ys = F.tolist(), xs.tolist(), ys.tolist()
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(cut))):
+        f = (Fl[i][j], Fl[i + 1][j], Fl[i + 1][j + 1], Fl[i][j + 1])
+        crossings = []
+        if (f[0] > 0) != (f[1] > 0):
+            x = interp(xs[i], f[0], xs[i + 1], f[1])
+            crossings.append((("h", i, j), (x, ys[j])))
+        if (f[1] > 0) != (f[2] > 0):
+            y = interp(ys[j], f[1], ys[j + 1], f[2])
+            crossings.append((("v", i + 1, j), (xs[i + 1], y)))
+        if (f[3] > 0) != (f[2] > 0):
+            x = interp(xs[i], f[3], xs[i + 1], f[2])
+            crossings.append((("h", i, j + 1), (x, ys[j + 1])))
+        if (f[0] > 0) != (f[3] > 0):
+            y = interp(ys[j], f[0], ys[j + 1], f[3])
+            crossings.append((("v", i, j), (xs[i], y)))
+        if len(crossings) == 2:
+            segs.append((*crossings[0], *crossings[1]))
+        elif len(crossings) == 4:
+            fc = 0.25 * (((f[0] + f[1]) + f[2]) + f[3])
+            if (fc > 0) == (f[0] > 0):
+                pairs = [(0, 1), (2, 3)]
+            else:
+                pairs = [(0, 3), (1, 2)]
+            for a, b in pairs:
+                segs.append((*crossings[a], *crossings[b]))
+    return segs
 
 
 def brute_force_distance(dom, points, n_samples=100_000):

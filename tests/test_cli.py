@@ -234,6 +234,16 @@ def _assert_solve_exits_2_without_output(tmp_path, capsys, text):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("verb", ["solve", "sweep", "predict", "compare", "profile"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exits_2_without_output(tmp_path, capsys, verb, threads):
+    path = write_cfg(tmp_path, STRIP_CFG.replace("eps: [0.2]", "eps: [0.2, 0.25]"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "--threads", threads, verb]) == 2
+    assert f"config error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["solve", "predict"])
 @pytest.mark.parametrize("geometry", ["rect:1", "rect:1,x", "square:", "cube:abc",
                                       "rect:0,1", "square:-1"])

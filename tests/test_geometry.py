@@ -21,8 +21,8 @@ from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from oracles import (brute_force_distance, brute_force_near_pairs,
                      brute_force_nearest_sample,
-                     dense_omega_loops, equidistant_classes, hausdorff,
-                     omega_grid, polar_radius_derivatives,
+                     dense_omega_grid, dense_omega_loops, equidistant_classes,
+                     full_grid_marching_squares, hausdorff, omega_grid, polar_radius_derivatives,
                      rectangle_skeleton_points, scalar_dedup_samples,
                      scalar_label_branches, square_skeleton_points)
 
@@ -422,9 +422,10 @@ def _feet_points(seed, n):
 
 @pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
 def test_feet_independent_of_batch(dom):
-    """Every field of a point's feet is the same in batches of 1, 63, 64,
-    65, 300 and 2000 points, across the scan chunks and the segment
-    test's root chunks, for near, far and degenerate points."""
+    """Every field of a point's feet is the same in batches of 1,
+    SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 300 and 2000 points,
+    across the scan chunks and the segment test's root chunks, for near,
+    far and degenerate points."""
     c = SmoothPolarDomain.SCAN_CHUNK
     whole = _assert_feet_independent_of_batch(dom, _feet_points(31, 2000),
                                               (1, c - 1, c, c + 1, 300), range(0, 2000, 97))
@@ -453,12 +454,16 @@ def _traced_peak_mb(fn):
 
 def test_geometry_working_set_is_bounded():
     """The feet of 2000 points and the potato skeleton at the CLI's
-    default resolution 0.01 keep their scratch tables in fixed chunks.
-    Measured traced peaks: 7.7 and 11.7 MB; tables that grew with the
-    batch took about 100 and 65 MB."""
+    default resolution 0.01 keep their scratch tables in fixed chunks,
+    and the potato's omega set at its default resolution reads only the
+    cut cells' corners. Measured traced peaks: 4.60, 8.02 and 3.13 MB;
+    with 64-point feet scans and the whole omega grid as Python floats
+    7.69, 11.75 and 4.60 MB, and with tables that grew with the batch
+    about 100 and 65 MB."""
     pts = np.random.default_rng(41).uniform(-1.3, 1.3, (2000, 2))
-    assert _traced_peak_mb(lambda: POTATO.feet_batch(pts)) < 10.0
-    assert _traced_peak_mb(lambda: compute_skeleton(potato_domain(), 0.01)) < 15.0
+    assert _traced_peak_mb(lambda: POTATO.feet_batch(pts)) < 5.5
+    assert _traced_peak_mb(lambda: compute_skeleton(potato_domain(), 0.01)) < 9.5
+    assert _traced_peak_mb(lambda: omega_set(POTATO, 0.3)) < 3.8
 
 
 @pytest.mark.parametrize("dom", [DISC, POTATO, ELLIPSE], ids=["disc", "potato", "ellipse"])
@@ -1055,6 +1060,33 @@ def test_saddle_pairing_follows_the_left_to_right_sum():
     pairs = {frozenset((ka, kb)) for ka, _, kb, _ in segs}
     assert pairs == {frozenset({("h", 0, 0), ("v", 0, 0)}),     # bottom, left
                      frozenset({("v", 1, 0), ("h", 0, 1)})}     # right, top
+
+
+@pytest.mark.parametrize("dom, level", [(POTATO, 0.05), (POTATO, 0.3), (ELLIPSE, 0.3),
+                                        (RECT, 0.2)],
+                         ids=["potato-0.05", "potato-0.3", "ellipse-0.3", "rect-0.2"])
+def test_marching_squares_equals_full_grid_path(dom, level):
+    """Gathering the cut cells' corners keeps every segment of the path
+    that converted the whole grid to Python floats."""
+    xs, ys, F = dense_omega_grid(dom, level)
+    segs = geometry._marching_squares(xs, ys, F)
+    assert len(segs) > 100
+    assert segs == full_grid_marching_squares(xs, ys, F)
+
+
+def test_marching_squares_equals_full_grid_path_on_saddles():
+    """Both saddle pairings, the cell centre on the side of corner (0, 0)
+    and opposite it, then a random grid full of saddles."""
+    F = np.array([[3.0, -1.0, 3.0], [-1.0, 1.0, -1.0]])
+    xs, ys = np.array([0.0, 0.5]), np.array([0.0, 0.25, 0.5])
+    segs = geometry._marching_squares(xs, ys, F)
+    assert [(ka, kb) for ka, _, kb, _ in segs] == [
+        (("h", 0, 0), ("v", 1, 0)), (("h", 0, 1), ("v", 0, 0)),     # centre with (0, 0)
+        (("h", 0, 1), ("v", 0, 1)), (("v", 1, 1), ("h", 0, 2))]     # centre against it
+    assert segs == full_grid_marching_squares(xs, ys, F)
+    F = np.random.default_rng(5).standard_normal((40, 30))
+    xs, ys = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 0.7, 30)
+    assert geometry._marching_squares(xs, ys, F) == full_grid_marching_squares(xs, ys, F)
 
 
 # (domain, level, resolution); level None is 0.995 of the potato's depth

@@ -26,9 +26,14 @@ extension modules, _flapack and _fblas, from their files. The package
 init would run scipy._lib._util, whose array-API layer imports
 numpy.f2py and numpy.testing; a CLI start-up (`import blowuplab.cli`)
 fell from a median 0.41 s to 0.22 s without it (2-core x86_64, scipy
-1.17.1, alternating pairs). Every numpy and scipy module that a CLI
-verb or the potato pipeline needs is loaded by that start-up, so none
-is imported inside a run. The order-2 profile's erfcx still loads
+1.17.1, alternating pairs). Two modules that only some solver paths
+use load on first use, not at start-up: numpy.random, for noisy initial
+data, and scipy.linalg._fblas, for the order-4 rectangle step's dtrsv.
+Without them a start-up holds 34.6 MB of RSS against 41.5 MB (numpy.random
+is 5.5 MB and about 10 ms of it, _fblas 1.3 MB and 1.5 ms). So the rect
+verbs import _fblas inside their run, a noisy solve numpy.random, and the
+potato pipeline no numpy or scipy module at all; np.unique's numpy.ma
+stays out of every run. The order-2 profile's erfcx still loads
 scipy._lib._util, numpy.f2py and numpy.testing on its first call (its
 scipy.special import takes about 0.15 s, against 0.04 s with
 scipy.linalg loaded), and a custom nonlinearity's scipy.integrate loads
@@ -55,6 +60,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimage",
          "scipy.spatial", "scipy.special", "scipy.sparse", "multiprocessing",
          "scipy.linalg", "numpy.f2py", "numpy.testing")
+# loaded by the solver paths that use them, on first use
+ON_FIRST_USE = ("numpy.random", "scipy.linalg._fblas")
+NUMPY_RANDOM = ["numpy.random", "numpy.random._bounded_integers", "numpy.random._common",
+                "numpy.random._generator", "numpy.random._mt19937", "numpy.random._pcg64",
+                "numpy.random._philox", "numpy.random._pickle", "numpy.random._sfc64",
+                "numpy.random.bit_generator", "numpy.random.mtrand"]
 
 RECT_CFG = """
 experiment:
@@ -67,6 +78,22 @@ solver:
   nx: 31
   ny: 17
   threshold: 8
+outputs:
+  directory: {out}
+  formats: [csv]
+"""
+
+STRIP_NOISY_CFG = """
+experiment:
+  name: strip-noisy
+  nonlinearity: exp
+  order: 4
+  geometry: strip
+  eps: [0.2]
+solver:
+  nx: 201
+  threshold: 8
+  noise_amplitude: 0.01
 outputs:
   directory: {out}
   formats: [csv]
@@ -95,6 +122,13 @@ def loaded_after(code):
 @pytest.mark.parametrize("module", ["blowuplab", "blowuplab.cli"])
 def test_import_loads_no_heavy_scipy(module):
     assert loaded_after(f"import {module}\n") == []
+
+
+@pytest.mark.parametrize("module", ["blowuplab", "blowuplab.cli"])
+def test_import_loads_no_solver_path_module(module):
+    """numpy.random and _fblas load on first use, not at start-up."""
+    assert listed_after(f"import sys\nimport {module}\n",
+                        f"m for m in {ON_FIRST_USE!r} if m in sys.modules") == []
 
 
 def rect_verbs(tmp_path):
@@ -138,14 +172,24 @@ def test_smooth_domain_pipeline_loads_no_heavy_scipy():
     assert loaded_after(POTATO_PIPELINE) == []
 
 
-def test_runs_import_no_numpy_or_scipy_module_after_start_up(tmp_path):
-    """The start-up loads every numpy and scipy module that the rect verbs
-    and the potato pipeline use (numpy.random, numpy.fft), and neither
-    np.unique's numpy.ma nor any other lazy import lands inside a run."""
-    code = ("import sys\nimport blowuplab.cli\nstarted = set(sys.modules)\n"
-            + rect_verbs(tmp_path) + POTATO_PIPELINE)
-    assert listed_after(code, "sorted(m for m in set(sys.modules) - started "
-                              "if m.split('.')[0] in ('numpy', 'scipy'))") == []
+def imported_in_run(code):
+    """The numpy and scipy modules that `code` imports after a CLI start-up."""
+    return listed_after("import sys\nimport blowuplab.cli\nstarted = set(sys.modules)\n"
+                        + code, "sorted(m for m in set(sys.modules) - started "
+                                "if m.split('.')[0] in ('numpy', 'scipy'))")
+
+
+def test_runs_import_only_their_solver_paths_modules(tmp_path):
+    """The rect verbs import _fblas for the order-4 step, a strip solve
+    with noise numpy.random for its initial data, and the potato pipeline
+    nothing: no np.unique's numpy.ma, no other lazy import."""
+    assert imported_in_run(rect_verbs(tmp_path)) == ["scipy.linalg._fblas"]
+    assert imported_in_run(POTATO_PIPELINE) == []
+    cfg = tmp_path / "strip.yaml"
+    cfg.write_text(STRIP_NOISY_CFG.format(out=tmp_path / "strip"))
+    solve = (f"from blowuplab.cli import main\n"
+             f"assert main(['--config', {str(cfg)!r}, 'solve']) == 0\n")
+    assert imported_in_run(solve) == NUMPY_RANDOM
 
 
 # v2 and v2_prime at the commit that imported erfcx at start-up
