@@ -21,10 +21,10 @@ Unknown keys and values of the wrong type are rejected with the
 offending key path and, when it can be located, the line in the source
 file. Values are kept as written: `threshold: 8` stays the int 8.
 
-`outputs.snapshot_stride` writes no field snapshot: the solver keeps
-the field of every n-th step only to track the main peak, whose path
-`solve` writes to trajectory_eps*.csv. At 0 that file holds only its
-header.
+`outputs.snapshot_stride` writes no field snapshot, and the solver keeps
+none: at every n-th step it links the field's peaks into tracks at once,
+and the main track is the path that `solve` writes to
+trajectory_eps*.csv. At 0 that file holds only its header.
 """
 
 from __future__ import annotations

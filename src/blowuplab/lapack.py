@@ -1,26 +1,24 @@
-"""The package's LAPACK and BLAS: seven Fortran routines from scipy's f2py
-extension modules scipy.linalg._flapack and _fblas, loaded without
-scipy.linalg's package init.
+"""The package's LAPACK: seven Fortran routines from scipy's f2py
+extension module scipy.linalg._flapack, loaded without scipy.linalg's
+package init.
 
 `import scipy.linalg` also runs scipy._lib._util, whose array-API layer
-clones numpy and with it imports numpy.f2py and numpy.testing. The two
-extension modules need only numpy, and without that init a CLI start-up
+clones numpy and with it imports numpy.f2py and numpy.testing. The
+extension module needs only numpy, and without that init a CLI start-up
 (`import blowuplab.cli`) took a median 0.22 s against 0.41 s and peaked
 at 41.5 MB of RSS against 58.6 (15 alternating pairs, 2-core x86_64,
 scipy 1.17.1). So this module runs scipy's top-level init alone (on
-Windows it sets up the vendored DLL path) and loads the extensions from
-their files in scipy/linalg. It registers them in sys.modules under
-their own names, so a later `import scipy.linalg` reuses the same
-objects and the routines here are scipy.linalg.lapack's and
-scipy.linalg.blas's; if scipy.linalg came first, they are taken from
-sys.modules. There is no fallback: a missing extension raises an
-ImportError that names it.
+Windows it sets up the vendored DLL path) and loads the extension from
+its file in scipy/linalg. It registers it in sys.modules under its own
+name, so a later `import scipy.linalg` reuses the same object and the
+routines here are scipy.linalg.lapack's; if scipy.linalg came first,
+they are taken from sys.modules. There is no fallback: a missing
+extension raises an ImportError that names it.
 
-_flapack loads at import. _fblas serves one routine, dtrsv, for the
-order-4 rectangle step, so it loads on the first access to
-`lapack.dtrsv` (a module __getattr__): a start-up that never steps a
-rectangle keeps its 1.3 MB of RSS out, and a start-up holds 34.6 MB
-with numpy.random also left to its first use (41.5 MB with both).
+The package needs no BLAS routine of its own: the order-4 rectangle
+step solves with its Cholesky factor by dpotrs, not by two dtrsv calls
+from scipy's _fblas, which would add 1.3 MB to the RSS of every
+rectangle run (a start-up holds 34.6 MB).
 """
 
 import sys
@@ -53,14 +51,7 @@ def _extension(name):
 _flapack = _extension("_flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dgttrf, dgttrs, dgtsv = _flapack.dgttrf, _flapack.dgttrs, _flapack.dgtsv
-dpotrf = _flapack.dpotrf
-
-
-def __getattr__(name):
-    """dtrsv, from _fblas loaded on first access."""
-    if name == "dtrsv":
-        return _extension("_fblas").dtrsv
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 def cho_factor(a):

@@ -27,15 +27,19 @@ only when used. Every adapter counts its solves and its factorizations
 or setups, FastDiagCubeCN also its PCG iterations, and solve_problem
 copies the counts into BlowupReport.diagnostics.
 
-The banded and Cholesky solves call LAPACK and BLAS through
-blowuplab.lapack, which loads scipy's two extension modules without the
-scipy.linalg package init: a CLI start-up took a median 0.22 s against
-0.41 s with `import scipy.linalg` (15 alternating pairs, 2-core x86_64,
-scipy 1.17.1). Two imports wait for the solve that needs them:
-numpy.random (5.5 MB of RSS, about 10 ms) for noisy initial data in
-initial_field, and _fblas (1.3 MB) for FastDiagRectCN's dtrsv, taken
-as lapack.dtrsv. A start-up holds 34.6 MB of RSS without them and 41.5
-MB with them, and a prediction never loads them.
+The banded and Cholesky solves call LAPACK through blowuplab.lapack,
+which loads scipy's _flapack without the scipy.linalg package init: a
+CLI start-up took a median 0.22 s against 0.41 s with `import
+scipy.linalg` (15 alternating pairs, 2-core x86_64, scipy 1.17.1). No
+solve loads scipy's BLAS module _fblas: FastDiagRectCN's Schur solve is
+one dpotrs. numpy.random (5.5 MB of RSS, about 10 ms) waits for noisy
+initial data in initial_field. A start-up holds 34.6 MB of RSS, and a
+prediction loads neither.
+
+run_stepper keeps a field copy only at the snapshot_times that a caller
+asked for; BlowupReport.snapshots holds those. At every snapshot_stride
+step it extracts the field's peaks and links them into the peak tracks
+at once (PeakTracks), so a stride-only run holds no field copy.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, ConvergenceError
-from .. import lapack
-from ..lapack import LinAlgError, cho_factor, dgbtrf, dgbtrs, dgttrf, dgttrs
+from ..lapack import (LinAlgError, cho_factor, dgbtrf, dgbtrs, dgttrf, dgttrs,
+                      dpotrs)
 from ..reaction import Nonlinearity, ReactionSolution, TABLE_DELTA
 
 # Crank-Nicolson (Crank and Nicolson 1947): the implicit weight of every
@@ -110,6 +114,8 @@ class SolverConfig:
                 (self.nx >= 5, "nx too small"),
                 (self.geometry != "rect" or (self.ny or self.nx) >= 5, "ny too small"),
                 (self.snapshot_stride >= 0, "snapshot_stride must be >= 0"),
+                (all(0 < t < math.inf for t in self.snapshot_times),
+                 "snapshot_times must be finite and > 0"),
                 (self.seed >= 0, "seed must be >= 0"),
                 (self.geometry != "cube" or self.order == 4,
                  "cube solver covers the fourth-order problem only"),
@@ -138,7 +144,7 @@ class BlowupReport:
     final_field: np.ndarray
     grid: tuple                  # per-axis coordinate arrays
     peak_trajectory: list        # [(t, coords tuple)] for the tracked main peak
-    snapshots: list
+    snapshots: list              # [Snapshot] at cfg.snapshot_times only
     diagnostics: dict
     ring_radius: Optional[float] = None
     blowup_detected: bool = False
@@ -438,7 +444,7 @@ class FastDiagRectCN(FastDiagCN):
         # C z = v by blocks, X applied from EL, gL and ES:
         # S zK = vK - dL dS X F vE, then zE = F (vE - dL dS X^T zK)
         rK = vK - (dL * dS) * (EL @ (gL * (_pairs(F, vE).T @ ES)))
-        zK = lapack.dtrsv(cu, lapack.dtrsv(cu, rK.ravel(), trans=1), trans=0).reshape(2, -1)
+        zK = dpotrs(cu, rK.ravel())[0].reshape(2, -1)
         zE = _pairs(F, vE - (dL * dS) * (((EL.T @ zK) * gL) @ ES.T).T)
         # T (W D^1/2 z), subtracted in the sine basis
         H = EL.T @ (dL * zK) + (dS * zE).T @ ES
@@ -593,11 +599,15 @@ def initial_field(cfg: SolverConfig, n_unknowns: int) -> np.ndarray:
     return u
 
 
-def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray):
+def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray,
+                axes=None):
     """March the split scheme until threshold/t_end/stall.
 
     adapter applies the Crank-Nicolson step of the linear operator (None:
-    reaction only). Returns a dict with the raw run record; solve_problem turns it
+    reaction only). axes holds one coordinate array per field axis; with
+    it, the peaks of every sampled step (each snapshot_stride-th, and each
+    snapshot time) are linked into tracks, and snapshot fields take its
+    shape. Returns a dict with the raw run record; solve_problem turns it
     into a BlowupReport."""
     t = 0.0
     dt = cfg.dt_init
@@ -605,6 +615,9 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
     steps = 0
     snapshots = []
     snap_q = sorted(set(cfg.snapshot_times))
+    stride = cfg.snapshot_stride
+    shape = u.shape if axes is None else tuple(len(a) for a in axes)
+    tracks = None if axes is None else PeakTracks(axes)
     sup_hist = [(0.0, sup)]
     dt_hist = []
     stop = None
@@ -665,9 +678,12 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
         sup_hist.append((t, sup))
         dt_hist.append(dtb)
         if exact_hit and snap_q and abs(target - snap_q[0]) < 1e-14:
-            snapshots.append(Snapshot(t=snap_q.pop(0), field=u.copy(), sup=sup))
-        elif cfg.snapshot_stride and steps % cfg.snapshot_stride == 0:
-            snapshots.append(Snapshot(t=t, field=u.copy(), sup=sup))
+            snap = Snapshot(t=snap_q.pop(0), field=u.reshape(shape).copy(), sup=sup)
+            snapshots.append(snap)
+            if tracks is not None:
+                tracks.add(snap.t, snap.field)
+        elif tracks is not None and stride and steps % stride == 0:
+            tracks.add(t, u.reshape(shape))
         if sup >= cfg.threshold:
             stop = "threshold"
             break
@@ -695,6 +711,7 @@ def run_stepper(cfg: SolverConfig, adapter, rs: ReactionSolution, u: np.ndarray)
         detected = rs.tail_time(sup_final) <= 1e-6 * max(1.0, t)
     return dict(T_eps=float(T_est), t_stop=t, sup_stop=sup_final,
                 stop_reason=stop, u=u_final, steps=steps, snapshots=snapshots,
+                peak_trajectory=[] if tracks is None else tracks.main(),
                 sup_history=sup_hist, dt_history=dt_hist,
                 blowup_detected=detected)
 
@@ -709,17 +726,9 @@ def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
     if cfg.eps == 0:
         adapter = None
     rs = ReactionSolution(cfg.nonlinearity)
-    run = run_stepper(cfg, adapter, rs, initial_field(cfg, int(np.prod(shape))))
+    run = run_stepper(cfg, adapter, rs, initial_field(cfg, int(np.prod(shape))), axes)
     u = run["u"].reshape(shape)
-    for snap in run["snapshots"]:
-        snap.field = snap.field.reshape(shape)
     sing = extract_singularities(u, axes)
-    traj = []
-    if run["snapshots"]:
-        tracks = track_peaks(run["snapshots"], axes)
-        if tracks:
-            main = max(tracks, key=lambda tr: len(tr["times"]))
-            traj = list(zip(main["times"], main["points"]))
     diag = dict(steps=run["steps"], sup_history=run["sup_history"],
                 dt_history=run["dt_history"],
                 factorizations=getattr(adapter, "factorizations", 0),
@@ -728,7 +737,8 @@ def solve_problem(cfg: SolverConfig, adapter, axes) -> BlowupReport:
     return BlowupReport(T_eps=run["T_eps"], t_stop=run["t_stop"],
                         sup_stop=run["sup_stop"], stop_reason=run["stop_reason"],
                         singularities=sing, final_field=u, grid=tuple(axes),
-                        peak_trajectory=traj, snapshots=run["snapshots"],
+                        peak_trajectory=run["peak_trajectory"],
+                        snapshots=run["snapshots"],
                         diagnostics=diag, blowup_detected=run["blowup_detected"])
 
 
@@ -809,36 +819,53 @@ def _parabola_vertices(x3, f3):
     return np.where((denom == 0.0) | (a == 0.0), x1, xv)
 
 
-def track_peaks(snapshots, coords):
-    """Link per-snapshot refined peak locations (maxima above 0.6 of the
-    snapshot's sup) into tracks over time.
+class PeakTracks:
+    """Refined peak locations (maxima above 0.6 of the field's sup) of
+    fields sampled in time order, linked into tracks as they come.
 
-    Returns a list of tracks, each dict(times=[...], points=[...]).
-    Linking is nearest-association within a quarter of the largest grid
-    extent; unmatched peaks start new tracks. Peaks take tracks greedily
-    in their sorted order, each the nearest track not yet taken in this
-    snapshot, from one peak-to-track distance matrix per snapshot."""
-    tracks = []
-    max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
-    last = np.empty((0, len(coords)))     # last point of every track
-    for snap in snapshots:
-        peaks = extract_singularities(snap.field, coords, threshold_fraction=0.6)
-        locs = np.array([loc for loc, _ in peaks]).reshape(-1, len(coords))
+    tracks is a list of dict(times=[...], points=[...]). Linking is
+    nearest-association within a quarter of the largest grid extent;
+    unmatched peaks start new tracks. Peaks take tracks greedily in their
+    sorted order, each the nearest track not yet taken in this field,
+    from one peak-to-track distance matrix per field."""
+
+    def __init__(self, coords):
+        self.coords = coords
+        self.tracks = []
+        self.max_jump = 0.25 * max(float(c[-1] - c[0]) for c in coords)
+        self.last = np.empty((0, len(coords)))     # last point of every track
+
+    def add(self, t, field):
+        peaks = extract_singularities(field, self.coords, threshold_fraction=0.6)
+        locs = np.array([loc for loc, _ in peaks]).reshape(-1, len(self.coords))
         # summed axis by axis, left to right like a row sum, bit for bit
-        dist = np.sqrt(sum((x[:, None] - y) ** 2 for x, y in zip(locs.T, last.T)))
-        # tracks started in this snapshot are not in `last` yet, so, as
-        # taken tracks, they take no other peak of the same snapshot
+        dist = np.sqrt(sum((x[:, None] - y) ** 2 for x, y in zip(locs.T, self.last.T)))
+        # tracks started in this field are not in `last` yet, so, as taken
+        # tracks, they take no other peak of the same field
         born = []
         for (loc, _), d in zip(peaks, dist):
             best = int(d.argmin()) if len(d) else -1
-            if best >= 0 and d[best] < max_jump:
-                tracks[best]["times"].append(snap.t)
-                tracks[best]["points"].append(loc)
-                last[best] = loc
+            if best >= 0 and d[best] < self.max_jump:
+                self.tracks[best]["times"].append(t)
+                self.tracks[best]["points"].append(loc)
+                self.last[best] = loc
                 dist[:, best] = np.inf
             else:
-                tracks.append(dict(times=[snap.t], points=[loc]))
+                self.tracks.append(dict(times=[t], points=[loc]))
                 born.append(loc)
         if born:
-            last = np.vstack([last, born])
-    return tracks
+            self.last = np.vstack([self.last, born])
+
+    def main(self):
+        """[(t, coords tuple)] of the longest track, the first of equals."""
+        main = max(self.tracks, key=lambda tr: len(tr["times"]),
+                   default=dict(times=[], points=[]))
+        return list(zip(main["times"], main["points"]))
+
+
+def track_peaks(snapshots, coords):
+    """The PeakTracks tracks of the snapshots' fields, linked in order."""
+    tracks = PeakTracks(coords)
+    for snap in snapshots:
+        tracks.add(snap.t, snap.field)
+    return tracks.tracks

@@ -21,19 +21,18 @@ and only the tests' reference code (solvers.common.splu, SparseLUCN,
 ConjugateGradientCN, rect_operator and cube_operator) imports it, when
 called.
 
-scipy.linalg is not imported either: blowuplab.lapack loads its two
-extension modules, _flapack and _fblas, from their files. The package
-init would run scipy._lib._util, whose array-API layer imports
-numpy.f2py and numpy.testing; a CLI start-up (`import blowuplab.cli`)
-fell from a median 0.41 s to 0.22 s without it (2-core x86_64, scipy
-1.17.1, alternating pairs). Two modules that only some solver paths
-use load on first use, not at start-up: numpy.random, for noisy initial
-data, and scipy.linalg._fblas, for the order-4 rectangle step's dtrsv.
-Without them a start-up holds 34.6 MB of RSS against 41.5 MB (numpy.random
-is 5.5 MB and about 10 ms of it, _fblas 1.3 MB and 1.5 ms). So the rect
-verbs import _fblas inside their run, a noisy solve numpy.random, and the
-potato pipeline no numpy or scipy module at all; np.unique's numpy.ma
-stays out of every run. The order-2 profile's erfcx still loads
+scipy.linalg is not imported either: blowuplab.lapack loads its
+extension module _flapack from its file. The package init would run
+scipy._lib._util, whose array-API layer imports numpy.f2py and
+numpy.testing; a CLI start-up (`import blowuplab.cli`) fell from a median
+0.41 s to 0.22 s without it (2-core x86_64, scipy 1.17.1, alternating
+pairs). No run loads scipy's BLAS module scipy.linalg._fblas (1.3 MB):
+the order-4 rectangle step solves with its Cholesky factor by dpotrs.
+numpy.random, for noisy initial data, loads on first use, not at
+start-up (5.5 MB and about 10 ms; a start-up holds 34.6 MB of RSS). So
+the rect verbs and the potato pipeline import no numpy or scipy module
+inside their run and a noisy solve only numpy.random; np.unique's
+numpy.ma stays out of every run. The order-2 profile's erfcx still loads
 scipy._lib._util, numpy.f2py and numpy.testing on its first call (its
 scipy.special import takes about 0.15 s, against 0.04 s with
 scipy.linalg loaded), and a custom nonlinearity's scipy.integrate loads
@@ -61,7 +60,9 @@ HEAVY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.ndimag
          "scipy.spatial", "scipy.special", "scipy.sparse", "multiprocessing",
          "scipy.linalg", "numpy.f2py", "numpy.testing")
 # loaded by the solver paths that use them, on first use
-ON_FIRST_USE = ("numpy.random", "scipy.linalg._fblas")
+ON_FIRST_USE = ("numpy.random",)
+# loaded by no run
+NEVER = ("scipy.linalg._fblas",)
 NUMPY_RANDOM = ["numpy.random", "numpy.random._bounded_integers", "numpy.random._common",
                 "numpy.random._generator", "numpy.random._mt19937", "numpy.random._pcg64",
                 "numpy.random._philox", "numpy.random._pickle", "numpy.random._sfc64",
@@ -126,9 +127,9 @@ def test_import_loads_no_heavy_scipy(module):
 
 @pytest.mark.parametrize("module", ["blowuplab", "blowuplab.cli"])
 def test_import_loads_no_solver_path_module(module):
-    """numpy.random and _fblas load on first use, not at start-up."""
+    """numpy.random loads on first use, not at start-up, and _fblas never."""
     assert listed_after(f"import sys\nimport {module}\n",
-                        f"m for m in {ON_FIRST_USE!r} if m in sys.modules") == []
+                        f"m for m in {ON_FIRST_USE + NEVER!r} if m in sys.modules") == []
 
 
 def rect_verbs(tmp_path):
@@ -166,6 +167,14 @@ def test_cli_verbs_load_no_heavy_scipy(tmp_path):
     assert (tmp_path / "out" / "comparison.csv").exists()
 
 
+def test_rect_verbs_never_load_fblas(tmp_path):
+    """The order-4 rectangle step solves by dpotrs from _flapack; nothing
+    loads _fblas on first access either."""
+    assert not hasattr(lapack, "__getattr__")
+    assert listed_after("import sys\n" + rect_verbs(tmp_path),
+                        f"m for m in {NEVER!r} if m in sys.modules") == []
+
+
 def test_smooth_domain_pipeline_loads_no_heavy_scipy():
     """The potato's skeleton, its fourth-order prediction and its deepest
     point search the boundary samples and the skeleton pairs in numpy."""
@@ -180,10 +189,10 @@ def imported_in_run(code):
 
 
 def test_runs_import_only_their_solver_paths_modules(tmp_path):
-    """The rect verbs import _fblas for the order-4 step, a strip solve
-    with noise numpy.random for its initial data, and the potato pipeline
-    nothing: no np.unique's numpy.ma, no other lazy import."""
-    assert imported_in_run(rect_verbs(tmp_path)) == ["scipy.linalg._fblas"]
+    """A strip solve with noise imports numpy.random for its initial
+    data, and the rect verbs and the potato pipeline nothing: no _fblas,
+    no np.unique's numpy.ma, no other lazy import."""
+    assert imported_in_run(rect_verbs(tmp_path)) == []
     assert imported_in_run(POTATO_PIPELINE) == []
     cfg = tmp_path / "strip.yaml"
     cfg.write_text(STRIP_NOISY_CFG.format(out=tmp_path / "strip"))
@@ -237,15 +246,15 @@ def test_critical_eps_and_tabulated_flow_import_no_optimize():
 
 @pytest.mark.parametrize("first", ["blowuplab.lapack", "scipy.linalg"])
 def test_lapack_routines_are_scipys_in_either_import_order(first):
-    """blowuplab.lapack's routines are scipy.linalg.lapack's and
-    scipy.linalg.blas's objects, whether it or scipy.linalg loads the
-    extension modules."""
+    """blowuplab.lapack's routines are scipy.linalg.lapack's objects,
+    whether it or scipy.linalg loads the extension module."""
     code = textwrap.dedent(f"""
         import {first}
         import scipy.linalg
-        from scipy.linalg import blas, lapack as scipy_lapack
+        from scipy.linalg import lapack as scipy_lapack
         from blowuplab import lapack
-        same = [lapack.dtrsv is blas.dtrsv, lapack.LinAlgError is scipy.linalg.LinAlgError]
+        same = [lapack.dpotrs is scipy_lapack.dpotrs,
+                lapack.LinAlgError is scipy.linalg.LinAlgError]
         same += [getattr(lapack, name) is getattr(scipy_lapack, name) for name in
                  ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpotrf")]
         """)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import maximum_filter
 
+from blowuplab.errors import ConfigError
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import (BUILDERS, SolverConfig, extract_singularities,
                                solve, solve_problem, track_peaks)
+from blowuplab.solvers import common
 from blowuplab.solvers.common import (BandedCN, ConjugateGradientCN,
                                      FastDiagCN, FastDiagCubeCN, FastDiagRectCN,
                                      THETA, Snapshot, SparseLUCN,
@@ -30,6 +33,14 @@ from oracles import (RebuiltBandedCN, band_to_dense, box_operator,
 
 EXP = Nonlinearity.exponential()
 POW2 = Nonlinearity.power(2)
+
+
+def every_nth_step(cfg, n):
+    """cfg with snapshot_times at the times of every n-th step of its run:
+    the steps that a snapshot_stride of n samples, whose fields a stride
+    run does not keep."""
+    steps = solve(cfg).diagnostics["sup_history"][n::n]
+    return dataclasses.replace(cfg, snapshot_times=tuple(t for t, _ in steps))
 
 
 # -- singularity extraction -----------------------------------------------------
@@ -94,9 +105,9 @@ def test_extract_equals_scalar_on_recorded_snapshots(geometry):
     cfg = dict(strip=dict(nx=401, eps=0.1, threshold=1e3),
                rect=dict(nx=41, ny=21, half_width_y=0.5, eps=0.1, threshold=10.0),
                cube=dict(nx=13, eps=0.25, threshold=5.0, nonlinearity=POW2))[geometry]
-    rep = solve(SolverConfig(**dict(dict(order=4, nonlinearity=EXP, geometry=geometry,
-                                         noise_amplitude=1e-3, seed=3,
-                                         snapshot_stride=3), **cfg)))
+    rep = solve(every_nth_step(SolverConfig(**dict(dict(
+        order=4, nonlinearity=EXP, geometry=geometry, noise_amplitude=1e-3, seed=3),
+        **cfg)), 3))
     fields = [s.field for s in rep.snapshots] + [rep.final_field]
     assert len(fields) > 5
     peaks = 0
@@ -149,17 +160,61 @@ def test_track_peaks_moving_gaussian():
     assert np.allclose(pos, 0.8 - 0.5 * np.linspace(0, 1, 11), atol=1e-3)
 
 
-@pytest.mark.parametrize("kw", [
+TRACKED = pytest.mark.parametrize("kw", [
     dict(order=4, nonlinearity=EXP, eps=0.1, geometry="strip", nx=401, grading=2.0),
     dict(order=4, nonlinearity=POW2, eps=0.05, geometry="rect", nx=41, ny=31,
          half_width_y=0.5)], ids=["strip", "rect"])
+
+
+@TRACKED
 def test_track_peaks_matches_scalar_loop(kw):
     """On recorded snapshots with many peaks, tracks born and tracks
     competing for peaks, the distance-matrix linking equals the loop."""
-    rep = solve(SolverConfig(threshold=10.0, snapshot_stride=5, **kw))
+    rep = solve(every_nth_step(SolverConfig(threshold=10.0, **kw), 5))
     tracks = track_peaks(rep.snapshots, rep.grid)
     assert len(tracks) > 10 and max(len(tr["times"]) for tr in tracks) > 50
     assert tracks == scalar_track_peaks(rep.snapshots, rep.grid)
+
+
+@TRACKED
+def test_stride_trajectory_is_the_main_track_of_the_sampled_fields(kw, monkeypatch):
+    """A snapshot_stride run links each sampled step's peaks as it goes and
+    keeps no field; its peak_trajectory is the longest track that
+    track_peaks links over copies of the same fields."""
+    sampled = []
+
+    def record(field, coords, threshold_fraction=0.5):
+        if threshold_fraction == 0.6:
+            sampled.append(field.copy())
+        return extract_singularities(field, coords, threshold_fraction)
+
+    monkeypatch.setattr(common, "extract_singularities", record)
+    rep = solve(SolverConfig(threshold=10.0, snapshot_stride=5, **kw))
+    monkeypatch.undo()
+    assert rep.snapshots == []
+    times = [t for t, _ in rep.diagnostics["sup_history"][5::5]]
+    assert len(sampled) == len(times) > 50
+    tracks = track_peaks([Snapshot(t, f, f.max()) for t, f in zip(times, sampled)],
+                         rep.grid)
+    main = max(tracks, key=lambda tr: len(tr["times"]))
+    assert rep.peak_trajectory == list(zip(main["times"], main["points"]))
+
+
+def test_stride_run_keeps_no_field_copies():
+    """The benchmark rectangle (rect:1,0.5 at nx 121, 527 steps): tracking
+    the peaks of every step adds 4.05 MB to the traced peak of the solve
+    (2.25 MB without tracking); a field copy per step would add 31 MB
+    (59 kB a copy)."""
+    cfg = SolverConfig(order=4, nonlinearity=EXP, eps=0.05, geometry="rect", nx=121,
+                       ny=61, half_width_y=0.5, threshold=10.0)
+    peaks = []
+    for stride in (1, 0):
+        tracemalloc.start()
+        rep = solve(dataclasses.replace(cfg, snapshot_stride=stride))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert rep.snapshots == [] and len(rep.peak_trajectory) >= 500 * stride
+    assert peaks[0] - peaks[1] < 5e6
 
 
 @pytest.mark.parametrize("shape", [(300,), (30, 20), (12, 10, 9)])
@@ -304,12 +359,13 @@ def test_supersolution_bound_with_noisy_initial_data():
 
 def test_supersolution_bound_second_order():
     cfg = SolverConfig(order=2, nonlinearity=POW2, eps=0.1, geometry="strip",
-                       nx=801, grading=2.0, threshold=50.0, snapshot_stride=40)
+                       nx=801, grading=2.0, threshold=50.0)
     rep = solve(cfg)  # the in-loop assertion would raise on violation
     rs = ReactionSolution(POW2)
-    for snap in rep.snapshots:
-        if snap.t < rs.T0 * 0.999:
-            assert snap.sup <= rs.state(snap.t) * (1 + 1e-9) + 1e-12
+    checked = [(t, sup) for t, sup in rep.diagnostics["sup_history"] if t < rs.T0 * 0.999]
+    assert checked
+    for t, sup in checked:
+        assert sup <= rs.state(t) * (1 + 1e-9) + 1e-12
 
 
 def test_blowup_time_ordering_second_order():
@@ -396,8 +452,9 @@ def test_non_finite_linear_step_stops_the_run(nl, value):
 
 def test_snapshot_symmetry_accumulated():
     cfg = SolverConfig(order=4, nonlinearity=EXP, eps=1 / 7, geometry="strip",
-                       nx=1201, grading=2.0, threshold=10.0, snapshot_stride=50)
-    rep = solve(cfg)
+                       nx=1201, grading=2.0, threshold=10.0)
+    rep = solve(every_nth_step(cfg, 50))
+    assert rep.snapshots
     for snap in rep.snapshots:
         scale = max(np.max(np.abs(snap.field)), 1e-300)
         assert np.max(np.abs(snap.field - snap.field[::-1])) <= 1e-6 * scale
@@ -525,8 +582,8 @@ def test_rect2d_memory_guard():
 
 def test_cube3d_smoke():
     cfg = SolverConfig(order=4, nonlinearity=POW2, eps=0.25, geometry="cube",
-                       nx=17, threshold=5.0, snapshot_stride=100)
-    rep = solve(cfg)
+                       nx=17, threshold=5.0)
+    rep = solve(every_nth_step(cfg, 100))
     assert rep.blowup_detected
     assert rep.multiplicity >= 1
     U = rep.final_field
@@ -851,6 +908,16 @@ def test_every_adapter_caches_setups_by_one_contract(reference, geometry, order)
         assert np.array_equal(adapter.apply(dt, u), fresh().apply(dt, u)), e
     assert len(set(exponents)) > 6
     assert adapter.solves == len(exponents) and adapter.factorizations == misses
+
+
+@pytest.mark.parametrize("times", [(0.0,), (-0.1,), (np.nan,), (np.inf,), (0.3, 0.0)],
+                         ids=["zero", "negative", "nan", "inf", "zero-among-valid"])
+def test_snapshot_times_must_be_finite_and_positive(times):
+    """On this strip a time at or before the start once stopped the run
+    at step 0 as dt-underflow with T_eps 1.0 (616 steps and T_eps 0.97992
+    without it), and a NaN time was dropped silently."""
+    with pytest.raises(ConfigError, match="snapshot_times must be finite and > 0"):
+        SolverConfig(order=4, nonlinearity=POW2, eps=0.2, nx=101, snapshot_times=times)
 
 
 def test_config_validation():
