@@ -1,4 +1,4 @@
-"""The package's LAPACK: seven Fortran routines from scipy's f2py
+"""The package's LAPACK: six Fortran routines from scipy's f2py
 extension module scipy.linalg._flapack, loaded without scipy.linalg's
 package init.
 
@@ -50,7 +50,7 @@ def _extension(name):
 
 _flapack = _extension("_flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
-dgttrf, dgttrs, dgtsv = _flapack.dgttrf, _flapack.dgttrs, _flapack.dgtsv
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 

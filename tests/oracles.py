@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own numerical paths:
 textbook uniform-grid stencils are hard-coded, one profile oracle shoots
 from far-field data with an off-the-shelf initial-value integrator and
-another collocates at Chebyshev points in mpmath, and distance oracles
+another collocates at Chebyshev points in mpmath (profile_literals rounds
+its series to the constants of blowuplab.profiles), and distance oracles
 use brute-force boundary sampling. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
 systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
@@ -31,11 +32,8 @@ first written, one array expression per form, and full_path_flow the
 in-place flow with its singular mask, clamp and +inf fill on every call. scalar_track_peaks is the
 peak linking as it was first written, one distance array per peak.
 reaction_residual measures a reaction state against its ODE by central
-differences, and read_profile_csv reads a layer profile back from the CSV
-that LayerProfile.to_csv writes. coo_mixed_operator and
-coo_correction2_operator are the layer-profile systems as they were first
-assembled, from COO triplets into a CSC matrix for SuperLU, and
-csc_to_band places such a matrix in the band storage the package solves.
+differences, and read_profile_csv reads a layer profile's table back from
+the CSV that LayerProfile.to_csv writes.
 """
 
 import numpy as np
@@ -135,55 +133,202 @@ def shooting_profile4(eta_start=30.0, rtol=1e-12):
     return float(eta0), float(v(eta0))
 
 
-def chebyshev_profile4(n=80, dps=40):
-    """Fourth-order profile peak (eta0, v(eta0)) as mpmath numbers, by
-    Chebyshev collocation of the capped problem the package solves:
-    -v'''' + (eta/4) v' - v = -1 on [0, 36], v(0) = v'(0) = 0, v(36) = 1,
-    v'(36) = 0.
-
-    Trefethen's differentiation matrix (Spectral Methods in MATLAB, SIAM
-    2000, `cheb`) on n + 1 points at dps digits; the rows of the two end
-    nodes and of their neighbours hold the boundary conditions, and
-    findroot locates eta0 on the barycentric interpolant of v'."""
+def _cheb_matrices(n, order):
+    """Chebyshev points x_j = cos(pi j / n), j = 0..n, and the
+    differentiation matrices D^(1)..D^(order) on [-1, 1] as lists of mpf
+    rows, by Welfert's recursion as in Weideman and Reddy's `chebdif`
+    (ACM TOMS 26, 2000), each diagonal by the negative-sum trick."""
     from mpmath import mp
+    N = n + 1
+    x = [mp.cos(mp.pi * j / n) for j in range(N)]
+    c = [(2 if j in (0, n) else 1) * (-1) ** j for j in range(N)]
+    Z = [[1 / (x[i] - x[j]) if i != j else mp.zero for j in range(N)] for i in range(N)]
+    D = [[int(i == j) for j in range(N)] for i in range(N)]
+    out = []
+    for ell in range(1, order + 1):
+        diag = [D[i][i] for i in range(N)]
+        D = [[ell * Z[i][j] * (mp.mpf(c[i]) / c[j] * diag[i] - D[i][j]) if i != j
+              else mp.zero for j in range(N)] for i in range(N)]
+        for i in range(N):
+            D[i][i] = -mp.fsum(D[i])
+        out.append(D)
+    return x, out
 
-    eta_max = 36
-    with mp.workdps(dps):
-        x = [mp.cos(mp.pi * j / n) for j in range(n + 1)]
-        c = [(2 if j in (0, n) else 1) * (-1) ** j for j in range(n + 1)]
-        # d/d eta for eta = (eta_max / 2)(1 - x): node 0 is eta = 0
-        scale = -2 / mp.mpf(eta_max)
-        D = mp.matrix(n + 1, n + 1)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i != j:
-                    D[i, j] = scale * mp.mpf(c[i]) / c[j] / (x[i] - x[j])
-            D[i, i] = -mp.fsum(D[i, j] for j in range(n + 1) if j != i)
-        D2 = D * D
-        D4 = D2 * D2
-        eta = [mp.mpf(eta_max) / 2 * (1 - xi) for xi in x]
-        A = mp.matrix(n + 1, n + 1)
-        rhs = mp.matrix(n + 1, 1)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                A[i, j] = -D4[i, j] + eta[i] / 4 * D[i, j] - (1 if i == j else 0)
-            rhs[i] = -1
-        for row, node, order, value in ((0, 0, 0, 0), (1, 0, 1, 0),
-                                        (n, n, 0, 1), (n - 1, n, 1, 0)):
-            for j in range(n + 1):
-                A[row, j] = D[node, j] if order else (1 if j == node else 0)
+
+def _mp_lu_solve(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting on
+    lists of mpf; mpmath's lu_solve does the same four times slower."""
+    from mpmath import mp
+    n = len(A)
+    A = [list(row) + [bi] for row, bi in zip(A, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        A[k], A[p] = A[p], A[k]
+        pivot = A[k]
+        for i in range(k + 1, n):
+            m = A[i][k] / pivot[k]
+            A[i][k + 1:] = [a - m * q for a, q in zip(A[i][k + 1:], pivot[k + 1:])]
+    x = [mp.zero] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (A[k][n] - mp.fdot(A[k][k + 1:n], x[k + 1:])) / A[k][k]
+    return x
+
+
+def _mp_chebsum(c, t):
+    """sum_k c[k] T_k(t) in mpmath, by Clenshaw's recurrence."""
+    b1 = b2 = 0
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2 * t * b1 - b2, b1
+    return c[0] + t * b1 - b2
+
+
+def _mp_chebder(c, scale):
+    """The coefficients of scale * d/dt of sum_k c[k] T_k(t)."""
+    n = len(c) - 1
+    d = [0] * (n + 2)
+    for k in range(n, 0, -1):
+        d[k - 1] = d[k + 1] + 2 * k * c[k]
+    d[0] /= 2
+    return [scale * dk for dk in d[:n]]
+
+
+def chebyshev_layer_series(n=120, dps=50):
+    """The three capped layer problems of blowuplab.profiles, by
+    Chebyshev collocation in mpmath at dps digits on n + 1 points:
+
+    v    -v'''' + (eta/4) v' - v = -1 on [0, 36], v(0) = v'(0) = 0,
+         v(36) = 1, v'(36) = 0;
+    vb   -vb'''' + (eta/4) vb' - (5/4) vb = -2 v''' on [0, 36], with zero
+         data in the same four conditions and v''' the collocation
+         derivative of v;
+    vb2  vb2'' + (eta/2) vb2' - (3/2) vb2 = v2'(eta) on [0, 20],
+         vb2(0) = vb2(20) = 0, with v2' in mpmath's closed form.
+
+    Trefethen's collocation (Spectral Methods in MATLAB, SIAM 2000, `cheb`):
+    node j is eta = (eta_max / 2)(1 - cos(pi j / n)), and the rows of the
+    end nodes and of their neighbours hold the boundary conditions.
+
+    Returns a dict of mpf: each solution as the n + 1 Chebyshev
+    coefficients of its interpolant in t = 2 eta / eta_max - 1 (a discrete
+    cosine transform of its node values); eta0, the root of v' near 3.738,
+    and v_peak = v(eta0); the far field's amplitude hypot(a, b) and phase
+    atan2(b, a), where a sin(sqrt(3) xi) + b cos(sqrt(3) xi) is the least-
+    squares fit of (v - 1) e^xi, xi = OMEGA eta^(4/3), on eta = i / 100 for
+    i = 1200..2000; and vb1 = vb(1)."""
+    from mpmath import mp
+    N = n + 1
+
+    def on(eta_max):
+        """The nodes of [0, eta_max] and its d^k/d eta^k matrices."""
+        s = -2 / mp.mpf(eta_max)
+        return ([eta_max * (1 - xi) / 2 for xi in x],
+                [[[s ** k * d for d in row] for row in Dk] for k, Dk in enumerate(D, 1)])
+
+    def solve(rows, rhs, conditions, d1):
+        """rows u = rhs with the rows of conditions (row, node, order of
+        the derivative, value) replaced."""
+        for row, node, order, value in conditions:
+            rows[row] = list(d1[node]) if order else [int(j == node) for j in range(N)]
             rhs[row] = value
-        v = mp.lu_solve(A, rhs)
-        vp = D * v
-        w = [1 / mp.mpf(cj) for cj in c]  # barycentric weights
+        return _mp_lu_solve(rows, rhs)
 
-        def interp(f, e):
-            xe = 1 - 2 * e / eta_max
-            t = [w[j] / (xe - x[j]) for j in range(n + 1)]
-            return mp.fsum(t[j] * f[j] for j in range(n + 1)) / mp.fsum(t)
+    def series(u):
+        cosines = [mp.cos(mp.pi * m / n) for m in range(2 * n)]
+        halved = [u[0] / 2] + u[1:n] + [u[n] / 2]
+        c = [2 * mp.fdot(halved, [cosines[j * k % (2 * n)] for j in range(N)]) / n
+             for k in range(N)]
+        c[0], c[n] = c[0] / 2, c[n] / 2
+        return [(-1) ** k * ck for k, ck in enumerate(c)]  # node j is t = -x_j
 
-        eta0 = mp.findroot(lambda e: interp(vp, e), mp.mpf("3.738"))
-        return +eta0, +interp(v, eta0)
+    with mp.workdps(dps):
+        x, D = _cheb_matrices(n, 4)
+        eta, (d1, _, d3, d4) = on(36)
+
+        def fourth(c0, forcing, far):
+            rows = [[-d4[i][j] + eta[i] / 4 * d1[i][j] - c0 * (i == j) for j in range(N)]
+                    for i in range(N)]
+            return solve(rows, forcing, ((0, 0, 0, 0), (1, 0, 1, 0), (n, n, 0, far),
+                                         (n - 1, n, 1, 0)), d1)
+
+        v = fourth(1, [-1] * N, 1)
+        vb = fourth(mp.mpf(5) / 4, [-2 * mp.fdot(row, v) for row in d3], 0)
+        eta2, (e1, e2, _, _) = on(20)
+        rows = [[e2[i][j] + eta2[i] / 2 * e1[i][j] - mp.mpf(3) / 2 * (i == j)
+                 for j in range(N)] for i in range(N)]
+        v2_prime = [2 / mp.sqrt(mp.pi) * mp.exp(-e * e / 4) - e * mp.erfc(e / 2)
+                    for e in eta2]
+        vb2 = solve(rows, v2_prime, ((0, 0, 0, 0), (n, n, 0, 0)), e1)
+        out = dict(v=series(v), vb=series(vb), vb2=series(vb2))
+
+        dv = _mp_chebder(out["v"], 1 / mp.mpf(18))
+        eta0 = mp.findroot(lambda e: _mp_chebsum(dv, e / 18 - 1), mp.mpf("3.738"))
+        omega = 3 * mp.mpf(2) ** (-mp.mpf(11) / 3)
+        M, r = [[0, 0], [0, 0]], [0, 0]
+        for i in range(1200, 2001):
+            e = mp.mpf(i) / 100
+            xi = omega * e ** (mp.mpf(4) / 3)
+            basis = (mp.sin(mp.sqrt(3) * xi), mp.cos(mp.sqrt(3) * xi))
+            y = (_mp_chebsum(out["v"], e / 18 - 1) - 1) * mp.exp(xi)
+            for p in range(2):
+                r[p] += basis[p] * y
+                for q in range(2):
+                    M[p][q] += basis[p] * basis[q]
+        a, b = _mp_lu_solve(M, r)
+        out.update(eta0=+eta0, v_peak=_mp_chebsum(out["v"], eta0 / 18 - 1),
+                   amplitude=mp.hypot(a, b), phase=mp.atan2(b, a),
+                   vb1=_mp_chebsum(out["vb"], mp.mpf(1) / 18 - 1))
+        return out
+
+
+def chebyshev_profile4(n=80, dps=40):
+    """Fourth-order profile peak (eta0, v(eta0)) as mpmath numbers, from
+    chebyshev_layer_series(n, dps)."""
+    series = chebyshev_layer_series(n, dps)
+    return series["eta0"], series["v_peak"]
+
+
+# the peak of the capped fourth-order problem, where chebyshev_layer_series
+# at n = 80 and 40 digits and at n = 120 and 50 digits agree in all 20
+# digits, and the order-4 correction at eta = 1 at n = 120
+ETA0_REF = 3.7384337311286860135
+VPEAK_REF = 1.060510046450362279
+VB1_REF = -0.12152448983758509741
+
+# blowuplab.profiles keeps each series through its last coefficient of
+# magnitude SERIES_TRIM or more; the ones it drops sum to under 2e-17
+SERIES_TRIM = 2.0 ** -60
+
+
+def profile_literals(s):
+    """The literals of blowuplab.profiles from s, the dict that
+    chebyshev_layer_series returns, each the double nearest its mpmath
+    value: the Chebyshev coefficients V4_SERIES, VB4_SERIES and VB2_SERIES,
+    each trimmed after its last of magnitude SERIES_TRIM or more, and ETA0,
+    V_PEAK, TAIL_A and TAIL_THETA. The one exception is each series' c[0],
+    moved by the fewest ulps for which the double Clenshaw sum at eta = 0
+    is exactly 0, the condition all three solutions meet there: 0, 8 and
+    7 ulps (under 3e-17). The module's come from the default n = 120 and
+    50 digits, and n = 160 gives the same doubles; at n = 80 the three
+    smallest kept coefficients of each series differ from them (relative
+    3e-16 to 1.3e-14)."""
+    from numpy.polynomial.chebyshev import chebval  # numpy's arrangement of the sum
+
+    def trim(c):
+        kept = [float(ck) for ck in c]
+        last = max(k for k, ck in enumerate(kept) if abs(ck) >= SERIES_TRIM)
+        kept = kept[:last + 1]
+        for k in sorted(range(-64, 65), key=lambda k: (abs(k), k)):
+            c0 = kept[0]
+            for _ in range(abs(k)):
+                c0 = np.nextafter(c0, np.copysign(np.inf, k))
+            if chebval(-1.0, [c0] + kept[1:]) == 0.0:
+                return [float(c0)] + kept[1:]
+        raise AssertionError("no c[0] within 64 ulps gives a zero sum at eta = 0")
+
+    return dict(V4_SERIES=trim(s["v"]), VB4_SERIES=trim(s["vb"]),
+                VB2_SERIES=trim(s["vb2"]), ETA0=float(s["eta0"]),
+                V_PEAK=float(s["v_peak"]), TAIL_A=float(s["amplitude"]),
+                TAIL_THETA=float(s["phase"]))
 
 
 # -- PDE oracles (uniform-grid method of lines, scipy BDF) -----------------------
@@ -866,91 +1011,16 @@ def reaction_residual(rs, t):
 
 
 def read_profile_csv(path):
-    """The LayerProfile that LayerProfile.to_csv wrote to path; the tail's
-    decay rate in the header is the module's OMEGA."""
+    """The table and the header fields that LayerProfile.to_csv wrote to
+    path, named as LayerProfile's fields; the tail's decay rate in the
+    header is the module's OMEGA."""
+    from types import SimpleNamespace
     from blowuplab.fileio import read_csv
-    from blowuplab.profiles import LayerProfile
     comments, _, rows = read_csv(path)
     meta = {k: float(v) for k, v in (t.split("=") for t in comments[0].split())}
-    return LayerProfile(order=int(meta["order"]),
-                        eta=np.array([float(r["eta"]) for r in rows]),
-                        values=np.array([float(r["v"]) for r in rows]),
-                        eta_max=meta["eta_max"], amplitude=meta["A"],
-                        phase=meta["theta"], eta0=meta["eta0"],
-                        v_peak=meta["v_peak"])
-
-
-def _triplets(*blocks):
-    """COO (rows, cols, vals) from blocks of broadcastable arrays.
-
-    Entries enter block by block and, within a block, in row-major order,
-    so duplicate (row, col) pairs are always summed in the same order."""
-    parts = [np.broadcast_arrays(*b) for b in blocks]
-    return tuple(np.concatenate([np.ravel(p[k]) for p in parts]) for k in range(3))
-
-
-def coo_mixed_operator(eta, c0, rhs_values):
-    """profiles._mixed_operator as it was first written: the CSC matrix and
-    right side of -w'' + (eta/4) v' + c0 v = rhs, v'' = w, with rows scaled
-    by h^2, the unknowns v_0..v_n then w_0..w_n, and the rows the same."""
-    from blowuplab.profiles import WIDTH
-    from blowuplab.stencils import fd_weights, stencil_window
-    n = len(eta) - 1
-    N = n + 1
-    h = eta[1] - eta[0]
-    h2 = h * h
-    i = np.arange(N)
-    J = stencil_window(i, N, WIDTH)
-    C = fd_weights(eta[J], eta, 2)
-    D1, D2 = C[:, :, 1] * h2, C[:, :, 2] * h2
-    i = i[:, None]
-    mid = slice(2, n - 1)
-    rows, cols, vals = _triplets(
-        (0, 0, 1.0),
-        (1, J[0], C[0, :, 1] * h),
-        (n - 1, J[n], C[n, :, 1] * h),
-        (n, n, 1.0),
-        (i[mid], np.hstack([J[mid], N + i[mid]]),
-         np.hstack([D2[mid], np.full((n - 3, 1), -h2)])),
-        (N + i, np.hstack([N + J, J, i]),
-         np.hstack([-D2, 0.25 * eta[i] * D1, np.full((N, 1), c0 * h2)])),
-    )
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N)).tocsc()
-    rhs = np.zeros(2 * N)
-    rhs[N:] = rhs_values * h2
-    return A, rhs
-
-
-def coo_correction2_operator():
-    """The order-2 curvature-correction system of
-    profiles.solve_curvature_correction as it was first written: the CSC
-    matrix and right side on [0, 20] at spacing profiles.H."""
-    from blowuplab.profiles import H, WIDTH, v2_prime
-    from blowuplab.stencils import fd_weights, stencil_window
-    n = int(round(20.0 / H))
-    eta = np.linspace(0.0, 20.0, n + 1)
-    h2 = H * H
-    i = np.arange(1, n)
-    J = stencil_window(i, n + 1, WIDTH)
-    C = fd_weights(eta[J], eta[i], 2)
-    i = i[:, None]
-    rows, cols, vals = _triplets(
-        (0, 0, 1.0), (n, n, 1.0),
-        (i, np.hstack([J, i]),
-         np.hstack([(C[:, :, 2] + 0.5 * eta[i] * C[:, :, 1]) * h2,
-                    np.full((n - 1, 1), -1.5 * h2)])))
-    rhs = np.zeros(n + 1)
-    rhs[1:n] = v2_prime(eta[1:n]) * h2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc(), rhs
-
-
-def csc_to_band(A, k, perm):
-    """LAPACK band storage, entry (i, j) at ab[k + i - j, j], of the matrix
-    A with its rows and columns renumbered, old index m to perm[m].
-    AssertionError when an entry lies outside the half-width k."""
-    A = A.tocoo()
-    r, c = perm[A.row], perm[A.col]
-    assert np.all(np.abs(r - c) <= k), "an entry lies outside the band"
-    ab = np.zeros((2 * k + 1, A.shape[1]))
-    ab[k + r - c, c] = A.data
-    return ab
+    return SimpleNamespace(order=int(meta["order"]),
+                           eta=np.array([float(r["eta"]) for r in rows]),
+                           values=np.array([float(r["v"]) for r in rows]),
+                           eta_max=meta["eta_max"], amplitude=meta["A"],
+                           phase=meta["theta"], eta0=meta["eta0"],
+                           v_peak=meta["v_peak"])

@@ -34,14 +34,15 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, potato_domain)
 from blowuplab.predictor import predict_second_2d, uniform_1d
-from blowuplab.profiles import OMEGA, solve_profile4, v2
+from blowuplab.profiles import OMEGA, v2
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import SolverConfig, solve
-from oracles import (hausdorff, linearised_layer_peak, rectangle_skeleton_points,
+from oracles import (ETA0_REF, hausdorff, linearised_layer_peak, rectangle_skeleton_points,
                      shooting_profile4, square_skeleton_points,
                      strip_second_order_bdf)
 
@@ -323,23 +324,31 @@ def test_criterion_10_profile_suite(profile4):
                        np.log(amp[keep]), 1)[0]
     rate_dev = abs(-slope / OMEGA - 1.0)
 
-    halved = solve_profile4(h=1.0 / 400.0)
-    d_eta0 = abs(halved.eta0 - profile4.eta0)
+    # the stored eta0 against the collocation digits, and against the root
+    # of the stored series' derivative by Newton's method (numpy's chebder)
+    d_ref = abs(profile4.eta0 - ETA0_REF)
+    dv = chebyshev.chebder(profile4.series) / 18.0   # d/d eta, t = eta / 18 - 1
+    root = profile4.eta0
+    for _ in range(4):
+        root -= (chebyshev.chebval(root / 18.0 - 1.0, dv)
+                 / chebyshev.chebval(root / 18.0 - 1.0, chebyshev.chebder(dv)) * 18.0)
+    d_newton = abs(profile4.eta0 - root)
     eta0_sh, _ = shooting_profile4()
     d_shoot = abs(profile4.eta0 - eta0_sh)
 
     ok = (res_v2 <= 1e-9 and interior and crossings >= 3 and rate_dev <= 0.10
-          and d_eta0 <= 1e-5 and d_shoot <= 1e-4)
+          and d_ref <= 1e-12 and d_newton <= 1e-12 and d_shoot <= 1e-4)
     report(10, ok, f"v2 residual {res_v2:.1e} <= 1e-9; peak interior "
                    f"(eta0={profile4.eta0:.6f}); {crossings} sign changes; "
-                   f"decay-rate dev {rate_dev:.1%} <= 10%; mesh-halving "
-                   f"d_eta0={d_eta0:.1e} <= 1e-5; shooting gap "
-                   f"{d_shoot:.1e} <= 1e-4")
+                   f"decay-rate dev {rate_dev:.1%} <= 10%; eta0 against the "
+                   f"collocation digits {d_ref:.1e} and the series' root "
+                   f"{d_newton:.1e} <= 1e-12; shooting gap {d_shoot:.1e} <= 1e-4")
     assert res_v2 <= 1e-9
     assert interior
     assert crossings >= 3
     assert rate_dev <= 0.10
-    assert d_eta0 <= 1e-5
+    assert d_ref <= 1e-12
+    assert d_newton <= 1e-12
     assert d_shoot <= 1e-4
 
 

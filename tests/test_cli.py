@@ -549,6 +549,7 @@ def test_profile_correction_csv_has_plain_numbers(tmp_path):
     assert lines[0] == "eta,vbar1"
     eta, vbar = (float(t) for t in lines[1].split(","))
     assert (eta, vbar) == (0.0, 0.0)
+    _assert_plain_csvs(tmp_path / "prof")
 
 
 

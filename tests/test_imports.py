@@ -4,8 +4,10 @@ scipy.sparse or multiprocessing on its own, and scipy.special only when
 the order-2 profile is evaluated.
 
 Together the first four cost a quarter of a second at every CLI
-start-up, and the package needs only a spline (profiles._Spline), an
-assignment (cli._assign) and a local-maximum mask from them. Custom
+start-up, and the package needs only an assignment (cli._assign) and a
+local-maximum mask from them. The layer profiles and their corrections
+are stored Chebyshev series summed in numpy, so building them loads
+neither scipy.special nor numpy.polynomial. Custom
 nonlinearities import quad and solve_ivp where they are called, and
 scipy.integrate loads scipy.optimize with it; nothing in the package
 imports scipy.optimize itself.
@@ -16,8 +18,7 @@ found in numpy (geometry.SmoothPolarDomain._nearest_sample and
 geometry._near_pairs), and v2 and v2_prime import erfcx when they are
 called. multiprocessing loads only when `solve --threads` starts a
 process pool. scipy.sparse (with scipy.sparse.linalg) added about 3.6 MB
-to every start-up: the layer-profile systems are solved on LAPACK bands,
-and only the tests' reference code (solvers.common.splu, SparseLUCN,
+to every start-up; only the tests' reference code (solvers.common.splu, SparseLUCN,
 ConjugateGradientCN, rect_operator and cube_operator) imports it, when
 called.
 
@@ -209,6 +210,18 @@ V2_PRIME_GOLDEN = {0.0: 1.1283791670955126, 0.5: 0.6981773244602326,
                    25.0: 4.95414546614859e-71}
 
 
+def test_profiles_and_corrections_load_no_special_or_polynomial():
+    """Building the order-4 profile and both corrections sums stored series:
+    no erfcx for the order-2 correction's forcing, no numpy.polynomial."""
+    code = textwrap.dedent("""
+        import sys
+        from blowuplab.profiles import get_correction, get_profile4
+        get_profile4(), get_correction(4), get_correction(2)
+        """)
+    assert listed_after(code, "m for m in ('numpy.polynomial', 'scipy.special') "
+                              "if m in sys.modules") == []
+
+
 def test_second_order_profile_loads_erfcx_on_first_call():
     code = textwrap.dedent(f"""
         import sys
@@ -256,9 +269,9 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
         same = [lapack.dpotrs is scipy_lapack.dpotrs,
                 lapack.LinAlgError is scipy.linalg.LinAlgError]
         same += [getattr(lapack, name) is getattr(scipy_lapack, name) for name in
-                 ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dgtsv", "dpotrf")]
+                 ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "dpotrf")]
         """)
-    assert listed_after(code, "map(str, same)") == ["True"] * 8
+    assert listed_after(code, "map(str, same)") == ["True"] * 7
 
 
 def test_cho_factor_is_scipys_on_the_bench_rectangle(monkeypatch):

@@ -158,7 +158,8 @@ def test_uniform_2d_equals_scalar_loop(name, order, curvature, data):
     corr = None
     if not curvature:
         vb = get_correction(order)
-        corr = CorrectionProfile(order, vb.eta, np.zeros_like(vb.values), vb.eta_max)
+        corr = CorrectionProfile(order, vb.eta, np.zeros_like(vb.values), vb.eta_max,
+                                 np.zeros_like(vb.series))
     got = uniform_2d(dom, EXP, order, eps, pts, t, correction=corr)
     assert np.array_equal(got, scalar_uniform_2d(dom, EXP, order, eps, pts, t,
                                                  correction=corr))

@@ -2,32 +2,30 @@ import os
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
-
-from scipy.sparse.linalg import spsolve
+from numpy.polynomial import chebyshev
 
 from blowuplab import profiles
-from blowuplab.errors import ConvergenceError
-from blowuplab.profiles import (K4, OMEGA, WIDTH, _Spline, _mixed_operator,
-                                _solve_checked, _table_derivative,
-                                second_order_profile, solve_curvature_correction,
+from blowuplab.profiles import (OMEGA, second_order_profile, solve_curvature_correction,
                                 solve_profile4, v2, v2_prime, v2_tail)
-from oracles import (chebyshev_profile4, coo_correction2_operator, coo_mixed_operator,
-                     csc_to_band, d1_5pt, d2_5pt, d3_7pt, d4_7pt,
+from oracles import (ETA0_REF, VB1_REF, VPEAK_REF, chebyshev_layer_series,
+                     chebyshev_profile4, d1_5pt, d2_5pt, d3_7pt, d4_7pt, profile_literals,
                      read_profile_csv, shooting_profile4, shooting_v4)
 
-# the peak of the capped fourth-order problem by mpmath Chebyshev
-# collocation, where n = 80 and 120 at 40 digits agree in all 20 digits
-# (test_collocation_reproduces_reference_digits)
-ETA0_REF = 3.7384337311286860135
-VPEAK_REF = 1.060510046450362279
-# the same rounded; the default solve is within 6e-9 of ETA0_REF, the
-# h = 1/400 solve within 4e-7
+# ETA0_REF and VPEAK_REF rounded, as the README quotes them
 ETA0_GOLDEN = 3.738434
 VPEAK_GOLDEN = 1.0605100
 DATA = os.path.join(os.path.dirname(__file__), "data")
 OPTIONAL = pytest.mark.skipif(os.environ.get("BLOWUPLAB_OPTIONAL_TIER") != "1",
                               reason="optional tier: set BLOWUPLAB_OPTIONAL_TIER=1")
+# each stored series and the interval it spans
+SERIES = {"V4_SERIES": 36.0, "VB4_SERIES": 36.0, "VB2_SERIES": 20.0}
+
+
+def series_derivative(c, eta_max, eta, m=1):
+    """The m-th eta-derivative of the series c on [0, eta_max], by numpy's
+    chebder and chebval."""
+    t = (2.0 * np.asarray(eta) - eta_max) / eta_max
+    return chebyshev.chebval(t, chebyshev.chebder(c, m)) * (2.0 / eta_max) ** m
 
 
 def test_omega_constant():
@@ -95,8 +93,9 @@ def test_v2_prime_matches_fd():
 
 class TestProfile4:
     def test_boundary_conditions(self, profile4):
-        assert profile4.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert float(profile4._spline(0.0, 1)) == pytest.approx(0.0, abs=1e-6)
+        # v'(0) of the differentiated series: measured -4.4e-16
+        assert profile4.values[0] == 0.0 and profile4.evaluate(0.0) == 0.0
+        assert abs(series_derivative(profile4.series, 36.0, 0.0)) <= 1e-12
 
     def test_far_field(self, profile4):
         assert abs(profile4.values[-1] - 1.0) <= 1e-6
@@ -113,10 +112,10 @@ class TestProfile4:
         assert abs(profile4.v_peak - vpeak_sh) <= 1e-5
 
     def test_peak_agrees_with_collocation_digits(self, profile4):
-        # measured -5.8e-9 and -6.2e-11 at h = 1/100; -4.6e-8 and -4.6e-10
-        # at 1/200
-        assert abs(profile4.eta0 - ETA0_REF) <= 1e-8
-        assert abs(profile4.v_peak - VPEAK_REF) <= 1e-10
+        # the stored doubles are the nearest ones to the digits
+        assert abs(profile4.eta0 - ETA0_REF) <= 4 * np.spacing(ETA0_REF)
+        assert abs(profile4.v_peak - VPEAK_REF) <= 4 * np.spacing(VPEAK_REF)
+        assert profile4.evaluate(profile4.eta0) == pytest.approx(VPEAK_REF, abs=1e-15)
 
     def test_table_agrees_with_shooting_oracle(self, profile4):
         # the nodes on (0, 12], where the overshoot and the first swings
@@ -124,16 +123,6 @@ class TestProfile4:
         v, _ = shooting_v4()
         m = (profile4.eta > 0.0) & (profile4.eta <= 12.0)
         assert np.max(np.abs(profile4.values[m] - v(profile4.eta[m]))) <= 1e-8
-
-    def test_eta0_stable_under_mesh_halving(self, profile4):
-        finer = solve_profile4(h=1.0 / 400.0)
-        assert abs(finer.eta0 - profile4.eta0) <= 1e-5
-
-    def test_eta0_stable_under_one_mesh_halving(self, profile4):
-        # the default h = 1/100 against 1/200: measured 4.1e-8, the finer
-        # grid's roundoff drift
-        finer = solve_profile4(h=1.0 / 200.0)
-        assert abs(finer.eta0 - profile4.eta0) <= 1e-7
 
     def test_eval_examples(self, profile4):
         assert profile4.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
@@ -181,14 +170,22 @@ class TestProfile4:
         path = tmp_path / "p4.csv"
         profile4.to_csv(path)
         back = read_profile_csv(path)
-        assert back.eta0 == profile4.eta0
-        assert back.amplitude == profile4.amplitude
+        for name in ("order", "eta_max", "amplitude", "phase", "eta0", "v_peak"):
+            assert getattr(back, name) == getattr(profile4, name), name
+        assert np.array_equal(back.eta, profile4.eta)
         assert np.array_equal(back.values, profile4.values)
-        eta = np.linspace(0, 50, 97)
-        assert np.allclose(back.evaluate(eta), profile4.evaluate(eta), atol=1e-12)
+
+    def test_series_meets_tail_at_the_cap(self, profile4):
+        # measured 1.2e-14 apart
+        xi = OMEGA * 36.0 ** (4.0 / 3.0)
+        tail = 1.0 + (profile4.amplitude * np.sin(np.sqrt(3.0) * xi + profile4.phase)
+                      * np.exp(-xi))
+        assert profile4.evaluate(36.0) == 1.0
+        assert abs(profile4.evaluate(36.0) - tail) <= 1e-12
+        assert profile4.evaluate(np.nextafter(36.0, 37.0)) == pytest.approx(tail, abs=1e-15)
 
     def test_golden_file_bytes(self, profile4, tmp_path):
-        # the table the batched assembly gives is the recorded one, bit for bit
+        # the table the stored series give is the recorded one, bit for bit
         profile4.to_csv(tmp_path / "p.csv")
         with open(os.path.join(DATA, "profile4_golden.csv"), "rb") as fh:
             assert (tmp_path / "p.csv").read_bytes() == fh.read()
@@ -198,8 +195,7 @@ class TestProfile4:
         assert profile4.eta0 == pytest.approx(golden.eta0, abs=1e-6)
         assert profile4.v_peak == pytest.approx(golden.v_peak, abs=1e-6)
         assert profile4.amplitude == pytest.approx(golden.amplitude, rel=1e-4)
-        sub = np.linspace(0, golden.eta_max, 733)
-        assert np.max(np.abs(golden.evaluate(sub) - profile4.evaluate(sub))) <= 1e-8
+        assert np.max(np.abs(golden.values - profile4.evaluate(golden.eta))) <= 1e-8
 
 
 @OPTIONAL
@@ -210,6 +206,62 @@ def test_collocation_reproduces_reference_digits():
         assert abs(eta0 - mp.mpf("3.7384337311286860135")) <= 1e-18
         assert abs(v_peak - mp.mpf("1.060510046450362279")) <= 1e-18
     assert float(eta0) == ETA0_REF and float(v_peak) == VPEAK_REF
+
+
+@OPTIONAL
+def test_stored_literals_regenerate_bit_for_bit():
+    """Every literal of blowuplab.profiles is the double that the mpmath
+    collocation at n = 120 and 50 digits rounds to, and the reference
+    digits above are that collocation's."""
+    from mpmath import mp
+    series = chebyshev_layer_series()
+    literals = profile_literals(series)
+    for name, value in literals.items():
+        stored = getattr(profiles, name)
+        assert np.shape(stored) == np.shape(value), name
+        assert np.array_equal(stored, value), name
+    assert list(literals) == list(SERIES) + ["ETA0", "V_PEAK", "TAIL_A", "TAIL_THETA"]
+    assert literals["ETA0"] == ETA0_REF and literals["V_PEAK"] == VPEAK_REF
+    vb1 = series["vb1"]
+    with mp.workdps(40):
+        assert abs(vb1 - mp.mpf("-0.12152448983758509741")) <= 1e-20
+    assert float(vb1) == VB1_REF
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_clenshaw_sum_equals_numpy_chebval(name):
+    """The hand-written Clenshaw sum against numpy's chebval on 10^4
+    random eta: equal bit for bit."""
+    c, eta_max = getattr(profiles, name), SERIES[name]
+    eta = np.random.default_rng(36).uniform(0.0, eta_max, 10_000)
+    mine = profiles._chebyshev_sum(c, eta, eta_max)
+    ref = chebyshev.chebval((2.0 * eta - eta_max) / eta_max, c)
+    assert np.array_equal(mine, ref)
+
+
+def test_order4_layer_profile_needs_its_series():
+    prof = solve_profile4()
+    with pytest.raises(ValueError, match="Chebyshev series"):
+        profiles.LayerProfile(order=4, eta=prof.eta, values=prof.values, eta_max=36.0)
+
+
+def test_profiles_evaluate_their_series():
+    eta = np.linspace(-0.5, 40.0, 811)
+    inside = eta <= 36.0
+    prof = solve_profile4()
+    corr4, corr2 = solve_curvature_correction(4), solve_curvature_correction(2)
+    assert np.array_equal(prof.evaluate(eta)[inside],
+                          profiles._chebyshev_sum(profiles.V4_SERIES, eta[inside], 36.0))
+    for corr, series, eta_max in ((corr4, profiles.VB4_SERIES, 36.0),
+                                  (corr2, profiles.VB2_SERIES, 20.0)):
+        got = corr(eta)
+        clipped = np.clip(eta, 0.0, eta_max)
+        assert np.array_equal(got[eta <= eta_max],
+                              profiles._chebyshev_sum(series, clipped, eta_max)[eta <= eta_max])
+        assert np.all(got[eta > eta_max] == 0.0)
+        assert np.array_equal(corr.values, corr(corr.eta))
+    assert np.array_equal(prof.values, prof.evaluate(prof.eta))
+    assert isinstance(prof.evaluate(1.0), float) and isinstance(corr4(1.0), float)
 
 
 def test_second_order_profile_table():
@@ -224,7 +276,7 @@ def test_second_order_profile_table():
 
 class TestCorrections:
     def test_second_order_boundary_and_decay(self, correction2):
-        assert correction2.values[0] == pytest.approx(0.0, abs=1e-14)
+        assert correction2.values[0] == 0.0 and correction2(0.0) == 0.0
         assert abs(correction2.values[-1]) <= 1e-6
 
     def test_second_order_residual(self, correction2):
@@ -235,10 +287,14 @@ class TestCorrections:
         assert np.nanmax(np.abs(res[2:-2])) <= 1e-9
 
     def test_fourth_order_boundary_and_decay(self, correction4):
-        assert correction4.values[0] == pytest.approx(0.0, abs=1e-14)
+        # vb'(0) of the differentiated series: measured 1.1e-16
+        assert correction4.values[0] == 0.0 and correction4(0.0) == 0.0
         assert abs(correction4.values[-1]) <= 1e-6
-        spl = correction4._spline
-        assert abs(spl(0.0, 1)) <= 1e-6
+        assert abs(series_derivative(correction4.series, 36.0, 0.0)) <= 1e-12
+
+    def test_fourth_order_agrees_with_collocation(self, correction4):
+        # the finite-difference solve was 8e-10 off
+        assert abs(correction4(1.0) - VB1_REF) <= 1e-15
 
     def test_fourth_order_residual(self, correction4, profile4):
         h = correction4.eta[1] - correction4.eta[0]
@@ -249,10 +305,21 @@ class TestCorrections:
         assert np.nanmax(np.abs(res[10:-4])) <= 1e-4
 
     def test_discrete_system_residual_tolerance(self):
-        # the assembled band systems are solved to residual <= 1e-9
-        # (enforced internally; a ConvergenceError would surface here)
-        solve_curvature_correction(2)
-        solve_profile4()
+        """The stored series solve their equations on 500 points inside
+        their intervals: measured residuals 3.8e-12 (v), 6.7e-13 (vb) and
+        2.5e-15 (order 2), the fourth derivatives of the series amplifying
+        the rounding of its coefficients."""
+        eta = np.linspace(0.05, 35.95, 500)
+        v, vb = (np.array([series_derivative(c, 36.0, eta, m) for m in range(5)])
+                 for c in (profiles.V4_SERIES, profiles.VB4_SERIES))
+        res_v = -v[4] + 0.25 * eta * v[1] - v[0] + 1.0
+        res_vb = -vb[4] + 0.25 * eta * vb[1] - 1.25 * vb[0] + 2.0 * v[3]
+        assert np.max(np.abs(res_v)) <= 2e-11
+        assert np.max(np.abs(res_vb)) <= 4e-12
+        eta = np.linspace(0.05, 19.95, 500)
+        w = [series_derivative(profiles.VB2_SERIES, 20.0, eta, m) for m in range(3)]
+        res = w[2] + 0.5 * eta * w[1] - 1.5 * w[0] - v2_prime(eta)
+        assert np.max(np.abs(res)) <= 2e-14
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -260,111 +327,10 @@ class TestCorrections:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_golden_tables_bytes(self, order):
-        # recorded with the per-stencil assembly that the batched one replaced
+        # recorded from the stored series
         corr = solve_curvature_correction(order)
         text = "eta,vbar1\n" + "".join(f"{float(e)!r},{float(v)!r}\n"
                                        for e, v in zip(corr.eta, corr.values))
         with open(os.path.join(DATA, f"correction{order}_golden.csv"),
                   newline="", encoding="utf-8") as fh:
             assert text == fh.read()
-
-
-# -- the band systems against their first assembly -------------------------------
-
-def _spy_solves(monkeypatch):
-    """The list to which each later _solve_checked call appends its band
-    and right side."""
-    seen = []
-
-    def spy(ab, rhs, what):
-        seen.append((ab, rhs))
-        return _solve_checked(ab, rhs, what)
-
-    monkeypatch.setattr(profiles, "_solve_checked", spy)
-    return seen
-
-
-def _interleave(N):
-    """New index of each old unknown: v_i (old i) is 2i, w_i (old N + i) 2i + 1."""
-    return np.concatenate([2 * np.arange(N), 2 * np.arange(N) + 1])
-
-
-@pytest.mark.parametrize("h", [1.0 / 100.0, 1.0 / 200.0])
-def test_mixed_bands_equal_coo_reference(h, monkeypatch):
-    """The profile's and the order-4 correction's band hold the entries of
-    the CSC matrix the COO assembly built, bit for bit, and their right
-    sides the same values."""
-    seen = _spy_solves(monkeypatch)
-    prof = solve_profile4(h)
-    solve_curvature_correction(4, prof)
-    eta = prof.eta
-    n, perm = len(eta) - 1, _interleave(len(eta))
-    forcings = [(-1.0, -np.ones_like(eta), 1.0),
-                (-1.25, -2.0 * _table_derivative(eta, prof.d2_values), 0.0)]
-    assert len(seen) == len(forcings)
-    for (band, right), (c0, forcing, far) in zip(seen, forcings):
-        A, ref = coo_mixed_operator(eta, c0, forcing)
-        ref[n] = far
-        assert band.flags.f_contiguous and band.shape == (2 * K4 + 1, 2 * n + 2)
-        assert np.array_equal(band, csc_to_band(A, K4, perm))
-        assert np.array_equal(right[perm], ref)
-
-
-def test_correction2_band_equals_coo_reference(monkeypatch):
-    seen = _spy_solves(monkeypatch)
-    solve_curvature_correction(2)
-    ((ab, rhs),) = seen
-    A, ref = coo_correction2_operator()
-    assert np.array_equal(ab, csc_to_band(A, WIDTH - 2, np.arange(len(ref))))
-    assert np.array_equal(rhs, ref)
-
-
-def test_band_solve_agrees_with_spsolve():
-    """The refined band LU against SuperLU on the profile system at h = 0.1
-    (722 unknowns): measured 5.2e-11 apart, where the solution is about 1."""
-    eta = np.linspace(0.0, 36.0, 361)
-    ab, rhs = _mixed_operator(eta, -1.0, -np.ones_like(eta))
-    rhs[-2] = 1.0
-    A, ref = coo_mixed_operator(eta, -1.0, -np.ones_like(eta))
-    ref[360] = 1.0
-    perm = _interleave(len(eta))
-    assert np.max(np.abs(_solve_checked(ab, rhs, "test")[perm] - spsolve(A, ref))) <= 2e-10
-
-
-def test_singular_band_raises():
-    ab = np.zeros((3, 4), order="F")
-    ab[1] = [1.0, 1.0, 0.0, 1.0]
-    with pytest.raises(ConvergenceError):
-        _solve_checked(ab, np.ones(4), "test")
-
-
-# -- the spline port ---------------------------------------------------------------
-
-@pytest.mark.parametrize("table", ["profile4", "correction4", 4, 5, 17, 300])
-def test_spline_equals_scipy_cubic_spline(table, request):
-    """_Spline is scipy's not-a-knot CubicSpline bit for bit: coefficients,
-    and values and derivatives at the nodes, inside, beyond both ends and
-    at NaN. An integer table is that many random nodes."""
-    rng = np.random.default_rng(12)
-    if isinstance(table, str):
-        tab = request.getfixturevalue(table)
-        x, y = tab.eta, tab.values
-    else:
-        x = np.cumsum(rng.uniform(0.01, 1.0, table)) - 0.5 * table
-        y = rng.normal(size=table)
-    mine, ref = _Spline(x, y), CubicSpline(x, y)
-    assert np.array_equal(mine.c, ref.c)
-    span = x[-1] - x[0]
-    q = np.concatenate([x, rng.uniform(x[0] - 0.2 * span, x[-1] + 0.2 * span, 400),
-                        [np.nan, x[0] - span, x[-1] + span, -0.0]])
-    for nu in range(4):
-        assert np.array_equal(mine(q, nu), ref(q, nu), equal_nan=True), nu
-        for xs in (x[1], 0.5 * (x[0] + x[1]), np.nan):
-            got = mine(xs, nu)
-            assert isinstance(got, np.ndarray) and got.shape == ()
-            assert np.array_equal(got, ref(xs, nu), equal_nan=True)
-
-
-def test_spline_needs_four_nodes():
-    with pytest.raises(ValueError):
-        _Spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
