@@ -10,13 +10,12 @@ locations and multiplicities can be compared directly.
 
 from .errors import (BlowupLabError, ConfigError, ConvergenceError,
                      DivergenceError, EvaluationDomainError, RangeError)
-from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
-                       SmoothPolarDomain, compute_skeleton, ellipse_domain,
-                       max_distance_point, omega_set, potato_domain)
-from .predictor import (Prediction, critical_eps, outer_1d_second,
-                        outer_2d_second, predict_1d_fourth, predict_fourth_2d,
-                        predict_second_2d, skeleton_arrival_time, uniform_1d,
-                        uniform_2d)
+from .geometry import (RectangleDomain, Skeleton, SmoothPolarDomain,
+                       compute_skeleton, ellipse_domain, max_distance_point,
+                       omega_set, potato_domain)
+from .predictor import (Prediction, critical_eps, outer_2d_second,
+                        predict_1d_fourth, predict_fourth_2d, predict_second_2d,
+                        skeleton_arrival_time, uniform_2d)
 from .profiles import (OMEGA, CorrectionProfile, LayerProfile, get_correction,
                        get_profile4, second_order_profile,
                        solve_curvature_correction, solve_profile4, v2, v2_prime,

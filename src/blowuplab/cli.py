@@ -93,46 +93,36 @@ def _svg(cfg, path, title, *series):
         svg_scatter(path, list(series), title=title)
 
 
-def cmd_predict(cfg, out) -> int:
-    """Predicted singularity sets, one per eps. The strip is predicted in
-    1D; any other geometry needs a 2D domain, so the cube fails before
-    any output, and so do eps 0 (the reaction limit, which only solve
-    runs) and a skeleton resolution too coarse to find the skeleton.
-    Second order predicts the point furthest from the boundary, the same
-    for every eps."""
-    if min(cfg.eps_values) <= 0:
-        raise ConfigError("predict needs experiment.eps > 0; eps 0 is the "
-                          "reaction limit, which only solve runs")
-    strip = cfg.geometry == "strip"
-    dom = None if strip else cfg.domain()
-    rs = ReactionSolution(cfg.nonlinearity_obj())
-    T_of = _measured_T(out, rs)
-    T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
-    if not strip:
-        res = cfg.solver_overrides.get("skeleton_resolution")
-        try:
-            skel = compute_skeleton(dom, 0.01 if res is None else float(res))
-        except RangeError as e:
-            raise ConfigError(f"solver.skeleton_resolution: {e}") from None
-        max_depth = float(np.max(skel.s_values()))
-    os.makedirs(out, exist_ok=True)
-    _write_echo(dump_config(cfg), out)
-    if not strip:
-        skel.to_csv(os.path.join(out, "skeleton.csv"))
-    if cfg.order == 2:
-        pred = (Prediction("distance-argmax", np.zeros((1, 1)),
-                           dict(order=2, distance=1.0)) if strip
-                else predict_second_2d(dom, skeleton=skel))
-    rows = []
-    for eps in sorted(cfg.eps_values):
+def _predictor_1d(cfg, dom, rs):
+    """On a 1-D box, at order 2 its centre, the point furthest from its
+    walls, and at order 4 predict_1d_fourth's pair or centre."""
+    centre = Prediction("distance-argmax", np.zeros((1, 1)), dict(order=2, distance=1.0))
+    return (lambda eps, T_eps, out: centre if cfg.order == 2
+            else predict_1d_fourth(rs, eps, T_eps)), None
+
+
+def _predictor_2d(cfg, dom, rs):
+    """Predictions on a planar domain from its skeleton, whose summary it
+    prints; a skeleton resolution too coarse to find the skeleton is a
+    config error. Each order-4 prediction writes its omega-set loops, and
+    each prediction with points its plot."""
+    res = cfg.solver_overrides.get("skeleton_resolution")
+    try:
+        skel = compute_skeleton(dom, 0.01 if res is None else float(res))
+    except RangeError as e:
+        raise ConfigError(f"solver.skeleton_resolution: {e}") from None
+    max_depth = float(np.max(skel.s_values()))
+    T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
+    print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
+          f"T_S(eps={min(cfg.eps_values):g})={T_S:g}")
+    argmax = predict_second_2d(dom, skeleton=skel) if cfg.order == 2 else None
+
+    def predict(eps, T_eps, out):
         tag = _eps_tag(eps)
-        T_eps = T_of.get(eps, T_fallback)
-        if cfg.order == 4:
-            pred = (predict_1d_fourth(rs, eps, T_eps) if strip
-                    else predict_fourth_2d(dom, skel, rs, eps, T_eps))
-            pred.metadata["T_eps_source"] = ("measured" if eps in T_of
-                                             else "reaction-fallback")
-        if cfg.order == 4 and not strip:
+        if cfg.order == 2:
+            pred = argmax
+        else:
+            pred = predict_fourth_2d(dom, skel, rs, eps, T_eps)
             level = min(pred.metadata["level"], 0.999 * max_depth)
             try:
                 loops = (pred.omega_loops if pred.regime == "omega-set"
@@ -141,17 +131,46 @@ def cmd_predict(cfg, out) -> int:
                 _write_loops(os.path.join(out, f"omega_eps{tag}.csv"), loops)
             except BlowupLabError:
                 pass
-        pred.to_csv(os.path.join(out, f"prediction_eps{tag}.csv"))
-        rows.append((eps, pred.regime, pred.multiplicity))
-        if not strip and pred.points.size:
+        if pred.points.size:
             _svg(cfg, os.path.join(out, f"prediction_eps{tag}.svg"),
                  f"prediction eps={eps:g}", dict(points=pred.points, label="predicted"))
+        return pred
+    return predict, skel
+
+
+def cmd_predict(cfg, out) -> int:
+    """Predicted singularity sets, one per eps, by the predictor of the
+    domain's dimension. A 3-D box has none, so it fails before any
+    output, and so do eps 0 (the reaction limit, which only solve runs)
+    and a skeleton resolution too coarse to find the skeleton. Second
+    order predicts the point furthest from the boundary, the same for
+    every eps."""
+    if min(cfg.eps_values) <= 0:
+        raise ConfigError("predict needs experiment.eps > 0; eps 0 is the "
+                          "reaction limit, which only solve runs")
+    dom = cfg.domain()
+    setup = {1: _predictor_1d, 2: _predictor_2d}.get(dom.dim)
+    if setup is None:
+        raise ConfigError(f"predict has no predictor on the {dom.dim}-D box of "
+                          f"geometry {cfg.geometry!r}; only solve runs it")
+    rs = ReactionSolution(cfg.nonlinearity_obj())
+    T_of = _measured_T(out, rs)
+    T_fallback = rs.T0 * (1.0 - TABLE_DELTA)
+    predict, skel = setup(cfg, dom, rs)
+    os.makedirs(out, exist_ok=True)
+    _write_echo(dump_config(cfg), out)
+    if skel is not None:
+        skel.to_csv(os.path.join(out, "skeleton.csv"))
+    rows = []
+    for eps in sorted(cfg.eps_values):
+        pred = predict(eps, T_of.get(eps, T_fallback), out)
+        if cfg.order == 4:
+            pred.metadata["T_eps_source"] = ("measured" if eps in T_of
+                                             else "reaction-fallback")
+        pred.to_csv(os.path.join(out, f"prediction_eps{_eps_tag(eps)}.csv"))
+        rows.append((eps, pred.regime, pred.multiplicity))
     write_csv(os.path.join(out, "predictions_summary.csv"),
               ("eps", "regime", "multiplicity"), rows)
-    if not strip:
-        T_S = skeleton_arrival_time(skel, rs, min(cfg.eps_values), get_profile4().eta0)
-        print(f"skeleton: {len(skel.samples)} samples, s_min={skel.s_min:g}, "
-              f"T_S(eps={min(cfg.eps_values):g})={T_S:g}")
     return EXIT_OK
 
 

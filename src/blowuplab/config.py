@@ -36,7 +36,7 @@ from functools import cached_property
 import yaml
 
 from .errors import ConfigError
-from .geometry import PlanarDomain, RectangleDomain, SmoothPolarDomain
+from .geometry import RectangleDomain, SmoothPolarDomain
 from .reaction import Nonlinearity
 from .solvers import SolverConfig
 
@@ -57,14 +57,19 @@ _SCHEMA = {
     "seed": int,
 }
 
-# Geometry token kind -> (half-widths, solver geometry). Kinds ending in a
-# colon take arguments: box half-widths, or the radius coefficients of
-# polar:, which no solver covers. Plain cube is cube:1.
+# Geometry token kind -> (half-widths given, box dimension, solver
+# geometry). Kinds ending in a colon take arguments: the half-width of
+# every axis (square:, cube:) or of each axis (rect:), or the radius
+# coefficients of polar:, which no solver covers. A box token without
+# half-widths has half-width 1: the strip [-1, 1] and plain cube, cube:1.
 _GEOMETRIES = {
-    "strip": (0, "strip"), "disc": (0, "radial-disc"),
-    "radial-disc": (0, "radial-disc"), "square:": (1, "rect"),
-    "rect:": (2, "rect"), "cube:": (1, "cube"), "polar:": (0, None),
+    "strip": (0, 1, "strip"), "cube": (0, 3, "cube"), "cube:": (1, 3, "cube"),
+    "square:": (1, 2, "rect"), "rect:": (2, 2, "rect"), "disc": (0, 0, "radial-disc"),
+    "radial-disc": (0, 0, "radial-disc"), "polar:": (0, 0, None),
 }
+# Grid nodes per axis of a solver geometry, unless solver.nx sets them;
+# the strip keeps SolverConfig's.
+_DEFAULT_NX = {"rect": 201, "cube": 41, "radial-disc": 1000}
 
 
 @dataclass
@@ -86,8 +91,7 @@ class ExperimentConfig:
     def _token(self) -> tuple:
         """(_GEOMETRIES key, the comma-separated numbers after the colon)
         of the geometry token; the numbers are [] when one is none."""
-        g = "cube:1" if self.geometry == "cube" else self.geometry
-        head, colon, args = g.partition(":")
+        head, colon, args = self.geometry.partition(":")
         if head + colon not in _GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
         try:
@@ -95,36 +99,36 @@ class ExperimentConfig:
         except ValueError:
             return head + colon, []
 
-    def domain(self) -> PlanarDomain:
-        """2D geometric domain for prediction commands."""
+    def domain(self):
+        """The domain of the geometry token, on which predict dispatches:
+        the centred box of half_widths (the strip [-1, 1], square:, rect:,
+        cube), the unit disc, or the polar: region."""
         kind, vals = self._token()
         if kind == "polar:":
             if len(vals) % 2 == 0:
                 raise ConfigError("polar: takes c0 and (cos, sin) coefficient pairs")
             return SmoothPolarDomain(vals[0], vals[1::2], vals[2::2])
-        solver = _GEOMETRIES[kind][1]
-        if solver == "rect":
+        if self.half_widths:
             return RectangleDomain.centered(*self.half_widths)
-        if solver == "radial-disc":
-            return SmoothPolarDomain(1.0)
-        raise ConfigError(f"geometry {self.geometry!r} has no 2D domain")
+        return SmoothPolarDomain(1.0)
 
     @cached_property
     def half_widths(self) -> tuple:
-        """Box half-widths, parsed once: (L, L) of square:L, (a, b) of
-        rect:a,b, (L,) of cube:L or plain cube (L = 1), () of the other
-        geometries. ConfigError unless each is finite and positive."""
+        """Box half-widths, one per axis, parsed once: (1,) of the strip,
+        (L, L) of square:L, (a, b) of rect:a,b, (L, L, L) of cube:L or
+        plain cube (L = 1), () of the other geometries. ConfigError unless
+        each is finite and positive."""
         kind, vals = self._token()
-        count = _GEOMETRIES[kind][0]
+        count, dim, _ = _GEOMETRIES[kind]
         if not count:
-            return ()
+            return (1.0,) * dim
         if len(vals) != count or not all(0 < v < math.inf for v in vals):
             raise ConfigError(f"geometry {self.geometry!r} needs {count} finite "
                               "positive half-width(s)")
-        return tuple(vals * 2 if kind == "square:" else vals)
+        return tuple(vals * (dim // count))
 
     def solver_geometry(self) -> str:
-        solver = _GEOMETRIES[self._token()[0]][1]
+        solver = _GEOMETRIES[self._token()[0]][2]
         if solver is None:
             raise ConfigError(f"no solver supports geometry {self.geometry!r}")
         return solver
@@ -133,14 +137,9 @@ class ExperimentConfig:
         geo = self.solver_geometry()
         kw = dict(order=self.order, nonlinearity=self.nonlinearity_obj(),
                   eps=eps, geometry=geo, seed=self.seed,
-                  snapshot_stride=self.snapshot_stride)
-        if geo == "rect":
-            a, b = self.half_widths
-            kw.update(half_width_x=a, half_width_y=b, nx=201, ny=None)
-        elif geo == "cube":
-            kw.update(half_width_x=self.half_widths[0], nx=41)
-        elif geo == "radial-disc":
-            kw.update(nx=1000)
+                  snapshot_stride=self.snapshot_stride, nx=_DEFAULT_NX.get(geo))
+        # a box's first two half-widths; the strip and the cube read x only
+        kw.update(zip(("half_width_x", "half_width_y"), self.half_widths))
         overrides = dict(self.solver_overrides)
         overrides.pop("skeleton_resolution", None)
         kw.update(overrides)
@@ -247,7 +246,7 @@ def load_config(path) -> ExperimentConfig:
         try:
             cfg.domain()
         except ValueError as e:
-            raise ConfigError(f"{unsolvable}, and it is no 2D domain: {e}") from None
+            raise ConfigError(f"{unsolvable}, and it is no domain: {e}") from None
     return cfg
 
 

@@ -1,21 +1,23 @@
-"""Planar domains: curvature, orthogonal feet, distance, skeleton, level sets.
+"""Domains: curvature, orthogonal feet, distance, skeleton, level sets.
 
 Two domain families cover everything the predictors need: smooth
 star-shaped regions given by a trigonometric-polynomial radius r(theta),
-and axis-aligned rectangles. An "orthogonal foot" of an interior point x
+and axis-aligned boxes in one, two or three dimensions (the strip, the
+rectangles and the cube). An "orthogonal foot" of an interior point x
 is a boundary point y whose segment to x stays inside the domain and
 meets the boundary perpendicularly; the skeleton is the set of interior
 points with at least two equidistant orthogonal feet, and s(x) is the
 smallest such equidistant distance. omega-level sets of the boundary
 distance build directly on these, and so does the predictor.
 
-Rectangles get closed-form feet and an exact skeleton (mid-lines plus
-the four corner bisectors). Smooth domains are sampled on a grid; the
-skeleton is located by jumps of the nearest-foot position between
-neighboring grid points (parameter continuity is useless near focal
-points, e.g. the disc center, where foot angles rotate arbitrarily
-fast), then each detection is refined by bisection to the equidistance
-locus.
+Boxes get closed-form feet, one per wall, and rectangles an exact
+skeleton (mid-lines plus the four corner bisectors); the skeleton, the
+level sets and the distance argmax are planar and reject a 1-D or 3-D
+box. Smooth domains are sampled on a grid; the skeleton is located by
+jumps of the nearest-foot position between neighboring grid points
+(parameter continuity is useless near focal points, e.g. the disc
+center, where foot angles rotate arbitrarily fast), then each detection
+is refined by bisection to the equidistance locus.
 
 Smooth domains cache 4096 boundary samples. A nearest-boundary query
 seeds Newton from the nearest sample, found by a branch and bound over
@@ -58,7 +60,7 @@ class Feet:
     """Orthogonal feet of n points as one table: row i holds the feet of
     point i, nearest first, in k = max(count) slots.
 
-    point (n, k, 2), param, distance and curvature (n, k); slots past a
+    point (n, k, d), param, distance and curvature (n, k); slots past a
     row's count hold nan, and inf as their distance."""
 
     point: np.ndarray
@@ -112,16 +114,7 @@ def _curvature(r, r1, r2):
     return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
 
-class PlanarDomain:
-    """Common interface; see SmoothPolarDomain and RectangleDomain."""
-
-    @property
-    def diameter(self):
-        (x0, x1), (y0, y1) = self.bounding_box
-        return float(np.hypot(x1 - x0, y1 - y0))
-
-
-class SmoothPolarDomain(PlanarDomain):
+class SmoothPolarDomain:
     """Star-shaped region r < r(theta), r a trigonometric polynomial.
 
     r(theta) = c0 + sum_k a_k cos(k theta) + b_k sin(k theta). Positivity
@@ -242,10 +235,17 @@ class SmoothPolarDomain(PlanarDomain):
     def curvature(self, th):
         return _curvature(*self._radius_derivs(th))
 
+    dim = 2
+
     @property
     def bounding_box(self):
         x, y = self._bp[:, 0], self._bp[:, 1]
         return (float(x.min()), float(x.max())), (float(y.min()), float(y.max()))
+
+    @property
+    def diameter(self):
+        (x0, x1), (y0, y1) = self.bounding_box
+        return float(np.hypot(x1 - x0, y1 - y0))
 
     # -- membership and distance ---------------------------------------------
     def contains(self, points):
@@ -429,67 +429,71 @@ class SmoothPolarDomain(PlanarDomain):
     nearest_feet_grid = _nearest_on_boundary
 
 
-class RectangleDomain(PlanarDomain):
-    """Axis-aligned rectangle [x0, x1] x [y0, y1].
+class RectangleDomain:
+    """Axis-aligned box [lo_0, hi_0] x ... of dimension d = 1, 2 or 3:
+    the strip, the rectangles and the cube.
 
-    Edges are numbered 0: bottom, 1: right, 2: top, 3: left; the boundary
-    parameter is arc length counterclockwise from (x0, y0). Corners carry
-    no tangent and are excluded as orthogonal feet but participate in the
-    distance function.
+    Wall 2k is the face x_k = lo_k and wall 2k + 1 the face x_k = hi_k;
+    a foot's param is its wall number. Edges and corners carry no normal
+    and are excluded as orthogonal feet but participate in the distance
+    function.
     """
 
-    def __init__(self, x0, x1, y0, y1):
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("degenerate rectangle")
-        self.x0, self.x1, self.y0, self.y1 = map(float, (x0, x1, y0, y1))
-        self.cx = 0.5 * (x0 + x1)
-        self.cy = 0.5 * (y0 + y1)
-        self.a = 0.5 * (x1 - x0)  # half-width in x
-        self.b = 0.5 * (y1 - y0)  # half-width in y
+    def __init__(self, lo, hi):
+        self.lo = np.array(lo, dtype=float).ravel()
+        self.hi = np.array(hi, dtype=float).ravel()
+        self.dim = self.lo.size
+        if not (1 <= self.dim <= 3 and self.hi.shape == self.lo.shape
+                and np.all(self.hi > self.lo)):
+            raise ValueError("a box needs 1 to 3 axes, each with hi > lo")
 
     @classmethod
-    def centered(cls, a, b):
-        """Rectangle [-a, a] x [-b, b]."""
-        return cls(-a, a, -b, b)
+    def centered(cls, *half_widths):
+        """The box [-a, a] x [-b, b] x ... of the half-widths a, b, ..."""
+        h = np.array(half_widths, dtype=float)
+        return cls(-h, h)
 
     @property
     def bounding_box(self):
-        return (self.x0, self.x1), (self.y0, self.y1)
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    @property
+    def diameter(self):
+        return float(np.hypot.reduce(self.hi - self.lo))
 
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = ((pts[:, 0] > self.x0) & (pts[:, 0] < self.x1)
-               & (pts[:, 1] > self.y0) & (pts[:, 1] < self.y1))
+        out = np.all((pts > self.lo) & (pts < self.hi), axis=1)
         return bool(out[0]) if np.asarray(points).ndim == 1 else out
 
     def signed_distance(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dx = np.minimum(pts[:, 0] - self.x0, self.x1 - pts[:, 0])
-        dy = np.minimum(pts[:, 1] - self.y0, self.y1 - pts[:, 1])
-        inside = np.minimum(dx, dy)
+        gap = np.minimum(pts - self.lo, self.hi - pts)  # to the nearer wall per axis
         # outside: distance to the box, negated
-        ox = np.maximum(np.maximum(self.x0 - pts[:, 0], pts[:, 0] - self.x1), 0.0)
-        oy = np.maximum(np.maximum(self.y0 - pts[:, 1], pts[:, 1] - self.y1), 0.0)
-        outside = np.hypot(ox, oy)
-        out = np.where((dx >= 0) & (dy >= 0), inside, -outside)
+        out_gap = np.maximum(np.maximum(self.lo - pts, pts - self.hi), 0.0)
+        out = np.where(np.all(gap >= 0, axis=1), gap.min(axis=1),
+                       -np.hypot.reduce(out_gap, axis=1))
         return float(out[0]) if np.asarray(points).ndim == 1 else out
 
     def feet_batch(self, pts) -> Feet:
-        """The four edge feet of each point, the perpendicular projections
-        onto the edges' lines, nearest first."""
+        """The 2d wall feet of each point, its perpendicular projections
+        onto the walls' hyperplanes, nearest first; equidistant feet in
+        wall order."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        W, H = self.x1 - self.x0, self.y1 - self.y0
-        px, py = pts[:, :1], pts[:, 1:]
-        one = np.ones_like(px)
-        # edges 0..3 in the columns
-        point = np.stack([np.hstack([px, self.x1 * one, px, self.x0 * one]),
-                          np.hstack([self.y0 * one, py, self.y1 * one, py])], axis=-1)
-        param = np.hstack([px - self.x0, W + (py - self.y0),
-                           2 * W + H - (px - self.x0), 2 * (W + H) - (py - self.y0)])
-        dist = np.hstack([py - self.y0, self.x1 - px, self.y1 - py, px - self.x0])
-        return _feet_table(len(pts), np.repeat(np.arange(len(pts)), 4),
-                           point.reshape(-1, 2), param.ravel(), dist.ravel(),
+        n, d = pts.shape
+        w = np.arange(2 * d)
+        point = np.repeat(pts, 2 * d, axis=0).reshape(n, 2 * d, d)
+        point[:, w, w // 2] = np.column_stack([self.lo, self.hi]).ravel()
+        dist = np.stack([pts - self.lo, self.hi - pts], axis=2)
+        return _feet_table(n, np.repeat(np.arange(n), 2 * d), point.reshape(-1, d),
+                           np.tile(w.astype(float), n), dist.ravel(),
                            np.zeros(dist.size))
+
+
+def _require_planar(dom, what):
+    """ValueError unless dom is two-dimensional."""
+    if dom.dim != 2:
+        raise ValueError(f"{what} needs a planar domain, not a {dom.dim}-D box")
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -578,8 +582,9 @@ def _label_branches(samples, link_radius):
         s.branch = b
 
 
-def compute_skeleton(dom: PlanarDomain, resolution: float) -> Skeleton:
-    """Sample the skeleton of the domain at the given spacing."""
+def compute_skeleton(dom, resolution: float) -> Skeleton:
+    """Sample the skeleton of the planar domain at the given spacing."""
+    _require_planar(dom, "the skeleton")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if isinstance(dom, RectangleDomain):
@@ -594,7 +599,8 @@ def _rectangle_skeleton(dom: RectangleDomain, res: float) -> Skeleton:
     bisectors are equidistant to their two adjacent edges, reaching the
     corners where s -> 0 (so the skeleton touches the boundary and the
     arrival time is zero)."""
-    a, b, cx, cy = dom.a, dom.b, dom.cx, dom.cy
+    a, b = (0.5 * (dom.hi - dom.lo)).tolist()
+    cx, cy = (0.5 * (dom.lo + dom.hi)).tolist()
     nH = max(int(np.ceil(2 * a / res)), 2)
     nV = max(int(np.ceil(2 * b / res)), 2)
     c = min(a, b)
@@ -775,7 +781,7 @@ def _near_pairs(pts, radius):
 
 # -- level sets ------------------------------------------------------------------
 
-def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
+def omega_set(dom, level: float, resolution: float = None):
     """Level set {x : d(x, boundary) = level} as closed polylines.
 
     Marching squares with linear interpolation on F = d - level over a
@@ -795,6 +801,7 @@ def omega_set(dom: PlanarDomain, level: float, resolution: float = None):
     marching squares interpolates and thus the loops are those of the
     fully evaluated grid.
     """
+    _require_planar(dom, "omega_set")
     if level <= 0:
         raise ValueError("level must be positive")
     if resolution is None:
@@ -1031,7 +1038,7 @@ def minimize(fun, x0s, xatol, fatol, maxiter):
                                  nfev=nfev)
 
 
-def max_distance_point(dom: PlanarDomain, seeds=None):
+def max_distance_point(dom, seeds=None):
     """argmax of d(x, boundary) by Nelder-Mead from the best seeds.
 
     Seeds default to the interior nodes of a coarse 6x6 grid; for
@@ -1042,6 +1049,7 @@ def max_distance_point(dom: PlanarDomain, seeds=None):
     is independent of the batch it arrives in (see
     SmoothPolarDomain._radius_derivs), so the result is that of three
     scalar scipy Nelder-Mead runs, bit for bit."""
+    _require_planar(dom, "max_distance_point")
     if seeds is None:
         (bx0, bx1), (by0, by1) = dom.bounding_box
         u, v = np.meshgrid(np.linspace(0.15, 0.85, 6), np.linspace(0.15, 0.85, 6),

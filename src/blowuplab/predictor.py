@@ -9,6 +9,10 @@ eta0, so the layer peaks sweep inward along the level set omega(t) of
 the distance function; once omega(t) reaches the skeleton, equidistant
 feet reinforce and the singularities land on skeleton points where
 s(x) = eta0 * phi(T_eps; eps).
+
+The expansions uniform_2d and outer_2d_second read only the domain's
+feet, so they serve the strip, the 1-D box, too; the skeleton predictors
+are planar, and the strip keeps its fourth-order rule, predict_1d_fourth.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import numpy as np
 
 from .errors import RangeError
 from .fileio import write_csv
-from .geometry import (PlanarDomain, RectangleDomain, Skeleton,
-                       max_distance_point, omega_set)
+from .geometry import RectangleDomain, Skeleton, max_distance_point, omega_set
 from .profiles import get_correction, get_profile4, v2
 from .reaction import TABLE_DELTA, ReactionSolution
 
@@ -56,37 +59,7 @@ class Prediction:
                   + [f"{k}={self.metadata[k]!r}" for k in sorted(self.metadata)])
 
 
-# -- one-dimensional ---------------------------------------------------------
-
-def uniform_1d(rs: ReactionSolution, order: int, eps: float, x, t,
-               profile=None):
-    """Uniformly valid short-time solution on the strip [-1, 1]:
-    u0(t) * [1 + v((1-x)/phi) + v((1+x)/phi) - 2]."""
-    u0 = rs.state(t)
-    phi = rs.gauge(t, eps, order)
-    if order == 2:
-        v = v2
-    else:
-        prof = profile if profile is not None else get_profile4()
-        v = prof.evaluate
-    x = np.asarray(x, dtype=float)
-    # (va + vb) - 1 rather than 1 + va + vb - 2: addition commutes bitwise,
-    # so mirrored arguments give bitwise-equal values
-    return u0 * ((v((1.0 - x) / phi) + v((1.0 + x) / phi)) - 1.0)
-
-
-def outer_1d_second(rs: ReactionSolution, eps: float, x, t):
-    """Outer expansion of the second-order solution, valid for 1 +- x >> phi."""
-    u0 = rs.state(t)
-    phi = rs.gauge(t, eps, 2)
-    x = np.asarray(x, dtype=float)
-    if np.any(1.0 - x <= 5.0 * phi) or np.any(1.0 + x <= 5.0 * phi):
-        raise RangeError("outer expansion invalid within 5 layer widths of x=+-1")
-    c = 8.0 * phi ** 3 / np.sqrt(np.pi)
-    corr = ((1.0 - x) ** -3 * np.exp(-(1.0 - x) ** 2 / (4.0 * phi ** 2))
-            + (1.0 + x) ** -3 * np.exp(-(1.0 + x) ** 2 / (4.0 * phi ** 2)))
-    return u0 * (1.0 - c * corr)
-
+# -- the strip ---------------------------------------------------------------
 
 def predict_1d_fourth(rs: ReactionSolution, eps: float, T_eps: float,
                       eta0: float = None) -> Prediction:
@@ -102,12 +75,12 @@ def predict_1d_fourth(rs: ReactionSolution, eps: float, T_eps: float,
     return Prediction("origin", np.array([[0.0]]), meta)
 
 
-# -- two-dimensional ---------------------------------------------------------
+# -- expansions on any domain, predictions on planar ones --------------------
 
-def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
+def uniform_2d(dom, rs: ReactionSolution, order: int, eps: float,
                points, t, profile=None, correction=None):
-    """Short-time solution at interior points: u0 plus one curvature-corrected
-    layer term per orthogonal foot.
+    """Short-time solution at interior points, (n, d) or one (d,): u0
+    plus one curvature-corrected layer term per orthogonal foot.
 
     At the disc centre, the radial limit, the sum has two coincident
     contributions at the common distance: feet_batch gives it two feet."""
@@ -135,8 +108,7 @@ def uniform_2d(dom: PlanarDomain, rs: ReactionSolution, order: int, eps: float,
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
 
-def outer_2d_second(dom: PlanarDomain, rs: ReactionSolution, eps: float,
-                    points, t):
+def outer_2d_second(dom, rs: ReactionSolution, eps: float, points, t):
     """Outer second-order solution: exponentially small foot corrections."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     u0 = rs.state(t)
@@ -151,7 +123,7 @@ def outer_2d_second(dom: PlanarDomain, rs: ReactionSolution, eps: float,
     return float(out[0]) if np.asarray(points).ndim == 1 else out
 
 
-def predict_second_2d(dom: PlanarDomain, skeleton: Skeleton = None) -> Prediction:
+def predict_second_2d(dom, skeleton: Skeleton = None) -> Prediction:
     """Second-order prediction: the distance-function argmax (eps-free)."""
     seeds = None
     if skeleton is not None and skeleton.samples:
@@ -162,10 +134,9 @@ def predict_second_2d(dom: PlanarDomain, skeleton: Skeleton = None) -> Predictio
                       dict(order=2, distance=float(d)))
 
 
-def predict_fourth_2d(dom: PlanarDomain, skeleton: Skeleton,
-                      rs: ReactionSolution, eps: float, T_eps: float,
-                      eta0: float = None, profile=None, correction=None
-                      ) -> Prediction:
+def predict_fourth_2d(dom, skeleton: Skeleton, rs: ReactionSolution, eps: float,
+                      T_eps: float, eta0: float = None, profile=None,
+                      correction=None) -> Prediction:
     """Fourth-order prediction via the omega-set / skeleton dichotomy.
 
     Before the arrival time the blow-up set is the level curve

@@ -5,7 +5,9 @@ textbook uniform-grid stencils are hard-coded, one profile oracle shoots
 from far-field data with an off-the-shelf initial-value integrator and
 another collocates at Chebyshev points in mpmath (profile_literals rounds
 its series to the constants of blowuplab.profiles), and distance oracles
-use brute-force boundary sampling. The two PDE oracles
+use brute-force boundary sampling; box_feet and box_signed_distance give
+a box's wall feet and distance one wall and one point at a time, in
+Python floats. The two PDE oracles
 (second-order strip, linearised fourth-order layer) are method-of-lines
 systems on uniform grids integrated by scipy's BDF. RebuiltBandedCN is
 the banded theta-step as it was first written, assembled anew for every
@@ -35,6 +37,8 @@ reaction_residual measures a reaction state against its ODE by central
 differences, and read_profile_csv reads a layer profile's table back from
 the CSV that LayerProfile.to_csv writes.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -640,6 +644,30 @@ def full_grid_marching_squares(xs, ys, F):
     return segs
 
 
+def box_feet(lo, hi, p):
+    """The wall feet of the point p in the box [lo, hi], one per wall:
+    for each axis k the perpendicular projections onto the walls
+    x_k = lo_k (wall 2k) and x_k = hi_k (wall 2k + 1), as (point, wall,
+    distance), sorted stably on distance."""
+    feet = []
+    for k in range(len(p)):
+        for wall, value, dist in ((2 * k, lo[k], p[k] - lo[k]),
+                                  (2 * k + 1, hi[k], hi[k] - p[k])):
+            q = list(p)
+            q[k] = value
+            feet.append((q, wall, dist))
+    return sorted(feet, key=lambda f: f[2])
+
+
+def box_signed_distance(lo, hi, p):
+    """Signed distance of the point p to the boundary of the box [lo, hi]:
+    inside, the distance to the nearest wall; outside, minus the length
+    of p minus its nearest box point, the clamp of each coordinate."""
+    if all(a <= x <= b for a, x, b in zip(lo, p, hi)):
+        return min(min(x - a, b - x) for a, x, b in zip(lo, p, hi))
+    return -math.sqrt(sum((x - min(max(x, a), b)) ** 2 for a, x, b in zip(lo, p, hi)))
+
+
 def brute_force_distance(dom, points, n_samples=100_000):
     """min |x - y| over a dense boundary sampling."""
     from blowuplab.geometry import RectangleDomain, SmoothPolarDomain
@@ -648,14 +676,15 @@ def brute_force_distance(dom, points, n_samples=100_000):
         th = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
         bd = dom.point_at(th)
     elif isinstance(dom, RectangleDomain):
+        (x0, x1), (y0, y1) = dom.bounding_box
         per_edge = n_samples // 4
-        xs = np.linspace(dom.x0, dom.x1, per_edge)
-        ys = np.linspace(dom.y0, dom.y1, per_edge)
+        xs = np.linspace(x0, x1, per_edge)
+        ys = np.linspace(y0, y1, per_edge)
         bd = np.concatenate([
-            np.column_stack([xs, np.full(per_edge, dom.y0)]),
-            np.column_stack([xs, np.full(per_edge, dom.y1)]),
-            np.column_stack([np.full(per_edge, dom.x0), ys]),
-            np.column_stack([np.full(per_edge, dom.x1), ys])])
+            np.column_stack([xs, np.full(per_edge, y0)]),
+            np.column_stack([xs, np.full(per_edge, y1)]),
+            np.column_stack([np.full(per_edge, x0), ys]),
+            np.column_stack([np.full(per_edge, x1), ys])])
     else:
         raise TypeError(type(dom))
     out = np.empty(len(points))

@@ -38,7 +38,7 @@ from numpy.polynomial import chebyshev
 
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, potato_domain)
-from blowuplab.predictor import predict_second_2d, uniform_1d
+from blowuplab.predictor import predict_second_2d, uniform_2d
 from blowuplab.profiles import OMEGA, v2
 from blowuplab.reaction import Nonlinearity, ReactionSolution
 from blowuplab.solvers import SolverConfig, solve
@@ -158,7 +158,8 @@ def _error_slope(rep, rs, order, eps, profile):
     for snap in rep.snapshots:
         if snap.t > 0.21:
             continue
-        ua = uniform_1d(rs, order, eps, x, snap.t, profile=profile)
+        ua = uniform_2d(RectangleDomain.centered(1.0), rs, order, eps, x[:, None],
+                        snap.t, profile=profile)
         errs.append(np.max(np.abs(snap.field - ua)) / np.max(np.abs(snap.field)))
         ts.append(snap.t)
     return float(np.polyfit(np.log(ts), np.log(errs), 1)[0])

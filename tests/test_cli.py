@@ -257,6 +257,18 @@ def test_malformed_geometry_exits_2_without_output(tmp_path, capsys, verb, geome
     assert not out.exists()
 
 
+@pytest.mark.parametrize("geometry, half_widths", [
+    ("strip", (1.0,)), ("square:0.75", (0.75, 0.75)), ("rect:1,0.5", (1.0, 0.5)),
+    ("cube", (1.0, 1.0, 1.0)), ("cube:0.5", (0.5, 0.5, 0.5))])
+def test_box_geometries_give_their_box(tmp_path, geometry, half_widths):
+    """The box tokens give the centred box of their half-widths, in as
+    many dimensions as the solver's geometry has."""
+    dom = load_config(write_cfg(tmp_path, SQUARE_CFG.replace("square:1", geometry))).domain()
+    assert dom.dim == len(half_widths)
+    assert dom.hi.tolist() == list(half_widths)
+    assert dom.lo.tolist() == [-h for h in half_widths]
+
+
 # -- verbs --------------------------------------------------------------------------
 
 def test_profile_cmd_deterministic(tmp_path):
@@ -809,7 +821,8 @@ def test_predict_on_the_cube_exits_2_without_output(tmp_path, capsys):
     path = write_cfg(tmp_path, STRIP_CFG.replace("geometry: strip", "geometry: cube:1"))
     out = tmp_path / "out"
     assert main(["--config", path, "--out", str(out), "predict"]) == 2
-    assert "no 2D domain" in capsys.readouterr().err
+    assert ("config error: predict has no predictor on the 3-D box of geometry "
+            "'cube:1'; only solve runs it") in capsys.readouterr().err
     assert not out.exists()
 
 

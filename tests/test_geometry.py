@@ -1,5 +1,6 @@
 import collections
 import copy
+import itertools
 import math
 import os
 import tracemalloc
@@ -19,7 +20,8 @@ from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
 from blowuplab.predictor import predict_second_2d, skeleton_arrival_time
 from blowuplab.profiles import get_profile4
 from blowuplab.reaction import Nonlinearity, ReactionSolution
-from oracles import (brute_force_distance, brute_force_near_pairs,
+from oracles import (box_feet, box_signed_distance, brute_force_distance,
+                     brute_force_near_pairs,
                      brute_force_nearest_sample,
                      dense_omega_grid, dense_omega_loops, equidistant_classes,
                      full_grid_marching_squares, hausdorff, omega_grid, polar_radius_derivatives,
@@ -140,13 +142,14 @@ def test_disc_center_degenerate_circle_of_feet():
 
 
 def test_rectangle_feet_example():
-    R = RectangleDomain(-1, 1, 0, 1)
+    R = RectangleDomain((-1, 0), (1, 1))
     feet = R.feet_batch([(0.0, 0.3)])
     got = [(tuple(np.round(p, 12)), round(d, 12))
            for p, d in zip(feet.point[0], feet.distance[0].tolist())]
-    # nearest first; the equidistant right and left feet in edge order
+    # nearest first; the equidistant left and right feet in wall order
     assert got == [((0.0, 0.0), 0.3), ((0.0, 1.0), 0.7),
-                   ((1.0, 0.3), 1.0), ((-1.0, 0.3), 1.0)]
+                   ((-1.0, 0.3), 1.0), ((1.0, 0.3), 1.0)]
+    assert feet.param[0].tolist() == [2.0, 3.0, 0.0, 1.0]
     assert feet.count.tolist() == [4]
 
 
@@ -154,43 +157,82 @@ def test_square_diagonal_point_nearest_feet():
     feet = SQUARE.feet_batch([(0.5, 0.5)])
     assert feet.distance[0, :2].tolist() == [0.5, 0.5]
     assert feet.distance[0, 2] > 0.5
-    # right edge (1) before top edge (2)
+    # wall x = 1 (wall 1) before wall y = 1 (wall 3)
     assert feet.point[0, :2].tolist() == [[1.0, 0.5], [0.5, 1.0]]
-
-
-def rectangle_edge_feet(dom, p):
-    """The four edge feet of p in closed form, edges 0..3 (bottom, right,
-    top, left), as (point, param, distance) triples."""
-    W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
-    x, y = p
-    return [((x, dom.y0), x - dom.x0, y - dom.y0),
-            ((dom.x1, y), W + (y - dom.y0), dom.x1 - x),
-            ((x, dom.y1), 2 * W + H - (x - dom.x0), dom.y1 - y),
-            ((dom.x0, y), 2 * (W + H) - (y - dom.y0), x - dom.x0)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rectangle_feet_match_closed_form(data):
-    """Each table row holds the four edge feet, nearest first, and
-    equidistant feet in edge order (Python's stable sort); the points on
-    a square's diagonal tie two pairs of edges."""
-    dom = data.draw(rectangles())
-    frac = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    pts = [(dom.x0 + data.draw(frac) * (dom.x1 - dom.x0),
-            dom.y0 + data.draw(frac) * (dom.y1 - dom.y0)) for _ in range(5)]
-    side = data.draw(st.floats(0.05, 3.0))
-    square = RectangleDomain(-side, side, -side, side)
-    diag = [(t, s * t) for t in np.linspace(-side, side, 7)[1:-1] for s in (1, -1)]
-    for box, xy in ((dom, pts), (square, diag)):
-        feet = box.feet_batch(xy)
-        assert feet.count.tolist() == [4] * len(xy)
-        assert not feet.curvature.any()
-        for i, p in enumerate(xy):
-            want = sorted(rectangle_edge_feet(box, p), key=lambda f: f[2])
-            assert feet.point[i].tolist() == [list(f[0]) for f in want]
-            assert feet.param[i].tolist() == [f[1] for f in want]
-            assert feet.distance[i].tolist() == [f[2] for f in want]
+    """In boxes of 1, 2 and 3 dimensions each table row holds the 2d wall
+    feet, nearest first, and equidistant feet in wall order (Python's
+    stable sort); the points on a cube's diagonals tie d pairs of walls,
+    and its centre all of them."""
+    for d in (1, 2, 3):
+        dom = data.draw(boxes(d))
+        frac = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        pts = [dom.lo + [data.draw(frac) for _ in range(d)] * (dom.hi - dom.lo)
+               for _ in range(5)]
+        side = data.draw(st.floats(0.05, 3.0))
+        cube = RectangleDomain.centered(*[side] * d)
+        diag = [(t, *(s * t for s in signs)) for t in np.linspace(-side, side, 7)[1:-1]
+                for signs in itertools.product((1, -1), repeat=d - 1)]
+        for box, xs in ((dom, pts), (cube, diag)):
+            feet = box.feet_batch(xs)
+            assert feet.count.tolist() == [2 * d] * len(xs)
+            assert not feet.curvature.any()
+            for i, p in enumerate(np.asarray(xs, dtype=float)):
+                want = box_feet(box.lo.tolist(), box.hi.tolist(), p.tolist())
+                assert feet.point[i].tolist() == [f[0] for f in want]
+                assert feet.param[i].tolist() == [f[1] for f in want]
+                assert feet.distance[i].tolist() == [f[2] for f in want]
+
+
+def test_cube_contains_and_signed_distance():
+    """contains and signed_distance on the box [-1, 1] x [0, 2] x [-0.5, 0.5]
+    at points inside, on its faces, edges and corners, and outside past a
+    face, an edge or a corner."""
+    lo, hi = [-1.0, 0.0, -0.5], [1.0, 2.0, 0.5]
+    box = RectangleDomain(lo, hi)
+    # per axis: outside below, the lo wall, inside, the hi wall, outside above
+    levels = [(-1.5, -1.0, -0.25, 1.0, 1.75), (-0.5, 0.0, 1.5, 2.0, 2.25),
+              (-1.0, -0.5, 0.125, 0.5, 0.75)]
+    pts = np.array(list(itertools.product(*levels)))
+    inside = [all(a < x < b for a, x, b in zip(lo, p, hi)) for p in pts.tolist()]
+    assert box.contains(pts).tolist() == inside
+    assert box.contains(np.array([0.0, 1.0, 0.0])) is True
+    want = [box_signed_distance(lo, hi, p) for p in pts.tolist()]
+    assert box.signed_distance(pts).tolist() == pytest.approx(want, abs=1e-15)
+    assert box.signed_distance(np.array([3.0, 1.0, 0.0])) == -2.0
+    # on a face, an edge and a corner the distance is 0; past a corner it
+    # is the Euclidean distance to that corner
+    assert box.signed_distance(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                                         [1.0, 2.0, 0.5]])).tolist() == [0.0, 0.0, 0.0]
+    assert box.signed_distance(np.array([2.0, 4.0, 2.5])) == -3.0
+
+
+def test_box_signed_distance_keeps_the_rectangle_bits():
+    """In two dimensions the outside distance is np.hypot of the two
+    gaps, the same bits as the rectangle's former closed form."""
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-3.0, 3.0, size=(400, 2))
+    ox = np.maximum(np.maximum(-1.0 - pts[:, 0], pts[:, 0] - 1.0), 0.0)
+    oy = np.maximum(np.maximum(-0.5 - pts[:, 1], pts[:, 1] - 0.5), 0.0)
+    inside = np.minimum(np.minimum(pts[:, 0] + 1.0, 1.0 - pts[:, 0]),
+                        np.minimum(pts[:, 1] + 0.5, 0.5 - pts[:, 1]))
+    want = np.where(inside >= 0, inside, -np.hypot(ox, oy))
+    assert np.array_equal(RECT.signed_distance(pts), want)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("planar", ["compute_skeleton", "omega_set", "max_distance_point"])
+def test_planar_geometry_rejects_other_boxes(planar, dim):
+    box = RectangleDomain.centered(*[1.0] * dim)
+    call = dict(compute_skeleton=lambda: compute_skeleton(box, 0.01),
+                omega_set=lambda: omega_set(box, 0.5),
+                max_distance_point=lambda: max_distance_point(box))[planar]
+    with pytest.raises(ValueError, match=f"planar domain, not a {dim}-D box"):
+        call()
 
 
 def test_feet_segments_stay_inside():
@@ -300,22 +342,22 @@ def test_foot_orthogonality_residual(data):
 
 
 @st.composite
-def rectangles(draw):
-    x0, y0 = draw(st.floats(-2.0, 1.0)), draw(st.floats(-2.0, 1.0))
-    return RectangleDomain(x0, x0 + draw(st.floats(0.05, 3.0)),
-                           y0, y0 + draw(st.floats(0.05, 3.0)))
+def boxes(draw, dim=2):
+    lo = [draw(st.floats(-2.0, 1.0)) for _ in range(dim)]
+    return RectangleDomain(lo, [a + draw(st.floats(0.05, 3.0)) for a in lo])
 
 
 def rectangle_edge_point(dom, s):
     """The boundary point at arc length s counterclockwise from (x0, y0)."""
-    W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
+    (x0, x1), (y0, y1) = dom.bounding_box
+    W, H = x1 - x0, y1 - y0
     if s < W:
-        return np.array([dom.x0 + s, dom.y0])
+        return np.array([x0 + s, y0])
     if s < W + H:
-        return np.array([dom.x1, dom.y0 + (s - W)])
+        return np.array([x1, y0 + (s - W)])
     if s < 2 * W + H:
-        return np.array([dom.x1 - (s - W - H), dom.y1])
-    return np.array([dom.x0, dom.y1 - (s - 2 * W - H)])
+        return np.array([x1 - (s - W - H), y1])
+    return np.array([x0, y1 - (s - 2 * W - H)])
 
 
 @st.composite
@@ -337,14 +379,14 @@ def point_pairs(draw, dom):
         y, (tx, ty) = dom.point_at(th), dom._point_tangent(th)[1]
         normal = np.array([ty, -tx])
     else:
-        W, H = dom.x1 - dom.x0, dom.y1 - dom.y0
+        W, H = (dom.hi - dom.lo).tolist()
         y = rectangle_edge_point(dom, draw(st.floats(0.0, 2 * (W + H))))
         normal = np.array([np.cos(ang), np.sin(ang)])
     s = draw(st.floats(0.0, 1.0))
     return y + s * gap * normal, y - (1.0 - s) * gap * normal
 
 
-@pytest.mark.parametrize("domains", [polar_domains, rectangles],
+@pytest.mark.parametrize("domains", [polar_domains, boxes],
                          ids=["polar", "rectangle"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())

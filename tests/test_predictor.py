@@ -8,11 +8,10 @@ from blowuplab.fileio import read_csv
 from blowuplab.geometry import (RectangleDomain, SmoothPolarDomain,
                                 compute_skeleton, ellipse_domain, omega_set,
                                 potato_domain)
-from blowuplab.predictor import (Prediction, critical_eps, outer_1d_second,
-                                 outer_2d_second, predict_1d_fourth,
-                                 predict_fourth_2d, predict_second_2d, uniform_1d,
-                                 uniform_2d)
-from blowuplab.profiles import CorrectionProfile, get_correction
+from blowuplab.predictor import (Prediction, critical_eps, outer_2d_second,
+                                 predict_1d_fourth, predict_fourth_2d,
+                                 predict_second_2d, uniform_2d)
+from blowuplab.profiles import CorrectionProfile, get_correction, v2
 from blowuplab.reaction import TABLE_DELTA, Nonlinearity, ReactionSolution
 from blowuplab.predictor import _curvature_candidates
 from oracles import (scalar_curvature_candidates, scalar_outer_2d_second,
@@ -21,6 +20,7 @@ from oracles import (scalar_curvature_candidates, scalar_outer_2d_second,
 EXP = ReactionSolution(Nonlinearity.exponential())
 POW2 = ReactionSolution(Nonlinearity.power(2))
 DISC = SmoothPolarDomain(1.0)
+STRIP = RectangleDomain.centered(1.0)
 SQUARE = RectangleDomain.centered(1.0, 1.0)
 RECT = RectangleDomain.centered(1.0, 0.5)
 
@@ -35,21 +35,22 @@ def rect_skel():
     return compute_skeleton(RECT, 0.01)
 
 
-# -- one-dimensional ---------------------------------------------------------
+# -- one-dimensional: the strip as the 1-D box ---------------------------------
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_uniform_1d_vanishes_at_walls(order, profile4):
-    u = uniform_1d(EXP, order, 0.05, np.array([-1.0, 1.0]), 0.1,
+    u = uniform_2d(STRIP, EXP, order, 0.05, np.array([[-1.0], [1.0]]), 0.1,
                    profile=profile4)
-    assert np.max(np.abs(u)) <= 1e-8
+    assert u.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_uniform_1d_symmetric(order, profile4):
-    # exact mirror symmetry: same foot distances for x and -x
-    x = np.linspace(0.0, 0.9, 91)
-    u_plus = uniform_1d(EXP, order, 0.1, x, 0.3, profile=profile4)
-    u_minus = uniform_1d(EXP, order, 0.1, -x, 0.3, profile=profile4)
+    # exact mirror symmetry: the same foot distances for x and -x, nearest
+    # first, and equidistant feet carry equal terms
+    x = np.linspace(0.0, 0.9, 91)[:, None]
+    u_plus = uniform_2d(STRIP, EXP, order, 0.1, x, 0.3, profile=profile4)
+    u_minus = uniform_2d(STRIP, EXP, order, 0.1, -x, 0.3, profile=profile4)
     assert np.array_equal(u_plus, u_minus)
 
 
@@ -59,21 +60,33 @@ def test_uniform_1d_second_order_argmax_at_origin():
     x = np.linspace(-1.0, 1.0, 201)
     for eps in (0.05, 0.1, 0.2):
         for t in (0.1, 0.3, 0.6):
-            u = uniform_1d(POW2, 2, eps, x, t)
+            u = uniform_2d(STRIP, POW2, 2, eps, x[:, None], t)
             assert u[100] == np.max(u)
             assert x[100] == 0.0
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_uniform_1d_is_the_two_wall_closed_form(order, profile4):
+    """On the strip the layer sum is u0 [v((1 - x)/phi) + v((1 + x)/phi)
+    - 1], to rounding: the sum adds the nearer wall's term first."""
+    x = np.linspace(-1.0, 1.0, 201)
+    phi = EXP.gauge(0.3, 0.1, order)
+    v = profile4.evaluate if order == 4 else v2
+    want = EXP.state(0.3) * ((v((1.0 - x) / phi) + v((1.0 + x) / phi)) - 1.0)
+    got = uniform_2d(STRIP, EXP, order, 0.1, x[:, None], 0.3, profile=profile4)
+    assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
+
+
 def test_outer_matches_uniform_away_from_walls():
-    u_in = uniform_1d(POW2, 2, 0.05, np.array([0.0]), 0.1)[0]
-    u_out = outer_1d_second(POW2, 0.05, np.array([0.0]), 0.1)[0]
+    u_in = uniform_2d(STRIP, POW2, 2, 0.05, np.array([0.0]), 0.1)
+    u_out = outer_2d_second(STRIP, POW2, 0.05, np.array([0.0]), 0.1)
     assert abs(u_in - u_out) <= 1e-3 * abs(u_out)
 
 
 def test_outer_1d_validity_guard():
     phi = POW2.gauge(0.3, 0.2, 2)
     with pytest.raises(RangeError):
-        outer_1d_second(POW2, 0.2, np.array([1.0 - 4.0 * phi]), 0.3)
+        outer_2d_second(STRIP, POW2, 0.2, np.array([1.0 - 4.0 * phi]), 0.3)
 
 
 def test_predict_1d_fourth_branches(profile4):

@@ -21,6 +21,18 @@ OPTIONAL = pytest.mark.skipif(os.environ.get("BLOWUPLAB_OPTIONAL_TIER") != "1",
 SERIES = {"V4_SERIES": 36.0, "VB4_SERIES": 36.0, "VB2_SERIES": 20.0}
 
 
+def assert_same_lines(got, want, name):
+    """got == want (str or bytes) line by line, failing on the first row
+    that differs: pytest's diff of two ~100 kB strings runs for minutes.
+    splitlines with its ends is lossless, so equal rows mean equal files."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for row, (a, b) in enumerate(zip(got, want), start=1):
+        if a != b:
+            pytest.fail(f"{name}: row {row} is {a!r}, recorded {b!r}", pytrace=False)
+    if len(got) != len(want):
+        pytest.fail(f"{name}: {len(got)} rows, recorded {len(want)}", pytrace=False)
+
+
 def series_derivative(c, eta_max, eta, m=1):
     """The m-th eta-derivative of the series c on [0, eta_max], by numpy's
     chebder and chebval."""
@@ -188,7 +200,8 @@ class TestProfile4:
         # the table the stored series give is the recorded one, bit for bit
         profile4.to_csv(tmp_path / "p.csv")
         with open(os.path.join(DATA, "profile4_golden.csv"), "rb") as fh:
-            assert (tmp_path / "p.csv").read_bytes() == fh.read()
+            assert_same_lines((tmp_path / "p.csv").read_bytes(), fh.read(),
+                              "profile4_golden.csv")
 
     def test_golden_file_regression(self, profile4):
         golden = read_profile_csv(os.path.join(DATA, "profile4_golden.csv"))
@@ -333,4 +346,4 @@ class TestCorrections:
                                        for e, v in zip(corr.eta, corr.values))
         with open(os.path.join(DATA, f"correction{order}_golden.csv"),
                   newline="", encoding="utf-8") as fh:
-            assert text == fh.read()
+            assert_same_lines(text, fh.read(), f"correction{order}_golden.csv")
