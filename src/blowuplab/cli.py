@@ -13,7 +13,6 @@ names that eps.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .errors import (BlowupLabError, ConfigError, ConvergenceError, DivergenceEr
                      RangeError)
 from .fileio import atomic_open, cell, read_csv, write_csv
 from .geometry import compute_skeleton, omega_set
+from .lapack import linear_sum_assignment
 from .predictor import (Prediction, predict_fourth_2d, predict_second_2d,
                         predict_1d_fourth, skeleton_arrival_time)
 from .profiles import OMEGA, get_correction, get_profile4, second_order_profile
@@ -276,68 +276,6 @@ def _read_points_csv(path):
     return np.array(pts) if pts else np.zeros((0, 2))
 
 
-def _assign(D):
-    """Rows and columns of a minimum-cost assignment in the cost matrix D,
-    rows sorted: scipy's linear_sum_assignment, a shortest augmenting path
-    method (Crouse, IEEE TAES 52, 2016), followed step for step so that
-    ties resolve as in scipy. NaN, -inf or no finite assignment raise
-    ValueError."""
-    C = np.asarray(D, dtype=float)
-    tall = C.shape[1] < C.shape[0]
-    if tall:
-        C = C.T
-    if np.isnan(C).any() or (C == -np.inf).any():
-        raise ValueError("matrix contains invalid numeric entries")
-    nr, nc = C.shape
-    cost = C.tolist()
-    u, v = [0.0] * nr, [0.0] * nc
-    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
-    for cur in range(nr):
-        # filled in reverse, so a constant matrix gives the identity
-        remaining = list(range(nc - 1, -1, -1))
-        spc = [math.inf] * nc
-        seen_rows, seen_cols = set(), set()
-        i, sink, low = cur, -1, 0.0
-        while sink < 0:
-            seen_rows.add(i)
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = low + cost[i][j] - u[i] - v[j]
-                if r < spc[j]:
-                    path[j], spc[j] = i, r
-                # on equal path costs prefer a free column: it ends the path
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] < 0):
-                    lowest, index = spc[j], it
-            low = lowest
-            if low == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols.add(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += low
-        for i in seen_rows - {cur}:
-            u[i] += low - spc[col4row[i]]
-        for j in seen_cols:
-            v[j] -= low - spc[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    cols = np.array(col4row, dtype=np.intp)
-    if tall:
-        order = np.argsort(cols)
-        return cols[order], order
-    return np.arange(nr), cols
-
-
 def cmd_compare(cfg, out) -> int:
     cfg.solver_geometry()  # compare reads solver outputs
     echo_path = os.path.join(out, "config_echo.yaml")
@@ -372,7 +310,7 @@ def cmd_compare(cfg, out) -> int:
         if len(pred) and len(comp):
             d = min(pred.shape[1], comp.shape[1])
             D = np.linalg.norm(pred[:, None, :d] - comp[None, :, :d], axis=2)
-            ri, ci = _assign(D)
+            ri, ci = linear_sum_assignment(D)
             # x and y of each matched pair, a 1D point with y = 0
             xy = np.zeros((len(ri), 4))
             k = min(d, 2)

@@ -140,9 +140,9 @@ class ExperimentConfig:
                   snapshot_stride=self.snapshot_stride, nx=_DEFAULT_NX.get(geo))
         # a box's first two half-widths; the strip and the cube read x only
         kw.update(zip(("half_width_x", "half_width_y"), self.half_widths))
-        overrides = dict(self.solver_overrides)
-        overrides.pop("skeleton_resolution", None)
-        kw.update(overrides)
+        # a null override keeps the default, so ny is derived from a real nx
+        kw.update((k, v) for k, v in self.solver_overrides.items()
+                  if v is not None and k != "skeleton_resolution")
         if geo == "rect" and not kw.get("ny"):
             a, b = kw["half_width_x"], kw["half_width_y"]
             kw["ny"] = max(5, int(round((kw["nx"] - 1) * b / a)) + 1)

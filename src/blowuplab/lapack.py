@@ -1,17 +1,22 @@
-"""The package's LAPACK: six Fortran routines from scipy's f2py
-extension module scipy.linalg._flapack, loaded without scipy.linalg's
-package init.
+"""The package's compiled scipy routines: six Fortran LAPACK routines
+from scipy's f2py extension module scipy.linalg._flapack, and
+linear_sum_assignment from scipy.optimize._lsap, each loaded without its
+subpackage's init.
 
 `import scipy.linalg` also runs scipy._lib._util, whose array-API layer
 clones numpy and with it imports numpy.f2py and numpy.testing. The
 extension module needs only numpy, and without that init a CLI start-up
 (`import blowuplab.cli`) took a median 0.22 s against 0.41 s and peaked
 at 41.5 MB of RSS against 58.6 (15 alternating pairs, 2-core x86_64,
-scipy 1.17.1). So this module runs scipy's top-level init alone (on
-Windows it sets up the vendored DLL path) and loads the extension from
-its file in scipy/linalg. It registers it in sys.modules under its own
-name, so a later `import scipy.linalg` reuses the same object and the
-routines here are scipy.linalg.lapack's; if scipy.linalg came first,
+scipy 1.17.1). `import scipy.optimize` after a start-up takes about
+0.4 s more and 44 MB of RSS, so `compare`'s minimum-distance pairing
+takes scipy's compiled shortest augmenting path (Crouse, IEEE TAES 52,
+2016) from _lsap alone, which loads in 0.14 ms and adds no measurable
+RSS (same machine). So this module runs scipy's top-level init alone (on Windows it sets up the vendored DLL
+path) and loads each extension from its file in its subpackage's
+directory. It registers it in sys.modules under its own name, so a later
+`import scipy.linalg` or `import scipy.optimize` reuses the same object
+and the routines here are scipy's own; if the subpackage came first,
 they are taken from sys.modules. There is no fallback: a missing
 extension raises an ImportError that names it.
 
@@ -33,11 +38,11 @@ import scipy
 LinAlgError = np.linalg.LinAlgError
 
 
-def _extension(name):
-    """scipy.linalg.<name>, loaded from its file unless already imported."""
-    full = "scipy.linalg." + name
+def _extension(name, package="linalg"):
+    """scipy.<package>.<name>, loaded from its file unless already imported."""
+    full = f"scipy.{package}.{name}"
     if full not in sys.modules:
-        finder = FileFinder(join(scipy.__path__[0], "linalg"),
+        finder = FileFinder(join(scipy.__path__[0], package),
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(full)
         if spec is None:
@@ -52,6 +57,7 @@ _flapack = _extension("_flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+linear_sum_assignment = _extension("_lsap", "optimize").linear_sum_assignment
 
 
 def cho_factor(a):

@@ -102,6 +102,18 @@ class Nonlinearity:
         return float(out) if scalar else out
 
 
+def _time_to_infinity(nl: Nonlinearity, u: float):
+    """integral_u^inf du'/f(u') by quad, with its error estimate; the
+    substitution u' = u + tan(s) maps [u, inf) to [0, pi/2)."""
+    from scipy.integrate import quad
+
+    def integrand(s):
+        v = np.tan(s)
+        return (1.0 + v * v) / nl.f(u + v)
+
+    return quad(integrand, 0.0, np.pi / 2, limit=200)
+
+
 def blowup_time_T0(nl: Nonlinearity) -> float:
     """T0 = integral_0^inf du / f(u); closed form for the built-in kinds.
 
@@ -112,13 +124,7 @@ def blowup_time_T0(nl: Nonlinearity) -> float:
         return 1.0
     if nl.kind == "pow":
         return 1.0 / (nl.p - 1.0)
-    from scipy.integrate import quad
-    # substitution u = tan(s) maps [0, inf) to [0, pi/2)
-    def integrand(s):
-        u = np.tan(s)
-        return (1.0 + u * u) / nl.f(u)
-
-    val, err = quad(integrand, 0.0, np.pi / 2, limit=200)
+    val, err = _time_to_infinity(nl, 0.0)
     if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
         raise DivergenceError(
             f"reaction time integral for {nl.name} did not converge "
@@ -259,14 +265,7 @@ class ReactionSolution:
         """Remaining reaction time integral_u^inf du'/f(u')."""
         if self.form == "closed":
             return float(self._tail_closed(float(u)))
-        from scipy.integrate import quad
-
-        def integrand(s):
-            x = u + np.tan(s)
-            return (1.0 + np.tan(s) ** 2) / self.nl.f(x)
-
-        val, _ = quad(integrand, 0.0, np.pi / 2, limit=200)
-        return float(val)
+        return float(_time_to_infinity(self.nl, u)[0])
 
     def gauge(self, t, eps, order):
         """Boundary-layer width: eps * u0(t)^(1/2) (order 2) or ^(1/4) (order 4)."""

@@ -2,16 +2,14 @@
 
 Implements Fornberg's recursion (Fornberg 1988, Math. Comp. 51; 1998,
 SIAM Review 40), which is exact for polynomials up to the stencil size
-and works on non-uniform grids. All operator assembly in the package
-(profile BVPs, graded strip grids, radial staggered grids) goes through
-these weights.
+and works on non-uniform grids. The operators on the graded strip grid
+and on the radial staggered grid are assembled from these weights.
 
 `fd_weights` takes one stencil or a stack of S stencils. The recursion
 loops over the (at most 9) nodes of a stencil, and its entries are Python
 floats for one stencil and (S,) arrays for many, so every stencil of a
 stack gets the same IEEE operations in the same order as a call of its
 own: batched weights are bit-identical to per-stencil ones.
-`stencil_window` likewise takes one centre index or an array of them.
 """
 
 import numpy as np
@@ -59,13 +57,3 @@ def fd_weights(nodes, x0, max_deriv):
         return np.array(c)
     return np.ascontiguousarray(np.moveaxis(np.array(c), -1, 0))
 
-
-def stencil_window(i, n, width):
-    """Index window of `width` nodes containing i, clipped to [0, n-1].
-
-    A scalar i gives shape (width,); an array of centres gives one window
-    per centre, shape i.shape + (width,)."""
-    if n < width:
-        raise ValueError(f"grid of {n} nodes too small for width-{width} stencil")
-    j0 = np.clip(np.asarray(i) - width // 2, 0, n - width)
-    return j0[..., None] + np.arange(width)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blowuplab.cli import _assign, _read_points_csv, build_parser, main
+from blowuplab import cli
+from blowuplab.cli import _read_points_csv, build_parser, main
 from blowuplab.config import dump_config, load_config
 from blowuplab.errors import ConfigError, ConvergenceError
 from blowuplab.fileio import atomic_open, read_csv
@@ -160,6 +161,17 @@ def test_rect_geometry_solver_config(tmp_path):
     assert scfg.geometry == "rect"
     assert scfg.nx == scfg.ny == 61
     assert scfg.half_width_x == scfg.half_width_y == 1.0
+
+
+@pytest.mark.parametrize("geometry, nx, ny", [
+    ("strip", 2001, 0), ("rect:1,0.5", 201, 101), ("cube:1", 41, 0), ("disc", 1000, 0)])
+def test_null_nx_keeps_the_geometrys_default(tmp_path, geometry, nx, ny):
+    """`nx: null` keeps the default nx, and the rectangle's ny follows it
+    (ny 0, SolverConfig's default, is unused off the rectangle)."""
+    text = (STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}")
+            .replace("nx: 401", "nx: null"))
+    scfg = load_config(write_cfg(tmp_path, text)).solver_config(0.2)
+    assert (scfg.nx, scfg.ny) == (nx, ny)
 
 
 @pytest.mark.parametrize("geometry, order, solver", [
@@ -713,17 +725,17 @@ def test_every_cli_output_is_written_atomically(tmp_path, monkeypatch):
     _assert_plain_csvs(out)
 
 
-# -- the assignment port -----------------------------------------------------------
+# -- the assignment ------------------------------------------------------------------
 
 @pytest.mark.parametrize("nr", range(1, 9))
 def test_assign_equals_linear_sum_assignment(nr):
-    """_assign gives scipy's rows and columns on every shape up to 8x8,
-    wide and tall; half the matrices have integer costs with ties."""
+    """compare's assignment gives scipy's rows and columns on every shape
+    up to 8x8, wide and tall; half the matrices have integer costs with ties."""
     rng = np.random.default_rng(nr)
     for nc in range(1, 9):
         for k in range(20):
             D = rng.integers(0, 4, (nr, nc)).astype(float) if k % 2 else rng.random((nr, nc))
-            got, ref = _assign(D), linear_sum_assignment(D)
+            got, ref = cli.linear_sum_assignment(D), linear_sum_assignment(D)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), D
 
 
@@ -734,7 +746,7 @@ def test_assign_rejects_invalid_entries(bad):
     with pytest.raises(ValueError):
         linear_sum_assignment(D)
     with pytest.raises(ValueError):
-        _assign(D)
+        cli.linear_sum_assignment(D)
 
 
 def test_read_points_csv_skips_comments_and_unselected(tmp_path):
@@ -751,6 +763,64 @@ def test_read_points_csv_skips_comments_and_unselected(tmp_path):
         sing.write_text(bad)
         with pytest.raises(ConfigError, match="singularities.csv"):
             _read_points_csv(sing)
+
+
+def compare_by_hand(tmp_path, geometry, prediction, singularities):
+    """comparison.csv's rows, as floats, after compare joins the given
+    prediction and singularities CSV texts at eps 0.2; no solve runs."""
+    path = write_cfg(tmp_path, STRIP_CFG.replace("geometry: strip", f"geometry: {geometry}"))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "config_echo.yaml").write_text(dump_config(load_config(path)))
+    (out / "prediction_eps0p2.csv").write_text(prediction)
+    (out / "singularities_eps0p2.csv").write_text(singularities)
+    assert main(["--config", path, "compare"]) == 0
+    _, header, rows = read_csv(out / "comparison.csv")
+    assert header == ["eps", "pred_x", "pred_y", "comp_x", "comp_y", "distance",
+                      "pred_multiplicity", "comp_multiplicity", "multiplicity_agree"]
+    return [[float(row[c]) for c in header] for row in rows]
+
+
+# nearest-first from the top row would pair (0, 0.25) with (0.375, 0.25),
+# for a total distance of 0.375 + 2 against the minimum 1 + 0.625
+TWO_POINTS = "x,y,selected\n0.0,0.25,1\n1.0,0.25,1\n"
+THREE_POINTS = "x,y,value\n0.375,0.25,9.0\n-1.0,0.25,9.0\n3.0,0.25,9.0\n"
+
+
+def test_compare_pairs_points_by_minimum_total_distance(tmp_path):
+    assert compare_by_hand(tmp_path, "rect:1,0.5", TWO_POINTS, THREE_POINTS) == [
+        [0.2, 0.0, 0.25, -1.0, 0.25, 1.0, 2, 3, 0],
+        [0.2, 1.0, 0.25, 0.375, 0.25, 0.625, 2, 3, 0]]
+
+
+def test_compare_pairs_fewer_computed_than_predicted_points(tmp_path):
+    """Each computed point is matched once; rows follow the prediction."""
+    prediction = THREE_POINTS.replace("value", "selected").replace("9.0", "1")
+    singularities = TWO_POINTS.replace("selected", "value")
+    assert compare_by_hand(tmp_path, "rect:1,0.5", prediction, singularities) == [
+        [0.2, 0.375, 0.25, 1.0, 0.25, 0.625, 3, 2, 0],
+        [0.2, -1.0, 0.25, 0.0, 0.25, 1.0, 3, 2, 0]]
+
+
+def test_compare_pads_strip_points_with_y_0(tmp_path):
+    rows = compare_by_hand(tmp_path, "strip", "x\n-0.5\n0.5\n", "x,value\n0.625,9.0\n-0.375,9.0\n")
+    assert rows == [[0.2, -0.5, 0.0, -0.375, 0.0, 0.125, 2, 2, 1],
+                    [0.2, 0.5, 0.0, 0.625, 0.0, 0.125, 2, 2, 1]]
+
+
+def test_compare_writes_a_nan_row_for_an_empty_prediction(tmp_path):
+    (row,) = compare_by_hand(tmp_path, "rect:1,0.5", "x,y,selected\n", "x,y,value\n0.0,0.0,9.0\n")
+    assert row[0] == 0.2 and np.isnan(row[1:6]).all()
+    assert row[6:] == [0, 1, 0]
+
+
+@pytest.mark.xfail(strict=True, reason="compare joins the disc's ring radius on x alone: "
+                   "the centre against the ring at r = 0.5617 reads distance 0.5617 and "
+                   "multiplicity_agree 1 (ROADMAP item 2)")
+def test_compare_does_not_agree_a_centre_with_a_ring(tmp_path):
+    (row,) = compare_by_hand(tmp_path, "disc", "x,y,selected\n0.0,0.0,1\n",
+                             "x,value\n0.5617,30.0\n")
+    assert row[-1] == 0
 
 
 # -- one config schema, one load per verb ------------------------------------------

@@ -4,13 +4,16 @@ scipy.sparse or multiprocessing on its own, and scipy.special only when
 the order-2 profile is evaluated.
 
 Together the first four cost a quarter of a second at every CLI
-start-up, and the package needs only an assignment (cli._assign) and a
-local-maximum mask from them. The layer profiles and their corrections
-are stored Chebyshev series summed in numpy, so building them loads
-neither scipy.special nor numpy.polynomial. Custom
+start-up, and the package needs only an assignment and a local-maximum
+mask from them. The assignment is scipy's compiled
+linear_sum_assignment, which blowuplab.lapack loads from its extension
+module scipy.optimize._lsap without scipy.optimize's package init. The
+layer profiles and their corrections are stored Chebyshev series summed
+in numpy, so building them loads neither scipy.special nor
+numpy.polynomial. Custom
 nonlinearities import quad and solve_ivp where they are called, and
 scipy.integrate loads scipy.optimize with it; nothing in the package
-imports scipy.optimize itself.
+imports the scipy.optimize package itself.
 
 scipy.spatial and scipy.special added about 60 ms and 7.6 MB to every
 start-up (2-core x86_64, scipy 1.17). The nearest boundary sample and the close skeleton pairs are
@@ -274,6 +277,25 @@ def test_lapack_routines_are_scipys_in_either_import_order(first):
     assert listed_after(code, "map(str, same)") == ["True"] * 7
 
 
+@pytest.mark.parametrize("first", ["blowuplab.lapack", "scipy.optimize"])
+def test_assignment_is_scipys_in_either_import_order(first):
+    """blowuplab.lapack's linear_sum_assignment is scipy.optimize's object,
+    whether it or scipy.optimize loads the extension module _lsap."""
+    code = textwrap.dedent(f"""
+        import {first}
+        import scipy.optimize
+        from blowuplab import lapack
+        same = [lapack.linear_sum_assignment is scipy.optimize.linear_sum_assignment]
+        """)
+    assert listed_after(code, "map(str, same)") == ["True"]
+
+
+def test_cli_start_up_loads_lsap_without_optimize():
+    assert listed_after("import sys\nimport blowuplab.cli\n",
+                        "m for m in ('scipy.optimize', 'scipy.optimize._lsap') "
+                        "if m in sys.modules") == ["scipy.optimize._lsap"]
+
+
 def test_cho_factor_is_scipys_on_the_bench_rectangle(monkeypatch):
     """The Schur complement of the benchmark rectangle's order-4 step
     (rect:1,0.5 at nx 121, 119 x 59 interior nodes, eps 0.05)."""
@@ -302,3 +324,6 @@ def test_missing_extension_raises_import_error_naming_it():
         lapack._extension("_no_such_module")
     assert err.value.name == "scipy.linalg._no_such_module"
     assert "scipy.linalg._no_such_module" not in sys.modules
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._no_such_module"):
+        lapack._extension("_no_such_module", "optimize")
+    assert "scipy.optimize._no_such_module" not in sys.modules

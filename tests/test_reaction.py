@@ -175,6 +175,16 @@ def test_tail_time_quadrature_matches_closed():
     assert tab.tail_time(9.0) == pytest.approx(0.1, rel=1e-9)
 
 
+@pytest.mark.parametrize("fn", [lambda u: (1.0 + u) ** 2, np.exp,
+                                lambda u: 1.0 + u + u ** 3])
+def test_blowup_time_is_the_tail_time_from_0(fn):
+    """T0 and the remaining time from u = 0 are one integral, to the bit
+    (e^u overflows to a harmless inf near the end of quad's range)."""
+    with np.errstate(over="ignore"):
+        rs = ReactionSolution(Nonlinearity.custom(fn))
+        assert rs.T0 == rs.tail_time(0.0)
+
+
 @pytest.mark.parametrize("nl", [EXP, POW2])
 def test_flow_is_exact_reaction_advance(nl):
     rs = ReactionSolution(nl)

@@ -1,5 +1,5 @@
-"""Fornberg weights: the batched form against single stencils, polynomial
-exactness, and the window helper."""
+"""Fornberg weights: the batched form against single stencils and
+polynomial exactness."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowuplab.stencils import fd_weights, stencil_window
+from blowuplab.stencils import fd_weights
 
 
 @st.composite
@@ -69,15 +69,3 @@ def test_too_few_nodes_rejected(m):
     with pytest.raises(ValueError, match="need more than"):
         fd_weights(np.stack([nodes, nodes + 1.0]), np.array([0.5, 1.5]), m)
 
-
-def test_stencil_window_array_matches_scalar():
-    n, width = 23, 7
-    centres = np.arange(n)
-    windows = stencil_window(centres, n, width)
-    assert windows.shape == (n, width)
-    for i in centres:
-        single = stencil_window(int(i), n, width)
-        assert np.array_equal(windows[i], single)
-        assert single[0] >= 0 and single[-1] <= n - 1 and i in single
-    with pytest.raises(ValueError, match="too small"):
-        stencil_window(np.arange(5), 5, 7)
